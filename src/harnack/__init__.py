@@ -9,7 +9,8 @@ against provable envelopes.
 Modules
 -------
 lattice
-    Points, the graph metric, ball domains with indexed boundaries, chains.
+    Points, the graph metric, one finite-domain type (balls and arbitrary
+    point sets) with a neighbour-index array, chains.
 kernel
     Exact n-step kernels by dense dynamic programming and closed forms.
 exit_time
@@ -23,7 +24,8 @@ harmonic
 ehi
     Exact Harnack constants, scale stability, oscillation decay.
 cache
-    Binary kernel cache with bit-exact re-derivation checks.
+    Binary table cache (magic, shape header, raw binary64 payload) with
+    bit-exact re-derivation checks.
 report
     Audit report containers and atomic JSON/CSV writers.
 cli
@@ -47,7 +49,6 @@ from .green import GreenTable, SolverError, green_solve, green_table_series
 from .harmonic import (
     BalayageError,
     BalayageResult,
-    FiniteDomain,
     LatticeField,
     balayage,
     dirichlet_iterate,
@@ -57,7 +58,7 @@ from .harmonic import (
     laplacian,
 )
 from .kernel import ProbField, free_field, n_step, n_step_pair, survival
-from .lattice import BallDomain, BallChain, build_ball_chain, graph_distance, make_ball
+from .lattice import BallChain, FiniteDomain, build_ball_chain, graph_distance, make_ball
 from .report import AuditReport, ReportEnvelope, SCHEMA_VERSION
 
 __version__ = "0.1.0"
@@ -66,7 +67,6 @@ __all__ = [
     "__version__",
     "SCHEMA_VERSION",
     # domains
-    "BallDomain",
     "BallChain",
     "FiniteDomain",
     "LatticeField",

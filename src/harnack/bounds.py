@@ -394,10 +394,7 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
         # Single leg: the chain event is the direct paired event itself.
         log_product = math.log(direct) if direct > 0 else -math.inf
     else:
-        balls = [
-            np.asarray(make_ball(waypoints[i], r).interior, dtype=np.int64)
-            for i in range(1, m)
-        ]
+        balls = [make_ball(waypoints[i], r).coords for i in range(1, m)]
         # First leg: from x into the first ball.
         first = float(_free_prob(d, times[0], balls[0] - np.array(x)).sum())
         log_product += math.log(first) if first > 0 else -math.inf

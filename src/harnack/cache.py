@@ -18,8 +18,11 @@ kind 2       ``i64`` radius, d×``i64`` centre; payload is the
 
 Payloads are raw little-endian binary64, so a write/read round trip is
 bit-exact, and ``verify`` can re-derive any file from scratch and compare
-bytes.  All computations feeding the cache are deterministic (fixed
-floating-point operation order, single-threaded sparse solves).
+bytes.  There is no checksum: reading checks only the magic, the header and
+that the payload length matches the declared shape (``(2n+1)^d`` cells, or
+``|B|`` / ``|B|^2`` for the ball of the header's radius).  All computations
+feeding the cache are deterministic (fixed floating-point operation order,
+single-threaded sparse solves).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from . import kernel
-from .lattice import Point, as_point, make_ball
+from .lattice import Point, as_point, ball_count, make_ball
 from .rng import philox
 
 MAGIC = b"ZDK1"
@@ -84,38 +87,41 @@ def encode_green(center: Point, radius: int, values: np.ndarray) -> bytes:
     return head + _pack_points(center) + table.tobytes()
 
 
+def _header_ints(blob: bytes, offset: int, count: int) -> tuple[int, ...]:
+    if len(blob) < offset + count * _I64.size:
+        raise ValueError(f"{len(blob)} bytes is shorter than the file header")
+    return struct.unpack_from(f"<{count}q", blob, offset)
+
+
 def decode(blob: bytes) -> CacheRecord:
+    """Parse one cache file; ``ValueError`` if its header or length is wrong."""
+    if len(blob) < _HEAD.size:
+        raise ValueError(f"{len(blob)} bytes is shorter than the file header")
     magic, d, kind, n = _HEAD.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ValueError("not a ZDK1 cache file")
+    if not 1 <= d <= 64 or n < 0:
+        raise ValueError(f"bad header: dimension {d}, step count {n}")
     offset = _HEAD.size
+    rec = CacheRecord(kind=kind, dimension=d, n=n, values=np.empty(0))
     if kind == KIND_FREE:
-        side = 2 * n + 1
-        values = np.frombuffer(blob, dtype="<f8", offset=offset).reshape((side,) * d)
-        return CacheRecord(kind=kind, dimension=d, n=n, values=values)
-    (radius,) = _I64.unpack_from(blob, offset)
-    offset += _I64.size
-    center = tuple(
-        _I64.unpack_from(blob, offset + i * _I64.size)[0] for i in range(d)
-    )
-    offset += d * _I64.size
-    if kind == KIND_KILLED:
-        start = tuple(
-            _I64.unpack_from(blob, offset + i * _I64.size)[0] for i in range(d)
-        )
-        offset += d * _I64.size
-        values = np.frombuffer(blob, dtype="<f8", offset=offset)
-        return CacheRecord(
-            kind=kind, dimension=d, n=n, values=values, center=center, radius=radius, start=start
-        )
-    if kind == KIND_GREEN:
-        flat = np.frombuffer(blob, dtype="<f8", offset=offset)
-        side = int(round(len(flat) ** 0.5))
-        values = flat.reshape((side, side))
-        return CacheRecord(
-            kind=kind, dimension=d, n=0, values=values, center=center, radius=radius
-        )
-    raise ValueError(f"unknown cache kind {kind}")
+        shape = (2 * n + 1,) * d
+    elif kind in (KIND_KILLED, KIND_GREEN):
+        ints = _header_ints(blob, offset, 1 + d * (2 if kind == KIND_KILLED else 1))
+        offset += len(ints) * _I64.size
+        rec.radius, rec.center = ints[0], ints[1 : d + 1]
+        if kind == KIND_KILLED:
+            rec.start = ints[d + 1 :]
+        if rec.radius < 0:
+            raise ValueError(f"bad header: radius {rec.radius}")
+        size = ball_count(d, rec.radius)
+        shape = (size,) if kind == KIND_KILLED else (size, size)
+    else:
+        raise ValueError(f"unknown cache kind {kind}")
+    if len(blob) - offset != 8 * np.prod(shape, dtype=object):
+        raise ValueError(f"payload of {len(blob) - offset} bytes does not hold a {shape} table")
+    rec.values = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(shape)
+    return rec
 
 
 def _coord_tag(p: Point) -> str:
@@ -156,7 +162,13 @@ class KernelCache:
         return self._write(name, encode_green(center, radius, values))
 
     def read(self, name: str) -> CacheRecord:
-        return decode((self.directory / name).read_bytes())
+        return self._decode(self.directory / name)
+
+    def _decode(self, path: Path) -> CacheRecord:
+        try:
+            return decode(path.read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"corrupt cache file {path.name}: {exc}") from None
 
     def list_entries(self) -> list[dict[str, Any]]:
         """Names, kinds and payload shapes of every cache file, sorted."""
@@ -164,7 +176,7 @@ class KernelCache:
         if not self.directory.is_dir():
             return entries
         for path in sorted(self.directory.glob("*.zdk")):
-            rec = decode(path.read_bytes())
+            rec = self._decode(path)
             entries.append(
                 {
                     "file": path.name,

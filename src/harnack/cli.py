@@ -397,7 +397,11 @@ def _cache_command(args: argparse.Namespace) -> int:
         raise UsageError("cache commands need --cache-dir or HARNACK_CACHE_DIR")
     cache = KernelCache(cache_dir)
     if args.action == "list":
-        entries = cache.list_entries()
+        try:
+            entries = cache.list_entries()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_AUDIT_FAILURE
         print(json.dumps(entries, indent=2))
         return EXIT_OK
     if args.action == "clear":

@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .green import SolverError, comparability_ratio
-from .harmonic import FiniteDomain, harmonic_measure_matrix
-from .lattice import BallDomain, Point, build_ball_chain, make_ball
+from .harmonic import harmonic_measure_matrix
+from .lattice import FiniteDomain, Point, build_ball_chain, make_ball
 from .report import AuditReport
 from .rng import philox
 
@@ -43,23 +43,21 @@ class HarnackRecord:
 
 
 def hitting_kernels(d: int, R: int) -> tuple[FiniteDomain, np.ndarray]:
-    """Exit-position kernel matrix of B(0,R): rows interior, columns boundary."""
+    """Exit-position kernel matrix of B(0,R): rows interior, columns boundary.
+
+    Memoized per (d, R); the matrix is read-only.
+    """
     key = (d, R)
     with _HITTING_LOCK:
         hit = _HITTING_CACHE.get(key)
     if hit is not None:
         return hit
-    D = FiniteDomain.from_ball(make_ball((0,) * d, R))
+    D = make_ball((0,) * d, R)
     M = harmonic_measure_matrix(D)
+    M.setflags(write=False)
     with _HITTING_LOCK:
         _HITTING_CACHE.setdefault(key, (D, M))
     return D, M
-
-
-def _half_rows(D: FiniteDomain, R: int) -> np.ndarray:
-    center = np.zeros(len(D.points[0]), dtype=np.int64)
-    coords = np.asarray(D.points, dtype=np.int64)
-    return np.flatnonzero(np.abs(coords - center).sum(axis=1) <= R // 2)
 
 
 def harnack_constant_exact(d: int, R: int) -> HarnackRecord:
@@ -73,13 +71,13 @@ def harnack_constant_exact(d: int, R: int) -> HarnackRecord:
     if R < 1:
         raise ValueError("R must be >= 1")
     D, M = hitting_kernels(d, R)
-    half = _half_rows(D, R)
+    half = D.within(R // 2)
     sub = M[half, :]
     mins = sub.min(axis=0)
     if mins.min() <= 0.0:
         z = int(mins.argmin())
         raise SolverError(
-            f"hitting kernel for boundary point {D.boundary[z]} vanishes on "
+            f"hitting kernel for boundary point {D.outer_boundary[z]} vanishes on "
             "the half ball; the solve is broken"
         )
     maxs = sub.max(axis=0)
@@ -89,9 +87,9 @@ def harnack_constant_exact(d: int, R: int) -> HarnackRecord:
         d=d,
         R=R,
         constant=float(ratios[z]),
-        witness_boundary=D.boundary[z],
-        witness_max=D.points[half[int(sub[:, z].argmax())]],
-        witness_min=D.points[half[int(sub[:, z].argmin())]],
+        witness_boundary=D.outer_boundary[z],
+        witness_max=D.interior[half[int(sub[:, z].argmax())]],
+        witness_min=D.interior[half[int(sub[:, z].argmin())]],
         branch="small_R" if R <= 32 else "chained",
     )
 
@@ -225,7 +223,7 @@ def oscillation_audit(
     all_pass = True
     for R in r_values:
         D, M = hitting_kernels(d, R)
-        half = _half_rows(D, R)
+        half = D.within(R // 2)
         fields = [M]
         mix = rng.uniform(0.0, 1.0, size=(M.shape[1], mixtures))
         fields.append(M @ mix)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kernel import iter_killed_vectors, lazy_exit_survival_curve
-from .lattice import BallDomain, Point, as_point, make_ball
+from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
 
@@ -27,7 +27,7 @@ _MC_BLOCK = 65_536  # samples per block; per-block substreams merge order-free
 class ExitCdf:
     """P(tau_B <= n) for n = 0..n_max from a fixed start inside the ball."""
 
-    domain: BallDomain
+    domain: FiniteDomain
     start: Point
     values: np.ndarray
 
@@ -50,7 +50,7 @@ class McEstimate:
     standard_error: float
 
 
-def exact_exit_cdf(B: BallDomain, x, n_max: int) -> ExitCdf:
+def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> ExitCdf:
     """Exact P^x(tau_B <= n) for n = 0..n_max via killed-kernel iteration."""
     x = as_point(x)
     if x not in B:
@@ -220,7 +220,7 @@ def crude_tail_audit(
 
 
 def mc_exit_sample(
-    B: BallDomain, x, n_max: int, samples: int, seed: int
+    B: FiniteDomain, x, n_max: int, samples: int, seed: int
 ) -> list[McEstimate]:
     """Monte Carlo exit CDF estimates for n = 0..n_max, replayable by seed.
 

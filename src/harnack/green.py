@@ -34,11 +34,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .kernel import iter_killed_vectors, killed_matrix, killed_point_mass
-from .lattice import BallDomain, Point, as_point, inner_boundary_of, make_ball
+from .kernel import identity_minus, iter_killed_vectors, killed_matrix, killed_point_mass
+from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 
 RESIDUAL_TOL = 1e-10
@@ -69,7 +68,7 @@ class GreenTable:
     for a full table (then ``j`` runs over the whole index).
     """
 
-    domain: BallDomain
+    domain: FiniteDomain
     values: np.ndarray
     method: str
     meta: dict = field(default_factory=dict)
@@ -90,16 +89,12 @@ _TABLE_CACHE: dict[tuple[Point, int], GreenTable] = {}
 _TABLE_CACHE_MAX_ENTRIES = 16_000_000  # total cached float64 values
 
 
-def _system_matrix(B: BallDomain) -> sp.csc_matrix:
-    return (sp.identity(len(B), format="csc") - killed_matrix(B)).tocsc()
-
-
-def _lu(B: BallDomain) -> spla.SuperLU:
+def _lu(B: FiniteDomain) -> spla.SuperLU:
     key = B.key()
     with _LU_LOCK:
         if key in _LU_CACHE:
             return _LU_CACHE[key]
-    factor = spla.splu(_system_matrix(B))
+    factor = spla.splu(identity_minus(killed_matrix(B)))
     with _LU_LOCK:
         return _LU_CACHE.setdefault(key, factor)
 
@@ -134,7 +129,7 @@ def _tail_estimate(s: float, s1: float, s2: float) -> float:
 
 
 def green_row_series(
-    B: BallDomain, x, tol: float = 1e-10, max_steps: int = 200_000
+    B: FiniteDomain, x, tol: float = 1e-10, max_steps: int = 200_000
 ) -> tuple[np.ndarray, dict]:
     """One row of the Green table by direct series accumulation.
 
@@ -165,7 +160,7 @@ def green_row_series(
 
 
 def green_table_series(
-    B: BallDomain, tol: float = 1e-10, max_steps: int = 200_000
+    B: FiniteDomain, tol: float = 1e-10, max_steps: int = 200_000
 ) -> GreenTable:
     """Full Green table by series accumulation, all starts advanced together.
 
@@ -212,12 +207,12 @@ def green_table_series(
     return GreenTable(domain=B, values=table, method="series", meta=meta)
 
 
-def green_solve(B: BallDomain, columns: Sequence[int] | None = None) -> GreenTable:
+def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenTable:
     """Green table by solving ``(I - P^B) G = I`` (sparse LU, certified residual).
 
     ``columns`` restricts the solve to the given point indices (the returned
     ``values`` then has one column per requested index, in order).  Full
-    tables are memoized per ball.
+    tables are memoized per ball and read-only.
     """
     key = B.key()
     if columns is None:
@@ -235,12 +230,14 @@ def green_solve(B: BallDomain, columns: Sequence[int] | None = None) -> GreenTab
         for j, c in enumerate(columns):
             rhs[c, j] = 1.0
     values = lu.solve(rhs)
-    residual = float(np.abs(_system_matrix(B) @ values - rhs).max())
+    residual = float(np.abs(identity_minus(killed_matrix(B)) @ values - rhs).max())
     if residual >= RESIDUAL_TOL:
         raise SolverError(
             f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
             f"on B({B.center}, {B.radius})"
         )
+    if columns is None:
+        values.setflags(write=False)
     table = GreenTable(
         domain=B,
         values=values,
@@ -261,10 +258,6 @@ def _pair_distances(coords: np.ndarray) -> np.ndarray:
     return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
 
 
-def _half_indices(B: BallDomain, radius: int) -> np.ndarray:
-    return np.flatnonzero(B.center_distances <= radius)
-
-
 def ugi_audit(d: int, r_values: Iterable[int], ratio_cap: float = 10.0) -> AuditReport:
     """Two-sided interior comparison of ``g_B`` against its scale function.
 
@@ -282,7 +275,7 @@ def ugi_audit(d: int, r_values: Iterable[int], ratio_cap: float = 10.0) -> Audit
     all_pass = True
     for R in r_values:
         B = make_ball((0,) * d, R)
-        half = _half_indices(B, R // 2)
+        half = B.within(R // 2)
         table = green_solve(B, columns=half.tolist())
         g = table.values[half, :]
         dist = _pair_distances(B.coords[half])
@@ -355,7 +348,7 @@ def killed_lower_audit(
     worst = None
     for R in r_values:
         B = make_ball((0,) * d, R)
-        half = _half_indices(B, R // 2)
+        half = B.within(R // 2)
         coords = B.coords
         amp = np.full(grid.shape, np.inf)
         witness: list[dict | None] = [None] * len(grid)
@@ -410,11 +403,9 @@ def comparability_ratio(d: int, R: int) -> float:
     the chain length.
     """
     B = make_ball((0,) * d, R)
-    quarter = _half_indices(B, R // 4)
-    half_pts = [p for p in B.interior if sum(abs(c) for c in p) <= R // 2]
-    poles = inner_boundary_of(half_pts)
-    pole_idx = [B.index_of(p) for p in poles]
-    table = green_solve(B, columns=pole_idx)
+    quarter = B.within(R // 4)
+    poles = np.flatnonzero(B.inner_mask(B.within(R // 2)))
+    table = green_solve(B, columns=poles)
     g = table.values[quarter, :]
     return float((g.max(axis=0) / g.min(axis=0)).max())
 

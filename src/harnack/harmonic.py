@@ -15,21 +15,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .exit_time import McEstimate
 from .green import SolverError, green_solve
-from .kernel import killed_matrix
-from .lattice import (
-    BallDomain,
-    Point,
-    as_point,
-    inner_boundary_of,
-    make_ball,
-    neighbors,
-    outer_boundary_of,
-)
+from .kernel import identity_minus, killed_matrix, killed_operator
+from .lattice import FiniteDomain, Point, as_point, make_ball
 from .rng import philox
 
 _MC_STREAM = 0xD187  # stream tag for Dirichlet Monte Carlo draws
@@ -42,49 +33,6 @@ RESIDUAL_TOL = 1e-10
 
 class BalayageError(RuntimeError):
     """The sweep's structural or reconstruction guarantees failed."""
-
-
-@dataclass(frozen=True)
-class FiniteDomain:
-    """A finite set of lattice points with its outer-boundary closure.
-
-    ``points`` are the interior (lex-sorted), ``boundary`` the outer
-    boundary, and fields over the domain are indexed by ``closure`` order:
-    interior first, boundary after.
-    """
-
-    points: tuple[Point, ...]
-    boundary: tuple[Point, ...]
-    index_map: dict[Point, int] = field(compare=False, repr=False)
-
-    @classmethod
-    def from_points(cls, points: Iterable) -> "FiniteDomain":
-        pts = tuple(sorted(as_point(p) for p in set(map(as_point, points))))
-        if not pts:
-            raise ValueError("domain must contain at least one point")
-        boundary = tuple(outer_boundary_of(pts))
-        index = {p: i for i, p in enumerate(pts + boundary)}
-        return cls(points=pts, boundary=boundary, index_map=index)
-
-    @classmethod
-    def from_ball(cls, B: BallDomain) -> "FiniteDomain":
-        index = {p: i for i, p in enumerate(B.interior + B.outer_boundary)}
-        return cls(points=B.interior, boundary=B.outer_boundary, index_map=index)
-
-    @property
-    def closure(self) -> tuple[Point, ...]:
-        return self.points + self.boundary
-
-    @property
-    def dimension(self) -> int:
-        return len(self.points[0])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __contains__(self, point) -> bool:
-        p = as_point(point)
-        return p in self.index_map and self.index_map[p] < len(self.points)
 
 
 @dataclass(frozen=True)
@@ -112,70 +60,35 @@ class LatticeField:
         return as_point(point) in self.index_map
 
 
-def laplacian(h: LatticeField, x) -> float:
-    """Neighbor average minus center: ``(1/2d) sum_{y~x} h(y) - h(x)``."""
-    x = as_point(x)
-    d = len(x)
-    total = 0.0
-    for y in neighbors(x):
-        if y not in h.index_map:
-            raise ValueError(f"neighbor {y} of {x} is outside the field's support")
-        total += h.values[h.index_map[y]]
-    return total / (2.0 * d) - h.value_at(x)
+def laplacian(h: LatticeField, D: FiniteDomain) -> np.ndarray:
+    """Neighbour average minus centre, ``(1/2d) sum_{y~x} h(y) - h(x)``, over D.
+
+    One gather of ``h`` over D's closure; returns the vector over D's
+    interior index.  Raises ``ValueError`` if ``h`` has no value at a point
+    of the closure.
+    """
+    try:
+        vals = h.values[[h.index_map[p] for p in D.closure]]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} of the closure has no value in h") from None
+    return vals[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - vals[: len(D)]
 
 
 def _boundary_field(D: FiniteDomain, phi) -> np.ndarray:
-    """Boundary data as an array over D.boundary, from a field or mapping."""
+    """Boundary data as an array over D.outer_boundary, from a field or mapping."""
     if isinstance(phi, LatticeField):
-        return np.array([phi.value_at(p) for p in D.boundary])
+        return np.array([phi.value_at(p) for p in D.outer_boundary])
     if isinstance(phi, Mapping):
-        return np.array([float(phi[p]) for p in D.boundary])
+        return np.array([float(phi[p]) for p in D.outer_boundary])
     vals = np.asarray(phi, dtype=float)
-    if vals.shape != (len(D.boundary),):
-        raise ValueError("boundary data must align with D.boundary")
+    if vals.shape != (len(D.outer_boundary),):
+        raise ValueError("boundary data must align with D.outer_boundary")
     return vals
 
 
-def _interior_system(D: FiniteDomain):
-    """Sparse ``I - P`` restricted to the interior, and the boundary coupling.
-
-    Returns ``(A, rows, cols, bvals)`` where A is csc and the triplets give
-    the (interior index, boundary index, weight) one-step couplings.
-    """
-    m = len(D.points)
-    d = D.dimension
-    w = 1.0 / (2.0 * d)
-    rows_i, cols_i, vals_i = [], [], []
-    rows_b, cols_b = [], []
-    for i, p in enumerate(D.points):
-        rows_i.append(i)
-        cols_i.append(i)
-        vals_i.append(1.0)
-        for y in neighbors(p):
-            j = D.index_map[y]
-            if j < m:
-                rows_i.append(i)
-                cols_i.append(j)
-                vals_i.append(-w)
-            else:
-                rows_b.append(i)
-                cols_b.append(j - m)
-    A = csc_matrix((vals_i, (rows_i, cols_i)), shape=(m, m))
-    return A, np.array(rows_b, dtype=np.int64), np.array(cols_b, dtype=np.int64), w
-
-
 def _assemble(D: FiniteDomain, interior: np.ndarray, bdata: np.ndarray) -> LatticeField:
-    values = np.concatenate([interior, bdata])
-    return LatticeField.over(D.closure, values)
-
-
-def _check_harmonic(D: FiniteDomain, h: LatticeField, tol: float = RESIDUAL_TOL):
-    worst = 0.0
-    for p in D.points:
-        worst = max(worst, abs(laplacian(h, p)))
-    if worst > tol:
-        raise SolverError(f"max |laplacian| {worst:.3e} exceeds {tol:.0e}")
-    return worst
+    """A field over D's closure; it shares the domain's closure index."""
+    return LatticeField(D.closure, np.concatenate([interior, bdata]), D.index_map)
 
 
 def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
@@ -186,12 +99,14 @@ def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     the boundary data exactly and is residual-checked to 1e-10.
     """
     bdata = _boundary_field(D, phi)
-    A, rows_b, cols_b, w = _interior_system(D)
-    rhs = np.zeros(len(D.points))
+    P, rows_b, cols_b, w = killed_operator(D)
+    rhs = np.zeros(len(D))
     np.add.at(rhs, rows_b, w * bdata[cols_b])
-    interior = splu(A).solve(rhs)
+    interior = splu(identity_minus(P)).solve(rhs)
     h = _assemble(D, interior, bdata)
-    _check_harmonic(D, h)
+    worst = float(np.abs(laplacian(h, D)).max())
+    if worst > RESIDUAL_TOL:
+        raise SolverError(f"max |laplacian| {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return h
 
 
@@ -204,11 +119,10 @@ def dirichlet_iterate(
     iteration is a strict contraction on finite domains, so this terminates.
     """
     bdata = _boundary_field(D, phi)
-    A, rows_b, cols_b, w = _interior_system(D)
-    P = (identity(len(D.points), format="csc") - A).tocsr()  # averaging part
-    coupling = np.zeros(len(D.points))
+    P, rows_b, cols_b, w = killed_operator(D)
+    coupling = np.zeros(len(D))
     np.add.at(coupling, rows_b, w * bdata[cols_b])
-    interior = np.full(len(D.points), float(bdata.mean()) if len(bdata) else 0.0)
+    interior = np.full(len(D), float(bdata.mean()) if len(bdata) else 0.0)
     for _ in range(max_sweeps):
         nxt = P @ interior + coupling
         delta = float(np.abs(nxt - interior).max())
@@ -228,17 +142,8 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> McEstimate
     if samples < 1:
         raise ValueError("samples must be >= 1")
     bdata = _boundary_field(D, phi)
-    d = D.dimension
-    closure = np.asarray(D.closure, dtype=np.int64)
-    lo = closure.min(axis=0) - 1
-    shape = tuple(closure.max(axis=0) - lo + 2)
-    status = np.zeros(shape, dtype=np.int8)  # 0 outside, 1 interior, 2 boundary
-    payout = np.zeros(shape)
-    for i, p in enumerate(D.points):
-        status[tuple(np.array(p) - lo)] = 1
-    for j, p in enumerate(D.boundary):
-        status[tuple(np.array(p) - lo)] = 2
-        payout[tuple(np.array(p) - lo)] = bdata[j]
+    m, steps = D.neighbor_index.shape
+    start = D.index_of(x)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -246,20 +151,16 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> McEstimate
     while done < samples:
         count = min(_MC_BLOCK, samples - done)
         rng = philox(seed, stream=(_MC_STREAM << 32) | block_index)
-        pos = np.tile(np.array(x, dtype=np.int64) - lo, (count, 1))
+        pos = np.full(count, start)  # closure index of each walker
         out = np.empty(count)
         active = np.arange(count)
         for _ in range(_MC_STEP_CAP):
             if active.size == 0:
                 break
-            draws = rng.integers(0, 2 * d, size=active.size)
-            axis = draws >> 1
-            sign = np.where(draws & 1 == 0, -1, 1).astype(np.int64)
-            pos[np.arange(active.size), axis] += sign
-            cells = tuple(pos[:, k] for k in range(d))
-            hit = status[cells] == 2
+            pos = D.neighbor_index[pos, rng.integers(0, steps, size=active.size)]
+            hit = pos >= m
             if hit.any():
-                out[active[hit]] = payout[tuple(c[hit] for c in cells)]
+                out[active[hit]] = bdata[pos[hit] - m]
                 pos = pos[~hit]
                 active = active[~hit]
         else:
@@ -288,32 +189,31 @@ def harmonic_measure(D: FiniteDomain, x) -> LatticeField:
     x = as_point(x)
     if x not in D:
         raise ValueError(f"start {x} is not in the domain interior")
-    A, rows_b, cols_b, w = _interior_system(D)
-    delta = np.zeros(len(D.points))
-    delta[D.index_map[x]] = 1.0
-    u = splu(A).solve(delta)
-    out = np.zeros(len(D.boundary))
+    P, rows_b, cols_b, w = killed_operator(D)
+    delta = np.zeros(len(D))
+    delta[D.index_of(x)] = 1.0
+    u = splu(identity_minus(P)).solve(delta)
+    out = np.zeros(len(D.outer_boundary))
     np.add.at(out, cols_b, w * u[rows_b])
-    return LatticeField.over(D.boundary, out)
+    return LatticeField.over(D.outer_boundary, out)
 
 
 def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
     """All exit-position rows at once: shape (interior, boundary).
 
-    Row x is ``harmonic_measure(D, x)`` over ``D.boundary`` order; rows sum
+    Row x is ``harmonic_measure(D, x)`` over ``D.outer_boundary`` order; rows sum
     to one.  One LU factorization with |∂D| right-hand sides.
     """
-    A, rows_b, cols_b, w = _interior_system(D)
-    m = len(D.points)
-    rhs = np.zeros((m, len(D.boundary)))
-    np.add.at(rhs, (rows_b, cols_b), w)
-    return splu(A).solve(rhs)
+    P, rows_b, cols_b, w = killed_operator(D)
+    rhs = np.zeros((len(D), len(D.outer_boundary)))
+    rhs[rows_b, cols_b] = w
+    return splu(identity_minus(P)).solve(rhs)
 
 
 def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:
     """A harmonic function from seeded uniform [0,1] boundary data."""
     rng = philox(seed, stream=_BOUNDARY_STREAM)
-    return dirichlet_solve(D, rng.uniform(0.0, 1.0, size=len(D.boundary)))
+    return dirichlet_solve(D, rng.uniform(0.0, 1.0, size=len(D.outer_boundary)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +226,7 @@ class BalayageResult:
     max_reconstruction_rel_error: float
 
 
-def balayage(B: BallDomain, A: Iterable, h: LatticeField) -> BalayageResult:
+def balayage(B: FiniteDomain, A: Iterable, h: LatticeField) -> BalayageResult:
     """Sweep a nonnegative harmonic h onto the inner boundary of A.
 
     The sweep ``h_A`` agrees with h on A, vanishes on the outer boundary of
@@ -347,33 +247,26 @@ def balayage(B: BallDomain, A: Iterable, h: LatticeField) -> BalayageResult:
     # Validate the input: nonnegative on the closure, harmonic inside.
     if h.values.min() < -1e-12:
         raise ValueError("h must be nonnegative on the ball closure")
-    for p in B.interior:
-        if abs(laplacian(h, p)) > RESIDUAL_TOL:
-            raise ValueError(f"h is not harmonic at {p}")
+    bad = np.flatnonzero(np.abs(laplacian(h, B)) > RESIDUAL_TOL)
+    if bad.size:
+        raise ValueError(f"h is not harmonic at {B.interior[bad[0]]}")
 
-    closure = B.interior + B.outer_boundary
-    sweep_vals = np.zeros(len(closure))
-    complement = tuple(p for p in B.interior if p not in a_set)
-    if complement:
-        Dc = FiniteDomain.from_points(complement)
-        bdata = {}
-        for q in Dc.boundary:
-            bdata[q] = h.value_at(q) if q in a_set else 0.0
-        interior_field = dirichlet_solve(Dc, bdata)
-    else:
-        interior_field = None
-    for i, p in enumerate(closure):
-        if p in a_set:
-            sweep_vals[i] = h.value_at(p)
-        elif interior_field is not None and p in interior_field:
-            sweep_vals[i] = interior_field.value_at(p)
-    sweep = LatticeField.over(closure, sweep_vals)
+    # The sweep: h on A, the Dirichlet solution on B minus A, 0 outside B.
+    a_idx = np.array([B.index_of(p) for p in a_points], dtype=np.int64)
+    target = np.array([h.value_at(p) for p in a_points])
+    complement = np.setdiff1d(np.arange(len(B)), a_idx)
+    Dc = FiniteDomain.from_points([B.interior[i] for i in complement])
+    bdata = {q: h.value_at(q) if q in a_set else 0.0 for q in Dc.outer_boundary}
+    sweep_vals = np.zeros(len(B.closure))
+    sweep_vals[a_idx] = target
+    sweep_vals[complement] = dirichlet_solve(Dc, bdata).values[: len(Dc)]
+    sweep = LatticeField(B.closure, sweep_vals, B.index_map)
 
     # Charge: identity minus killed one-step, applied to the sweep on B.
     inside = sweep_vals[: len(B)]
     f = inside - killed_matrix(B) @ inside
-    inner = set(inner_boundary_of(a_points))
-    off_support = np.array([p not in inner for p in B.interior])
+    off_support = ~B.inner_mask(a_idx)
+    support_idx = np.flatnonzero(~off_support)
     noise = float(np.abs(f[off_support]).max()) if off_support.any() else 0.0
     if noise > RESIDUAL_TOL:
         raise BalayageError(
@@ -385,12 +278,8 @@ def balayage(B: BallDomain, A: Iterable, h: LatticeField) -> BalayageResult:
     charge = LatticeField.over(B.interior, f)
 
     # Reconstruction through the Green table, on A only.
-    support_idx = [B.index_of(p) for p in B.interior if p in inner]
     columns = green_solve(B, columns=support_idx).values
-    weights = f[np.array(support_idx, dtype=np.int64)]
-    a_idx = np.array([B.index_of(p) for p in a_points], dtype=np.int64)
-    recon = columns[a_idx, :] @ weights
-    target = np.array([h.value_at(p) for p in a_points])
+    recon = columns[a_idx, :] @ f[support_idx]
     rel = np.abs(recon - target) / np.maximum(np.abs(target), 1e-300)
     worst = float(rel.max())
     if worst > 1e-8:
@@ -425,10 +314,9 @@ def dirichlet_triple_audit(
     """
     from .report import AuditReport
 
-    B = make_ball((0,) * d, R)
-    D = FiniteDomain.from_ball(B)
+    D = make_ball((0,) * d, R)
     rng = philox(seed, stream=_BOUNDARY_STREAM)
-    phi = rng.uniform(0.0, 1.0, size=len(D.boundary))
+    phi = rng.uniform(0.0, 1.0, size=len(D.outer_boundary))
     solved = dirichlet_solve(D, phi)
     iterated = dirichlet_iterate(D, phi)
     center = (0,) * d
@@ -459,7 +347,7 @@ def dirichlet_triple_audit(
     )
 
 
-def _random_subset(B: BallDomain, rng) -> tuple[Point, ...]:
+def _random_subset(B: FiniteDomain, rng) -> tuple[Point, ...]:
     """A random nonempty strict subset of the ball: a clipped sub-ball."""
     interior = B.interior
     center = interior[int(rng.integers(len(interior)))]
@@ -491,12 +379,11 @@ def balayage_batch_audit(
     failures = 0
     for R in r_values:
         B = make_ball((0,) * d, int(R))
-        D = FiniteDomain.from_ball(B)
         rng = philox(seed, stream=(0xBA1A << 32) | int(R))
         for i in range(instances):
             h_seed = int(rng.integers(1 << 31))
             subset = _random_subset(B, rng)
-            h = random_harmonic(D, h_seed)
+            h = random_harmonic(B, h_seed)
             try:
                 result = balayage(B, subset, h)
             except (BalayageError, ValueError) as exc:

@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import BallDomain, Point, as_point, graph_distance
+from .lattice import FiniteDomain, Point, as_point, graph_distance
 
 __all__ = [
     "ProbField",
@@ -49,6 +49,8 @@ __all__ = [
     "n_step",
     "n_step_pair",
     "closed_form_n_step",
+    "killed_operator",
+    "identity_minus",
     "killed_matrix",
     "killed_point_mass",
     "killed_step",
@@ -76,7 +78,7 @@ class ProbField:
     n: int
     kind: str
     values: np.ndarray
-    domain: BallDomain | None = None
+    domain: FiniteDomain | None = None
 
     @property
     def dimension(self) -> int:
@@ -92,8 +94,7 @@ class ProbField:
                 return 0.0
             return float(self.values[idx])
         assert self.domain is not None
-        j = self.domain.index_map.get(y)
-        return 0.0 if j is None else float(self.values[j])
+        return float(self.values[self.domain.index_of(y)]) if y in self.domain else 0.0
 
     def total_mass(self) -> float:
         return float(self.values.sum())
@@ -153,6 +154,12 @@ _FREE_SPOT: dict[int, dict[int, np.ndarray]] = {}
 _FREE_SPOT_KEEP = 4
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a memoized array read-only, so no caller can corrupt the memo."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _retain_limit(d: int) -> int:
     return {1: 4096, 2: 256}.get(d, 0)
 
@@ -163,9 +170,9 @@ def free_field(d: int, n: int) -> np.ndarray:
         raise ValueError("need d >= 1 and n >= 0")
     with _FREE_LOCK:
         if n <= _retain_limit(d):
-            seq = _FREE_SEQ.setdefault(d, [np.ones((1,) * d)])
+            seq = _FREE_SEQ.setdefault(d, [_frozen(np.ones((1,) * d))])
             while len(seq) <= n:
-                seq.append(_step_array(seq[-1], d))
+                seq.append(_frozen(_step_array(seq[-1], d)))
             return seq[n]
         spot = _FREE_SPOT.setdefault(d, {})
         if n in spot:
@@ -179,13 +186,13 @@ def free_field(d: int, n: int) -> np.ndarray:
             m = min(_retain_limit(d), n) if seq else 0
             if seq:
                 while len(seq) <= m:
-                    seq.append(_step_array(seq[-1], d))
+                    seq.append(_frozen(_step_array(seq[-1], d)))
                 arr = seq[m]
             else:
                 arr = np.ones((1,) * d)
         for _ in range(n - m):
             arr = _step_array(arr, d)
-        spot[n] = arr
+        spot[n] = _frozen(arr)
         while len(spot) > _FREE_SPOT_KEEP:
             del spot[min(spot)]
         return arr
@@ -251,30 +258,44 @@ _KILLED_LOCK = threading.Lock()
 _KILLED: dict[tuple[Point, int], sp.csr_matrix] = {}
 
 
-def killed_matrix(B: BallDomain) -> sp.csr_matrix:
-    """The substochastic one-step matrix ``P^B`` over the ball's point index."""
+def killed_operator(D: FiniteDomain) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, float]:
+    """The walk killed outside ``D``, built from ``D.neighbor_index``.
+
+    Returns ``(P, rows, cols, w)``: the substochastic one-step matrix over
+    the interior index, and every step that leaves D as (interior index,
+    boundary index) pairs in neighbour order, each of weight ``w = 1/(2d)``.
+    Boundary right-hand sides accumulate over those pairs in that order.
+    """
+    m, steps = D.neighbor_index.shape
+    w = 1.0 / steps
+    rows = np.repeat(np.arange(m), steps)
+    cols = D.neighbor_index.ravel()
+    inside = cols < m
+    P = sp.csr_matrix(
+        (np.full(int(inside.sum()), w), (rows[inside], cols[inside])), shape=(m, m)
+    )
+    return P, rows[~inside], cols[~inside] - m, w
+
+
+def identity_minus(P: sp.spmatrix) -> sp.csc_matrix:
+    """``I - P`` in CSC form, the matrix of the Green and Dirichlet solves."""
+    return (sp.identity(P.shape[0], format="csc") - P).tocsc()
+
+
+def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
+    """The substochastic one-step matrix ``P^B`` of a ball (memoized, read-only)."""
     key = B.key()
     with _KILLED_LOCK:
         if key in _KILLED:
             return _KILLED[key]
-    d = B.dimension
-    rows: list[int] = []
-    cols: list[int] = []
-    from .lattice import neighbors
-
-    for i, p in enumerate(B.interior):
-        for q in neighbors(p):
-            j = B.index_map.get(q)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    data = np.full(len(rows), 1.0 / (2 * d))
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(len(B), len(B)))
+    mat = killed_operator(B)[0]
+    for arr in (mat.data, mat.indices, mat.indptr):
+        _frozen(arr)
     with _KILLED_LOCK:
         return _KILLED.setdefault(key, mat)
 
 
-def killed_point_mass(x, B: BallDomain) -> ProbField:
+def killed_point_mass(x, B: FiniteDomain) -> ProbField:
     """The step-0 killed field: all mass at ``x``, which must lie in ``B``."""
     x = as_point(x)
     if x not in B:
@@ -284,7 +305,7 @@ def killed_point_mass(x, B: BallDomain) -> ProbField:
     return ProbField(origin=x, n=0, kind="killed", values=values, domain=B)
 
 
-def killed_step(field: ProbField, B: BallDomain | None = None) -> ProbField:
+def killed_step(field: ProbField, B: FiniteDomain | None = None) -> ProbField:
     """Advance a killed field one step (mass stepping outside ``B`` is lost)."""
     if field.kind != "killed":
         raise ValueError("killed_step() advances killed fields; build one with killed_point_mass")
@@ -301,7 +322,7 @@ def killed_step(field: ProbField, B: BallDomain | None = None) -> ProbField:
     )
 
 
-def iter_killed_vectors(x, B: BallDomain, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+def iter_killed_vectors(x, B: FiniteDomain, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(n, p_n^B(x, .))`` as flat vectors for n = 0..n_max."""
     vec = killed_point_mass(x, B).values
     mat = killed_matrix(B)
@@ -311,7 +332,7 @@ def iter_killed_vectors(x, B: BallDomain, n_max: int) -> Iterator[tuple[int, np.
         yield n, vec
 
 
-def survival(x, B: BallDomain, n: int) -> float:
+def survival(x, B: FiniteDomain, n: int) -> float:
     """``P^x(exit time of B > n)``: total mass of the n-step killed field."""
     if n < 0:
         raise ValueError("n must be >= 0")

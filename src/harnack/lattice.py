@@ -12,13 +12,14 @@ Conventions used throughout the package:
   R+1 and the inner boundary at distance exactly R, because one unit step
   changes the distance to the centre by exactly one.
 
-Point lists are always sorted lexicographically and indexed densely, so that
-every other module can address fields over a domain as flat numpy vectors.
+A :class:`FiniteDomain` (a ball or any finite point set) indexes its interior
+lexicographically, then its outer boundary, and stores the closure indices of
+every interior point's 2d neighbours, so that every other module addresses
+fields as flat numpy vectors and builds lattice operators from one array.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,97 +84,136 @@ def ball_count(d: int, r: int) -> int:
     )
 
 
-def outer_boundary_of(points: Iterable[Point]) -> list[Point]:
-    """Points outside the set adjacent to it, sorted lexicographically."""
-    inside = set(points)
-    out = {q for p in inside for q in neighbors(p) if q not in inside}
-    return sorted(out)
-
-
-def inner_boundary_of(points: Iterable[Point]) -> list[Point]:
-    """Points of the set adjacent to its complement, sorted lexicographically."""
-    inside = set(points)
-    return sorted(p for p in inside if any(q not in inside for q in neighbors(p)))
-
-
 @dataclass(frozen=True)
-class BallDomain:
-    """A ball ``B(center, radius)`` with boundaries and a dense point index."""
+class FiniteDomain:
+    """A finite set of lattice points with its outer boundary and neighbour array.
 
-    center: Point
-    radius: int
+    Fields over the domain are indexed in *closure order*: the ``interior``
+    (lexicographic) first, then the ``outer_boundary`` (lexicographic).
+    ``neighbor_index[i, k]`` is the closure index of the k-th neighbour of
+    interior point i, in :func:`neighbors` order, so an index ``>= len(D)``
+    is a step out of the domain.  Build one with :func:`make_ball` (which
+    also sets ``center``, ``radius`` and :meth:`key`) or :meth:`from_points`.
+    """
+
     interior: tuple[Point, ...]
     outer_boundary: tuple[Point, ...]
-    inner_boundary: tuple[Point, ...]
+    coords: np.ndarray = field(compare=False, repr=False)
+    neighbor_index: np.ndarray = field(compare=False, repr=False)
     index_map: dict[Point, int] = field(compare=False, repr=False)
+    center: Point | None = None
+    radius: int | None = None
+
+    @classmethod
+    def from_points(cls, points: Iterable) -> "FiniteDomain":
+        """The domain whose interior is the given set of points."""
+        pts = [as_point(p) for p in points]
+        if not pts:
+            raise ValueError("domain must contain at least one point")
+        if len({len(p) for p in pts}) != 1:
+            raise ValueError("points must share one dimension")
+        return cls._from_cells(np.array(pts, dtype=np.int64))
+
+    @classmethod
+    def _from_cells(
+        cls, cells: np.ndarray, center: Point | None = None, radius: int | None = None
+    ) -> "FiniteDomain":
+        """Index ``cells`` ((m, d) integers) and their outer boundary in a dense box.
+
+        The box spans the cells' bounding box, so its memory grows with that
+        volume, not with the number of cells.
+        """
+        d = cells.shape[1]
+        offsets = np.array(neighbors((0,) * d), dtype=np.int64)
+        lo = cells.min(axis=0) - 1
+        box = np.full(tuple(cells.max(axis=0) - lo + 2), -1, dtype=np.int64)
+        box[tuple((cells - lo).T)] = 0
+        inner = np.argwhere(box == 0)  # C order is lexicographic order
+        m = len(inner)
+        box[tuple(inner.T)] = np.arange(m)
+        steps = np.moveaxis(inner[:, None, :] + offsets, -1, 0)  # (d, m, 2d)
+        out = box[tuple(steps)] < 0
+        box[tuple(steps[:, out])] = -2
+        outer = np.argwhere(box == -2)
+        box[tuple(outer.T)] = m + np.arange(len(outer))
+        neighbor_index = box[tuple(steps)]
+        coords = inner + lo
+        for arr in (coords, neighbor_index):
+            arr.setflags(write=False)
+        interior = tuple(map(tuple, coords.tolist()))
+        outer_boundary = tuple(map(tuple, (outer + lo).tolist()))
+        return cls(
+            interior=interior,
+            outer_boundary=outer_boundary,
+            coords=coords,
+            neighbor_index=neighbor_index,
+            index_map=dict(zip(interior + outer_boundary, range(m + len(outer)))),
+            center=center,
+            radius=radius,
+        )
+
+    @property
+    def closure(self) -> tuple[Point, ...]:
+        return self.interior + self.outer_boundary
 
     @property
     def dimension(self) -> int:
-        return len(self.center)
+        return len(self.interior[0])
 
     def __len__(self) -> int:
         return len(self.interior)
 
     def __contains__(self, p: object) -> bool:
-        return p in self.index_map
+        """Membership of the interior."""
+        return self.index_map.get(p, len(self)) < len(self)
 
     def index_of(self, p: Point) -> int:
-        try:
-            return self.index_map[p]
-        except KeyError:
-            raise ValueError(f"{p} is not a point of B({self.center}, {self.radius})")
+        """Interior index of ``p``."""
+        i = self.index_map.get(p, len(self))
+        if i >= len(self):
+            raise ValueError(f"{p} is not an interior point of the domain")
+        return i
+
+    def inner_mask(self, subset: np.ndarray | None = None) -> np.ndarray:
+        """Interior mask of the inner boundary of ``subset`` (default: the interior).
+
+        ``subset`` holds interior indices; a point is on its inner boundary
+        when it lies in the subset and one of its neighbours does not.
+        """
+        member = np.zeros(len(self.index_map), dtype=bool)
+        member[slice(len(self)) if subset is None else subset] = True
+        return member[: len(self)] & ~member[self.neighbor_index].all(axis=1)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """(|B|, d) integer array of the interior points in index order."""
-        return np.array(self.interior, dtype=np.int64)
+    def inner_boundary(self) -> tuple[Point, ...]:
+        """Interior points with a neighbour outside, lexicographic."""
+        return tuple(self.interior[i] for i in np.flatnonzero(self.inner_mask()))
 
-    @cached_property
-    def center_distances(self) -> np.ndarray:
-        """(|B|,) l1 distances of every point to the centre."""
-        return np.abs(self.coords - np.array(self.center, dtype=np.int64)).sum(axis=1)
+    def within(self, r: int) -> np.ndarray:
+        """Interior indices at graph distance <= r from the ball's centre."""
+        return np.flatnonzero(np.abs(self.coords - np.array(self.center)).sum(axis=1) <= r)
 
     def key(self) -> tuple[Point, int]:
-        """Hashable identity of the ball, used for module-level caches."""
+        """Hashable identity of a ball, used for module-level caches."""
+        if self.radius is None:
+            raise ValueError("only balls built by make_ball have a cache key")
         return (self.center, self.radius)
 
 
-def make_ball(center: Iterable[int], radius: int) -> BallDomain:
-    """Enumerate ``B(center, radius)`` with both boundaries.
+def make_ball(center: Iterable[int], radius: int) -> FiniteDomain:
+    """Enumerate ``B(center, radius)`` with its outer boundary.
 
-    The interior is produced in lexicographic order and indexed densely;
-    the outer boundary is *every* point at distance radius+1 adjacent to the
-    ball, the inner boundary every ball point with an outside neighbour.
+    The outer boundary of a ball sits at distance radius+1 and its inner
+    boundary at distance radius.
     """
     center = as_point(center)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     d = len(center)
-    span = range(-radius, radius + 1)
-    interior = tuple(
-        tuple(c + o for c, o in zip(center, off))
-        for off in itertools.product(span, repeat=d)
-        if sum(abs(o) for o in off) <= radius
-    )
-    index_map = {p: i for i, p in enumerate(interior)}
-    outer = []
-    seen: set[Point] = set()
-    for p in interior:
-        for q in neighbors(p):
-            if q not in index_map and q not in seen:
-                seen.add(q)
-                outer.append(q)
-    inner = tuple(
-        p for p in interior if any(q not in index_map for q in neighbors(p))
-    )
-    return BallDomain(
-        center=center,
-        radius=radius,
-        interior=interior,
-        outer_boundary=tuple(sorted(outer)),
-        inner_boundary=inner,
-        index_map=index_map,
-    )
+    span = np.arange(-radius, radius + 1)
+    offsets = np.stack(np.meshgrid(*[span] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    offsets = offsets[np.abs(offsets).sum(axis=1) <= radius]
+    return FiniteDomain._from_cells(offsets + np.array(center), center=center, radius=radius)
 
 
 def l1_path(a: Point, b: Point, anchor: Point | None = None) -> list[Point]:

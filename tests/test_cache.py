@@ -97,3 +97,32 @@ def test_clear_removes_everything(tmp_path):
     assert cache.clear() == 2
     assert cache.list_entries() == []
     assert cache.verify()["total"] == 0
+
+
+def test_truncated_file_is_a_named_error(tmp_path, capsys):
+    from harnack.cli import EXIT_AUDIT_FAILURE, main
+
+    cache = KernelCache(tmp_path)
+    path = cache.put_free(1, 5, free_field(1, 5))
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ValueError, match=path.name):
+        cache.list_entries()
+    assert main(["cache", "list", "--cache-dir", str(tmp_path)]) == EXIT_AUDIT_FAILURE
+    err = capsys.readouterr().err
+    assert path.name in err and "Traceback" not in err
+
+
+def test_green_payload_must_be_the_square_table_of_its_ball(tmp_path):
+    cache = KernelCache(tmp_path)
+    table = green_solve(make_ball((0,), 2)).values
+    path = cache.put_green((0,), 2, table)
+    blob = path.read_bytes()
+    for bad in (blob[:-8], blob + bytes(8), blob[: len(blob) - 8 * table.size]):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=path.name):
+            cache.read(path.name)
+    # a square payload of the wrong ball size is rejected too
+    other = green_solve(make_ball((0,), 1)).values
+    path.write_bytes(blob[: len(blob) - 8 * table.size] + other.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="does not hold"):
+        cache.read(path.name)

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from harnack.lattice import (
     CHAIN_LENGTH_CAP,
+    FiniteDomain,
     ball_count,
     build_ball_chain,
     graph_distance,
-    inner_boundary_of,
     l1_path,
     make_ball,
     neighbors,
-    outer_boundary_of,
     same_parity,
     volume_audit,
 )
@@ -81,8 +80,13 @@ def test_ball_structure_and_index():
 
 def test_boundary_operators_agree_with_ball():
     B = make_ball((0, 0), 2)
-    assert tuple(outer_boundary_of(B.interior)) == B.outer_boundary
-    assert tuple(inner_boundary_of(B.interior)) == B.inner_boundary
+    D = FiniteDomain.from_points(reversed(B.interior))
+    assert D.interior == B.interior
+    assert D.outer_boundary == B.outer_boundary
+    assert D.inner_boundary == B.inner_boundary
+    assert B.key() == ((0, 0), 2)
+    with pytest.raises(ValueError):
+        D.key()  # only balls are memo keys
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(points(d), points(d))))
