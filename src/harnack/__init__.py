@@ -57,7 +57,7 @@ from .harmonic import (
     harmonic_measure,
     laplacian,
 )
-from .kernel import ProbField, free_field, n_step, n_step_pair, survival
+from .kernel import free_field, n_step, survival
 from .lattice import BallChain, FiniteDomain, build_ball_chain, graph_distance, make_ball
 from .report import AuditReport, ReportEnvelope, SCHEMA_VERSION
 
@@ -74,10 +74,8 @@ __all__ = [
     "build_ball_chain",
     "graph_distance",
     # kernels
-    "ProbField",
     "free_field",
     "n_step",
-    "n_step_pair",
     "survival",
     # exit times
     "ExitCdf",

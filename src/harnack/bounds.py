@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-from .kernel import iter_free_fields
+from .kernel import iter_free_fields, walk_pmf
 from .lattice import Point, as_point, graph_distance, l1_path, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -286,15 +285,6 @@ def gaussian_upper_audit(
     )
 
 
-def _pmf_1d(n: int, sites: np.ndarray) -> np.ndarray:
-    """P(simple 1-d walk at the given sites after n steps), vectorized."""
-    sites = np.asarray(sites)
-    ok = (np.abs(sites) <= n) & ((sites + n) % 2 == 0)
-    k = np.where(ok, (sites + n) // 2, 0)
-    vals = stats.binom.pmf(k, n, 0.5)
-    return np.where(ok, vals, 0.0)
-
-
 def _free_prob(d: int, n: int, offsets: np.ndarray) -> np.ndarray:
     """p_n(0, z) for an array of offsets via the closed forms (d <= 2).
 
@@ -303,9 +293,9 @@ def _free_prob(d: int, n: int, offsets: np.ndarray) -> np.ndarray:
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
     if d == 1:
-        return _pmf_1d(n, offsets[:, 0])
+        return walk_pmf(n, offsets[:, 0])
     if d == 2:
-        return _pmf_1d(n, offsets[:, 0] + offsets[:, 1]) * _pmf_1d(
+        return walk_pmf(n, offsets[:, 0] + offsets[:, 1]) * walk_pmf(
             n, offsets[:, 0] - offsets[:, 1]
         )
     raise ValueError("closed-form evaluation is implemented for d in {1, 2}")

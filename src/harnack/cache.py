@@ -203,11 +203,9 @@ class KernelCache:
         if rec.kind == KIND_KILLED:
             assert rec.center is not None and rec.radius is not None and rec.start is not None
             ball = make_ball(rec.center, rec.radius)
-            vec = None
-            for _, vec in kernel.iter_killed_vectors(rec.start, ball, rec.n):
+            for _, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
                 pass
-            assert vec is not None
-            return encode_killed(rec.center, rec.radius, rec.start, rec.n, vec)
+            return encode_killed(rec.center, rec.radius, rec.start, rec.n, block[:, 0])
         if rec.kind == KIND_GREEN:
             from .green import green_solve
 
@@ -220,8 +218,11 @@ class KernelCache:
         """Re-derive a sampled fraction of files (at least one) bit-exactly.
 
         Returns a summary dict; ``ok`` is False if any sampled file's bytes
-        differ from a from-scratch recomputation.
+        differ from a from-scratch recomputation.  ``ValueError`` if
+        ``fraction`` lies outside (0, 1] or ``seed`` is negative.
         """
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
         files = sorted(self.directory.glob("*.zdk")) if self.directory.is_dir() else []
         if not files:
             return {"ok": True, "checked": 0, "total": 0, "mismatches": []}

@@ -409,7 +409,10 @@ def _cache_command(args: argparse.Namespace) -> int:
         print(f"removed {removed} cache file(s)")
         return EXIT_OK
     # verify
-    summary = cache.verify(fraction=args.fraction, seed=args.seed)
+    try:
+        summary = cache.verify(fraction=args.fraction, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     print(
         f"checked {summary['checked']} of {summary['total']} cache file(s): "
         + ("ok" if summary["ok"] else "MISMATCH")

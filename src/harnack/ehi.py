@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,11 +103,6 @@ def d1_harnack_constant(R: int) -> float:
     """
     S = R // 2
     return (R + 1 + S) / (R + 1 - S)
-
-
-def harnack_sweep(d: int, r_values: Iterable[int]) -> list[HarnackRecord]:
-    """Exact constants across radii, for stability reporting."""
-    return [harnack_constant_exact(d, int(R)) for R in sorted(r_values)]
 
 
 def small_r_bound_audit(d: int, r_values: Sequence[int] | None = None) -> AuditReport:
@@ -261,7 +256,7 @@ def stability_audit(
     The constant is expected to converge as the radius grows; the audit
     gates the max/min ratio over the grid by ``ratio_cap``.
     """
-    records = harnack_sweep(d, r_values)
+    records = [harnack_constant_exact(d, int(R)) for R in sorted(r_values)]
     consts = [rec.constant for rec in records]
     ratio = max(consts) / min(consts)
     rows = [

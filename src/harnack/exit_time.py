@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,9 +58,8 @@ def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> ExitCdf:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     values = np.empty(n_max + 1)
-    values[0] = 0.0
-    for n, vec in iter_killed_vectors(x, B, n_max):
-        values[n] = 1.0 - float(vec.sum())
+    for n, block in iter_killed_vectors(B, [B.index_of(x)], n_max):
+        values[n] = 1.0 - float(block.sum())
     return ExitCdf(domain=B, start=x, values=values)
 
 
@@ -190,14 +189,11 @@ def crude_tail_audit(
     # Doubling search: survival is monotone, continue from the grid maximum.
     search_n = n_max
     survival = 1.0 - float(cdf[n_max])
-    vec = None
     while survival > target and search_n < max_n:
-        next_n = 2 * search_n
-        it = iter_killed_vectors((0,) * d, B, next_n)
-        for n, vec in it:
+        search_n *= 2
+        for _, block in iter_killed_vectors(B, [B.index_of((0,) * d)], search_n):
             pass
-        survival = float(vec.sum())
-        search_n = next_n
+        survival = float(block.sum())
     found = survival <= target
     all_pass &= found
     return AuditReport(
@@ -219,6 +215,48 @@ def crude_tail_audit(
     )
 
 
+def exit_walks(
+    D: FiniteDomain, x, samples: int, seed: int, stream: int, step_cap: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Seeded walks from ``x`` until they leave ``D``, block by block.
+
+    Walkers run in blocks of at most 65,536, block ``b`` drawing from the
+    substream ``(stream << 32) | b``; draw ``k`` moves a walker to its k-th
+    neighbour in ``D.neighbor_index``.  Each block yields every walker's exit
+    step and the outer-boundary index it stepped onto; a walker still inside
+    after ``step_cap`` steps gets exit step ``step_cap + 1`` and index -1.
+    """
+    x = as_point(x)
+    if x not in D:
+        raise ValueError(f"start {x} is not in the domain interior")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    m, steps = D.neighbor_index.shape
+    start = D.index_of(x)
+    done = 0
+    block_index = 0
+    while done < samples:
+        count = min(_MC_BLOCK, samples - done)
+        rng = philox(seed, stream=(stream << 32) | block_index)
+        pos = np.full(count, start)  # closure index of each walker still inside
+        active = np.arange(count)
+        exit_step = np.full(count, step_cap + 1, dtype=np.int64)
+        exit_index = np.full(count, -1, dtype=np.int64)
+        for n in range(1, step_cap + 1):
+            if active.size == 0:
+                break
+            pos = D.neighbor_index[pos, rng.integers(0, steps, size=active.size)]
+            hit = pos >= m
+            if hit.any():
+                exit_step[active[hit]] = n
+                exit_index[active[hit]] = pos[hit] - m
+                pos = pos[~hit]
+                active = active[~hit]
+        yield exit_step, exit_index
+        done += count
+        block_index += 1
+
+
 def mc_exit_sample(
     B: FiniteDomain, x, n_max: int, samples: int, seed: int
 ) -> list[McEstimate]:
@@ -228,37 +266,9 @@ def mc_exit_sample(
     the counter-based generator, so the estimate depends only on ``seed``
     and ``samples`` (merging is order-independent).
     """
-    x = as_point(x)
-    if x not in B:
-        raise ValueError(f"start {x} is not inside B({B.center}, {B.radius})")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    d = B.dimension
-    center = np.array(B.center, dtype=np.int64)
     exited_by = np.zeros(n_max + 1, dtype=np.int64)
-    done = 0
-    block_index = 0
-    while done < samples:
-        count = min(_MC_BLOCK, samples - done)
-        rng = philox(seed, stream=(_MC_STREAM << 32) | block_index)
-        pos = np.tile(np.array(x, dtype=np.int64), (count, 1))
-        ids = np.arange(count)
-        exit_time = np.full(count, n_max + 1, dtype=np.int64)
-        for n in range(1, n_max + 1):
-            if ids.size == 0:
-                break
-            draws = rng.integers(0, 2 * d, size=ids.size)
-            axis = draws >> 1
-            sign = np.where(draws & 1 == 0, -1, 1).astype(np.int64)
-            pos[np.arange(ids.size), axis] += sign
-            left = np.abs(pos - center).sum(axis=1) > B.radius
-            exit_time[ids[left]] = n
-            pos = pos[~left]
-            ids = ids[~left]
-        counts = np.bincount(exit_time, minlength=n_max + 2)
-        exited_by += np.cumsum(counts)[: n_max + 1]
-        done += count
-        block_index += 1
+    for exit_step, _ in exit_walks(B, x, samples, seed, _MC_STREAM, n_max):
+        exited_by += np.cumsum(np.bincount(exit_step, minlength=n_max + 2))[: n_max + 1]
     estimates = []
     for n in range(n_max + 1):
         p_hat = exited_by[n] / samples

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .kernel import identity_minus, iter_killed_vectors, killed_matrix, killed_point_mass
+from .kernel import identity_minus, iter_killed_vectors, killed_matrix
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 
@@ -45,7 +45,6 @@ RESIDUAL_TOL = 1e-10
 __all__ = [
     "GreenTable",
     "SolverError",
-    "green_row_series",
     "green_table_series",
     "green_solve",
     "green_value_floor",
@@ -109,56 +108,6 @@ def green_value_floor(d: int, R: int) -> float:
     return float((2 * d) ** (-2 * R)) if R < 500 else math.exp(-2 * R * math.log(2 * d))
 
 
-def _tail_estimate(s: float, s1: float, s2: float) -> float:
-    """Certified-style geometric tail after survivals ``s2, s1, s`` (oldest first).
-
-    Killed chains are bipartite-flavoured: survival decays in a period-2
-    staircase (drop, flat, drop, ...), so the plain one-step estimate
-    ``s * lam/(1-lam)`` with ``lam = s/s1`` is taken together with the
-    staircase-robust pair estimate ``(s + s1) * rho/(1-rho)`` with the
-    two-step ratio ``rho = s/s2``; the max of the two is reported.  Returns
-    ``inf`` while the ratios have not yet dropped below one.
-    """
-    if s == 0.0:
-        return 0.0
-    lam = s / s1 if s1 > 0 else 0.0
-    rho = s / s2 if s2 > 0 and math.isfinite(s2) else math.inf
-    if lam >= 1.0 or rho >= 1.0:
-        return math.inf
-    return max(s * lam / (1.0 - lam), (s + s1) * rho / (1.0 - rho))
-
-
-def green_row_series(
-    B: FiniteDomain, x, tol: float = 1e-10, max_steps: int = 200_000
-) -> tuple[np.ndarray, dict]:
-    """One row of the Green table by direct series accumulation.
-
-    Returns ``(row, meta)`` where ``meta`` records the number of terms, the
-    certified geometric tail bound, and whether the hard cap truncated the
-    series before certification.
-    """
-    vec = killed_point_mass(x, B).values
-    row = vec.copy()
-    mat = killed_matrix(B)
-    s_prev2 = math.inf
-    s_prev = 1.0
-    n = 0
-    tail = math.inf
-    truncated = True
-    while n < max_steps:
-        vec = mat @ vec
-        row += vec
-        n += 1
-        s = float(vec.sum())
-        tail = _tail_estimate(s, s_prev, s_prev2)
-        if tail < tol:
-            truncated = False
-            break
-        s_prev2, s_prev = s_prev, s
-    meta = {"terms": n, "tail_bound": tail, "tol": tol, "truncated": truncated}
-    return row, meta
-
-
 def green_table_series(
     B: FiniteDomain, tol: float = 1e-10, max_steps: int = 200_000
 ) -> GreenTable:
@@ -169,19 +118,16 @@ def green_table_series(
     tail bound is below ``tol``.
     """
     size = len(B)
-    mat = killed_matrix(B)
-    current = np.eye(size)
-    table = np.eye(size)
+    table = np.zeros((size, size))
     s_prev2 = np.full(size, np.inf)
     s_prev = np.ones(size)
     certified = np.zeros(size, dtype=bool)
     tail_bounds = np.full(size, np.inf)
-    n = 0
     truncated = True
-    while n < max_steps:
-        current = mat @ current
+    for n, current in iter_killed_vectors(B, range(size), max_steps):
         table += current
-        n += 1
+        if n == 0:
+            continue
         s = current.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(s_prev > 0, s / s_prev, 0.0)
@@ -340,6 +286,11 @@ def killed_lower_audit(
 
     by scanning ``C`` over a log grid and taking the minimum-implied amplitude;
     the reported pair maximises the amplitude margin.  Pass iff ``A > 0``.
+
+    All half-ball starts advance together.  Each step evaluates
+    ``pair * n^{d/2} * exp(C * dist^2 / n)`` over the admissible
+    (start, target) pairs one decay value at a time; ties in the minimum go
+    to the first pair in (start, n, target) order.
     """
     grid = _decay_grid() if decay_grid is None else np.asarray(decay_grid, dtype=float)
     r_values = sorted(int(r) for r in r_values)
@@ -349,34 +300,36 @@ def killed_lower_audit(
     for R in r_values:
         B = make_ball((0,) * d, R)
         half = B.within(R // 2)
-        coords = B.coords
+        dist = _pair_distances(B.coords[half])  # (start, target)
+        r = np.arange(dist.max() + 1, dtype=float)
         amp = np.full(grid.shape, np.inf)
         witness: list[dict | None] = [None] * len(grid)
-        n_cap = R * R
-        for xi in half:
-            x = B.interior[xi]
-            dist = np.abs(coords[half] - coords[xi]).sum(axis=1)
-            prev = None
-            for n, vec in iter_killed_vectors(x, B, n_cap + 1):
-                if prev is not None:
-                    m = n - 1  # pair index
-                    sel = dist <= m
-                    if m >= 1 and sel.any():
-                        pair = (prev + vec)[half][sel]
-                        dd = dist[sel].astype(float)
-                        base = pair * m ** (d / 2.0)
-                        for gi, c in enumerate(grid):
-                            vals = base * np.exp(c * dd * dd / m)
-                            k = int(np.argmin(vals))
-                            if vals[k] < amp[gi]:
-                                amp[gi] = float(vals[k])
-                                witness[gi] = {
-                                    "R": R,
-                                    "x": x,
-                                    "y": B.interior[half[sel.nonzero()[0][k]]],
-                                    "n": m,
-                                }
-                prev = vec
+        start_of = np.full(grid.shape, len(half))  # start of each witness
+        prev = None
+        for n, block in iter_killed_vectors(B, half, R * R + 1):
+            now = block[half].T
+            m = n - 1  # pair index
+            if m >= 1:
+                sel = dist <= m
+                flat = np.flatnonzero(sel)
+                base = (prev + now)[sel] * m ** (d / 2.0)
+                dsel = dist[sel]
+                rm = r[: m + 1]
+                factor = np.exp(grid[:, None] * rm * rm / m)  # by decay and distance
+                for gi in range(len(grid)):
+                    vals = base * factor[gi, dsel]
+                    k = int(np.argmin(vals))
+                    si, ti = divmod(int(flat[k]), len(half))
+                    if vals[k] < amp[gi] or (vals[k] == amp[gi] and si < start_of[gi]):
+                        amp[gi] = float(vals[k])
+                        start_of[gi] = si
+                        witness[gi] = {
+                            "R": R,
+                            "x": B.interior[half[si]],
+                            "y": B.interior[half[ti]],
+                            "n": m,
+                        }
+            prev = now
         best = int(np.argmax(amp))
         a_hat, c_hat = float(amp[best]), float(grid[best])
         ok = a_hat > 0

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .exit_time import McEstimate
+from .exit_time import McEstimate, exit_walks
 from .green import SolverError, green_solve
 from .kernel import identity_minus, killed_matrix, killed_operator
 from .lattice import FiniteDomain, Point, as_point, make_ball
@@ -25,7 +25,6 @@ from .rng import philox
 
 _MC_STREAM = 0xD187  # stream tag for Dirichlet Monte Carlo draws
 _BOUNDARY_STREAM = 0x4A12  # stream tag for random boundary data
-_MC_BLOCK = 65_536
 _MC_STEP_CAP = 1 << 22  # safety cap; exit is a.s. finite and far faster
 
 RESIDUAL_TOL = 1e-10
@@ -136,39 +135,15 @@ def dirichlet_iterate(
 
 def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> McEstimate:
     """Monte Carlo path: average ``phi`` at the exit point of walks from x."""
-    x = as_point(x)
-    if x not in D:
-        raise ValueError(f"start {x} is not in the domain interior")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     bdata = _boundary_field(D, phi)
-    m, steps = D.neighbor_index.shape
-    start = D.index_of(x)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block_index = 0
-    while done < samples:
-        count = min(_MC_BLOCK, samples - done)
-        rng = philox(seed, stream=(_MC_STREAM << 32) | block_index)
-        pos = np.full(count, start)  # closure index of each walker
-        out = np.empty(count)
-        active = np.arange(count)
-        for _ in range(_MC_STEP_CAP):
-            if active.size == 0:
-                break
-            pos = D.neighbor_index[pos, rng.integers(0, steps, size=active.size)]
-            hit = pos >= m
-            if hit.any():
-                out[active[hit]] = bdata[pos[hit] - m]
-                pos = pos[~hit]
-                active = active[~hit]
-        else:
+    for exit_step, exit_index in exit_walks(D, x, samples, seed, _MC_STREAM, _MC_STEP_CAP):
+        if (exit_index < 0).any():
             raise SolverError("Monte Carlo step cap exceeded before exit")
+        out = bdata[exit_index]
         total += float(out.sum())
         total_sq += float((out * out).sum())
-        done += count
-        block_index += 1
     mean = total / samples
     if samples > 1:
         var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)

@@ -10,18 +10,20 @@ one of ``p_n, p_{n+1}`` is nonzero.
 
 Killed kernels restrict the same update to a ball ``B``: mass stepping out of
 ``B`` is dropped, giving ``p_n^B(x, y) = P^x(X_n = y, n < exit time)``, stored
-as flat vectors over the ball's dense point index.
+over the ball's interior index with one column per start, so a block of
+starts advances with one sparse x dense product per step.
 
 The step accumulates the two neighbour shifts per axis first, then adds the
 per-axis pairs in axis order, then divides by 2d; this ordering makes
 ``p_2(0,0) == 1/(2d)`` exact in binary64 for d in {1,2,3} (for d=3 the sum
 ``6*fl(1/6)`` lands on the round-to-even tie at 1.0).
 
-For d <= 2 there is an independent exact route: in d=1 the kernel is the
-binomial pmf, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns the walk into
-two independent 1-d walks, so ``p_n(0,(a,b)) = b_n(a+b) * b_n(a-b)``.  These
-are evaluated in exact rational arithmetic and correctly rounded, which lets
-audits reach step counts far beyond the dense-DP window.
+For d <= 2 there is an independent closed-form route: in d=1 the kernel is
+the binomial pmf, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns the walk
+into two independent 1-d walks, so ``p_n(0,(a,b)) = b_n(a+b) * b_n(a-b)``.
+``walk_pmf`` evaluates ``b_n`` with exact integer binomials and one correctly
+rounded division per site, which lets audits reach step counts far beyond
+the dense-DP window; a d=2 value is the product of two such factors.
 
 A lazy 1-d comparison walk (hold probability (d-1)/d, steps 1/(2d) each way)
 mirrors the law of a single coordinate of the d-dimensional walk.
@@ -31,73 +33,30 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import FiniteDomain, Point, as_point, graph_distance
+from .lattice import FiniteDomain, Point, as_point
 
 __all__ = [
-    "ProbField",
-    "point_mass",
-    "step",
     "free_field",
     "iter_free_fields",
     "n_step",
-    "n_step_pair",
+    "walk_pmf",
     "closed_form_n_step",
     "killed_operator",
     "identity_minus",
     "killed_matrix",
-    "killed_point_mass",
-    "killed_step",
     "iter_killed_vectors",
     "survival",
     "lazy_distribution",
-    "lazy1d_n_step",
     "lazy_exit_survival_curve",
     "lazy1d_exit_cdf",
     "exactness_audit",
     "projection_audit",
 ]
-
-
-@dataclass
-class ProbField:
-    """A sub-probability mass field at a fixed step count.
-
-    ``kind == "free"`` stores a dense box of shape ``(2n+1,)*d`` centred at
-    ``origin``; ``kind == "killed"`` stores a flat vector over the point index
-    of ``domain``.
-    """
-
-    origin: Point
-    n: int
-    kind: str
-    values: np.ndarray
-    domain: FiniteDomain | None = None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.origin)
-
-    def value_at(self, y) -> float:
-        y = as_point(y)
-        if len(y) != self.dimension:
-            raise ValueError("dimension mismatch")
-        if self.kind == "free":
-            idx = tuple(c - o + self.n for c, o in zip(y, self.origin))
-            if any(i < 0 or i >= 2 * self.n + 1 for i in idx):
-                return 0.0
-            return float(self.values[idx])
-        assert self.domain is not None
-        return float(self.values[self.domain.index_of(y)]) if y in self.domain else 0.0
-
-    def total_mass(self) -> float:
-        return float(self.values.sum())
 
 
 def _step_array(arr: np.ndarray, d: int) -> np.ndarray:
@@ -119,25 +78,6 @@ def _step_array(arr: np.ndarray, d: int) -> np.ndarray:
             total += pair
     total /= 2.0 * d
     return total
-
-
-def point_mass(x) -> ProbField:
-    """The step-0 field: all mass at ``x``."""
-    x = as_point(x)
-    values = np.ones((1,) * len(x))
-    return ProbField(origin=x, n=0, kind="free", values=values)
-
-
-def step(field: ProbField) -> ProbField:
-    """Advance a free field by one step of the walk."""
-    if field.kind != "free":
-        raise ValueError("step() advances free fields; use killed_step for killed ones")
-    return ProbField(
-        origin=field.origin,
-        n=field.n + 1,
-        kind="free",
-        values=_step_array(field.values, field.dimension),
-    )
 
 
 # --- free-field cache -------------------------------------------------------
@@ -223,32 +163,53 @@ def n_step(x, y, n: int) -> float:
     return float(arr[tuple(o + n for o in offset)])
 
 
-def n_step_pair(x, y, n: int) -> float:
-    """The parity pairing ``p_n(x,y) + p_{n+1}(x,y)`` (exactly one is nonzero)."""
-    return n_step(x, y, n) + n_step(x, y, n + 1)
+def walk_pmf(n: int, sites) -> np.ndarray:
+    """``P(S_n = site)`` of the 1-d simple walk for an array of sites.
 
-
-def _simple_walk_pmf(n: int, k: int) -> Fraction:
-    """P(S_n = k) for the 1-d simple walk, as an exact rational."""
-    if abs(k) > n or (n + k) % 2:
-        return Fraction(0)
-    return Fraction(math.comb(n, (n + k) // 2), 1 << n)
+    Each value is the exact rational ``comb(n, k) / 2**n`` correctly rounded
+    to binary64: one ``math.comb`` per call, the ratio recurrence
+    ``comb(n, k+1) = comb(n, k) * (n-k) / (k+1)`` over the needed ``k``, and
+    one int/int true division per distinct ``k``.  Wrong-parity sites and
+    sites with ``|site| > n`` are exactly zero.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    sites = np.asarray(sites, dtype=np.int64)
+    out = np.zeros(sites.shape)
+    ok = (np.abs(sites) <= n) & ((sites + n) % 2 == 0)
+    if not ok.any():
+        return out
+    ks, inverse = np.unique((sites[ok] + n) // 2, return_inverse=True)
+    denom = 1 << n
+    lo = int(ks[0])
+    coef = math.comb(n, lo)
+    values = np.empty(len(ks))
+    k = lo
+    for i, want in enumerate(ks.tolist()):
+        while k < want:
+            coef = coef * (n - k) // (k + 1)
+            k += 1
+        values[i] = coef / denom
+    out[ok] = values[inverse.ravel()]
+    return out
 
 
 def closed_form_n_step(z, n: int) -> float:
-    """Exact ``p_n(0, z)`` by closed form, available for d in {1, 2}.
+    """``p_n(0, z)`` by closed form, available for d in {1, 2}.
 
-    d=2 uses the independence of the rotated coordinates (z1+z2, z1-z2).
-    The rational value is correctly rounded to binary64, so this stays exact
-    at step counts far beyond the dense-DP window.
+    d=1 is the correctly rounded binomial pmf ``walk_pmf``; d=2 uses the
+    independence of the rotated coordinates (z1+z2, z1-z2) and returns the
+    binary64 product of two correctly rounded factors (at most three
+    roundings from the exact value).  Both reach step counts far beyond the
+    dense-DP window.
     """
     z = as_point(z)
     if n < 0:
         raise ValueError("n must be >= 0")
     if len(z) == 1:
-        return float(_simple_walk_pmf(n, z[0]))
+        return float(walk_pmf(n, z[0]))
     if len(z) == 2:
-        return float(_simple_walk_pmf(n, z[0] + z[1]) * _simple_walk_pmf(n, z[0] - z[1]))
+        return float(walk_pmf(n, z[0] + z[1]) * walk_pmf(n, z[0] - z[1]))
     raise ValueError("closed-form kernels are available for d <= 2 only")
 
 
@@ -295,52 +256,34 @@ def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
         return _KILLED.setdefault(key, mat)
 
 
-def killed_point_mass(x, B: FiniteDomain) -> ProbField:
-    """The step-0 killed field: all mass at ``x``, which must lie in ``B``."""
-    x = as_point(x)
-    if x not in B:
-        raise ValueError(f"start point {x} is not inside the ball")
-    values = np.zeros(len(B))
-    values[B.index_of(x)] = 1.0
-    return ProbField(origin=x, n=0, kind="killed", values=values, domain=B)
+def iter_killed_vectors(
+    B: FiniteDomain, starts: Sequence[int], n_max: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(n, block)`` for n = 0..n_max, one sparse x dense product per step.
 
-
-def killed_step(field: ProbField, B: FiniteDomain | None = None) -> ProbField:
-    """Advance a killed field one step (mass stepping outside ``B`` is lost)."""
-    if field.kind != "killed":
-        raise ValueError("killed_step() advances killed fields; build one with killed_point_mass")
-    domain = field.domain if B is None else B
-    if field.domain is not None and domain is not field.domain and domain.key() != field.domain.key():
-        raise ValueError("field is attached to a different ball")
-    assert domain is not None
-    return ProbField(
-        origin=field.origin,
-        n=field.n + 1,
-        kind="killed",
-        values=killed_matrix(domain) @ field.values,
-        domain=domain,
-    )
-
-
-def iter_killed_vectors(x, B: FiniteDomain, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(n, p_n^B(x, .))`` as flat vectors for n = 0..n_max."""
-    vec = killed_point_mass(x, B).values
+    ``block`` has one column per start index (into ``B``'s interior), holding
+    ``p_n^B(start, .)`` over the interior index.  Column by column the product
+    adds the same terms in the same order as a matrix-vector step, so a block
+    of one start reproduces the single-start iteration bit for bit.  The
+    yielded arrays are fresh each step and may be kept.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    block = np.zeros((len(B), len(starts)))
+    block[starts, np.arange(len(starts))] = 1.0
     mat = killed_matrix(B)
-    yield 0, vec
+    yield 0, block
     for n in range(1, n_max + 1):
-        vec = mat @ vec
-        yield n, vec
+        block = mat @ block
+        yield n, block
 
 
 def survival(x, B: FiniteDomain, n: int) -> float:
     """``P^x(exit time of B > n)``: total mass of the n-step killed field."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    last = None
-    for _, vec in iter_killed_vectors(x, B, n):
-        last = vec
-    assert last is not None
-    return float(last.sum())
+    for _, block in iter_killed_vectors(B, [B.index_of(as_point(x))], n):
+        pass
+    return float(block.sum())
 
 
 # --- lazy 1-d comparison walk ----------------------------------------------
@@ -369,13 +312,6 @@ def lazy_distribution(n: int, d: int) -> np.ndarray:
     for _ in range(n):
         vec = _lazy_step(vec, d)
     return vec
-
-
-def lazy1d_n_step(site: int, n: int, d: int) -> float:
-    """P(lazy walk at step n is at ``site``)."""
-    if abs(site) > n:
-        return 0.0
-    return float(lazy_distribution(n, d)[site + n])
 
 
 def lazy_exit_survival_curve(S: int, n_max: int, d: int) -> np.ndarray:

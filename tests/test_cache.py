@@ -22,7 +22,7 @@ def test_free_record_roundtrip(tmp_path):
 def test_killed_and_green_roundtrips(tmp_path):
     cache = KernelCache(tmp_path)
     B = make_ball((1, -1), 2)
-    vec = dict(iter_killed_vectors((1, 0), B, 3))[3]
+    vec = dict(iter_killed_vectors(B, [B.index_of((1, 0))], 3))[3][:, 0]
     kp = cache.put_killed(B.center, B.radius, (1, 0), 3, vec)
     krec = cache.read(kp.name)
     assert krec.kind == 1 and np.array_equal(krec.values, vec)
@@ -37,7 +37,7 @@ def test_encode_decode_inverse():
     rec = decode(encode_free(1, 5, field))
     assert np.array_equal(rec.values, field)
     B = make_ball((0,), 2)
-    vec = dict(iter_killed_vectors((0,), B, 2))[2]
+    vec = dict(iter_killed_vectors(B, [B.index_of((0,))], 2))[2][:, 0]
     rec = decode(encode_killed((0,), 2, (0,), 2, vec))
     assert np.array_equal(rec.values, vec)
     rec = decode(encode_green((0,), 2, green_solve(B).values))

@@ -137,6 +137,25 @@ def test_cache_populate_verify_corrupt_and_clear(tmp_path, capsys):
     assert list(cache_dir.glob("*.zdk")) == []
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--fraction", "nan"),
+    ("--fraction", "inf"),
+    ("--fraction", "0"),
+    ("--fraction", "-1"),
+    ("--fraction", "1.5"),
+    ("--seed", "-1"),
+])
+def test_cache_verify_rejects_bad_fraction_and_seed(tmp_path, capsys, flag, value):
+    cache_dir = tmp_path / "cache"
+    assert run_cli(["kernel", "--dim", "1", "--n-max", "4", "--cache-dir", str(cache_dir),
+                    "--out", str(tmp_path / "k.json")]) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(["cache", "verify", "--cache-dir", str(cache_dir), flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cache_without_directory_is_usage_error(capsys, monkeypatch):
     monkeypatch.delenv("HARNACK_CACHE_DIR", raising=False)
     assert run_cli(["cache", "list"]) == EXIT_USAGE

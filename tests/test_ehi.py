@@ -8,7 +8,6 @@ from harnack.ehi import (
     d1_closed_form_audit,
     d1_harnack_constant,
     harnack_constant_exact,
-    harnack_sweep,
     hitting_kernels,
     oscillation_audit,
     small_r_bound_audit,
@@ -35,7 +34,7 @@ def test_record_metadata_and_monotone_growth():
     assert graph_distance(rec.witness_max, (0, 0)) <= 3
     assert graph_distance(rec.witness_min, (0, 0)) <= 3
     assert graph_distance(rec.witness_boundary, (0, 0)) == 7  # outer boundary
-    sweep = harnack_sweep(2, (2, 4, 8))
+    sweep = [harnack_constant_exact(2, R) for R in (2, 4, 8)]
     consts = [r.constant for r in sweep]
     assert consts == sorted(consts)
 

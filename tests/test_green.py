@@ -1,5 +1,7 @@
 """Green tables: dual-route agreement, identities, interior comparisons."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from harnack.green import (
     comparability_audit,
     comparability_ratio,
     equivalence_audit,
-    green_row_series,
     green_solve,
     green_table_series,
     green_value_floor,
@@ -70,11 +71,12 @@ def test_floor_really_is_a_lower_bound(d, R):
 
 def test_row_series_matches_table_column():
     B = make_ball((0, 0), 3)
-    row, meta = green_row_series(B, (1, 1), tol=1e-12)
+    series = green_table_series(B, tol=1e-12)
+    column = series.values[:, B.index_of((1, 1))]
     table = green_solve(B)
-    assert np.abs(row - table.values[:, B.index_of((1, 1))]).max() <= 1e-9
-    assert not meta["truncated"]
-    assert meta["terms"] > 0
+    assert np.abs(column - table.values[:, B.index_of((1, 1))]).max() <= 1e-9
+    assert not series.meta["truncated"]
+    assert series.meta["terms"] > 0
 
 
 def test_column_restricted_solve_matches_full():
@@ -103,6 +105,57 @@ def test_ugi_audit_passes_and_rejects_dimension_one():
 def test_killed_lower_audit_passes():
     assert killed_lower_audit(1, [4, 8]).passed
     assert killed_lower_audit(2, [4]).passed
+
+
+def killed_lower_reference(d, r_values, grid):
+    """The per-start, per-step, per-decay loop the batched audit replaced."""
+    rows, worst = [], None
+    for R in sorted(r_values):
+        B = make_ball((0,) * d, R)
+        P = killed_matrix(B)
+        half = B.within(R // 2)
+        coords = B.coords
+        amp = np.full(grid.shape, np.inf)
+        witness = [None] * len(grid)
+        for xi in half:
+            x = B.interior[xi]
+            dist = np.abs(coords[half] - coords[xi]).sum(axis=1)
+            vec = np.zeros(len(B))
+            vec[xi] = 1.0
+            prev = None
+            for n in range(R * R + 2):
+                if n > 0:
+                    vec = P @ vec
+                if prev is not None:
+                    m = n - 1
+                    sel = dist <= m
+                    if m >= 1 and sel.any():
+                        pair = (prev + vec)[half][sel]
+                        dd = dist[sel].astype(float)
+                        base = pair * m ** (d / 2.0)
+                        for gi, c in enumerate(grid):
+                            vals = base * np.exp(c * dd * dd / m)
+                            k = int(np.argmin(vals))
+                            if vals[k] < amp[gi]:
+                                amp[gi] = float(vals[k])
+                                y = B.interior[half[sel.nonzero()[0][k]]]
+                                witness[gi] = {"R": R, "x": x, "y": y, "n": m}
+                prev = vec
+        best = int(np.argmax(amp))
+        a_hat, c_hat = float(amp[best]), float(grid[best])
+        rows.append({"R": R, "A": a_hat, "C": c_hat})
+        if worst is None or a_hat < worst.get("A", math.inf):
+            worst = {"A": a_hat, "C": c_hat, **(witness[best] or {})}
+    return rows, worst
+
+
+@pytest.mark.parametrize("d,r_values", [(1, [1, 2, 3, 4, 5, 6]), (2, [2, 3, 4, 5, 6]), (3, [2, 4, 6])])
+def test_batched_killed_lower_matches_per_start_loop(d, r_values):
+    grid = np.geomspace(1.0 / 64, 8.0, 32)
+    report = killed_lower_audit(d, r_values)
+    rows, worst = killed_lower_reference(d, r_values, grid)
+    assert report.rows == rows
+    assert report.worst == worst
 
 
 def test_comparability_ratio_frozen_and_stable():

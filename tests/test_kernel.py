@@ -1,6 +1,10 @@
 """Exact n-step kernels: DP, closed forms, killed chains, the lazy walk."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +17,12 @@ from harnack.kernel import (
     free_field,
     iter_killed_vectors,
     killed_matrix,
-    killed_point_mass,
     lazy1d_exit_cdf,
     lazy_distribution,
     n_step,
-    n_step_pair,
     projection_audit,
     survival,
+    walk_pmf,
 )
 from harnack.lattice import graph_distance, make_ball
 
@@ -81,21 +84,69 @@ def test_closed_form_agrees_with_dp(d, n, point):
 def test_pair_kernel_positive_within_range(d, n):
     y = (n // 2,) + (0,) * (d - 1)
     if graph_distance((0,) * d, y) <= n:
-        assert n_step_pair((0,) * d, y, n) > 0.0
+        assert n_step((0,) * d, y, n) + n_step((0,) * d, y, n + 1) > 0.0
 
 
 def test_killed_chain_matches_hand_dp():
     # B(0,1) in d=1: interior (-1, 0, 1); mass leaving the interval dies.
     B = make_ball((0,), 1)
-    start = killed_point_mass((0,), B).values
-    assert list(start) == [0.0, 1.0, 0.0]
-    chain = dict(iter_killed_vectors((0,), B, 4))
+    chain = {n: block[:, 0] for n, block in iter_killed_vectors(B, [B.index_of((0,))], 4)}
+    assert list(chain[0]) == [0.0, 1.0, 0.0]
     assert list(chain[1]) == [0.5, 0.0, 0.5]
     assert list(chain[2]) == [0.0, 0.5, 0.0]
     assert list(chain[3]) == [0.25, 0.0, 0.25]
     assert list(chain[4]) == [0.0, 0.25, 0.0]
     assert survival((0,), B, 2) == 0.5
     assert survival((0,), B, 4) == 0.25
+
+
+@pytest.mark.parametrize("d,R", [(1, 3), (2, 3), (3, 2)])
+def test_killed_block_columns_match_single_start_iteration(d, R):
+    B = make_ball((0,) * d, R)
+    starts = [0, len(B) // 2, len(B) - 1]
+    P = killed_matrix(B)
+    vecs = np.eye(len(B))[:, starts].T.copy()
+    for n, block in iter_killed_vectors(B, starts, 12):
+        for j, vec in enumerate(vecs):
+            assert np.array_equal(block[:, j], vec)
+        vecs = [P @ vec for vec in vecs]
+    with pytest.raises(ValueError):
+        survival((0,) * d, B, -1)
+    with pytest.raises(ValueError):
+        survival((R + 1,) + (0,) * (d - 1), B, 2)  # outside the ball
+
+
+def test_walk_pmf_is_the_correctly_rounded_binomial():
+    rng = np.random.default_rng(20_000)
+    ns = [0, 1, 2, 3, 17, 64, 1075, 1076, 5000, 20_000] + rng.integers(0, 20_001, 6).tolist()
+    for n in ns:
+        near = rng.integers(-3 * int(math.isqrt(n + 1)) - 2, 3 * int(math.isqrt(n + 1)) + 3, 40)
+        far = rng.integers(-n - 4, n + 5, 40)
+        sites = np.concatenate([near, far, [-n - 1, -n, n, n + 1, n + 7]])
+        got = walk_pmf(n, sites)
+        for site, value in zip(sites.tolist(), got.tolist()):
+            if abs(site) > n or (n + site) % 2:
+                assert value == 0.0, (n, site)
+            else:
+                want = float(Fraction(math.comb(n, (n + site) // 2), 2**n))
+                assert value == want, (n, site)
+    # any array shape; a scalar site gives a 0-d array
+    assert walk_pmf(6, [[0, 1], [2, -6]]).tolist() == [[20 / 64, 0.0], [15 / 64, 1 / 64]]
+    assert float(walk_pmf(2, 0)) == 0.5
+    with pytest.raises(ValueError):
+        walk_pmf(-1, [0])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, harnack, harnack.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_killed_matrix_is_substochastic():
