@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -285,20 +286,18 @@ def gaussian_upper_audit(
     )
 
 
-def _free_prob(d: int, n: int, offsets: np.ndarray) -> np.ndarray:
-    """p_n(0, z) for an array of offsets via the closed forms (d <= 2).
+def _free_prob(pmf, offsets: np.ndarray) -> np.ndarray:
+    """p_n(0, z) for an array of offsets from ``pmf``, the 1-d walk pmf of step n.
 
     d = 2 uses the diagonal rotation into two independent 1-d walks:
-    ``p_n(0,(a,b)) = q_n(a+b) * q_n(a-b)`` with q the 1-d walk pmf.
+    ``p_n(0,(a,b)) = q_n(a+b) * q_n(a-b)`` with q the 1-d walk pmf, both
+    factors from one ``pmf`` call.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
-    if d == 1:
-        return walk_pmf(n, offsets[:, 0])
-    if d == 2:
-        return walk_pmf(n, offsets[:, 0] + offsets[:, 1]) * walk_pmf(
-            n, offsets[:, 0] - offsets[:, 1]
-        )
-    raise ValueError("closed-form evaluation is implemented for d in {1, 2}")
+    if offsets.shape[1] == 1:
+        return pmf(offsets[:, 0])
+    both = pmf(np.concatenate([offsets[:, 0] + offsets[:, 1], offsets[:, 0] - offsets[:, 1]]))
+    return both[: len(offsets)] * both[len(offsets) :]
 
 
 @dataclass(frozen=True)
@@ -376,31 +375,39 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
     times = tuple([s + 1] * time_rem + [s] * (m - time_rem))
 
     offset = np.array(y, dtype=np.int64) - np.array(x, dtype=np.int64)
-    direct = float(_free_prob(d, n, offset[None, :]).sum()) + float(
-        _free_prob(d, n + 1, offset[None, :]).sum()
+    direct = float(_free_prob(partial(walk_pmf, n), offset[None, :]).sum()) + float(
+        _free_prob(partial(walk_pmf, n + 1), offset[None, :]).sum()
     )
     log_product = 0.0
     if m == 1:
         # Single leg: the chain event is the direct paired event itself.
         log_product = math.log(direct) if direct > 0 else -math.inf
     else:
-        balls = [make_ball(waypoints[i], r).coords for i in range(1, m)]
+        origin_ball = make_ball((0,) * d, r).coords
+        balls = [origin_ball + np.array(waypoints[i]) for i in range(1, m)]
+        # One exact pmf sweep per leg step count, over every site a leg can
+        # reach: consecutive waypoints are at most r + 1 apart and the balls
+        # have radius r, so no leg offset is longer than 3r + 1.
+        span = 3 * r + 1
+        sweeps = {t: walk_pmf(t, np.arange(-span, span + 1)) for t in {*times, times[-1] + 1}}
+
+        def leg_prob(t: int, offsets: np.ndarray) -> np.ndarray:
+            return _free_prob(lambda sites: sweeps[t][sites + span], offsets)
+
         # First leg: from x into the first ball.
-        first = float(_free_prob(d, times[0], balls[0] - np.array(x)).sum())
+        first = float(leg_prob(times[0], balls[0] - np.array(x)).sum())
         log_product += math.log(first) if first > 0 else -math.inf
         # Middle legs: worst start in the current ball into the next ball.
         for i in range(1, m - 1):
             src, dst = balls[i - 1], balls[i]
             diff = dst[None, :, :] - src[:, None, :]
-            probs = _free_prob(d, times[i], diff.reshape(-1, d)).reshape(
-                len(src), len(dst)
-            )
+            probs = leg_prob(times[i], diff.reshape(-1, d)).reshape(len(src), len(dst))
             worst = float(probs.sum(axis=1).min())
             log_product += math.log(worst) if worst > 0 else -math.inf
         # Final leg: worst start in the last ball onto y, parity-paired.
         src = balls[-1]
         offs = np.array(y) - src
-        paired = _free_prob(d, times[-1], offs) + _free_prob(d, times[-1] + 1, offs)
+        paired = leg_prob(times[-1], offs) + leg_prob(times[-1] + 1, offs)
         worst = float(paired.min())
         log_product += math.log(worst) if worst > 0 else -math.inf
 

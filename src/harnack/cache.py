@@ -203,9 +203,10 @@ class KernelCache:
         if rec.kind == KIND_KILLED:
             assert rec.center is not None and rec.radius is not None and rec.start is not None
             ball = make_ball(rec.center, rec.radius)
-            for _, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
+            for _, rows, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
                 pass
-            return encode_killed(rec.center, rec.radius, rec.start, rec.n, block[:, 0])
+            vec = kernel.full_column(ball, rows, block)
+            return encode_killed(rec.center, rec.radius, rec.start, rec.n, vec)
         if rec.kind == KIND_GREEN:
             from .green import green_solve
 

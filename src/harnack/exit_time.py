@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernel import iter_killed_vectors, lazy_exit_survival_curve
+from .kernel import full_column, iter_killed_vectors, lazy_exit_survival_curve
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -58,8 +58,8 @@ def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> ExitCdf:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     values = np.empty(n_max + 1)
-    for n, block in iter_killed_vectors(B, [B.index_of(x)], n_max):
-        values[n] = 1.0 - float(block.sum())
+    for n, rows, block in iter_killed_vectors(B, [B.index_of(x)], n_max):
+        values[n] = 1.0 - float(full_column(B, rows, block).sum())
     return ExitCdf(domain=B, start=x, values=values)
 
 
@@ -175,25 +175,38 @@ def crude_tail_audit(
         n_values = [R, 3 * R, R * R, 3 * R * R, 9 * R * R]
     n_values = sorted(set(int(n) for n in n_values))
     n_max = max(n_values)
+    if R < 1 or n_max < 1 or n_values[0] < 0:
+        raise ValueError("need R >= 1 and grid steps >= 0, not all 0")
     B = make_ball((0,) * d, R)
-    cdf = exact_exit_cdf(B, (0,) * d, n_max).values
+    limit = n_max  # the largest step the doubling search can reach
+    while limit < max_n:
+        limit *= 2
+    walk = iter_killed_vectors(B, [B.index_of((0,) * d)], limit)
+    cdf = {}
+    for n, live, block in walk:
+        if n in n_values:
+            cdf[n] = 1.0 - float(full_column(B, live, block).sum())
+        if n == n_max:
+            break
     p = (2.0 * d) ** (-3.0 * R)
     rows = []
     all_pass = True
     for n in n_values:
-        survival = 1.0 - float(cdf[n])
+        survival = 1.0 - cdf[n]
         envelope = (1.0 - p) ** (n // (3 * R))
         ok = survival <= envelope + 1e-15
         all_pass &= ok
         rows.append({"n": n, "survival": survival, "envelope": envelope, "ok": ok})
-    # Doubling search: survival is monotone, continue from the grid maximum.
+    # Doubling search: survival is monotone, the same walk continues from the
+    # grid maximum.
     search_n = n_max
-    survival = 1.0 - float(cdf[n_max])
+    survival = 1.0 - cdf[n_max]
     while survival > target and search_n < max_n:
         search_n *= 2
-        for _, block in iter_killed_vectors(B, [B.index_of((0,) * d)], search_n):
-            pass
-        survival = float(block.sum())
+        for n, live, block in walk:
+            if n == search_n:
+                break
+        survival = float(full_column(B, live, block).sum())
     found = survival <= target
     all_pass &= found
     return AuditReport(

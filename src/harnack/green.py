@@ -5,17 +5,21 @@ expected number of visits to ``y`` before exiting, started at ``x``.  Two
 mandatory, independent computations are provided and cross-audited:
 
 ``series``
-    accumulates the killed kernels directly, with an adaptive truncation: once
+    accumulates the killed kernels directly, even and odd starts advancing in
+    lockstep on the parity class their mass lives on (the walk is bipartite,
+    so the other class holds exact zeros), with an adaptive truncation: once
     the per-step survival ratio stabilises below one, the remaining tail is
     bounded geometrically by ``s_N * lam/(1 - lam)`` and iteration stops when
-    that certified bound drops below ``tol``.  Because killed chains are
-    bipartite-flavoured, survival ratios oscillate with period two; the
+    that certified bound drops below ``tol``.  Because the chain is
+    bipartite, survival ratios oscillate with period two; the
     estimator takes the max of the last two consecutive ratios, which
     dominates both phases.
 
 ``solve``
     solves the defining linear system ``(I - P^B) G = I`` with a sparse LU
-    factorisation (deterministic, single-threaded), and verifies the residual
+    factorisation (deterministic, single-threaded, memoized per ball by
+    ``kernel.killed_lu`` and shared with the Dirichlet solves and harmonic
+    measures on that ball), and verifies the residual
     ``max |(I - P^B) G - I| < 1e-10``.  The factors of this M-matrix are sign
     structured, so back-substitution adds nonnegative terms only and even the
     exponentially small entries come out componentwise accurate.
@@ -34,9 +38,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .kernel import identity_minus, iter_killed_vectors, killed_matrix
+from .kernel import identity_minus, iter_killed_vectors, killed_lu, killed_matrix, parity_classes
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 
@@ -81,21 +84,9 @@ class GreenTable:
         return float(self.values[i, j])
 
 
-_LU_LOCK = threading.Lock()
-_LU_CACHE: dict[tuple[Point, int], spla.SuperLU] = {}
 _TABLE_LOCK = threading.Lock()
 _TABLE_CACHE: dict[tuple[Point, int], GreenTable] = {}
 _TABLE_CACHE_MAX_ENTRIES = 16_000_000  # total cached float64 values
-
-
-def _lu(B: FiniteDomain) -> spla.SuperLU:
-    key = B.key()
-    with _LU_LOCK:
-        if key in _LU_CACHE:
-            return _LU_CACHE[key]
-    factor = spla.splu(identity_minus(killed_matrix(B)))
-    with _LU_LOCK:
-        return _LU_CACHE.setdefault(key, factor)
 
 
 def green_value_floor(d: int, R: int) -> float:
@@ -113,22 +104,35 @@ def green_table_series(
 ) -> GreenTable:
     """Full Green table by series accumulation, all starts advanced together.
 
-    Each start certifies its own tail (staircase columns reach their drop
-    steps at different times); iteration ends when every column's certified
-    tail bound is below ``tol``.
+    Even and odd starts advance in lockstep, each block on its live parity
+    class only, and accumulate into the four (row class, start class) blocks
+    of the table.  Each start certifies its own tail (staircase columns
+    reach their drop steps at different times); iteration ends when every
+    column's certified tail bound is below ``tol``.
     """
-    size = len(B)
-    table = np.zeros((size, size))
+    classes = parity_classes(B)
+    start_classes = [c for c in (0, 1) if len(classes[c])]
+    size = len(B)  # per-start arrays below run over the starts class by class
+    # one contiguous block per (row class, start class): adding in place into
+    # strided views of one table is markedly slower
+    parts = {
+        (r, c): np.zeros((len(classes[r]), len(classes[c])))
+        for r in (0, 1)
+        for c in start_classes
+    }
     s_prev2 = np.full(size, np.inf)
     s_prev = np.ones(size)
     certified = np.zeros(size, dtype=bool)
     tail_bounds = np.full(size, np.inf)
     truncated = True
-    for n, current in iter_killed_vectors(B, range(size), max_steps):
-        table += current
+    walks = [iter_killed_vectors(B, classes[c], max_steps) for c in start_classes]
+    for steps in zip(*walks):
+        n = steps[0][0]
+        for c, (_, _, block) in zip(start_classes, steps):
+            parts[(c + n) % 2, c] += block
         if n == 0:
             continue
-        s = current.sum(axis=0)
+        s = np.concatenate([block.sum(axis=0) for _, _, block in steps])
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(s_prev > 0, s / s_prev, 0.0)
             rho = np.where(
@@ -144,6 +148,9 @@ def green_table_series(
             truncated = False
             break
         s_prev2, s_prev = s_prev, s
+    table = np.zeros((size, size))
+    for (r, c), part in parts.items():
+        table[np.ix_(classes[r], classes[c])] = part
     meta = {
         "terms": n,
         "tail_bound": float(tail_bounds.max()) if not truncated else math.inf,
@@ -167,7 +174,7 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
         if cached is not None:
             return cached
     size = len(B)
-    lu = _lu(B)
+    lu = killed_lu(B)
     if columns is None:
         rhs = np.eye(size)
     else:
@@ -287,10 +294,10 @@ def killed_lower_audit(
     by scanning ``C`` over a log grid and taking the minimum-implied amplitude;
     the reported pair maximises the amplitude margin.  Pass iff ``A > 0``.
 
-    All half-ball starts advance together.  Each step evaluates
-    ``pair * n^{d/2} * exp(C * dist^2 / n)`` over the admissible
-    (start, target) pairs one decay value at a time; ties in the minimum go
-    to the first pair in (start, n, target) order.
+    All half-ball starts advance together, even and odd starts in lockstep.
+    Each step evaluates ``pair * n^{d/2} * exp(C * dist^2 / n)`` over the
+    admissible (start, target) pairs one decay value at a time; ties in the
+    minimum go to the first pair in (start, n, target) order.
     """
     grid = _decay_grid() if decay_grid is None else np.asarray(decay_grid, dtype=float)
     r_values = sorted(int(r) for r in r_values)
@@ -306,8 +313,16 @@ def killed_lower_audit(
         witness: list[dict | None] = [None] * len(grid)
         start_of = np.full(grid.shape, len(half))  # start of each witness
         prev = None
-        for n, block in iter_killed_vectors(B, half, R * R + 1):
-            now = block[half].T
+        at = np.full(len(B), -1)  # position of each interior point in ``half``
+        at[half] = np.arange(len(half))
+        groups = [g for g in parity_classes(B, half) if len(g)]
+        walks = [iter_killed_vectors(B, half[g], R * R + 1) for g in groups]
+        for steps in zip(*walks):
+            n = steps[0][0]
+            now = np.zeros((len(half), len(half)))  # (start, target) in ``half`` order
+            for g, (_, live, block) in zip(groups, steps):
+                keep = at[live] >= 0
+                now[np.ix_(g, at[live[keep]])] = block[keep].T
             m = n - 1  # pair index
             if m >= 1:
                 sel = dist <= m

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .exit_time import McEstimate, exit_walks
 from .green import SolverError, green_solve
-from .kernel import identity_minus, killed_matrix, killed_operator
+from .kernel import identity_minus, killed_lu, killed_matrix, killed_operator
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .rng import philox
 
@@ -90,18 +90,24 @@ def _assemble(D: FiniteDomain, interior: np.ndarray, bdata: np.ndarray) -> Latti
     return LatticeField(D.closure, np.concatenate([interior, bdata]), D.index_map)
 
 
+def _factor(D: FiniteDomain, P) -> SuperLU:
+    """The LU of ``I - P``: a ball's memoized factor, a fresh one for other domains."""
+    return killed_lu(D) if D.radius is not None else splu(identity_minus(P))
+
+
 def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     """Solve the boundary-value problem: harmonic inside, ``phi`` on ∂D.
 
-    Sparse-LU path; the killed one-step matrix is strictly substochastic on
-    the inner boundary, so the system is nonsingular.  The result carries
-    the boundary data exactly and is residual-checked to 1e-10.
+    Sparse-LU path (a ball's factor is the memoized ``killed_lu``); the
+    killed one-step matrix is strictly substochastic on the inner boundary,
+    so the system is nonsingular.  The result carries the boundary data
+    exactly and is residual-checked to 1e-10.
     """
     bdata = _boundary_field(D, phi)
     P, rows_b, cols_b, w = killed_operator(D)
     rhs = np.zeros(len(D))
     np.add.at(rhs, rows_b, w * bdata[cols_b])
-    interior = splu(identity_minus(P)).solve(rhs)
+    interior = _factor(D, P).solve(rhs)
     h = _assemble(D, interior, bdata)
     worst = float(np.abs(laplacian(h, D)).max())
     if worst > RESIDUAL_TOL:
@@ -167,7 +173,7 @@ def harmonic_measure(D: FiniteDomain, x) -> LatticeField:
     P, rows_b, cols_b, w = killed_operator(D)
     delta = np.zeros(len(D))
     delta[D.index_of(x)] = 1.0
-    u = splu(identity_minus(P)).solve(delta)
+    u = _factor(D, P).solve(delta)
     out = np.zeros(len(D.outer_boundary))
     np.add.at(out, cols_b, w * u[rows_b])
     return LatticeField.over(D.outer_boundary, out)
@@ -177,12 +183,13 @@ def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
     """All exit-position rows at once: shape (interior, boundary).
 
     Row x is ``harmonic_measure(D, x)`` over ``D.outer_boundary`` order; rows sum
-    to one.  One LU factorization with |∂D| right-hand sides.
+    to one.  One LU factorization (a ball's is memoized) with |∂D|
+    right-hand sides.
     """
     P, rows_b, cols_b, w = killed_operator(D)
     rhs = np.zeros((len(D), len(D.outer_boundary)))
     rhs[rows_b, cols_b] = w
-    return splu(identity_minus(P)).solve(rhs)
+    return _factor(D, P).solve(rhs)
 
 
 def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:

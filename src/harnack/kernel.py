@@ -11,7 +11,16 @@ one of ``p_n, p_{n+1}`` is nonzero.
 Killed kernels restrict the same update to a ball ``B``: mass stepping out of
 ``B`` is dropped, giving ``p_n^B(x, y) = P^x(X_n = y, n < exit time)``, stored
 over the ball's interior index with one column per start, so a block of
-starts advances with one sparse x dense product per step.
+starts advances with one sparse x dense product per step.  The walk is
+bipartite: every step flips the parity of ``sum(coords)``, so the killed
+matrix maps the even interior points to the odd ones and back, and after n
+steps from a start of parity c the mass lives on class ``c + n (mod 2)``
+only.  The iteration advances just that live class, one product with the
+matching off-diagonal slice of the killed matrix per step, and yields the
+live rows with the block on them; every other entry of the full iterate is
+exactly zero.  A caller that sums one start's mass scatters the live rows
+into a full interior vector first, so numpy's pairwise summation groups the
+terms as it does over the full vector and the sum is unchanged to the bit.
 
 The step accumulates the two neighbour shifts per axis first, then adds the
 per-axis pairs in axis order, then divides by 2d; this ordering makes
@@ -37,6 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .lattice import FiniteDomain, Point, as_point
 
@@ -49,7 +59,10 @@ __all__ = [
     "killed_operator",
     "identity_minus",
     "killed_matrix",
+    "killed_lu",
+    "parity_classes",
     "iter_killed_vectors",
+    "full_column",
     "survival",
     "lazy_distribution",
     "lazy_exit_survival_curve",
@@ -217,6 +230,8 @@ def closed_form_n_step(z, n: int) -> float:
 
 _KILLED_LOCK = threading.Lock()
 _KILLED: dict[tuple[Point, int], sp.csr_matrix] = {}
+_LU_LOCK = threading.Lock()
+_LU_CACHE: dict[tuple[Point, int], spla.SuperLU] = {}
 
 
 def killed_operator(D: FiniteDomain) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, float]:
@@ -256,34 +271,95 @@ def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
         return _KILLED.setdefault(key, mat)
 
 
+def killed_lu(B: FiniteDomain) -> spla.SuperLU:
+    """The sparse LU factor of a ball's ``I - P^B`` (memoized per ball).
+
+    Green tables, Dirichlet solves and harmonic measures on the same ball
+    share this one factorization.
+    """
+    key = B.key()
+    with _LU_LOCK:
+        if key in _LU_CACHE:
+            return _LU_CACHE[key]
+    factor = spla.splu(identity_minus(killed_matrix(B)))
+    with _LU_LOCK:
+        return _LU_CACHE.setdefault(key, factor)
+
+
+def parity_classes(B: FiniteDomain, points: np.ndarray | None = None) -> list[np.ndarray]:
+    """The even and the odd interior points of ``B``, as index arrays.
+
+    Given ``points`` (interior indices), the positions within ``points`` of
+    its even and odd members instead.  A point is even when the sum of its
+    coordinates is; each walk step moves between the two classes.
+    """
+    parity = B.coords.sum(axis=1) % 2
+    if points is not None:
+        parity = parity[points]
+    return [np.flatnonzero(parity == c) for c in (0, 1)]
+
+
 def iter_killed_vectors(
     B: FiniteDomain, starts: Sequence[int], n_max: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(n, block)`` for n = 0..n_max, one sparse x dense product per step.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(n, rows, block)`` for n = 0..n_max, one sparse x dense product per step.
 
-    ``block`` has one column per start index (into ``B``'s interior), holding
-    ``p_n^B(start, .)`` over the interior index.  Column by column the product
-    adds the same terms in the same order as a matrix-vector step, so a block
-    of one start reproduces the single-start iteration bit for bit.  The
-    yielded arrays are fresh each step and may be kept.
+    ``starts`` are interior indices of one parity class (``ValueError``
+    otherwise).  ``rows`` are the interior indices of the live class, the
+    parity of the starts plus n, and ``block`` holds ``p_n^B(start, .)`` on
+    those rows, one column per start; every other row is exactly zero.
+    Each step multiplies by the slice of ``killed_matrix(B)`` from one class
+    to the other.  Slice rows keep the matrix's column order, so every live
+    entry is the same sum in the same order as a full matrix-vector step,
+    and a block of one start reproduces the single-start iteration bit for
+    bit.  Single-start sums scatter the live rows into a full interior
+    vector first (``full_column``): numpy's pairwise summation groups terms
+    by position, so summing the live rows alone would round differently.
+    The yielded arrays are fresh each step and may be kept.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    block = np.zeros((len(B), len(starts)))
-    block[starts, np.arange(len(starts))] = 1.0
+    classes = parity_classes(B)
+    parity = np.empty(len(B), dtype=np.int64)
+    position = np.empty(len(B), dtype=np.int64)  # index within the point's class
+    for c, members in enumerate(classes):
+        parity[members] = c
+        position[members] = np.arange(len(members))
+    if len(starts) == 0 or len(np.unique(parity[starts])) != 1:
+        raise ValueError("starts must be a nonempty set of one parity class")
     mat = killed_matrix(B)
-    yield 0, block
+    into = []  # into[c]: the slice of P from class 1 - c to class c
+    for c in (0, 1):
+        part = mat[classes[c]]
+        into.append(
+            sp.csr_matrix(
+                (part.data, position[part.indices], part.indptr),
+                shape=(len(classes[c]), len(classes[1 - c])),
+            )
+        )
+    c = int(parity[starts[0]])
+    block = np.zeros((len(classes[c]), len(starts)))
+    block[position[starts], np.arange(len(starts))] = 1.0
+    yield 0, classes[c], block
     for n in range(1, n_max + 1):
-        block = mat @ block
-        yield n, block
+        c ^= 1
+        block = into[c] @ block
+        yield n, classes[c], block
+
+
+def full_column(B: FiniteDomain, rows: np.ndarray, block: np.ndarray, j: int = 0) -> np.ndarray:
+    """Column ``j`` of a killed block over the whole interior, zeros off ``rows``."""
+    out = np.zeros(len(B))
+    out[rows] = block[:, j]
+    return out
 
 
 def survival(x, B: FiniteDomain, n: int) -> float:
     """``P^x(exit time of B > n)``: total mass of the n-step killed field."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for _, block in iter_killed_vectors(B, [B.index_of(as_point(x))], n):
+    for _, rows, block in iter_killed_vectors(B, [B.index_of(as_point(x))], n):
         pass
-    return float(block.sum())
+    return float(full_column(B, rows, block).sum())
 
 
 # --- lazy 1-d comparison walk ----------------------------------------------

@@ -16,8 +16,11 @@ from harnack.bounds import (
     lclt_error_scan,
     lclt_form,
     near_diagonal_audit,
+    random_chain_instance,
 )
-from harnack.kernel import closed_form_n_step
+from harnack.kernel import closed_form_n_step, walk_pmf
+from harnack.lattice import make_ball
+from harnack.rng import philox
 
 
 def test_gaussian_form_value_and_validation():
@@ -103,6 +106,44 @@ def test_chain_certificate_rejects_out_of_window_times():
         chain_certificate((0, 0, 0), (4, 4, 4), 900, 0.8)  # d=3 unsupported
     with pytest.raises(ValueError):
         chain_certificate((0, 0), (40, -40), 9000, 1.2)  # L outside (0, 1)
+
+
+def chain_reference(cert):
+    """Direct value and log product with one ``make_ball`` and one pmf call per leg."""
+    d = len(cert.x)
+
+    def prob(t, offsets):
+        offsets = np.atleast_2d(offsets)
+        if d == 1:
+            return walk_pmf(t, offsets[:, 0])
+        return walk_pmf(t, offsets[:, 0] + offsets[:, 1]) * walk_pmf(t, offsets[:, 0] - offsets[:, 1])
+
+    offset = np.array(cert.y) - np.array(cert.x)
+    direct = float(prob(cert.n, offset).sum()) + float(prob(cert.n + 1, offset).sum())
+    if cert.blocks == 1:
+        return direct, math.log(direct)
+    balls = [make_ball(w, cert.segment).coords for w in cert.waypoints[1:-1]]
+    times = cert.times
+    logs = [math.log(float(prob(times[0], balls[0] - np.array(cert.x)).sum()))]
+    for i in range(1, cert.blocks - 1):
+        diff = balls[i][None, :, :] - balls[i - 1][:, None, :]
+        probs = prob(times[i], diff.reshape(-1, d)).reshape(len(balls[i - 1]), len(balls[i]))
+        logs.append(math.log(float(probs.sum(axis=1).min())))
+    offs = np.array(cert.y) - balls[-1]
+    logs.append(math.log(float((prob(times[-1], offs) + prob(times[-1] + 1, offs)).min())))
+    log_product = 0.0
+    for value in logs:
+        log_product += value
+    return direct, log_product
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chain_certificate_equals_per_leg_reference(d):
+    rng = philox(11, stream=0xC4A1)
+    for _ in range(12):
+        x, y, n, L = random_chain_instance(d, rng)
+        cert = chain_certificate(x, y, n, L)
+        assert (cert.direct_value, cert.log_product) == chain_reference(cert)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -14,6 +14,7 @@ from harnack.exit_time import (
     mc_consistency_audit,
     mc_exit_sample,
 )
+from harnack.kernel import iter_killed_vectors
 from harnack.lattice import make_ball
 
 
@@ -67,6 +68,25 @@ def test_crude_tail_audit_finds_negligible_survival():
     assert report.passed
     assert report.constants["search_n"] > 0
     assert report.constants["search_survival"] < 1e-6
+
+
+def test_crude_tail_search_continues_one_walk(monkeypatch):
+    from harnack import exit_time
+
+    steps = []
+
+    def counting(*args):
+        for item in iter_killed_vectors(*args):
+            steps.append(item[0])
+            yield item
+
+    monkeypatch.setattr(exit_time, "iter_killed_vectors", counting)
+    report = crude_tail_audit(1, 4)  # grid maximum 9 R^2 = 144, then doubling
+    search_n = report.constants["search_n"]
+    assert search_n > 144
+    assert steps == list(range(search_n + 1))  # one walk, no step repeated
+    with pytest.raises(ValueError):
+        crude_tail_audit(1, 4, n_values=[0])  # a search from step 0 never doubles
 
 
 def test_mc_replay_is_bit_exact():

@@ -79,6 +79,47 @@ def test_row_series_matches_table_column():
     assert series.meta["terms"] > 0
 
 
+def series_reference(B, tol):
+    """The series over full-interior blocks that the parity-split series replaced."""
+    size = len(B)
+    P = killed_matrix(B)
+    current = np.eye(size)
+    table = current.copy()
+    s_prev2, s_prev = np.full(size, np.inf), np.ones(size)
+    certified = np.zeros(size, dtype=bool)
+    tail_bounds = np.full(size, np.inf)
+    n = 0
+    while not certified.all():
+        n += 1
+        current = P @ current
+        table += current
+        s = current.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(s_prev > 0, s / s_prev, 0.0)
+            rho = np.where(np.isfinite(s_prev2) & (s_prev2 > 0), s / s_prev2, np.inf)
+            one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
+            two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
+        tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
+        newly = ~certified & (tails < tol)
+        tail_bounds[newly] = tails[newly]
+        certified |= newly
+        s_prev2, s_prev = s_prev, s
+    return table, n, float(tail_bounds.max())
+
+
+@pytest.mark.parametrize(
+    "center,radii", [((0,), [0, 1, 2, 5, 8, 16]), ((0, 0), [0, 1, 2, 4, 6]), ((1, 0), [3]), ((0, 0, 0), [1, 2, 3])]
+)
+def test_parity_split_series_equals_full_block_series(center, radii):
+    for R in radii:
+        B = make_ball(center, R)
+        series = green_table_series(B, tol=1e-12)
+        table, terms, tail_bound = series_reference(B, 1e-12)
+        assert np.array_equal(series.values, table)
+        assert series.meta["terms"] == terms
+        assert series.meta["tail_bound"] == tail_bound
+
+
 def test_column_restricted_solve_matches_full():
     B = make_ball((0, 0), 3)
     full = green_solve(B).values

@@ -104,6 +104,35 @@ def test_harmonic_measure_matrix_matches_single_rows():
         assert np.abs(M[D.index_of(x)] - row).max() <= 1e-13
 
 
+@pytest.mark.parametrize("d,R", [(1, 6), (2, 5), (3, 3)])
+def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
+    from scipy.sparse.linalg import splu
+
+    from harnack import harmonic
+    from harnack.kernel import identity_minus, killed_lu, killed_operator
+
+    B = make_ball((0,) * d, R)
+    P, rows_b, cols_b, w = killed_operator(B)
+    fresh = splu(identity_minus(P))
+    phi = np.linspace(0.0, 1.0, len(B.outer_boundary))
+    rhs = np.zeros(len(B))
+    np.add.at(rhs, rows_b, w * phi[cols_b])
+    coupling = np.zeros((len(B), len(B.outer_boundary)))
+    coupling[rows_b, cols_b] = w
+    assert killed_lu(B) is killed_lu(make_ball((0,) * d, R))
+
+    def no_factorization(*args):
+        raise AssertionError("a ball's factor is refactorized")
+
+    monkeypatch.setattr(harmonic, "splu", no_factorization)
+    assert np.array_equal(dirichlet_solve(B, phi).values[: len(B)], fresh.solve(rhs))
+    assert np.array_equal(harmonic_measure_matrix(B), fresh.solve(coupling))
+    u = fresh.solve(np.eye(len(B))[B.index_of((0,) * d)])
+    row = np.zeros(len(B.outer_boundary))
+    np.add.at(row, cols_b, w * u[rows_b])
+    assert np.array_equal(harmonic_measure(B, (0,) * d).values, row)
+
+
 def test_balayage_of_constant_onto_the_center():
     # Sweeping the constant 1 onto {0} puts charge 1/g(0,0) there: the
     # reconstruction f(0) g(x, 0) must return 1 at 0, and g(0,0) = 2 on the

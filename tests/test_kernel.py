@@ -15,11 +15,13 @@ from harnack.kernel import (
     closed_form_n_step,
     exactness_audit,
     free_field,
+    full_column,
     iter_killed_vectors,
     killed_matrix,
     lazy1d_exit_cdf,
     lazy_distribution,
     n_step,
+    parity_classes,
     projection_audit,
     survival,
     walk_pmf,
@@ -90,7 +92,10 @@ def test_pair_kernel_positive_within_range(d, n):
 def test_killed_chain_matches_hand_dp():
     # B(0,1) in d=1: interior (-1, 0, 1); mass leaving the interval dies.
     B = make_ball((0,), 1)
-    chain = {n: block[:, 0] for n, block in iter_killed_vectors(B, [B.index_of((0,))], 4)}
+    chain = {
+        n: full_column(B, rows, block)
+        for n, rows, block in iter_killed_vectors(B, [B.index_of((0,))], 4)
+    }
     assert list(chain[0]) == [0.0, 1.0, 0.0]
     assert list(chain[1]) == [0.5, 0.0, 0.5]
     assert list(chain[2]) == [0.0, 0.5, 0.0]
@@ -103,17 +108,58 @@ def test_killed_chain_matches_hand_dp():
 @pytest.mark.parametrize("d,R", [(1, 3), (2, 3), (3, 2)])
 def test_killed_block_columns_match_single_start_iteration(d, R):
     B = make_ball((0,) * d, R)
-    starts = [0, len(B) // 2, len(B) - 1]
     P = killed_matrix(B)
-    vecs = np.eye(len(B))[:, starts].T.copy()
-    for n, block in iter_killed_vectors(B, starts, 12):
-        for j, vec in enumerate(vecs):
-            assert np.array_equal(block[:, j], vec)
-        vecs = [P @ vec for vec in vecs]
+    for members in parity_classes(B):
+        starts = [members[0], members[len(members) // 2], members[-1]]
+        vecs = np.eye(len(B))[:, starts].T.copy()
+        for n, rows, block in iter_killed_vectors(B, starts, 12):
+            for j, vec in enumerate(vecs):
+                assert np.array_equal(full_column(B, rows, block, j), vec)
+            vecs = [P @ vec for vec in vecs]
     with pytest.raises(ValueError):
         survival((0,) * d, B, -1)
     with pytest.raises(ValueError):
         survival((R + 1,) + (0,) * (d - 1), B, 2)  # outside the ball
+
+
+def full_block_iterates(B, starts, n_max):
+    """The killed iteration over the whole interior, the reference for the split one."""
+    block = np.zeros((len(B), len(starts)))
+    block[starts, np.arange(len(starts))] = 1.0
+    P = killed_matrix(B)
+    yield 0, block
+    for n in range(1, n_max + 1):
+        block = P @ block
+        yield n, block
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_live_class_iterates_equal_the_full_block(d):
+    for R in range(9):
+        B = make_ball((0,) * d, R)
+        parity = B.coords.sum(axis=1) % 2
+        for members in parity_classes(B):
+            if not len(members):
+                continue
+            starts = members[:: max(1, len(members) // 4)]
+            split = iter_killed_vectors(B, starts, 2 * R + 3)
+            reference = full_block_iterates(B, starts, 2 * R + 3)
+            for (n, rows, block), (m, full) in zip(split, reference):
+                assert n == m
+                live = parity == (parity[starts[0]] + n) % 2
+                assert np.array_equal(rows, np.flatnonzero(live))
+                assert np.array_equal(block, full[rows])  # bit for bit
+                assert not full[~live].any()  # the off-class rows are exact zeros
+
+
+def test_mixed_or_empty_starts_are_rejected():
+    B = make_ball((0, 0), 3)
+    even, odd = parity_classes(B)
+    with pytest.raises(ValueError):
+        next(iter_killed_vectors(B, [even[0], odd[0]], 4))
+    with pytest.raises(ValueError):
+        next(iter_killed_vectors(B, [], 4))
+    assert next(iter_killed_vectors(B, odd, 4))[1].tolist() == odd.tolist()
 
 
 def test_walk_pmf_is_the_correctly_rounded_binomial():
