@@ -18,7 +18,8 @@ Every flag can also be supplied through an environment variable with the
 over the environment, which wins over built-in defaults.
 
 Exit status: 0 when every selected audit passes, 1 when any audit fails
-(failing audit ids are printed to stderr), 2 for usage errors.  Reports are
+(failing audit ids are printed to stderr) or the report or cache cannot be
+written (one ``error: cannot write`` line), 2 for usage errors.  Reports are
 written atomically, and rerunning with the same config and seed reproduces
 the report body byte-for-byte (wall-clock data lives in a separate
 ``timings`` section).
@@ -60,6 +61,10 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     """Invalid configuration; reported on stderr with exit status 2."""
+
+
+class WriteError(RuntimeError):
+    """A report or cache file could not be written; reported with exit status 1."""
 
 
 @dataclass(frozen=True)
@@ -316,15 +321,18 @@ def _populate_cache(cfg: RunConfig) -> int:
     """Write the run's kernels/tables into the binary cache; returns count."""
     cache = KernelCache(cfg.cache_dir)
     written = 0
-    if cfg.command in ("kernel", "all"):
-        for n, field in kernel.iter_free_fields(cfg.dim, min(cfg.n_max, 64)):
-            cache.put_free(cfg.dim, n, field)
-            written += 1
-    if cfg.command in ("green", "all"):
-        for radius in cfg.radius_grid():
-            table = green.green_solve(make_ball((0,) * cfg.dim, radius))
-            cache.put_green((0,) * cfg.dim, radius, table.values)
-            written += 1
+    try:
+        if cfg.command in ("kernel", "all"):
+            for n, field in kernel.iter_free_fields(cfg.dim, min(cfg.n_max, 64)):
+                cache.put_free(cfg.dim, n, field)
+                written += 1
+        if cfg.command in ("green", "all"):
+            for radius in cfg.radius_grid():
+                table = green.green_solve(make_ball((0,) * cfg.dim, radius))
+                cache.put_green((0,) * cfg.dim, radius, table.values)
+                written += 1
+    except OSError as exc:
+        raise WriteError(f"cannot write {cfg.cache_dir}: {exc.strerror or exc}") from None
     return written
 
 
@@ -357,13 +365,16 @@ def run(cfg: RunConfig) -> ReportEnvelope:
 
 def _write_report(cfg: RunConfig, envelope: ReportEnvelope) -> str:
     out = cfg.out or cfg.default_out
-    if cfg.format == "json":
-        write_json_atomic(out, envelope.to_json_dict())
-    else:
-        os.makedirs(out, exist_ok=True)
-        write_json_atomic(os.path.join(out, "summary.json"), envelope.to_json_dict())
-        for audit in envelope.audits:
-            audit.write_rows_csv(os.path.join(out, audit.audit_id + ".csv"))
+    try:
+        if cfg.format == "json":
+            write_json_atomic(out, envelope.to_json_dict())
+        else:
+            os.makedirs(out, exist_ok=True)
+            write_json_atomic(os.path.join(out, "summary.json"), envelope.to_json_dict())
+            for audit in envelope.audits:
+                audit.write_rows_csv(os.path.join(out, audit.audit_id + ".csv"))
+    except OSError as exc:
+        raise WriteError(f"cannot write {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -487,6 +498,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_AUDIT_FAILURE
 
 
 def entrypoint() -> None:

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernel import identity_minus, iter_killed_vectors, killed_lu, killed_matrix, parity_classes
+from .kernel import identity_minus, iter_killed_vectors, killed_lu, parity_classes
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 
@@ -183,7 +183,7 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
         for j, c in enumerate(columns):
             rhs[c, j] = 1.0
     values = lu.solve(rhs)
-    residual = float(np.abs(identity_minus(killed_matrix(B)) @ values - rhs).max())
+    residual = float(np.abs(identity_minus(B) @ values - rhs).max())
     if residual >= RESIDUAL_TOL:
         raise SolverError(
             f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "

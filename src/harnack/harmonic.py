@@ -3,23 +3,25 @@
 The Laplacian here is the averaging operator minus the identity, so a
 function is harmonic exactly when it equals its neighbor average.  The
 Dirichlet problem is solved three independent ways (sparse LU, clamped
-fixed-point iteration, Monte Carlo), harmonic measure comes from one
-adjoint solve, and nonnegative harmonic functions are swept onto the inner
-boundary of a subset with a verified Green-kernel reconstruction.
+fixed-point iteration, Monte Carlo) and harmonic measure by one adjoint
+solve; on a ball both reuse its memoized factor and assemble no matrix.
+Balayage sweeps a nonnegative harmonic h on a ball B onto the inner
+boundary of a subset A (interior indices of B); the reconstruction
+``G_B f`` of h on A is one residual-certified solve with the ball's factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse.linalg import SuperLU, splu
 
 from .exit_time import McEstimate, exit_walks
-from .green import SolverError, green_solve
-from .kernel import identity_minus, killed_lu, killed_matrix, killed_operator
+from .green import SolverError
+from .kernel import exit_steps, identity_minus, killed_lu, killed_matrix, killed_operator
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .rng import philox
 
@@ -36,7 +38,11 @@ class BalayageError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeField:
-    """Real values attached to an ordered tuple of lattice points."""
+    """Real values attached to an ordered tuple of lattice points.
+
+    A field over a domain's interior or closure shares the domain's closure
+    ``index_map``; points mapped past ``values`` are not in the field.
+    """
 
     points: tuple[Point, ...]
     values: np.ndarray
@@ -53,23 +59,33 @@ class LatticeField:
         )
 
     def value_at(self, point) -> float:
-        return float(self.values[self.index_map[as_point(point)]])
+        i = self.index_map.get(as_point(point), len(self.values))
+        if i >= len(self.values):
+            raise KeyError(point)
+        return float(self.values[i])
 
     def __contains__(self, point) -> bool:
-        return as_point(point) in self.index_map
+        return self.index_map.get(as_point(point), len(self.values)) < len(self.values)
+
+
+def _on_closure(h: LatticeField, D: FiniteDomain) -> np.ndarray:
+    """``h`` over D's closure index: its own values if it shares that index."""
+    if h.index_map is D.index_map and len(h.values) == len(D.index_map):
+        return h.values
+    missing = next((p for p in D.closure if p not in h), None)
+    if missing is not None:
+        raise ValueError(f"{missing} of the closure has no value in h")
+    return h.values[[h.index_map[p] for p in D.closure]]
 
 
 def laplacian(h: LatticeField, D: FiniteDomain) -> np.ndarray:
     """Neighbour average minus centre, ``(1/2d) sum_{y~x} h(y) - h(x)``, over D.
 
-    One gather of ``h`` over D's closure; returns the vector over D's
-    interior index.  Raises ``ValueError`` if ``h`` has no value at a point
-    of the closure.
+    ``h`` is read over D's closure (no gather when it shares D's closure
+    index); returns the vector over D's interior index.  Raises
+    ``ValueError`` if ``h`` has no value at a point of the closure.
     """
-    try:
-        vals = h.values[[h.index_map[p] for p in D.closure]]
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]} of the closure has no value in h") from None
+    vals = _on_closure(h, D)
     return vals[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - vals[: len(D)]
 
 
@@ -90,9 +106,9 @@ def _assemble(D: FiniteDomain, interior: np.ndarray, bdata: np.ndarray) -> Latti
     return LatticeField(D.closure, np.concatenate([interior, bdata]), D.index_map)
 
 
-def _factor(D: FiniteDomain, P) -> SuperLU:
+def _factor(D: FiniteDomain) -> SuperLU:
     """The LU of ``I - P``: a ball's memoized factor, a fresh one for other domains."""
-    return killed_lu(D) if D.radius is not None else splu(identity_minus(P))
+    return killed_lu(D) if D.radius is not None else splu(identity_minus(D))
 
 
 def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
@@ -104,10 +120,10 @@ def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     exactly and is residual-checked to 1e-10.
     """
     bdata = _boundary_field(D, phi)
-    P, rows_b, cols_b, w = killed_operator(D)
+    rows_b, cols_b, w = exit_steps(D)
     rhs = np.zeros(len(D))
     np.add.at(rhs, rows_b, w * bdata[cols_b])
-    interior = _factor(D, P).solve(rhs)
+    interior = _factor(D).solve(rhs)
     h = _assemble(D, interior, bdata)
     worst = float(np.abs(laplacian(h, D)).max())
     if worst > RESIDUAL_TOL:
@@ -124,7 +140,8 @@ def dirichlet_iterate(
     iteration is a strict contraction on finite domains, so this terminates.
     """
     bdata = _boundary_field(D, phi)
-    P, rows_b, cols_b, w = killed_operator(D)
+    P = killed_operator(D)
+    rows_b, cols_b, w = exit_steps(D)
     coupling = np.zeros(len(D))
     np.add.at(coupling, rows_b, w * bdata[cols_b])
     interior = np.full(len(D), float(bdata.mean()) if len(bdata) else 0.0)
@@ -170,10 +187,10 @@ def harmonic_measure(D: FiniteDomain, x) -> LatticeField:
     x = as_point(x)
     if x not in D:
         raise ValueError(f"start {x} is not in the domain interior")
-    P, rows_b, cols_b, w = killed_operator(D)
+    rows_b, cols_b, w = exit_steps(D)
     delta = np.zeros(len(D))
     delta[D.index_of(x)] = 1.0
-    u = _factor(D, P).solve(delta)
+    u = _factor(D).solve(delta)
     out = np.zeros(len(D.outer_boundary))
     np.add.at(out, cols_b, w * u[rows_b])
     return LatticeField.over(D.outer_boundary, out)
@@ -186,10 +203,10 @@ def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
     to one.  One LU factorization (a ball's is memoized) with |∂D|
     right-hand sides.
     """
-    P, rows_b, cols_b, w = killed_operator(D)
+    rows_b, cols_b, w = exit_steps(D)
     rhs = np.zeros((len(D), len(D.outer_boundary)))
     rhs[rows_b, cols_b] = w
-    return _factor(D, P).solve(rhs)
+    return _factor(D).solve(rhs)
 
 
 def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:
@@ -204,51 +221,53 @@ class BalayageResult:
 
     charge: LatticeField  # f over the ball's interior index
     sweep: LatticeField  # h_A over the ball closure
-    reconstruction: LatticeField  # Green-kernel sum over A
+    reconstruction: LatticeField  # G_B f over the ball's interior index
     max_reconstruction_rel_error: float
 
 
-def balayage(B: FiniteDomain, A: Iterable, h: LatticeField) -> BalayageResult:
+def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
     """Sweep a nonnegative harmonic h onto the inner boundary of A.
 
-    The sweep ``h_A`` agrees with h on A, vanishes on the outer boundary of
-    B, and is harmonic in between (one Dirichlet solve on B minus A).  Its
-    negative Laplacian is the charge: nonnegative, supported on the inner
-    boundary of A after structural-noise verification, and reproducing h on
-    A through the ball's Green table within 1e-8 relative.
+    ``A`` holds interior indices of the ball B.  The sweep ``h_A`` agrees
+    with h on A, vanishes on the outer boundary of B, and is harmonic in
+    between (one Dirichlet solve on B minus A).  Its negative Laplacian is
+    the charge f: nonnegative, and supported on the inner boundary of A
+    after structural-noise verification.  The reconstruction ``G_B f`` is
+    one solve with the ball's memoized factor, certified by
+    ``max |(I - P^B) u - f| < 1e-10``, and must match h on A within 1e-8.
     """
-    a_points = tuple(sorted(set(map(as_point, A))))
-    if not a_points:
+    a_idx = np.unique(np.asarray(A, dtype=np.int64))
+    if not a_idx.size:
         raise ValueError("A must be nonempty")
-    a_set = set(a_points)
-    for p in a_points:
-        if p not in B:
-            raise ValueError(f"A must lie inside the ball; {p} does not")
-    if len(a_points) == len(B):
+    if a_idx[0] < 0 or a_idx[-1] >= len(B):
+        raise ValueError("A must hold interior indices of the ball")
+    if a_idx.size == len(B):
         raise ValueError("A must be a strict subset of the ball")
     # Validate the input: nonnegative on the closure, harmonic inside.
-    if h.values.min() < -1e-12:
+    vals = _on_closure(h, B)
+    if vals.min() < -1e-12:
         raise ValueError("h must be nonnegative on the ball closure")
     bad = np.flatnonzero(np.abs(laplacian(h, B)) > RESIDUAL_TOL)
     if bad.size:
         raise ValueError(f"h is not harmonic at {B.interior[bad[0]]}")
 
     # The sweep: h on A, the Dirichlet solution on B minus A, 0 outside B.
-    a_idx = np.array([B.index_of(p) for p in a_points], dtype=np.int64)
-    target = np.array([h.value_at(p) for p in a_points])
-    complement = np.setdiff1d(np.arange(len(B)), a_idx)
-    Dc = FiniteDomain.from_points([B.interior[i] for i in complement])
-    bdata = {q: h.value_at(q) if q in a_set else 0.0 for q in Dc.outer_boundary}
+    target = vals[a_idx]
     sweep_vals = np.zeros(len(B.closure))
     sweep_vals[a_idx] = target
-    sweep_vals[complement] = dirichlet_solve(Dc, bdata).values[: len(Dc)]
+    complement = np.setdiff1d(np.arange(len(B)), a_idx)
+    Dc = FiniteDomain.from_points(B.coords[complement])
+    # Each step out of Dc lands in A or outside B: both neighbour arrays name it.
+    in_ball = np.empty(len(Dc.closure), dtype=np.int64)
+    in_ball[Dc.neighbor_index] = B.neighbor_index[complement]
+    sweep_vals[complement] = dirichlet_solve(Dc, sweep_vals[in_ball[len(Dc) :]]).values[: len(Dc)]
     sweep = LatticeField(B.closure, sweep_vals, B.index_map)
 
     # Charge: identity minus killed one-step, applied to the sweep on B.
     inside = sweep_vals[: len(B)]
-    f = inside - killed_matrix(B) @ inside
+    P = killed_matrix(B)
+    f = inside - P @ inside
     off_support = ~B.inner_mask(a_idx)
-    support_idx = np.flatnonzero(~off_support)
     noise = float(np.abs(f[off_support]).max()) if off_support.any() else 0.0
     if noise > RESIDUAL_TOL:
         raise BalayageError(
@@ -257,22 +276,23 @@ def balayage(B: FiniteDomain, A: Iterable, h: LatticeField) -> BalayageResult:
     f = np.where(off_support, 0.0, f)
     if f.min() < -1e-12:
         raise BalayageError(f"charge has a negative value {f.min():.3e}")
-    charge = LatticeField.over(B.interior, f)
 
-    # Reconstruction through the Green table, on A only.
-    columns = green_solve(B, columns=support_idx).values
-    recon = columns[a_idx, :] @ f[support_idx]
-    rel = np.abs(recon - target) / np.maximum(np.abs(target), 1e-300)
+    # Reconstruction: G_B f by one solve with the ball's factor, checked on A.
+    u = killed_lu(B).solve(f)
+    residual = float(np.abs(u - P @ u - f).max())
+    if residual >= RESIDUAL_TOL:
+        raise SolverError(f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    rel = np.abs(u[a_idx] - target) / np.maximum(np.abs(target), 1e-300)
     worst = float(rel.max())
     if worst > 1e-8:
-        witness = a_points[int(rel.argmax())]
+        witness = B.interior[a_idx[int(rel.argmax())]]
         raise BalayageError(
             f"reconstruction off by {worst:.3e} (relative) at {witness}"
         )
     return BalayageResult(
-        charge=charge,
+        charge=LatticeField(B.interior, f, B.index_map),
         sweep=sweep,
-        reconstruction=LatticeField.over(a_points, recon),
+        reconstruction=LatticeField(B.interior, u, B.index_map),
         max_reconstruction_rel_error=worst,
     )
 
@@ -329,13 +349,10 @@ def dirichlet_triple_audit(
     )
 
 
-def _random_subset(B: FiniteDomain, rng) -> tuple[Point, ...]:
-    """A random nonempty strict subset of the ball: a clipped sub-ball."""
-    interior = B.interior
-    center = interior[int(rng.integers(len(interior)))]
-    radius = int(rng.integers(0, B.radius))
-    inner = make_ball(center, radius)
-    return tuple(p for p in inner.interior if p in B)
+def _random_subset(B: FiniteDomain, rng) -> np.ndarray:
+    """A random nonempty strict subset of the ball, as interior indices: a clipped sub-ball."""
+    center = B.coords[int(rng.integers(len(B)))]
+    return B.within(int(rng.integers(0, B.radius)), center)
 
 
 def balayage_batch_audit(

@@ -56,6 +56,7 @@ __all__ = [
     "n_step",
     "walk_pmf",
     "closed_form_n_step",
+    "exit_steps",
     "killed_operator",
     "identity_minus",
     "killed_matrix",
@@ -66,7 +67,6 @@ __all__ = [
     "survival",
     "lazy_distribution",
     "lazy_exit_survival_curve",
-    "lazy1d_exit_cdf",
     "exactness_audit",
     "projection_audit",
 ]
@@ -234,28 +234,43 @@ _LU_LOCK = threading.Lock()
 _LU_CACHE: dict[tuple[Point, int], spla.SuperLU] = {}
 
 
-def killed_operator(D: FiniteDomain) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, float]:
-    """The walk killed outside ``D``, built from ``D.neighbor_index``.
+def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
+    """Every step that leaves ``D``, read off ``D.neighbor_index``.
 
-    Returns ``(P, rows, cols, w)``: the substochastic one-step matrix over
-    the interior index, and every step that leaves D as (interior index,
-    boundary index) pairs in neighbour order, each of weight ``w = 1/(2d)``.
-    Boundary right-hand sides accumulate over those pairs in that order.
+    Returns ``(rows, cols, w)``: (interior index, boundary index) pairs in
+    neighbour order, each of weight ``w = 1/(2d)``.  Boundary right-hand
+    sides accumulate over those pairs in that order.
+    """
+    steps = D.neighbor_index.shape[1]
+    flat = D.neighbor_index.ravel()
+    out = np.flatnonzero(flat >= len(D))
+    return out // steps, flat[out] - len(D), 1.0 / steps
+
+
+def killed_operator(D: FiniteDomain) -> sp.csr_matrix:
+    """The substochastic one-step matrix of the walk killed outside ``D``."""
+    m, steps = D.neighbor_index.shape
+    flat = D.neighbor_index.ravel()
+    inside = np.flatnonzero(flat < m)
+    return sp.csr_matrix(
+        (np.full(len(inside), 1.0 / steps), (inside // steps, flat[inside])), shape=(m, m)
+    )
+
+
+def identity_minus(D: FiniteDomain) -> sp.csc_matrix:
+    """``I - P`` of the walk killed outside ``D``, the matrix of the Green and Dirichlet solves.
+
+    Canonical CSC straight from ``D.neighbor_index``: column j holds 1 at row
+    j and ``-1/(2d)`` at each neighbour of j inside D (the matrix is symmetric).
     """
     m, steps = D.neighbor_index.shape
-    w = 1.0 / steps
-    rows = np.repeat(np.arange(m), steps)
-    cols = D.neighbor_index.ravel()
-    inside = cols < m
-    P = sp.csr_matrix(
-        (np.full(int(inside.sum()), w), (rows[inside], cols[inside])), shape=(m, m)
-    )
-    return P, rows[~inside], cols[~inside] - m, w
-
-
-def identity_minus(P: sp.spmatrix) -> sp.csc_matrix:
-    """``I - P`` in CSC form, the matrix of the Green and Dirichlet solves."""
-    return (sp.identity(P.shape[0], format="csc") - P).tocsc()
+    rows = np.concatenate([D.neighbor_index, np.arange(m)[:, None]], axis=1)
+    rows = np.sort(np.minimum(rows, m), axis=1)  # steps out of D sort last, as m
+    keep = rows < m
+    counts = keep.sum(axis=1)
+    indices = rows[keep]
+    data = np.where(indices == np.repeat(np.arange(m), counts), 1.0, -1.0 / steps)
+    return sp.csc_matrix((data, indices, np.concatenate([[0], np.cumsum(counts)])), shape=(m, m))
 
 
 def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
@@ -264,7 +279,7 @@ def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
     with _KILLED_LOCK:
         if key in _KILLED:
             return _KILLED[key]
-    mat = killed_operator(B)[0]
+    mat = killed_operator(B)
     for arr in (mat.data, mat.indices, mat.indptr):
         _frozen(arr)
     with _KILLED_LOCK:
@@ -281,7 +296,7 @@ def killed_lu(B: FiniteDomain) -> spla.SuperLU:
     with _LU_LOCK:
         if key in _LU_CACHE:
             return _LU_CACHE[key]
-    factor = spla.splu(identity_minus(killed_matrix(B)))
+    factor = spla.splu(identity_minus(B))
     with _LU_LOCK:
         return _LU_CACHE.setdefault(key, factor)
 
@@ -402,11 +417,6 @@ def lazy_exit_survival_curve(S: int, n_max: int, d: int) -> np.ndarray:
         vec = _lazy_step(vec, d)
         out[n] = vec.sum()
     return out
-
-
-def lazy1d_exit_cdf(S: int, n: int, d: int) -> float:
-    """``P(exit time of [-S, S] <= n)`` for the lazy walk started at 0."""
-    return 1.0 - float(lazy_exit_survival_curve(S, n, d)[n])
 
 
 def exactness_audit(d: int, n_max: int) -> "AuditReport":

@@ -27,8 +27,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .report import AuditReport
-
 Point = tuple[int, ...]
 
 #: Chain length never exceeds this, independent of R (for R > 32 the spacing
@@ -64,17 +62,6 @@ def neighbors(x: Point) -> list[Point]:
     return out
 
 
-def same_parity(n: int, x: Point, y: Point | None = None) -> bool:
-    """True iff a walk started at ``x`` can occupy ``y`` at time ``n``.
-
-    The n-step kernel vanishes exactly when ``n + graph_distance(x, y)`` is
-    odd, so this is the support-parity predicate.
-    """
-    if y is None:
-        y = (0,) * len(x)
-    return (n + graph_distance(x, y)) % 2 == 0
-
-
 def ball_count(d: int, r: int) -> int:
     """Closed-form cardinality of the l1 ball: sum_k 2^k C(d,k) C(r,k)."""
     if d < 1 or r < 0:
@@ -105,14 +92,15 @@ class FiniteDomain:
     radius: int | None = None
 
     @classmethod
-    def from_points(cls, points: Iterable) -> "FiniteDomain":
-        """The domain whose interior is the given set of points."""
-        pts = [as_point(p) for p in points]
-        if not pts:
+    def from_points(cls, points: Iterable | np.ndarray) -> "FiniteDomain":
+        """The domain whose interior is the given points (or ``(m, d)`` integer array)."""
+        if not isinstance(points, np.ndarray):
+            points = [as_point(p) for p in points]
+            if len({len(p) for p in points}) > 1:
+                raise ValueError("points must share one dimension")
+        if not len(points):
             raise ValueError("domain must contain at least one point")
-        if len({len(p) for p in pts}) != 1:
-            raise ValueError("points must share one dimension")
-        return cls._from_cells(np.array(pts, dtype=np.int64))
+        return cls._from_cells(np.asarray(points, dtype=np.int64))
 
     @classmethod
     def _from_cells(
@@ -189,9 +177,10 @@ class FiniteDomain:
         """Interior points with a neighbour outside, lexicographic."""
         return tuple(self.interior[i] for i in np.flatnonzero(self.inner_mask()))
 
-    def within(self, r: int) -> np.ndarray:
-        """Interior indices at graph distance <= r from the ball's centre."""
-        return np.flatnonzero(np.abs(self.coords - np.array(self.center)).sum(axis=1) <= r)
+    def within(self, r: int, center: Point | None = None) -> np.ndarray:
+        """Interior indices at graph distance <= r from ``center`` (default: the ball's)."""
+        center = self.center if center is None else center
+        return np.flatnonzero(np.abs(self.coords - np.array(center)).sum(axis=1) <= r)
 
     def key(self) -> tuple[Point, int]:
         """Hashable identity of a ball, used for module-level caches."""
@@ -314,36 +303,3 @@ def build_ball_chain(x0: Iterable[int], R: int, u: Iterable[int], v: Iterable[in
         raise AssertionError("chain length exceeded its fixed cap")
     return chain
 
-
-def volume_audit(d: int, r_max: int) -> AuditReport:
-    """Measure the volume lower constant ``V1 = min_r |B(0,r)| / r^d``.
-
-    The audited fact is the growth inequality ``|B(0,r)| >= V1 * r^d`` on the
-    grid ``1 <= r <= r_max`` (true by construction of the minimum, recorded
-    with its witness).  Whether ``V1 <= 2d`` is *reported*, not asserted.
-    """
-    if d < 1 or r_max < 1:
-        raise ValueError("need d >= 1 and r_max >= 1")
-    rows = []
-    v1 = math.inf
-    worst_r = None
-    for r in range(1, r_max + 1):
-        size = len(make_ball((0,) * d, r))
-        ratio = size / r**d
-        rows.append({"r": r, "volume": size, "ratio": ratio})
-        if ratio < v1:
-            v1 = ratio
-            worst_r = r
-    side_condition = v1 <= 2 * d
-    return AuditReport(
-        audit_id=f"lattice.volume.d{d}",
-        grid={"d": d, "r": [1, r_max]},
-        constants={"V1": v1, "two_d": 2 * d},
-        worst={"r": worst_r, "ratio": v1},
-        passed=True,
-        notes=[
-            f"V1 <= 2d is {'satisfied' if side_condition else 'NOT satisfied'} "
-            "on this grid (reported, not asserted)",
-        ],
-        rows=rows,
-    )

@@ -156,6 +156,21 @@ def test_cache_verify_rejects_bad_fraction_and_seed(tmp_path, capsys, flag, valu
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("case", ["out_under_a_file", "csv_out_is_a_file", "cache_dir_is_a_file"])
+def test_unwritable_report_or_cache_is_an_error_line(tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    args = {
+        "out_under_a_file": ["--out", str(blocker / "r.json")],
+        "csv_out_is_a_file": ["--format", "csv", "--out", str(blocker)],
+        "cache_dir_is_a_file": ["--cache-dir", str(blocker), "--out", str(tmp_path / "r.json")],
+    }[case]
+    assert run_cli(["kernel", "--dim", "1", "--n-max", "4", *args]) == EXIT_AUDIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker}") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
+
+
 def test_cache_without_directory_is_usage_error(capsys, monkeypatch):
     monkeypatch.delenv("HARNACK_CACHE_DIR", raising=False)
     assert run_cli(["cache", "list"]) == EXIT_USAGE

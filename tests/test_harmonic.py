@@ -9,6 +9,7 @@ from harnack.green import green_solve
 from harnack.harmonic import (
     BalayageError,
     LatticeField,
+    _random_subset,
     balayage,
     balayage_batch_audit,
     dirichlet_iterate,
@@ -20,7 +21,9 @@ from harnack.harmonic import (
     laplacian,
     random_harmonic,
 )
-from harnack.lattice import graph_distance, make_ball
+from harnack.kernel import killed_matrix
+from harnack.lattice import FiniteDomain, graph_distance, make_ball
+from harnack.rng import philox
 
 
 def interval_domain(R):
@@ -109,11 +112,11 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     from scipy.sparse.linalg import splu
 
     from harnack import harmonic
-    from harnack.kernel import identity_minus, killed_lu, killed_operator
+    from harnack.kernel import exit_steps, identity_minus, killed_lu
 
     B = make_ball((0,) * d, R)
-    P, rows_b, cols_b, w = killed_operator(B)
-    fresh = splu(identity_minus(P))
+    rows_b, cols_b, w = exit_steps(B)
+    fresh = splu(identity_minus(B))
     phi = np.linspace(0.0, 1.0, len(B.outer_boundary))
     rhs = np.zeros(len(B))
     np.add.at(rhs, rows_b, w * phi[cols_b])
@@ -133,6 +136,72 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     assert np.array_equal(harmonic_measure(B, (0,) * d).values, row)
 
 
+def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
+    import scipy.sparse as sp
+
+    from harnack import harmonic, kernel
+
+    B = make_ball((0, 0), 6)
+    kernel.killed_lu(B)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a sparse matrix is assembled for a factored ball")
+
+    for module, name in ((kernel, "killed_operator"), (harmonic, "killed_operator"),
+                         (harmonic, "identity_minus"), (sp, "csr_matrix"), (sp, "csc_matrix")):
+        monkeypatch.setattr(module, name, no_assembly)
+    h = random_harmonic(B, seed=3)
+    dirichlet_solve(B, np.linspace(0.0, 1.0, len(B.outer_boundary)))
+    harmonic_measure(B, (1, 0))
+    harmonic_measure_matrix(B)
+    # h shares B's closure index, so laplacian reads it without a gather.
+    gathered = LatticeField.over(h.points, h.values)
+    assert np.array_equal(laplacian(h, B), laplacian(gathered, B))
+
+
+def reference_subset(B, rng):
+    """The point-list subset: the points of a random sub-ball that lie in B."""
+    center = B.interior[int(rng.integers(len(B)))]
+    inner = make_ball(center, int(rng.integers(0, B.radius)))
+    return tuple(p for p in inner.interior if p in B)
+
+
+def reference_balayage(B, a_points, h):
+    """Sweep, charge and |S|-column Green reconstruction on A, from point lists."""
+    a_set = set(a_points)
+    a_idx = np.array([B.index_of(p) for p in a_points])
+    complement = np.setdiff1d(np.arange(len(B)), a_idx)
+    Dc = FiniteDomain.from_points([B.interior[i] for i in complement])
+    bdata = {q: h.value_at(q) if q in a_set else 0.0 for q in Dc.outer_boundary}
+    sweep = np.zeros(len(B.closure))
+    sweep[a_idx] = [h.value_at(p) for p in a_points]
+    sweep[complement] = dirichlet_solve(Dc, bdata).values[: len(Dc)]
+    inside = sweep[: len(B)]
+    f = inside - killed_matrix(B) @ inside
+    off_support = ~B.inner_mask(a_idx)
+    f = np.where(off_support, 0.0, f)
+    support = np.flatnonzero(~off_support)
+    recon = green_solve(B, columns=support).values[a_idx] @ f[support]
+    return sweep, f, recon
+
+
+@pytest.mark.parametrize("d,R", [(1, 2), (1, 8), (2, 3), (2, 8), (3, 2), (3, 4), (3, 8)])
+def test_index_balayage_matches_the_point_list_path(d, R):
+    B = make_ball((0,) * d, R)
+    rng_ref, rng = philox(d, stream=R), philox(d, stream=R)
+    for seed in range(6):
+        a_points = reference_subset(B, rng_ref)
+        a_idx = _random_subset(B, rng)
+        assert tuple(B.interior[i] for i in a_idx) == a_points
+        h = random_harmonic(B, seed)
+        result = balayage(B, a_idx, h)
+        sweep, f, recon = reference_balayage(B, a_points, h)
+        assert np.array_equal(result.sweep.values, sweep)
+        assert np.array_equal(result.charge.values, f)
+        got = result.reconstruction.values[a_idx]
+        assert (np.abs(got - recon) <= 1e-13 * np.abs(recon)).all()
+
+
 def test_balayage_of_constant_onto_the_center():
     # Sweeping the constant 1 onto {0} puts charge 1/g(0,0) there: the
     # reconstruction f(0) g(x, 0) must return 1 at 0, and g(0,0) = 2 on the
@@ -140,7 +209,7 @@ def test_balayage_of_constant_onto_the_center():
     B = make_ball((0,), 1)
     closure = B.closure
     h = LatticeField.over(closure, np.ones(len(closure)))
-    result = balayage(B, [(0,)], h)
+    result = balayage(B, [B.index_of((0,))], h)
     assert result.charge.value_at((0,)) == pytest.approx(0.5, abs=1e-12)
     assert result.max_reconstruction_rel_error <= 1e-10
 
@@ -149,7 +218,7 @@ def test_balayage_charge_supported_structurally():
     B = make_ball((0, 0), 4)
     h = random_harmonic(B, seed=5)
     A = [p for p in B.interior if graph_distance(p, (0, 0)) <= 2]
-    result = balayage(B, A, h)
+    result = balayage(B, [B.index_of(p) for p in A], h)
     inner_A = {p for p in A if any(q not in set(A) for q in
                [(p[0]+1,p[1]), (p[0]-1,p[1]), (p[0],p[1]+1), (p[0],p[1]-1)])}
     for p in B.interior:
@@ -164,7 +233,7 @@ def test_balayage_reconstruction_via_green_table():
     B = make_ball((0, 0), 3)
     h = random_harmonic(B, seed=21)
     A = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)]
-    result = balayage(B, A, h)
+    result = balayage(B, [B.index_of(p) for p in A], h)
     G = green_solve(B).values
     charge = result.charge.values
     recon = G @ charge
@@ -176,17 +245,21 @@ def test_balayage_reconstruction_via_green_table():
 def test_balayage_rejects_bad_inputs():
     B = make_ball((0,), 2)
     good = random_harmonic(B, seed=1)
+    center = [B.index_of((0,))]
     with pytest.raises(ValueError):
         balayage(B, [], good)  # empty target
     with pytest.raises(ValueError):
-        balayage(B, list(B.interior), good)  # not a strict subset
+        balayage(B, np.arange(len(B)), good)  # not a strict subset
+    for outside in (-1, len(B)):
+        with pytest.raises(ValueError):
+            balayage(B, [outside], good)  # not an interior index
     bad = LatticeField.over(good.points, good.values - 5.0)
     with pytest.raises(ValueError):
-        balayage(B, [(0,)], bad)  # negative somewhere
+        balayage(B, center, bad)  # negative somewhere
     closure = B.closure
     lumpy = LatticeField.over(closure, np.arange(len(closure), dtype=float) ** 2)
     with pytest.raises(ValueError):
-        balayage(B, [(0,)], lumpy)  # not harmonic
+        balayage(B, center, lumpy)  # not harmonic
 
 
 def test_module_audits_pass():

@@ -18,8 +18,8 @@ from harnack.kernel import (
     full_column,
     iter_killed_vectors,
     killed_matrix,
-    lazy1d_exit_cdf,
     lazy_distribution,
+    lazy_exit_survival_curve,
     n_step,
     parity_classes,
     projection_audit,
@@ -227,7 +227,7 @@ def test_projection_of_planar_kernel_is_lazy_walk():
 
 
 def test_lazy_exit_cdf_monotone_and_bounded():
-    values = [lazy1d_exit_cdf(3, n, 2) for n in range(0, 40, 4)]
+    values = list(1.0 - lazy_exit_survival_curve(3, 36, 2)[::4])
     assert values[0] == 0.0
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] <= 1.0
