@@ -5,18 +5,22 @@ Four bound families are fitted as grid extrema over exact kernels
 kernel is compared against its sharp Gaussian limit in euclidean form, and
 long-range lower bounds are certified by an explicit ball-chaining product
 that is always dominated by the exact probability.
+
+Every graph-distance fit, and the killed fit in ``green``, reduces each
+step to one extreme per distance shell and folds those in log space
+(``_shell_extremes``, ``_EnvelopeFit``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
 
-from .kernel import iter_free_fields, walk_pmf
+from .kernel import _box_graph, iter_free_fields, walk_pmf
 from .lattice import Point, as_point, graph_distance, l1_path, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -68,12 +72,51 @@ def lclt_form(d: int) -> GaussianForm:
     )
 
 
-def _box_distances(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(graph, squared-euclidean) distance arrays over the centered box."""
-    axes = np.meshgrid(*([np.arange(-n, n + 1)] * d), indexing="ij")
-    graph = sum(np.abs(a) for a in axes)
-    euclid2 = sum(a * a for a in axes)
-    return graph, euclid2
+def _shell_extremes(values: np.ndarray, dist: np.ndarray, count: int, lower: bool) -> np.ndarray:
+    """Min (``lower``) or max of ``values`` per distance shell r = 0..count-1 (empty: +-inf)."""
+    out = np.full(count, np.inf if lower else -np.inf)
+    (np.minimum if lower else np.maximum).at(out, dist.ravel(), values.ravel())
+    return out
+
+
+def _pair_shells(prev: np.ndarray, now: np.ndarray, m: int) -> np.ndarray:
+    """Shells r <= m of the pair ``p_m + p_{m+1}``: step m's where r + m is even, else step m+1's.
+
+    Shell r has the parity of r, so the other step's summand is an exact zero there.
+    """
+    r = np.arange(min(m + 1, len(now)))
+    return np.where(r % 2 == m % 2, prev[: len(r)], now[: len(r)])
+
+
+class _EnvelopeFit:
+    """Running extreme per decay ``c`` of ``log v + (d/2) log t + c dist^2 / t``, with witness.
+
+    The minimum for a ``lower`` envelope, the maximum for an upper one.
+    Values arrive as shell extremes: a shell shares ``dist`` and ``t``, and
+    ``log`` and ``fl(a + b)`` are monotone in ``a``, so a shell's extreme
+    gives exactly the extreme over its elements.
+    """
+
+    def __init__(self, d: int, grid: np.ndarray, lower: bool):
+        self.d, self.grid, self.lower = d, grid, lower
+        self.log_amp = np.full(grid.shape, np.inf if lower else -np.inf)
+        self.witness: list = [None] * len(grid)
+
+    def fold(self, shells: np.ndarray, t: int, witness) -> None:
+        """Fold the shell extremes of time ``t`` (entry r: distance r).
+
+        An improved decay records ``witness(r)`` of its binding shell r: ties
+        go to the earliest fold, then the nearest shell.
+        """
+        r = np.arange(len(shells), dtype=float)
+        with np.errstate(divide="ignore"):  # zero shells carry no constraint
+            logs = np.log(shells) + (self.d / 2.0) * math.log(t)
+        cand = logs[None, :] + self.grid[:, None] * (r * r / t)[None, :]
+        at = cand.argmin(axis=1) if self.lower else cand.argmax(axis=1)
+        best = cand[np.arange(len(self.grid)), at]
+        for i in np.flatnonzero(best < self.log_amp if self.lower else best > self.log_amp):
+            self.log_amp[i] = best[i]
+            self.witness[i] = witness(int(at[i]))
 
 
 def lclt_error_scan(
@@ -100,7 +143,8 @@ def lclt_error_scan(
     for n, field in iter_free_fields(d, hi):
         if n < lo:
             continue
-        graph, euclid2 = _box_distances(d, n)
+        graph = _box_graph(d, n)
+        euclid2 = reduce(np.add.outer, [np.arange(-n, n + 1) ** 2] * d)
         window = (euclid2 <= (radius_factor * radius_factor) * n) & (
             (graph - n) % 2 == 0
         )
@@ -153,29 +197,23 @@ def near_diagonal_audit(d: int, n_max: int, L: float = 0.7) -> AuditReport:
         raise ValueError("L must lie in (0, 1)")
     if n_max > 128:
         raise ValueError("n_max above the supported desk-scale window (128)")
-    n1 = 0.0
-    n1_witness = None
-    n2 = math.inf
-    n2_witness = None
-    prev = None
+    n1, n1_witness, n2, n2_witness, prev = 0.0, None, math.inf, None, None
     for n, field in iter_free_fields(d, n_max + 1):
         if n <= n_max:
             cand = float(field.max()) * max(n, 1) ** (d / 2.0)
             if cand > n1:
                 n1 = cand
                 n1_witness = {"n": n, "value": cand}
-        if prev is not None:
-            m = n - 1  # pair (p_m, p_{m+1}) with p_{m+1} restricted to the box of p_m
-            if 1 <= m <= n_max:
-                pair = prev + field[tuple(slice(1, s - 1) for s in field.shape)]
-                graph, _ = _box_distances(d, m)
-                admissible = np.maximum(graph * graph, 1) <= (L * L) * m
-                if admissible.any():
-                    cand = float(pair[admissible].min()) * m ** (d / 2.0)
-                    if cand < n2:
-                        n2 = cand
-                        n2_witness = {"n": m, "value": cand}
-        prev = field
+        now = _shell_extremes(field, _box_graph(d, n), d * n + 1, lower=True)
+        m = n - 1
+        if 1 <= m <= n_max:
+            admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (L * L) * m
+            if admissible.any():
+                cand = float(_pair_shells(prev, now, m)[admissible].min()) * m ** (d / 2.0)
+                if cand < n2:
+                    n2 = cand
+                    n2_witness = {"n": m, "value": cand}
+        prev = now
     passed = bool(n2 > 0 and math.isfinite(n2))
     return AuditReport(
         audit_id=f"bounds.near_diagonal.d{d}",
@@ -202,31 +240,22 @@ def gaussian_lower_audit(
     maximizes the amplitude.  Pass requires a strictly positive fit.
     """
     grid = np.asarray(_DECAY_GRID if decay_grid is None else decay_grid, dtype=float)
-    log_amp = np.full(grid.shape, np.inf)
-    witness_n = np.zeros(grid.shape, dtype=int)
+    fit = _EnvelopeFit(d, grid, lower=True)
     prev = None
     for n, field in iter_free_fields(d, n_max + 1):
-        if prev is not None:
-            m = n - 1
-            if m >= 1:
-                pair = prev + field[tuple(slice(1, s - 1) for s in field.shape)]
-                graph, _ = _box_distances(d, m)
-                mask = graph <= m
-                logs = np.log(pair[mask]) + (d / 2.0) * math.log(m)
-                ratio = (graph[mask].astype(float) ** 2) / m
-                cand = (logs[None, :] + grid[:, None] * ratio[None, :]).min(axis=1)
-                better = cand < log_amp
-                log_amp[better] = cand[better]
-                witness_n[better] = m
-        prev = field
-    amplitudes = np.exp(log_amp)
+        now = _shell_extremes(field, _box_graph(d, n), d * n + 1, lower=True)
+        m = n - 1
+        if m >= 1:
+            fit.fold(_pair_shells(prev, now, m), m, lambda r: m)
+        prev = now
+    amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmax())
     passed = bool(amplitudes[best] > 0 and np.isfinite(amplitudes[best]))
     return AuditReport(
         audit_id=f"bounds.gaussian_lower.d{d}",
         grid={"d": d, "n_max": n_max, "decay_grid": [float(grid[0]), float(grid[-1]), len(grid)]},
         constants={"L1": float(amplitudes[best]), "L2": float(grid[best])},
-        worst={"binding_n": int(witness_n[best])},
+        worst={"binding_n": int(fit.witness[best])},
         passed=passed,
         notes=["L1(c) = min pair * n^(d/2) * exp(+c dist^2/n) over dist <= n"],
         rows=[
@@ -254,26 +283,17 @@ def gaussian_upper_audit(
         grid = np.asarray(decay_grid, dtype=float)
         if (grid >= rate).any():
             raise ValueError(f"decay values must stay below log(2d) = {rate:.4f}")
-    log_amp = np.full(grid.shape, -np.inf)
-    witness_n = np.zeros(grid.shape, dtype=int)
+    fit = _EnvelopeFit(d, grid, lower=False)
     for n, field in iter_free_fields(d, n_max):
-        graph, _ = _box_distances(d, n)
-        t = max(n, 1)
-        mask = field > 0
-        logs = np.log(field[mask]) + (d / 2.0) * math.log(t)
-        ratio = (graph[mask].astype(float) ** 2) / t
-        cand = (logs[None, :] + grid[:, None] * ratio[None, :]).max(axis=1)
-        better = cand > log_amp
-        log_amp[better] = cand[better]
-        witness_n[better] = n
-    amplitudes = np.exp(log_amp)
+        fit.fold(_shell_extremes(field, _box_graph(d, n), d * n + 1, lower=False), max(n, 1), lambda r: n)
+    amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmin())
     passed = bool(np.isfinite(amplitudes[best]) and amplitudes[best] >= 1.0)
     return AuditReport(
         audit_id=f"bounds.gaussian_upper.d{d}",
         grid={"d": d, "n_max": n_max, "decay_grid": [float(grid[0]), float(grid[-1]), len(grid)]},
         constants={"U1": float(amplitudes[best]), "U2": float(grid[best])},
-        worst={"binding_n": int(witness_n[best])},
+        worst={"binding_n": int(fit.witness[best])},
         passed=passed,
         notes=[
             "U1(c) = max p_n * max(n,1)^(d/2) * exp(+c dist^2/max(n,1))",

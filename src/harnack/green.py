@@ -26,8 +26,9 @@ mandatory, independent computations are provided and cross-audited:
 
 Audits on top of the tables: interior two-sided comparisons of ``g`` against
 ``r^{2-d}`` (or ``log(R/r)`` in d=2), a killed near-diagonal Gaussian lower
-fit, and the pole-ratio comparability measurement used by the chained Harnack
-certificate.
+fit (the log-space envelope routine of ``bounds``, fed each step's live
+parity block), and the pole-ratio comparability measurement used by the
+chained Harnack certificate.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
 from .kernel import identity_minus, iter_killed_vectors, killed_lu, parity_classes
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
@@ -50,7 +52,6 @@ __all__ = [
     "SolverError",
     "green_table_series",
     "green_solve",
-    "green_value_floor",
     "ugi_audit",
     "killed_lower_audit",
     "comparability_audit",
@@ -87,16 +88,6 @@ class GreenTable:
 _TABLE_LOCK = threading.Lock()
 _TABLE_CACHE: dict[tuple[Point, int], GreenTable] = {}
 _TABLE_CACHE_MAX_ENTRIES = 16_000_000  # total cached float64 values
-
-
-def green_value_floor(d: int, R: int) -> float:
-    """Provable positive floor for every Green entry of ``B(x0, R)``.
-
-    Any two ball points are joined by an l1 geodesic staying inside the ball
-    (greedy steps toward the centre never leave it), so
-    ``g_B(x, y) >= p_dist^B(x, y) >= (2d)^{-dist} >= (2d)^{-2R}``.
-    """
-    return float((2 * d) ** (-2 * R)) if R < 500 else math.exp(-2 * R * math.log(2 * d))
 
 
 def green_table_series(
@@ -275,10 +266,6 @@ def ugi_audit(d: int, r_values: Iterable[int], ratio_cap: float = 10.0) -> Audit
     )
 
 
-def _decay_grid(lo: float = 1.0 / 64, hi: float = 8.0, count: int = 32) -> np.ndarray:
-    return np.geomspace(lo, hi, count)
-
-
 def killed_lower_audit(
     d: int,
     r_values: Iterable[int],
@@ -294,12 +281,16 @@ def killed_lower_audit(
     by scanning ``C`` over a log grid and taking the minimum-implied amplitude;
     the reported pair maximises the amplitude margin.  Pass iff ``A > 0``.
 
-    All half-ball starts advance together, even and odd starts in lockstep.
-    Each step evaluates ``pair * n^{d/2} * exp(C * dist^2 / n)`` over the
-    admissible (start, target) pairs one decay value at a time; ties in the
-    minimum go to the first pair in (start, n, target) order.
+    All half-ball starts advance together, even and odd starts in lockstep,
+    and the fit runs in log space through the envelope routine of ``bounds``.
+    The walk is bipartite, so each pair has one live term and one exact
+    zero: distance shell r of pair m is the shell of step m when r + m is
+    even and of step m + 1 otherwise, so each step's live block, restricted
+    to half-ball targets, is reduced once to one minimum per shell.  Ties go
+    to the smallest m, then distance, then kernel value, then the first
+    (start, target) in half-ball order.
     """
-    grid = _decay_grid() if decay_grid is None else np.asarray(decay_grid, dtype=float)
+    grid = _DECAY_GRID if decay_grid is None else np.asarray(decay_grid, dtype=float)
     r_values = sorted(int(r) for r in r_values)
     rows = []
     all_pass = True
@@ -307,51 +298,45 @@ def killed_lower_audit(
     for R in r_values:
         B = make_ball((0,) * d, R)
         half = B.within(R // 2)
-        dist = _pair_distances(B.coords[half])  # (start, target)
-        r = np.arange(dist.max() + 1, dtype=float)
-        amp = np.full(grid.shape, np.inf)
-        witness: list[dict | None] = [None] * len(grid)
-        start_of = np.full(grid.shape, len(half))  # start of each witness
-        prev = None
+        dist = _pair_distances(B.coords[half])
+        shell_count = int(dist.max()) + 1
         at = np.full(len(B), -1)  # position of each interior point in ``half``
         at[half] = np.arange(len(half))
         groups = [g for g in parity_classes(B, half) if len(g)]
         walks = [iter_killed_vectors(B, half[g], R * R + 1) for g in groups]
+        layouts = []  # per parity of n: kept block rows, their (start, target) order and pairs
+        fit = _EnvelopeFit(d, grid, lower=True)
         for steps in zip(*walks):
             n = steps[0][0]
-            now = np.zeros((len(half), len(half)))  # (start, target) in ``half`` order
-            for g, (_, live, block) in zip(groups, steps):
-                keep = at[live] >= 0
-                now[np.ix_(g, at[live[keep]])] = block[keep].T
-            m = n - 1  # pair index
+            if n < 2:  # kept block rows ravel target-major; order them by (start, target)
+                keep = [np.flatnonzero(at[live] >= 0) for _, live, _ in steps]
+                s = np.concatenate([np.tile(g, len(k)) for k, g in zip(keep, groups)])
+                t = np.concatenate(
+                    [np.repeat(at[live[k]], len(g)) for k, g, (_, live, _) in zip(keep, groups, steps)]
+                )
+                order = np.lexsort((t, s))
+                layouts.append((keep, order, s[order], t[order], dist[s[order], t[order]]))
+            keep, order, s, t, pair_dist = layouts[n % 2]
+            vals = np.concatenate([block[k].ravel() for k, (_, _, block) in zip(keep, steps)])[order]
+            now = (_shell_extremes(vals, pair_dist, shell_count, lower=True), vals, s, t, pair_dist)
+            m = n - 1
             if m >= 1:
-                sel = dist <= m
-                flat = np.flatnonzero(sel)
-                base = (prev + now)[sel] * m ** (d / 2.0)
-                dsel = dist[sel]
-                rm = r[: m + 1]
-                factor = np.exp(grid[:, None] * rm * rm / m)  # by decay and distance
-                for gi in range(len(grid)):
-                    vals = base * factor[gi, dsel]
-                    k = int(np.argmin(vals))
-                    si, ti = divmod(int(flat[k]), len(half))
-                    if vals[k] < amp[gi] or (vals[k] == amp[gi] and si < start_of[gi]):
-                        amp[gi] = float(vals[k])
-                        start_of[gi] = si
-                        witness[gi] = {
-                            "R": R,
-                            "x": B.interior[half[si]],
-                            "y": B.interior[half[ti]],
-                            "n": m,
-                        }
+
+                def witness(r: int) -> dict:
+                    _, v, starts, targets, rd = prev if (r + m) % 2 == 0 else now
+                    k = np.flatnonzero(rd == r)
+                    k = k[int(np.argmin(v[k]))]
+                    return {"R": R, "x": B.interior[half[starts[k]]], "y": B.interior[half[targets[k]]], "n": m}
+
+                fit.fold(_pair_shells(prev[0], now[0], m), m, witness)
             prev = now
+        amp = np.exp(fit.log_amp)
         best = int(np.argmax(amp))
         a_hat, c_hat = float(amp[best]), float(grid[best])
-        ok = a_hat > 0
-        all_pass &= ok
+        all_pass &= a_hat > 0
         rows.append({"R": R, "A": a_hat, "C": c_hat})
         if worst is None or a_hat < worst.get("A", math.inf):
-            worst = {"A": a_hat, "C": c_hat, **(witness[best] or {})}
+            worst = {"A": a_hat, "C": c_hat, **(fit.witness[best] or {})}
     return AuditReport(
         audit_id=f"green.killed_lower.d{d}",
         grid={"d": d, "R": r_values, "decay_grid": [float(grid[0]), float(grid[-1]), len(grid)]},

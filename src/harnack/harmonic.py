@@ -85,18 +85,22 @@ def laplacian(h: LatticeField, D: FiniteDomain) -> np.ndarray:
     index); returns the vector over D's interior index.  Raises
     ``ValueError`` if ``h`` has no value at a point of the closure.
     """
-    vals = _on_closure(h, D)
+    return _laplacian_of(_on_closure(h, D), D)
+
+
+def _laplacian_of(vals: np.ndarray, D: FiniteDomain) -> np.ndarray:
+    """:func:`laplacian` of the values ``vals`` over D's closure index."""
     return vals[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - vals[: len(D)]
 
 
 def _boundary_field(D: FiniteDomain, phi) -> np.ndarray:
-    """Boundary data as an array over D.outer_boundary, from a field or mapping."""
+    """Boundary data as an array over D's outer boundary, from a field or mapping."""
     if isinstance(phi, LatticeField):
         return np.array([phi.value_at(p) for p in D.outer_boundary])
     if isinstance(phi, Mapping):
         return np.array([float(phi[p]) for p in D.outer_boundary])
     vals = np.asarray(phi, dtype=float)
-    if vals.shape != (len(D.outer_boundary),):
+    if vals.shape != (len(D.outer_coords),):
         raise ValueError("boundary data must align with D.outer_boundary")
     return vals
 
@@ -120,15 +124,19 @@ def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     exactly and is residual-checked to 1e-10.
     """
     bdata = _boundary_field(D, phi)
+    return _assemble(D, _dirichlet_interior(D, bdata), bdata)
+
+
+def _dirichlet_interior(D: FiniteDomain, bdata: np.ndarray) -> np.ndarray:
+    """:func:`dirichlet_solve` on arrays: interior values from data over ``D.outer_coords``."""
     rows_b, cols_b, w = exit_steps(D)
     rhs = np.zeros(len(D))
     np.add.at(rhs, rows_b, w * bdata[cols_b])
     interior = _factor(D).solve(rhs)
-    h = _assemble(D, interior, bdata)
-    worst = float(np.abs(laplacian(h, D)).max())
+    worst = float(np.abs(_laplacian_of(np.concatenate([interior, bdata]), D)).max())
     if worst > RESIDUAL_TOL:
         raise SolverError(f"max |laplacian| {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    return h
+    return interior
 
 
 def dirichlet_iterate(
@@ -191,7 +199,7 @@ def harmonic_measure(D: FiniteDomain, x) -> LatticeField:
     delta = np.zeros(len(D))
     delta[D.index_of(x)] = 1.0
     u = _factor(D).solve(delta)
-    out = np.zeros(len(D.outer_boundary))
+    out = np.zeros(len(D.outer_coords))
     np.add.at(out, cols_b, w * u[rows_b])
     return LatticeField.over(D.outer_boundary, out)
 
@@ -204,7 +212,7 @@ def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
     right-hand sides.
     """
     rows_b, cols_b, w = exit_steps(D)
-    rhs = np.zeros((len(D), len(D.outer_boundary)))
+    rhs = np.zeros((len(D), len(D.outer_coords)))
     rhs[rows_b, cols_b] = w
     return _factor(D).solve(rhs)
 
@@ -212,7 +220,7 @@ def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
 def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:
     """A harmonic function from seeded uniform [0,1] boundary data."""
     rng = philox(seed, stream=_BOUNDARY_STREAM)
-    return dirichlet_solve(D, rng.uniform(0.0, 1.0, size=len(D.outer_boundary)))
+    return dirichlet_solve(D, rng.uniform(0.0, 1.0, size=len(D.outer_coords)))
 
 
 @dataclass(frozen=True)
@@ -253,14 +261,14 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
 
     # The sweep: h on A, the Dirichlet solution on B minus A, 0 outside B.
     target = vals[a_idx]
-    sweep_vals = np.zeros(len(B.closure))
+    sweep_vals = np.zeros(len(B.index_map))
     sweep_vals[a_idx] = target
     complement = np.setdiff1d(np.arange(len(B)), a_idx)
     Dc = FiniteDomain.from_points(B.coords[complement])
     # Each step out of Dc lands in A or outside B: both neighbour arrays name it.
-    in_ball = np.empty(len(Dc.closure), dtype=np.int64)
+    in_ball = np.empty(len(Dc) + len(Dc.outer_coords), dtype=np.int64)
     in_ball[Dc.neighbor_index] = B.neighbor_index[complement]
-    sweep_vals[complement] = dirichlet_solve(Dc, sweep_vals[in_ball[len(Dc) :]]).values[: len(Dc)]
+    sweep_vals[complement] = _dirichlet_interior(Dc, sweep_vals[in_ball[len(Dc) :]])
     sweep = LatticeField(B.closure, sweep_vals, B.index_map)
 
     # Charge: identity minus killed one-step, applied to the sweep on B.
@@ -318,7 +326,7 @@ def dirichlet_triple_audit(
 
     D = make_ball((0,) * d, R)
     rng = philox(seed, stream=_BOUNDARY_STREAM)
-    phi = rng.uniform(0.0, 1.0, size=len(D.outer_boundary))
+    phi = rng.uniform(0.0, 1.0, size=len(D.outer_coords))
     solved = dirichlet_solve(D, phi)
     iterated = dirichlet_iterate(D, phi)
     center = (0,) * d

@@ -28,11 +28,12 @@ per-axis pairs in axis order, then divides by 2d; this ordering makes
 ``6*fl(1/6)`` lands on the round-to-even tie at 1.0).
 
 For d <= 2 there is an independent closed-form route: in d=1 the kernel is
-the binomial pmf, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns the walk
-into two independent 1-d walks, so ``p_n(0,(a,b)) = b_n(a+b) * b_n(a-b)``.
-``walk_pmf`` evaluates ``b_n`` with exact integer binomials and one correctly
-rounded division per site, which lets audits reach step counts far beyond
-the dense-DP window; a d=2 value is the product of two such factors.
+the binomial pmf ``b_n``, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns
+the walk into two independent 1-d walks, so
+``p_n(0,(a,b)) = b_n(a+b) * b_n(a-b)``.  ``walk_pmf`` evaluates ``b_n`` with
+exact integer binomials and one correctly rounded division per site, which
+lets the chain certificates of ``bounds`` reach step counts far beyond the
+dense-DP window.
 
 A lazy 1-d comparison walk (hold probability (d-1)/d, steps 1/(2d) each way)
 mirrors the law of a single coordinate of the d-dimensional walk.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,7 +57,6 @@ __all__ = [
     "iter_free_fields",
     "n_step",
     "walk_pmf",
-    "closed_form_n_step",
     "exit_steps",
     "killed_operator",
     "identity_minus",
@@ -151,6 +152,11 @@ def free_field(d: int, n: int) -> np.ndarray:
         return arr
 
 
+def _box_graph(d: int, n: int) -> np.ndarray:
+    """Graph distance from the origin over the free field's box of side 2n+1."""
+    return reduce(np.add.outer, [np.abs(np.arange(-n, n + 1))] * d)
+
+
 def iter_free_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(n, p_n(0,.))`` for n = 0..n_max without retaining the fields."""
     if d < 1 or n_max < 0:
@@ -205,25 +211,6 @@ def walk_pmf(n: int, sites) -> np.ndarray:
         values[i] = coef / denom
     out[ok] = values[inverse.ravel()]
     return out
-
-
-def closed_form_n_step(z, n: int) -> float:
-    """``p_n(0, z)`` by closed form, available for d in {1, 2}.
-
-    d=1 is the correctly rounded binomial pmf ``walk_pmf``; d=2 uses the
-    independence of the rotated coordinates (z1+z2, z1-z2) and returns the
-    binary64 product of two correctly rounded factors (at most three
-    roundings from the exact value).  Both reach step counts far beyond the
-    dense-DP window.
-    """
-    z = as_point(z)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(z) == 1:
-        return float(walk_pmf(n, z[0]))
-    if len(z) == 2:
-        return float(walk_pmf(n, z[0] + z[1]) * walk_pmf(n, z[0] - z[1]))
-    raise ValueError("closed-form kernels are available for d <= 2 only")
 
 
 # --- killed kernels ---------------------------------------------------------
@@ -442,11 +429,7 @@ def exactness_audit(d: int, n_max: int) -> "AuditReport":
         if dev > worst_mass:
             worst_mass, worst_n = dev, n
         # wrong-parity cells: graph distance from origin has opposite parity to n
-        grids = np.meshgrid(*([np.arange(-n, n + 1)] * d), indexing="ij")
-        dist = np.zeros_like(grids[0])
-        for g in grids:
-            dist += np.abs(g)
-        off = field[(dist + n) % 2 == 1]
+        off = field[(_box_graph(d, n) + n) % 2 == 1]
         if off.size and float(np.abs(off).max()) != 0.0:
             parity_exact = False
         if n == 2:

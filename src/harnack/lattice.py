@@ -71,23 +71,23 @@ def ball_count(d: int, r: int) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDomain:
     """A finite set of lattice points with its outer boundary and neighbour array.
 
-    Fields over the domain are indexed in *closure order*: the ``interior``
-    (lexicographic) first, then the ``outer_boundary`` (lexicographic).
-    ``neighbor_index[i, k]`` is the closure index of the k-th neighbour of
-    interior point i, in :func:`neighbors` order, so an index ``>= len(D)``
-    is a step out of the domain.  Build one with :func:`make_ball` (which
-    also sets ``center``, ``radius`` and :meth:`key`) or :meth:`from_points`.
+    Fields over the domain are indexed in *closure order*: the interior
+    (lexicographic, ``coords``) first, then the outer boundary (``outer_coords``,
+    lexicographic).  ``neighbor_index[i, k]`` is the closure index of the
+    k-th neighbour of interior point i, in :func:`neighbors` order, so an
+    index ``>= len(D)`` is a step out of the domain.  The point tuples and
+    ``index_map`` are built on first use.  Build one with :func:`make_ball`
+    (which also sets ``center``, ``radius`` and :meth:`key`) or
+    :meth:`from_points`.  Domains compare by identity.
     """
 
-    interior: tuple[Point, ...]
-    outer_boundary: tuple[Point, ...]
-    coords: np.ndarray = field(compare=False, repr=False)
-    neighbor_index: np.ndarray = field(compare=False, repr=False)
-    index_map: dict[Point, int] = field(compare=False, repr=False)
+    coords: np.ndarray = field(repr=False)
+    outer_coords: np.ndarray = field(repr=False)
+    neighbor_index: np.ndarray = field(repr=False)
     center: Point | None = None
     radius: int | None = None
 
@@ -124,21 +124,23 @@ class FiniteDomain:
         box[tuple(steps[:, out])] = -2
         outer = np.argwhere(box == -2)
         box[tuple(outer.T)] = m + np.arange(len(outer))
-        neighbor_index = box[tuple(steps)]
-        coords = inner + lo
-        for arr in (coords, neighbor_index):
+        arrays = (inner + lo, outer + lo, box[tuple(steps)])
+        for arr in arrays:
             arr.setflags(write=False)
-        interior = tuple(map(tuple, coords.tolist()))
-        outer_boundary = tuple(map(tuple, (outer + lo).tolist()))
-        return cls(
-            interior=interior,
-            outer_boundary=outer_boundary,
-            coords=coords,
-            neighbor_index=neighbor_index,
-            index_map=dict(zip(interior + outer_boundary, range(m + len(outer)))),
-            center=center,
-            radius=radius,
-        )
+        return cls(*arrays, center=center, radius=radius)
+
+    @cached_property
+    def interior(self) -> tuple[Point, ...]:
+        return tuple(map(tuple, self.coords.tolist()))
+
+    @cached_property
+    def outer_boundary(self) -> tuple[Point, ...]:
+        return tuple(map(tuple, self.outer_coords.tolist()))
+
+    @cached_property
+    def index_map(self) -> dict[Point, int]:
+        """Closure index of every interior and outer-boundary point."""
+        return {p: i for i, p in enumerate(self.closure)}
 
     @property
     def closure(self) -> tuple[Point, ...]:
@@ -146,10 +148,10 @@ class FiniteDomain:
 
     @property
     def dimension(self) -> int:
-        return len(self.interior[0])
+        return self.coords.shape[1]
 
     def __len__(self) -> int:
-        return len(self.interior)
+        return len(self.coords)
 
     def __contains__(self, p: object) -> bool:
         """Membership of the interior."""
@@ -168,7 +170,7 @@ class FiniteDomain:
         ``subset`` holds interior indices; a point is on its inner boundary
         when it lies in the subset and one of its neighbours does not.
         """
-        member = np.zeros(len(self.index_map), dtype=bool)
+        member = np.zeros(len(self) + len(self.outer_coords), dtype=bool)
         member[slice(len(self)) if subset is None else subset] = True
         return member[: len(self)] & ~member[self.neighbor_index].all(axis=1)
 

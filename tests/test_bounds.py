@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from harnack.bounds import (
     GaussianForm,
+    _EnvelopeFit,
     chain_certificate,
     chain_certificate_batch,
     gaussian_lower_audit,
@@ -18,7 +19,7 @@ from harnack.bounds import (
     near_diagonal_audit,
     random_chain_instance,
 )
-from harnack.kernel import closed_form_n_step, walk_pmf
+from harnack.kernel import iter_free_fields, walk_pmf
 from harnack.lattice import make_ball
 from harnack.rng import philox
 
@@ -82,6 +83,102 @@ def test_gaussian_fit_audits_pass(d):
     assert upper.constants["U1"] >= 1.0
 
 
+def box_distances(d, n):
+    axes = np.meshgrid(*([np.arange(-n, n + 1)] * d), indexing="ij")
+    return sum(np.abs(a) for a in axes)
+
+
+def near_diagonal_n2_reference(d, n_max, L):
+    """N2 and its witness by the element-wise loop over every admissible box cell."""
+    n2, n2_witness, prev = math.inf, None, None
+    for n, field in iter_free_fields(d, n_max + 1):
+        if prev is not None:
+            m = n - 1
+            if 1 <= m <= n_max:
+                pair = prev + field[tuple(slice(1, s - 1) for s in field.shape)]
+                graph = box_distances(d, m)
+                admissible = np.maximum(graph * graph, 1) <= (L * L) * m
+                if admissible.any():
+                    cand = float(pair[admissible].min()) * m ** (d / 2.0)
+                    if cand < n2:
+                        n2, n2_witness = cand, {"n": m, "value": cand}
+        prev = field
+    return n2, n2_witness
+
+
+def gaussian_lower_reference(d, n_max, grid):
+    """Amplitudes and binding steps, evaluating every admissible cell at every decay."""
+    log_amp = np.full(grid.shape, np.inf)
+    witness_n = np.zeros(grid.shape, dtype=int)
+    prev = None
+    for n, field in iter_free_fields(d, n_max + 1):
+        if prev is not None:
+            m = n - 1
+            if m >= 1:
+                pair = prev + field[tuple(slice(1, s - 1) for s in field.shape)]
+                graph = box_distances(d, m)
+                mask = graph <= m
+                logs = np.log(pair[mask]) + (d / 2.0) * math.log(m)
+                ratio = (graph[mask].astype(float) ** 2) / m
+                cand = (logs[None, :] + grid[:, None] * ratio[None, :]).min(axis=1)
+                better = cand < log_amp
+                log_amp[better] = cand[better]
+                witness_n[better] = m
+        prev = field
+    return np.exp(log_amp), witness_n
+
+
+def gaussian_upper_reference(d, n_max, grid):
+    """Amplitudes and binding steps, evaluating every positive cell at every decay."""
+    log_amp = np.full(grid.shape, -np.inf)
+    witness_n = np.zeros(grid.shape, dtype=int)
+    for n, field in iter_free_fields(d, n_max):
+        graph = box_distances(d, n)
+        t = max(n, 1)
+        mask = field > 0
+        logs = np.log(field[mask]) + (d / 2.0) * math.log(t)
+        ratio = (graph[mask].astype(float) ** 2) / t
+        cand = (logs[None, :] + grid[:, None] * ratio[None, :]).max(axis=1)
+        better = cand > log_amp
+        log_amp[better] = cand[better]
+        witness_n[better] = n
+    return np.exp(log_amp), witness_n
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 96), (2, 48), (3, 20)])
+def test_shell_fits_equal_the_element_wise_loops(d, n_max):
+    for L in (0.5, 0.7):
+        report = near_diagonal_audit(d, n_max, L=L)
+        n2, n2_witness = near_diagonal_n2_reference(d, n_max, L)
+        assert report.constants["N2"] == n2
+        assert report.worst["N2_at"] == n2_witness
+    grid = np.geomspace(1.0 / 64, 8.0, 32)
+    report = gaussian_lower_audit(d, n_max, grid)
+    amplitudes, witness_n = gaussian_lower_reference(d, n_max, grid)
+    best = int(amplitudes.argmax())
+    assert report.rows == [{"decay": float(c), "amplitude": float(a)} for c, a in zip(grid, amplitudes)]
+    assert report.constants == {"L1": float(amplitudes[best]), "L2": float(grid[best])}
+    assert report.worst == {"binding_n": int(witness_n[best])}
+    grid = np.geomspace(1.0 / 64, 0.9 * math.log(2 * d), 32)
+    report = gaussian_upper_audit(d, n_max, grid)
+    amplitudes, witness_n = gaussian_upper_reference(d, n_max, grid)
+    best = int(amplitudes.argmin())
+    assert report.rows == [{"decay": float(c), "amplitude": float(a)} for c, a in zip(grid, amplitudes)]
+    assert report.constants == {"U1": float(amplitudes[best]), "U2": float(grid[best])}
+    assert report.worst == {"binding_n": int(witness_n[best])}
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_envelope_fit_ties_go_to_the_earliest_fold_then_the_nearest_shell(lower):
+    # With decay 0 both shells give log 0.5; with decay 1 the far shell is
+    # larger, so the lower fit binds at r = 0 and the upper fit at r = 1.
+    fit = _EnvelopeFit(1, np.array([0.0, 1.0]), lower=lower)
+    fit.fold(np.array([0.5, 0.5]), 1, lambda r: ("first", r))
+    fit.fold(np.array([0.5, 0.5]), 1, lambda r: ("second", r))
+    assert fit.witness == [("first", 0), ("first", 0 if lower else 1)]
+    assert fit.log_amp.tolist() == [np.log(0.5), np.log(0.5) + (0.0 if lower else 1.0)]
+
+
 def test_chain_certificate_on_a_long_range_pair():
     cert = chain_certificate((0, 0), (40, -40), 9000, 0.8)
     assert cert.valid
@@ -92,7 +189,7 @@ def test_chain_certificate_on_a_long_range_pair():
     assert cert.product <= cert.direct_value
     assert cert.log_product <= math.log(cert.direct_value)
     # The direct value is the parity-paired exact kernel (closed form).
-    paired = closed_form_n_step((40, -40), 9000) + closed_form_n_step((40, -40), 9001)
+    paired = sum(float(walk_pmf(n, 0) * walk_pmf(n, 80)) for n in (9000, 9001))
     assert cert.direct_value == pytest.approx(paired, rel=1e-10)
 
 

@@ -13,7 +13,6 @@ from harnack.green import (
     equivalence_audit,
     green_solve,
     green_table_series,
-    green_value_floor,
     killed_lower_audit,
     ugi_audit,
 )
@@ -61,6 +60,15 @@ def test_table_symmetry_positivity_and_diagonal_dominance():
     assert np.abs(G - G.T).max() <= 1e-12
     # Visits to y are maximised from y itself (strong maximum principle).
     assert (G.max(axis=0) == G.diagonal()).all()
+
+
+def green_value_floor(d, R):
+    """Provable floor for every Green entry of ``B(x0, R)``.
+
+    Any two ball points are joined by an l1 geodesic inside the ball, so
+    ``g_B(x, y) >= p_dist^B(x, y) >= (2d)^{-dist} >= (2d)^{-2R}``.
+    """
+    return float((2 * d) ** (-2 * R))
 
 
 @pytest.mark.parametrize("d,R", [(1, 4), (1, 8), (2, 4), (2, 8)])
@@ -149,7 +157,51 @@ def test_killed_lower_audit_passes():
 
 
 def killed_lower_reference(d, r_values, grid):
-    """The per-start, per-step, per-decay loop the batched audit replaced."""
+    """Per start, per step and per decay in log space, with the audit's tie rule.
+
+    Every admissible (start, target, m) is a candidate
+    ``log pair + (d/2) log m + c dist^2 / m``; among equal minima the
+    smallest (m, dist, pair, start, target) wins.
+    """
+    rows, worst = [], None
+    for R in sorted(r_values):
+        B = make_ball((0,) * d, R)
+        P = killed_matrix(B)
+        half = B.within(R // 2)
+        best = [None] * len(grid)  # (log value, tie key, witness) per decay
+        for si, xi in enumerate(half):
+            dist = np.abs(B.coords[half] - B.coords[xi]).sum(axis=1)
+            vec = np.zeros(len(B))
+            vec[xi] = 1.0
+            prev = None
+            for n in range(R * R + 2):
+                if n > 0:
+                    vec = P @ vec
+                m = n - 1
+                if prev is not None and m >= 1:
+                    sel = np.flatnonzero(dist <= m)
+                    pair = (prev + vec)[half][sel]
+                    dd = dist[sel].astype(float)
+                    logs = np.log(pair) + (d / 2.0) * math.log(m)
+                    for gi, c in enumerate(grid):
+                        vals = logs + c * (dd * dd / m)
+                        for k in np.flatnonzero(vals == vals.min()):
+                            key = (m, dist[sel[k]], pair[k], si, sel[k])
+                            if best[gi] is None or (vals[k], key) < best[gi][:2]:
+                                y = B.interior[half[sel[k]]]
+                                best[gi] = (vals[k], key, {"R": R, "x": B.interior[xi], "y": y, "n": m})
+                prev = vec
+        amp = np.exp(np.array([b[0] for b in best]))
+        gi = int(np.argmax(amp))
+        a_hat, c_hat = float(amp[gi]), float(grid[gi])
+        rows.append({"R": R, "A": a_hat, "C": c_hat})
+        if worst is None or a_hat < worst.get("A", math.inf):
+            worst = {"A": a_hat, "C": c_hat, **best[gi][2]}
+    return rows, worst
+
+
+def killed_lower_linear_reference(d, r_values, grid):
+    """The linear-space fit: per start, per step and per decay, ``pair * m^(d/2) * exp(c dist^2 / m)``."""
     rows, worst = [], None
     for R in sorted(r_values):
         B = make_ball((0,) * d, R)
@@ -190,13 +242,28 @@ def killed_lower_reference(d, r_values, grid):
     return rows, worst
 
 
-@pytest.mark.parametrize("d,r_values", [(1, [1, 2, 3, 4, 5, 6]), (2, [2, 3, 4, 5, 6]), (3, [2, 4, 6])])
+KILLED_GRIDS = [(1, [1, 2, 3, 4, 5, 6]), (2, [2, 3, 4, 5, 6]), (3, [2, 4, 6])]
+
+
+@pytest.mark.parametrize("d,r_values", KILLED_GRIDS)
 def test_batched_killed_lower_matches_per_start_loop(d, r_values):
     grid = np.geomspace(1.0 / 64, 8.0, 32)
     report = killed_lower_audit(d, r_values)
     rows, worst = killed_lower_reference(d, r_values, grid)
     assert report.rows == rows
     assert report.worst == worst
+
+
+@pytest.mark.parametrize("d,r_values", KILLED_GRIDS)
+def test_log_space_killed_fit_is_the_linear_fit_to_round_off(d, r_values):
+    grid = np.geomspace(1.0 / 64, 8.0, 32)
+    report = killed_lower_audit(d, r_values)
+    rows, worst = killed_lower_linear_reference(d, r_values, grid)
+    for got, want in zip(report.rows, rows, strict=True):
+        assert (got["R"], got["C"]) == (want["R"], want["C"])
+        assert abs(got["A"] - want["A"]) <= 1e-14 * want["A"]
+    assert abs(report.worst["A"] - worst["A"]) <= 1e-14 * worst["A"]
+    assert {**report.worst, "A": worst["A"]} == worst
 
 
 def test_comparability_ratio_frozen_and_stable():

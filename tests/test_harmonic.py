@@ -202,6 +202,29 @@ def test_index_balayage_matches_the_point_list_path(d, R):
         assert (np.abs(got - recon) <= 1e-13 * np.abs(recon)).all()
 
 
+def test_balayage_complement_solves_build_no_point_tuples(monkeypatch):
+    from harnack import harmonic
+
+    domains = []
+    from_points = FiniteDomain.from_points
+
+    def recording(points):
+        domains.append(from_points(points))
+        return domains[-1]
+
+    monkeypatch.setattr(harmonic.FiniteDomain, "from_points", recording)
+    B = make_ball((0, 0), 6)
+    h = random_harmonic(B, seed=4)
+    result = balayage(B, B.within(2, (1, -1)), h)
+    assert result.max_reconstruction_rel_error <= 1e-10
+    (Dc,) = domains
+    assert len(Dc) == len(B) - len(B.within(2, (1, -1)))
+    assert {"interior", "outer_boundary", "index_map"}.isdisjoint(vars(Dc))
+    # Built on first use, the tuples agree with the arrays.
+    assert Dc.interior == tuple(map(tuple, Dc.coords.tolist()))
+    assert Dc.index_map[Dc.outer_boundary[0]] == len(Dc)
+
+
 def test_balayage_of_constant_onto_the_center():
     # Sweeping the constant 1 onto {0} puts charge 1/g(0,0) there: the
     # reconstruction f(0) g(x, 0) must return 1 at 0, and g(0,0) = 2 on the

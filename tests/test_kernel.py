@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harnack.kernel import (
-    closed_form_n_step,
     exactness_audit,
     free_field,
     full_column,
@@ -64,6 +63,17 @@ def test_field_mass_and_parity(d):
         grids = np.meshgrid(*([np.arange(-n, n + 1)] * d), indexing="ij")
         dist = sum(np.abs(g) for g in grids)
         assert not field[(dist + n) % 2 == 1].any()
+
+
+def closed_form_n_step(z, n):
+    """``p_n(0, z)`` for d in {1, 2} from the correctly rounded 1-d pmf.
+
+    d=2 uses the independence of the rotated coordinates (z1+z2, z1-z2): the
+    binary64 product of two correctly rounded factors.
+    """
+    if len(z) == 1:
+        return float(walk_pmf(n, z[0]))
+    return float(walk_pmf(n, z[0] + z[1]) * walk_pmf(n, z[0] - z[1]))
 
 
 @given(
