@@ -5,15 +5,18 @@ expected number of visits to ``y`` before exiting, started at ``x``.  Two
 mandatory, independent computations are provided and cross-audited:
 
 ``series``
-    accumulates the killed kernels directly, even and odd starts advancing in
-    lockstep on the parity class their mass lives on (the walk is bipartite,
-    so the other class holds exact zeros), with an adaptive truncation: once
-    the per-step survival ratio stabilises below one, the remaining tail is
-    bounded geometrically by ``s_N * lam/(1 - lam)`` and iteration stops when
-    that certified bound drops below ``tol``.  Because the chain is
-    bipartite, survival ratios oscillate with period two; the
-    estimator takes the max of the last two consecutive ratios, which
-    dominates both phases.
+    accumulates the killed kernels directly for one start per orbit of the
+    domain's lattice symmetries (signed coordinate permutations about its
+    centre; ``g_B(gx, gy) = g_B(x, y)`` exactly), even and odd starts
+    advancing in lockstep on the parity class their mass lives on (the walk
+    is bipartite, so the other class holds exact zeros), with an adaptive
+    truncation per start: once the per-step survival ratio stabilises below
+    one, the remaining tail is bounded geometrically by
+    ``s_N * lam/(1 - lam)`` and iteration stops when every walked start's
+    certified bound is below ``tol``.  Because the chain is bipartite,
+    survival ratios oscillate with period two; the estimator takes the max
+    of the last two consecutive ratios, which dominates both phases.  Every
+    other column is gathered as the exact image of its representative's.
 
 ``solve``
     solves the defining linear system ``(I - P^B) G = I`` with a sparse LU
@@ -93,30 +96,40 @@ _TABLE_CACHE_MAX_ENTRIES = 16_000_000  # total cached float64 values
 def green_table_series(
     B: FiniteDomain, tol: float = 1e-10, max_steps: int = 200_000
 ) -> GreenTable:
-    """Full Green table by series accumulation, all starts advanced together.
+    """Full Green table by series accumulation over one start per symmetry orbit.
 
-    Even and odd starts advance in lockstep, each block on its live parity
-    class only, and accumulate into the four (row class, start class) blocks
-    of the table.  Each start certifies its own tail (staircase columns
-    reach their drop steps at different times); iteration ends when every
-    column's certified tail bound is below ``tol``.
+    The domain's lattice symmetries (:meth:`FiniteDomain.symmetries`) satisfy
+    ``g_B(gx, gy) = g_B(x, y)`` exactly, so only each orbit's representative,
+    its smallest interior index, is walked.  Even and odd representatives
+    advance in lockstep, each block on its live parity class only, and
+    accumulate into the (row class, start class) blocks of their columns;
+    each walked column holds the same sums as when every start is walked.
+    Each representative certifies its own tail (staircase columns reach
+    their drop steps at different times); iteration ends when every
+    representative's certified tail bound is below ``tol``.  Every other
+    column is then gathered as an image of its representative's,
+    ``G[:, j] = G[h x, r]`` for a map h taking j to r.  Without symmetry
+    every start is a representative.
     """
+    maps = B.symmetries()
+    rep = maps.min(axis=0)  # each point's orbit representative
     classes = parity_classes(B)
-    start_classes = [c for c in (0, 1) if len(classes[c])]
-    size = len(B)  # per-start arrays below run over the starts class by class
+    reps = [c[rep[c] == c] for c in classes]
+    start_classes = [c for c in (0, 1) if len(reps[c])]
     # one contiguous block per (row class, start class): adding in place into
     # strided views of one table is markedly slower
     parts = {
-        (r, c): np.zeros((len(classes[r]), len(classes[c])))
+        (r, c): np.zeros((len(classes[r]), len(reps[c])))
         for r in (0, 1)
         for c in start_classes
     }
-    s_prev2 = np.full(size, np.inf)
-    s_prev = np.ones(size)
-    certified = np.zeros(size, dtype=bool)
-    tail_bounds = np.full(size, np.inf)
+    count = sum(len(reps[c]) for c in start_classes)  # per-start arrays run class by class
+    s_prev2 = np.full(count, np.inf)
+    s_prev = np.ones(count)
+    certified = np.zeros(count, dtype=bool)
+    tail_bounds = np.full(count, np.inf)
     truncated = True
-    walks = [iter_killed_vectors(B, classes[c], max_steps) for c in start_classes]
+    walks = [iter_killed_vectors(B, reps[c], max_steps) for c in start_classes]
     for steps in zip(*walks):
         n = steps[0][0]
         for c, (_, _, block) in zip(start_classes, steps):
@@ -139,9 +152,15 @@ def green_table_series(
             truncated = False
             break
         s_prev2, s_prev = s_prev, s
-    table = np.zeros((size, size))
+    table = np.zeros((len(B), len(B)))
     for (r, c), part in parts.items():
-        table[np.ix_(classes[r], classes[c])] = part
+        table[np.ix_(classes[r], reps[c])] = part
+    # map h takes column j to its representative; the identity (row 0) keeps
+    # the representatives, every other map fills its columns by one gather
+    image_of = np.argmax(maps == rep, axis=0)
+    for h in np.unique(image_of[image_of > 0]):
+        cols = np.flatnonzero(image_of == h)
+        table[:, cols] = table[np.ix_(maps[h], rep[cols])]
     meta = {
         "terms": n,
         "tail_bound": float(tail_bounds.max()) if not truncated else math.inf,
@@ -171,8 +190,7 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
     else:
         columns = tuple(int(c) for c in columns)
         rhs = np.zeros((size, len(columns)))
-        for j, c in enumerate(columns):
-            rhs[c, j] = 1.0
+        rhs[list(columns), np.arange(len(columns))] = 1.0
     values = lu.solve(rhs)
     residual = float(np.abs(identity_minus(B) @ values - rhs).max())
     if residual >= RESIDUAL_TOL:
@@ -408,8 +426,9 @@ def equivalence_audit(
         solved = green_solve(B)
         min_entry = float(solved.values.min())
         series = green_table_series(B, tol=0.01 * rel_tol * min_entry)
-        rel = float(np.abs(series.values - solved.values).max() / min_entry)
-        rel_entry = float((np.abs(series.values - solved.values) / solved.values).max())
+        gap = np.abs(series.values - solved.values)
+        rel = float(gap.max() / min_entry)
+        rel_entry = float((gap / solved.values).max())
         asym = float(
             np.abs(solved.values - solved.values.T).max() / min_entry
         )

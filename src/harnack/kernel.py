@@ -261,14 +261,19 @@ def identity_minus(D: FiniteDomain) -> sp.csc_matrix:
 
 
 def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
-    """The substochastic one-step matrix ``P^B`` of a ball (memoized, read-only)."""
-    key = B.key()
+    """The substochastic one-step matrix ``P^B`` of a domain (read-only).
+
+    A ball's is memoized; any other domain's is built afresh.
+    """
+    key = None if B.radius is None else B.key()
     with _KILLED_LOCK:
         if key in _KILLED:
             return _KILLED[key]
     mat = killed_operator(B)
     for arr in (mat.data, mat.indices, mat.indptr):
         _frozen(arr)
+    if key is None:
+        return mat
     with _KILLED_LOCK:
         return _KILLED.setdefault(key, mat)
 

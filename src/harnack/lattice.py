@@ -16,10 +16,13 @@ A :class:`FiniteDomain` (a ball or any finite point set) indexes its interior
 lexicographically, then its outer boundary, and stores the closure indices of
 every interior point's 2d neighbours, so that every other module addresses
 fields as flat numpy vectors and builds lattice operators from one array.
+It also finds the domain's lattice symmetries as index maps, so that walk
+quantities invariant under them need only be computed once per orbit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -183,6 +186,38 @@ class FiniteDomain:
         """Interior indices at graph distance <= r from ``center`` (default: the ball's)."""
         center = self.center if center is None else center
         return np.flatnonzero(np.abs(self.coords - np.array(center)).sum(axis=1) <= r)
+
+    def symmetries(self) -> np.ndarray:
+        """Index images of the domain's lattice symmetries, one row per map.
+
+        The maps are the signed coordinate permutations about the centre of
+        the interior's bounding box (any such map of the interior onto
+        itself fixes that centre) that carry the interior onto itself:
+        ``out[k, i]`` is the interior index of the image of point i under
+        map k.  Row 0 is the identity; an asymmetric domain has no other
+        row.  Coordinates are doubled about the centre, so half-integer
+        centres need no special case.  The maps preserve the nearest-neighbour
+        graph, so every walk quantity of the domain is invariant under them.
+        """
+        lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
+        doubled = 2 * self.coords - (lo + hi)
+        box = np.full(tuple(hi - lo + 1), -1, dtype=np.int64)
+        box[tuple((self.coords - lo).T)] = np.arange(len(self))
+        maps = []
+        for perm in itertools.permutations(range(self.dimension)):
+            for signs in itertools.product((1, -1), repeat=self.dimension):
+                image = doubled[:, perm] * np.array(signs) + (lo + hi)
+                if (image % 2).any():
+                    continue  # the map does not carry lattice points to lattice points
+                cells = image // 2 - lo
+                if (cells < 0).any() or (cells > hi - lo).any():
+                    continue
+                index = box[tuple(cells.T)]
+                if (index >= 0).all():
+                    maps.append(index)
+        out = np.stack(maps)
+        out.setflags(write=False)
+        return out
 
     def key(self) -> tuple[Point, int]:
         """Hashable identity of a ball, used for module-level caches."""

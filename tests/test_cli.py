@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, determinism, formats, cache wiring."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harnack
 from harnack.cli import EXIT_AUDIT_FAILURE, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, main
 
 
@@ -175,3 +180,13 @@ def test_cache_without_directory_is_usage_error(capsys, monkeypatch):
     monkeypatch.delenv("HARNACK_CACHE_DIR", raising=False)
     assert run_cli(["cache", "list"]) == EXIT_USAGE
     assert "cache-dir" in capsys.readouterr().err
+
+
+def test_python_dash_m_harnack_runs_the_cli():
+    src = str(Path(harnack.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "harnack", "--help"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "all" in done.stdout

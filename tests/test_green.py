@@ -17,7 +17,7 @@ from harnack.green import (
     ugi_audit,
 )
 from harnack.kernel import killed_matrix
-from harnack.lattice import graph_distance, make_ball
+from harnack.lattice import FiniteDomain, graph_distance, make_ball
 
 # Expected visit counts on the 3-point interval, from inverting the 3x3
 # system by hand: (I - P)^-1 with P the nearest-neighbour half matrix.
@@ -88,7 +88,7 @@ def test_row_series_matches_table_column():
 
 
 def series_reference(B, tol):
-    """The series over full-interior blocks that the parity-split series replaced."""
+    """The series over full-interior blocks, every start walked: (table, terms, tail bound per start)."""
     size = len(B)
     P = killed_matrix(B)
     current = np.eye(size)
@@ -112,7 +112,30 @@ def series_reference(B, tol):
         tail_bounds[newly] = tails[newly]
         certified |= newly
         s_prev2, s_prev = s_prev, s
-    return table, n, float(tail_bounds.max())
+    return table, n, tail_bounds
+
+
+def assert_orbit_series(D):
+    """Walked columns are the all-starts series bit for bit; the rest are their exact images.
+
+    Column j is the image of its representative r under the first map h with
+    ``h j = r``, so ``G[:, j]`` must equal the reference's ``G[h x, r]``
+    exactly.  The reported tail bound is the largest certified bound of the
+    walked (representative) starts, so it is compared with the reference's
+    per-start bounds over those starts.
+    """
+    series = green_table_series(D, tol=1e-12)
+    table, terms, tail_bounds = series_reference(D, 1e-12)
+    maps = D.symmetries()
+    rep = maps.min(axis=0)
+    walked = np.flatnonzero(rep == np.arange(len(D)))
+    assert np.array_equal(series.values[:, walked], table[:, walked])
+    for j in np.flatnonzero(rep != np.arange(len(D))):
+        h = np.flatnonzero(maps[:, j] == rep[j])[0]
+        assert np.array_equal(series.values[:, j], table[maps[h], rep[j]])
+    assert series.meta["terms"] == terms
+    assert series.meta["tail_bound"] == tail_bounds[walked].max()
+    return series, table
 
 
 @pytest.mark.parametrize(
@@ -120,12 +143,21 @@ def series_reference(B, tol):
 )
 def test_parity_split_series_equals_full_block_series(center, radii):
     for R in radii:
-        B = make_ball(center, R)
-        series = green_table_series(B, tol=1e-12)
-        table, terms, tail_bound = series_reference(B, 1e-12)
-        assert np.array_equal(series.values, table)
-        assert series.meta["terms"] == terms
-        assert series.meta["tail_bound"] == tail_bound
+        assert_orbit_series(make_ball(center, R))
+
+
+def test_asymmetric_domain_walks_every_start():
+    L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
+    assert len(L.symmetries()) == 1
+    series, table = assert_orbit_series(L)
+    assert np.array_equal(series.values, table)
+
+
+def test_half_integer_centred_domain_walks_one_start_per_orbit():
+    # centre (1/2, 1): the x reflection swaps the parity classes
+    D = FiniteDomain.from_points([(x, y) for x in range(2) for y in range(3)])
+    assert len(np.unique(D.symmetries().min(axis=0))) == 2
+    assert_orbit_series(D)
 
 
 def test_column_restricted_solve_matches_full():

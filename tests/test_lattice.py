@@ -1,11 +1,14 @@
 """Lattice geometry: metric, balls, boundaries, chains."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack.kernel import killed_matrix
 from harnack.lattice import (
     CHAIN_LENGTH_CAP,
     FiniteDomain,
@@ -130,3 +133,68 @@ def test_volume_audit_passes():
         assert v1 >= 2**d / math.factorial(d)
         if d == 2:
             assert v1 <= 2 * d
+
+
+def assert_symmetries(D):
+    """Row 0 is the identity, every row permutes the interior and keeps P^D."""
+    maps = D.symmetries()
+    assert np.array_equal(maps[0], np.arange(len(D)))
+    assert len({tuple(row) for row in maps.tolist()}) == len(maps)
+    P = killed_matrix(D).toarray()
+    for row in maps:
+        assert np.array_equal(np.sort(row), np.arange(len(D)))
+        assert np.array_equal(P[np.ix_(row, row)], P)
+    return maps
+
+
+@pytest.mark.parametrize("d,R", [(1, 6), (2, 5), (3, 4)])
+def test_origin_ball_has_the_full_group_and_one_orbit_per_sorted_abs(d, R):
+    B = make_ball((0,) * d, R)
+    maps = assert_symmetries(B)
+    assert len(maps) == 2**d * math.factorial(d)
+    rep = maps.min(axis=0)
+    keys = [tuple(sorted(abs(c) for c in x)) for x in B.interior]
+    assert len(set(rep.tolist())) == len(set(keys))
+    for i, j in itertools.combinations(range(len(B)), 2):
+        assert (rep[i] == rep[j]) == (keys[i] == keys[j])
+
+
+@given(
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+@settings(max_examples=25, deadline=None)
+def test_shifted_ball_finds_its_group_about_its_center(d, R, center):
+    B = make_ball(center[:d], R)
+    maps = assert_symmetries(B)
+    c = np.array(B.center)
+    want = set()
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            image = (B.coords - c)[:, perm] * np.array(signs) + c
+            want.add(tuple(B.index_of(tuple(p)) for p in image.tolist()))
+    assert {tuple(row) for row in maps.tolist()} == want
+
+
+@pytest.mark.parametrize(
+    "points,images",
+    [
+        ([(0,), (1,)], [[0, 1], [1, 0]]),  # centre 1/2
+        ([(0, 0), (0, 1), (1, 0), (1, 1)], None),  # centre (1/2, 1/2): all 8 maps
+        ([(x, y) for x in range(2) for y in range(3)], [[0, 1, 2, 3, 4, 5], [2, 1, 0, 5, 4, 3], [3, 4, 5, 0, 1, 2], [5, 4, 3, 2, 1, 0]]),
+    ],
+)
+def test_half_integer_centres_find_their_reflections(points, images):
+    D = FiniteDomain.from_points(points)
+    maps = assert_symmetries(D)
+    if images is None:
+        assert len(maps) == 8
+        assert (maps.min(axis=0) == 0).all()
+    else:
+        assert sorted(maps.tolist()) == images
+
+
+def test_asymmetric_domain_has_the_identity_alone():
+    L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
+    assert np.array_equal(assert_symmetries(L), [np.arange(len(L))])
