@@ -32,34 +32,23 @@ cli
     The ``harnack`` command-line audit runner.
 """
 
-from . import bounds, cache, ehi, exit_time, green, harmonic, kernel, lattice, report
-from .bounds import (
-    ChainCertificate,
-    GaussianForm,
-    InfeasibleCertificateError,
-    chain_certificate,
-    gaussian_lower_audit,
-    gaussian_upper_audit,
-    lclt_error_scan,
-    near_diagonal_audit,
-)
-from .ehi import HarnackRecord, d1_harnack_constant, harnack_constant_exact
-from .exit_time import ExitCdf, McEstimate, chernoff_bound, exact_exit_cdf, mc_exit_sample
-from .green import GreenTable, SolverError, green_solve, green_table_series
-from .harmonic import (
-    BalayageError,
-    BalayageResult,
-    LatticeField,
-    balayage,
-    dirichlet_iterate,
-    dirichlet_mc,
-    dirichlet_solve,
-    harmonic_measure,
-    laplacian,
-)
-from .kernel import free_field, n_step, survival
-from .lattice import BallChain, FiniteDomain, build_ball_chain, graph_distance, make_ball
-from .report import AuditReport, ReportEnvelope, SCHEMA_VERSION
+import importlib
+
+# Public names resolve on first access, so ``import harnack`` loads no SciPy.
+_SOURCES = {
+    "bounds": "ChainCertificate GaussianForm InfeasibleCertificateError chain_certificate "
+    "gaussian_lower_audit gaussian_upper_audit lclt_error_scan near_diagonal_audit",
+    "ehi": "HarnackRecord d1_harnack_constant harnack_constant_exact",
+    "exit_time": "ExitCdf McEstimate chernoff_bound exact_exit_cdf mc_exit_sample",
+    "green": "GreenTable SolverError green_solve green_table_series",
+    "harmonic": "BalayageError BalayageResult LatticeField balayage dirichlet_iterate "
+    "dirichlet_mc dirichlet_solve harmonic_measure laplacian",
+    "kernel": "free_field n_step survival",
+    "lattice": "BallChain FiniteDomain build_ball_chain graph_distance make_ball",
+    "report": "AuditReport ReportEnvelope SCHEMA_VERSION",
+    "cache": "",
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
@@ -124,3 +113,11 @@ __all__ = [
     "cache",
     "report",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SOURCES:
+        return importlib.import_module("." + name, __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

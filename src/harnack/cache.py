@@ -36,7 +36,6 @@ from typing import Any
 
 import numpy as np
 
-from . import kernel
 from .lattice import Point, as_point, ball_count, make_ball
 from .rng import philox
 
@@ -198,6 +197,8 @@ class KernelCache:
         return removed
 
     def _rederive(self, rec: CacheRecord) -> bytes:
+        from . import kernel
+        from .green import green_solve
         if rec.kind == KIND_FREE:
             return encode_free(rec.dimension, rec.n, kernel.free_field(rec.dimension, rec.n))
         if rec.kind == KIND_KILLED:
@@ -208,8 +209,6 @@ class KernelCache:
             vec = kernel.full_column(ball, rows, block)
             return encode_killed(rec.center, rec.radius, rec.start, rec.n, vec)
         if rec.kind == KIND_GREEN:
-            from .green import green_solve
-
             assert rec.center is not None and rec.radius is not None
             table = green_solve(make_ball(rec.center, rec.radius))
             return encode_green(rec.center, rec.radius, table.values)

@@ -36,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-from . import bounds, ehi, exit_time, green, harmonic, kernel
 from .cache import KernelCache
 from .lattice import make_ball
 from .report import AuditReport, ReportEnvelope, write_json_atomic
@@ -178,7 +177,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Audit task assembly: one list of zero-argument callables per subcommand.
+# Audit tasks, one list per subcommand; builders import their audit modules,
+# so the cache commands load no SciPy.
 # ---------------------------------------------------------------------------
 
 AuditTask = Callable[[], AuditReport]
@@ -190,6 +190,7 @@ def _dp_step_cap(cfg: RunConfig) -> int:
 
 
 def _kernel_tasks(cfg: RunConfig) -> list[AuditTask]:
+    from . import kernel
     n_cap = _dp_step_cap(cfg)
     tasks: list[AuditTask] = [lambda: kernel.exactness_audit(cfg.dim, n_cap)]
     if cfg.dim == 2:
@@ -198,6 +199,7 @@ def _kernel_tasks(cfg: RunConfig) -> list[AuditTask]:
 
 
 def _bounds_tasks(cfg: RunConfig) -> list[AuditTask]:
+    from . import bounds
     n_cap = _dp_step_cap(cfg)
     lo = 16 if n_cap >= 32 else max(2, n_cap // 2)
     tasks: list[AuditTask] = [
@@ -213,6 +215,7 @@ def _bounds_tasks(cfg: RunConfig) -> list[AuditTask]:
 
 
 def _exit_tasks(cfg: RunConfig) -> list[AuditTask]:
+    from . import exit_time
     radius = cfg.r_min
     return [
         lambda: exit_time.chernoff_audit(cfg.dim, cfg.radius_grid()),
@@ -228,6 +231,7 @@ def _exit_tasks(cfg: RunConfig) -> list[AuditTask]:
 
 
 def _green_tasks(cfg: RunConfig) -> list[AuditTask]:
+    from . import green
     radii = cfg.radius_grid()
     # Dense-table and killed-kernel sweeps cost O(R^2) DP steps over O(R^d)
     # points per start; keep their grids at moderate radii.
@@ -251,6 +255,7 @@ def _green_tasks(cfg: RunConfig) -> list[AuditTask]:
 
 
 def _dirichlet_tasks(cfg: RunConfig) -> list[AuditTask]:
+    from . import harmonic
     radius = min(cfg.r_max, 16)
     return [
         lambda: harmonic.dirichlet_triple_audit(
@@ -260,6 +265,7 @@ def _dirichlet_tasks(cfg: RunConfig) -> list[AuditTask]:
 
 
 def _balayage_tasks(cfg: RunConfig) -> list[AuditTask]:
+    from . import harmonic
     radii = [R for R in cfg.radius_grid() if R <= 16] or [cfg.r_min]
     return [
         lambda: harmonic.balayage_batch_audit(
@@ -269,6 +275,7 @@ def _balayage_tasks(cfg: RunConfig) -> list[AuditTask]:
 
 
 def _ehi_tasks(cfg: RunConfig) -> list[AuditTask]:
+    from . import ehi
     if cfg.dim == 1:
         small_grid = list(range(1, min(32, cfg.r_max) + 1))
         return [
@@ -319,6 +326,7 @@ def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
 
 def _populate_cache(cfg: RunConfig) -> int:
     """Write the run's kernels/tables into the binary cache; returns count."""
+    from . import green, kernel
     cache = KernelCache(cfg.cache_dir)
     written = 0
     try:

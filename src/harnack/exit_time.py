@@ -245,24 +245,26 @@ def exit_walks(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     m, steps = D.neighbor_index.shape
-    start = D.index_of(x)
+    table = (D.neighbor_index * steps).astype(np.int32).ravel()  # row offsets of the neighbours
+    start = D.index_of(x) * steps
     done = 0
     block_index = 0
     while done < samples:
         count = min(_MC_BLOCK, samples - done)
         rng = philox(seed, stream=(stream << 32) | block_index)
-        pos = np.full(count, start)  # closure index of each walker still inside
+        pos = np.full(count, start, dtype=np.int32)  # row offset of each walker still inside
         active = np.arange(count)
         exit_step = np.full(count, step_cap + 1, dtype=np.int64)
         exit_index = np.full(count, -1, dtype=np.int64)
         for n in range(1, step_cap + 1):
             if active.size == 0:
                 break
-            pos = D.neighbor_index[pos, rng.integers(0, steps, size=active.size)]
-            hit = pos >= m
+            # int32 draws equal the int64 ones: one 32-bit bounded draw per value either way
+            pos = table.take(pos + rng.integers(0, steps, size=active.size, dtype=np.int32))
+            hit = pos >= m * steps
             if hit.any():
                 exit_step[active[hit]] = n
-                exit_index[active[hit]] = pos[hit] - m
+                exit_index[active[hit]] = pos[hit] // steps - m
                 pos = pos[~hit]
                 active = active[~hit]
         yield exit_step, exit_index

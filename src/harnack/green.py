@@ -36,6 +36,7 @@ chained Harnack certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 
 RESIDUAL_TOL = 1e-10
+_WINDOW = 64  # series steps pulled and certified together
 
 __all__ = [
     "GreenTable",
@@ -106,10 +108,11 @@ def green_table_series(
     each walked column holds the same sums as when every start is walked.
     Each representative certifies its own tail (staircase columns reach
     their drop steps at different times); iteration ends when every
-    representative's certified tail bound is below ``tol``.  Every other
-    column is then gathered as an image of its representative's,
-    ``G[:, j] = G[h x, r]`` for a map h taking j to r.  Without symmetry
-    every start is a representative.
+    representative's certified tail bound is below ``tol``; steps are
+    certified ``_WINDOW`` at a time, and only those up to the stopping step
+    are accumulated.  Every other column is then gathered as an image of its
+    representative's, ``G[:, j] = G[h x, r]`` for a map h taking j to r.
+    Without symmetry every start is a representative.
     """
     maps = B.symmetries()
     rep = maps.min(axis=0)  # each point's orbit representative
@@ -124,34 +127,36 @@ def green_table_series(
         for c in start_classes
     }
     count = sum(len(reps[c]) for c in start_classes)  # per-start arrays run class by class
-    s_prev2 = np.full(count, np.inf)
-    s_prev = np.ones(count)
-    certified = np.zeros(count, dtype=bool)
-    tail_bounds = np.full(count, np.inf)
-    truncated = True
-    walks = [iter_killed_vectors(B, reps[c], max_steps) for c in start_classes]
-    for steps in zip(*walks):
-        n = steps[0][0]
-        for c, (_, _, block) in zip(start_classes, steps):
-            parts[(c + n) % 2, c] += block
-        if n == 0:
-            continue
-        s = np.concatenate([block.sum(axis=0) for _, _, block in steps])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(s_prev > 0, s / s_prev, 0.0)
-            rho = np.where(
-                np.isfinite(s_prev2) & (s_prev2 > 0), s / s_prev2, np.inf
-            )
-            one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
-            two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
-        tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
-        newly = ~certified & (tails < tol)
-        tail_bounds[newly] = tails[newly]
-        certified |= newly
-        if certified.all():
-            truncated = False
-            break
-        s_prev2, s_prev = s_prev, s
+    history = np.stack([np.full(count, np.inf), np.ones(count)])  # sums of steps n-2, n-1
+    tail_bounds = np.full(count, np.inf)  # finite once a start is certified
+    steps = zip(*[iter_killed_vectors(B, reps[c], max_steps) for c in start_classes])
+    window, sums = [next(steps)], []  # step 0 is accumulated, not certified
+    while window:
+        if sums:
+            # certify every step of the window at once: the same elementwise
+            # arithmetic as one step at a time, on (steps, starts) arrays
+            history = np.vstack([history[-2:], *sums])
+            s, s_prev, s_prev2 = history[2:], history[1:-1], history[:-2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = np.where(s_prev > 0, s / s_prev, 0.0)
+                rho = np.where(np.isfinite(s_prev2) & (s_prev2 > 0), s / s_prev2, np.inf)
+                one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
+                two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
+            tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
+            below = (tails < tol) & np.isinf(tail_bounds)
+            first = np.argmax(below, axis=0)  # each start's first certified step
+            newly = below.any(axis=0)
+            tail_bounds[newly] = tails[first[newly], np.flatnonzero(newly)]
+            if np.isfinite(tail_bounds).all():
+                window = window[: first[newly].max() + 1]
+        for step in window:
+            n = step[0][0]
+            for c, (_, _, block) in zip(start_classes, step):
+                parts[(c + n) % 2, c] += block
+        window, sums = [], []
+        for step in itertools.islice(steps, _WINDOW if np.isinf(tail_bounds).any() else 0):
+            window.append(step)  # summed now, while the blocks are in cache
+            sums.append(np.concatenate([block.sum(axis=0) for _, _, block in step]))
     table = np.zeros((len(B), len(B)))
     for (r, c), part in parts.items():
         table[np.ix_(classes[r], reps[c])] = part
@@ -163,9 +168,9 @@ def green_table_series(
         table[:, cols] = table[np.ix_(maps[h], rep[cols])]
     meta = {
         "terms": n,
-        "tail_bound": float(tail_bounds.max()) if not truncated else math.inf,
+        "tail_bound": float(tail_bounds.max()),  # inf if any start is uncertified
         "tol": tol,
-        "truncated": truncated,
+        "truncated": bool(np.isinf(tail_bounds).any()),
     }
     return GreenTable(domain=B, values=table, method="series", meta=meta)
 
@@ -175,10 +180,10 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
 
     ``columns`` restricts the solve to the given point indices (the returned
     ``values`` then has one column per requested index, in order).  Full
-    tables are memoized per ball and read-only.
+    tables are read-only, and a ball's are memoized.
     """
-    key = B.key()
-    if columns is None:
+    key = None if B.radius is None or columns is not None else B.key()
+    if key is not None:
         with _TABLE_LOCK:
             cached = _TABLE_CACHE.get(key)
         if cached is not None:
@@ -196,7 +201,7 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
     if residual >= RESIDUAL_TOL:
         raise SolverError(
             f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
-            f"on B({B.center}, {B.radius})"
+            f"on a domain of {size} points"
         )
     if columns is None:
         values.setflags(write=False)
@@ -207,7 +212,7 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
         meta={"residual": residual},
         columns=columns,
     )
-    if columns is None:
+    if key is not None:
         with _TABLE_LOCK:
             total = sum(t.values.size for t in _TABLE_CACHE.values())
             if total + values.size <= _TABLE_CACHE_MAX_ENTRIES:

@@ -17,19 +17,17 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import SuperLU, splu
 
 from .exit_time import McEstimate, exit_walks
-from .green import SolverError
-from .kernel import exit_steps, identity_minus, killed_lu, killed_matrix, killed_operator
+from .green import RESIDUAL_TOL, SolverError
+from .kernel import exit_steps, killed_lu, killed_matrix, killed_operator
 from .lattice import FiniteDomain, Point, as_point, make_ball
+from .report import AuditReport
 from .rng import philox
 
 _MC_STREAM = 0xD187  # stream tag for Dirichlet Monte Carlo draws
 _BOUNDARY_STREAM = 0x4A12  # stream tag for random boundary data
 _MC_STEP_CAP = 1 << 22  # safety cap; exit is a.s. finite and far faster
-
-RESIDUAL_TOL = 1e-10
 
 
 class BalayageError(RuntimeError):
@@ -110,11 +108,6 @@ def _assemble(D: FiniteDomain, interior: np.ndarray, bdata: np.ndarray) -> Latti
     return LatticeField(D.closure, np.concatenate([interior, bdata]), D.index_map)
 
 
-def _factor(D: FiniteDomain) -> SuperLU:
-    """The LU of ``I - P``: a ball's memoized factor, a fresh one for other domains."""
-    return killed_lu(D) if D.radius is not None else splu(identity_minus(D))
-
-
 def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     """Solve the boundary-value problem: harmonic inside, ``phi`` on ∂D.
 
@@ -132,7 +125,7 @@ def _dirichlet_interior(D: FiniteDomain, bdata: np.ndarray) -> np.ndarray:
     rows_b, cols_b, w = exit_steps(D)
     rhs = np.zeros(len(D))
     np.add.at(rhs, rows_b, w * bdata[cols_b])
-    interior = _factor(D).solve(rhs)
+    interior = killed_lu(D).solve(rhs)
     worst = float(np.abs(_laplacian_of(np.concatenate([interior, bdata]), D)).max())
     if worst > RESIDUAL_TOL:
         raise SolverError(f"max |laplacian| {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
@@ -198,7 +191,7 @@ def harmonic_measure(D: FiniteDomain, x) -> LatticeField:
     rows_b, cols_b, w = exit_steps(D)
     delta = np.zeros(len(D))
     delta[D.index_of(x)] = 1.0
-    u = _factor(D).solve(delta)
+    u = killed_lu(D).solve(delta)
     out = np.zeros(len(D.outer_coords))
     np.add.at(out, cols_b, w * u[rows_b])
     return LatticeField.over(D.outer_boundary, out)
@@ -214,7 +207,7 @@ def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
     rows_b, cols_b, w = exit_steps(D)
     rhs = np.zeros((len(D), len(D.outer_coords)))
     rhs[rows_b, cols_b] = w
-    return _factor(D).solve(rhs)
+    return killed_lu(D).solve(rhs)
 
 
 def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:
@@ -312,7 +305,7 @@ def dirichlet_triple_audit(
     seed: int = 0,
     agree_tol: float = 1e-8,
     z_cap: float = 4.0,
-) -> "AuditReport":
+) -> AuditReport:
     """Three independent Dirichlet routes must agree on seeded boundary data.
 
     The sparse linear solve, the clamped fixed-point iteration, and the
@@ -322,8 +315,6 @@ def dirichlet_triple_audit(
     value must equal the harmonic-measure average of the data exactly up to
     solver tolerance.
     """
-    from .report import AuditReport
-
     D = make_ball((0,) * d, R)
     rng = philox(seed, stream=_BOUNDARY_STREAM)
     phi = rng.uniform(0.0, 1.0, size=len(D.outer_coords))
@@ -369,7 +360,7 @@ def balayage_batch_audit(
     instances: int = 100,
     seed: int = 0,
     recon_tol: float = 1e-8,
-) -> "AuditReport":
+) -> AuditReport:
     """Run many seeded balayage instances and report the worst witnesses.
 
     Per instance: a random harmonic function (uniform boundary data) is
@@ -377,8 +368,6 @@ def balayage_batch_audit(
     1e-12, supported on the subset's inner boundary structurally, and must
     reconstruct the function on the subset within ``recon_tol`` relative.
     """
-    from .report import AuditReport
-
     rows = []
     worst_recon = -1.0
     worst = None

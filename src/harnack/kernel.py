@@ -51,6 +51,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import FiniteDomain, Point, as_point
+from .report import AuditReport
 
 __all__ = [
     "free_field",
@@ -279,16 +280,19 @@ def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
 
 
 def killed_lu(B: FiniteDomain) -> spla.SuperLU:
-    """The sparse LU factor of a ball's ``I - P^B`` (memoized per ball).
+    """The sparse LU factor of a domain's ``I - P^B``.
 
-    Green tables, Dirichlet solves and harmonic measures on the same ball
-    share this one factorization.
+    A ball's is memoized, so Green tables, Dirichlet solves and harmonic
+    measures on the same ball share one factorization; any other domain's
+    is factored afresh.
     """
-    key = B.key()
+    key = None if B.radius is None else B.key()
     with _LU_LOCK:
         if key in _LU_CACHE:
             return _LU_CACHE[key]
     factor = spla.splu(identity_minus(B))
+    if key is None:
+        return factor
     with _LU_LOCK:
         return _LU_CACHE.setdefault(key, factor)
 
@@ -411,7 +415,7 @@ def lazy_exit_survival_curve(S: int, n_max: int, d: int) -> np.ndarray:
     return out
 
 
-def exactness_audit(d: int, n_max: int) -> "AuditReport":
+def exactness_audit(d: int, n_max: int) -> AuditReport:
     """Audit the bit-level guarantees of the free-kernel DP up to ``n_max``.
 
     Checks, for every step count n <= n_max:
@@ -420,8 +424,6 @@ def exactness_audit(d: int, n_max: int) -> "AuditReport":
     - wrong-parity entries are *exactly* zero;
     - the return probability after two steps is *exactly* ``1/(2d)``.
     """
-    from .report import AuditReport
-
     if d < 1 or n_max < 2:
         raise ValueError("need d >= 1 and n_max >= 2")
     mass_tol = 1e-12
@@ -456,14 +458,12 @@ def exactness_audit(d: int, n_max: int) -> "AuditReport":
     )
 
 
-def projection_audit(n_max: int, tol: float = 1e-12) -> "AuditReport":
+def projection_audit(n_max: int, tol: float = 1e-12) -> AuditReport:
     """Audit the coordinate-projection law of the planar walk.
 
     Summing the 2-d kernel over one coordinate must reproduce the lazy 1-d
     walk (hold 1/2, move 1/4 each way) for every step count n <= n_max.
     """
-    from .report import AuditReport
-
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     worst = 0.0

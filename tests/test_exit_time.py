@@ -7,6 +7,7 @@ import pytest
 
 from harnack.exit_time import (
     chernoff_audit,
+    exit_walks,
     chernoff_bound,
     crude_tail_audit,
     exact_exit_cdf,
@@ -15,7 +16,8 @@ from harnack.exit_time import (
     mc_exit_sample,
 )
 from harnack.kernel import iter_killed_vectors
-from harnack.lattice import make_ball
+from harnack.lattice import as_point, make_ball
+from harnack.rng import philox
 
 
 def test_exit_cdf_matches_hand_enumeration():
@@ -110,3 +112,44 @@ def test_mc_consistency_audit_passes():
     report = mc_consistency_audit(1, 3, n_max=36, samples=20_000, seed=7)
     assert report.passed
     assert report.constants["max_z"] <= 4.0
+
+
+def exit_walks_reference(D, x, samples, seed, stream, step_cap):
+    """The walker indexing ``D.neighbor_index[pos, k]`` with int64 draws, block by block."""
+    m, steps = D.neighbor_index.shape
+    start = D.index_of(as_point(x))
+    done = 0
+    block_index = 0
+    while done < samples:
+        count = min(65_536, samples - done)
+        rng = philox(seed, stream=(stream << 32) | block_index)
+        pos = np.full(count, start)
+        active = np.arange(count)
+        exit_step = np.full(count, step_cap + 1, dtype=np.int64)
+        exit_index = np.full(count, -1, dtype=np.int64)
+        for n in range(1, step_cap + 1):
+            if active.size == 0:
+                break
+            pos = D.neighbor_index[pos, rng.integers(0, steps, size=active.size)]
+            hit = pos >= m
+            if hit.any():
+                exit_step[active[hit]] = n
+                exit_index[active[hit]] = pos[hit] - m
+                pos = pos[~hit]
+                active = active[~hit]
+        yield exit_step, exit_index
+        done += count
+        block_index += 1
+
+
+@pytest.mark.parametrize("d,R,x,step_cap", [(1, 5, (2,), 30), (2, 4, (1, -1), 20), (3, 3, (0, 1, 0), 12)])
+def test_exit_walks_match_the_reference_walker(d, R, x, step_cap):
+    B = make_ball((0,) * d, R)
+    blocks = list(exit_walks(B, x, 70_000, 5, 0xE417, step_cap))
+    reference = list(exit_walks_reference(B, x, 70_000, 5, 0xE417, step_cap))
+    assert len(blocks) == len(reference) == 2
+    for (step, index), (ref_step, ref_index) in zip(blocks, reference):
+        assert np.array_equal(step, ref_step) and np.array_equal(index, ref_index)
+        assert step.dtype == ref_step.dtype and index.dtype == ref_index.dtype
+    capped = np.concatenate([index for _, index in blocks]) < 0
+    assert 0 < capped.sum() < len(capped)  # some walkers outlast the cap, most exit

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harnack.green import (
+    _WINDOW,
+    RESIDUAL_TOL,
     comparability_audit,
     comparability_ratio,
     equivalence_audit,
@@ -16,7 +18,7 @@ from harnack.green import (
     killed_lower_audit,
     ugi_audit,
 )
-from harnack.kernel import killed_matrix
+from harnack.kernel import killed_matrix, parity_classes
 from harnack.lattice import FiniteDomain, graph_distance, make_ball
 
 # Expected visit counts on the 3-point interval, from inverting the 3x3
@@ -87,8 +89,12 @@ def test_row_series_matches_table_column():
     assert series.meta["terms"] > 0
 
 
-def series_reference(B, tol):
-    """The series over full-interior blocks, every start walked: (table, terms, tail bound per start)."""
+def series_reference(B, tol, max_steps=200_000):
+    """The series over full-interior blocks, every start walked: (table, terms, tail bound per start).
+
+    One step at a time, certifying after each step, as the series did before
+    it certified a window of steps at a time.
+    """
     size = len(B)
     P = killed_matrix(B)
     current = np.eye(size)
@@ -97,7 +103,7 @@ def series_reference(B, tol):
     certified = np.zeros(size, dtype=bool)
     tail_bounds = np.full(size, np.inf)
     n = 0
-    while not certified.all():
+    while not certified.all() and n < max_steps:
         n += 1
         current = P @ current
         table += current
@@ -115,7 +121,7 @@ def series_reference(B, tol):
     return table, n, tail_bounds
 
 
-def assert_orbit_series(D):
+def assert_orbit_series(D, max_steps=200_000, tol=1e-12):
     """Walked columns are the all-starts series bit for bit; the rest are their exact images.
 
     Column j is the image of its representative r under the first map h with
@@ -124,8 +130,8 @@ def assert_orbit_series(D):
     walked (representative) starts, so it is compared with the reference's
     per-start bounds over those starts.
     """
-    series = green_table_series(D, tol=1e-12)
-    table, terms, tail_bounds = series_reference(D, 1e-12)
+    series = green_table_series(D, tol=tol, max_steps=max_steps)
+    table, terms, tail_bounds = series_reference(D, tol, max_steps)
     maps = D.symmetries()
     rep = maps.min(axis=0)
     walked = np.flatnonzero(rep == np.arange(len(D)))
@@ -146,6 +152,34 @@ def test_parity_split_series_equals_full_block_series(center, radii):
         assert_orbit_series(make_ball(center, R))
 
 
+def test_windowed_certification_stops_where_one_step_certification_does():
+    # tiny balls certify inside the first window, d=1 R=16 after many windows;
+    # the d=3 R=1 ball's even class is a single row (the centre)
+    for center, R in (((0,), 0), ((0, 0), 1), ((0, 0, 0), 1)):
+        assert assert_orbit_series(make_ball(center, R))[0].meta["terms"] <= _WINDOW
+    assert len(parity_classes(make_ball((0, 0, 0), 1))[0]) == 1
+    assert assert_orbit_series(make_ball((0,), 16))[0].meta["terms"] > 10 * _WINDOW
+
+
+def test_series_matches_reference_at_every_stopping_position_in_a_window():
+    # 56 tolerances stop these two balls at every step position 0..63 of a window
+    positions = set()
+    for center, R in (((0,), 3), ((0, 0), 2)):
+        for k in range(8, 64):
+            series, _ = assert_orbit_series(make_ball(center, R), tol=10 ** (-k / 4))
+            positions.add((series.meta["terms"] - 1) % _WINDOW)
+    assert positions == set(range(_WINDOW))
+
+
+@pytest.mark.parametrize("center,R,max_steps", [((0,), 16, 5), ((0,), 16, 150), ((0, 0), 6, 3), ((0, 0), 6, 130)])
+def test_truncated_series_matches_reference(center, R, max_steps):
+    # max_steps inside the first window, and spanning several windows
+    series, _ = assert_orbit_series(make_ball(center, R), max_steps)
+    assert series.meta["truncated"]
+    assert series.meta["terms"] == max_steps
+    assert series.meta["tail_bound"] == math.inf
+
+
 def test_asymmetric_domain_walks_every_start():
     L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
     assert len(L.symmetries()) == 1
@@ -158,6 +192,16 @@ def test_half_integer_centred_domain_walks_one_start_per_orbit():
     D = FiniteDomain.from_points([(x, y) for x in range(2) for y in range(3)])
     assert len(np.unique(D.symmetries().min(axis=0))) == 2
     assert_orbit_series(D)
+
+
+def test_solve_on_a_domain_that_is_not_a_ball():
+    L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
+    solved = green_solve(L)
+    assert solved.meta["residual"] < RESIDUAL_TOL
+    assert not solved.values.flags.writeable
+    assert green_solve(L) is not solved  # only balls are memoized
+    series = green_table_series(L, tol=1e-12)
+    assert np.abs(series.values - solved.values).max() <= 1e-9
 
 
 def test_column_restricted_solve_matches_full():

@@ -111,7 +111,7 @@ def test_harmonic_measure_matrix_matches_single_rows():
 def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     from scipy.sparse.linalg import splu
 
-    from harnack import harmonic
+    from harnack import kernel
     from harnack.kernel import exit_steps, identity_minus, killed_lu
 
     B = make_ball((0,) * d, R)
@@ -127,7 +127,7 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     def no_factorization(*args):
         raise AssertionError("a ball's factor is refactorized")
 
-    monkeypatch.setattr(harmonic, "splu", no_factorization)
+    monkeypatch.setattr(kernel.spla, "splu", no_factorization)
     assert np.array_equal(dirichlet_solve(B, phi).values[: len(B)], fresh.solve(rhs))
     assert np.array_equal(harmonic_measure_matrix(B), fresh.solve(coupling))
     u = fresh.solve(np.eye(len(B))[B.index_of((0,) * d)])
@@ -148,7 +148,7 @@ def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
         raise AssertionError("a sparse matrix is assembled for a factored ball")
 
     for module, name in ((kernel, "killed_operator"), (harmonic, "killed_operator"),
-                         (harmonic, "identity_minus"), (sp, "csr_matrix"), (sp, "csc_matrix")):
+                         (kernel, "identity_minus"), (sp, "csr_matrix"), (sp, "csc_matrix")):
         monkeypatch.setattr(module, name, no_assembly)
     h = random_harmonic(B, seed=3)
     dirichlet_solve(B, np.linspace(0.0, 1.0, len(B.outer_boundary)))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack.cache import KernelCache
 from harnack.kernel import (
     exactness_audit,
     free_field,
@@ -193,16 +194,35 @@ def test_walk_pmf_is_the_correctly_rounded_binomial():
         walk_pmf(-1, [0])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, harnack, harnack.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = (
+        "import sys, harnack, harnack.cli, harnack.cache; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+    # `cache list` decodes files without solving anything, so it loads no SciPy
+    KernelCache(tmp_path).put_free(1, 2, free_field(1, 2))
+    cmd = [sys.executable, "-X", "importtime", "-m", "harnack", "cache", "list", "--cache-dir", str(tmp_path)]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
+    assert "free-d1-n2.zdk" in out.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if "|" in line]
+    assert "harnack.cache" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_package_names_resolve_on_first_access():
+    import harnack
+    from harnack import green
+
+    namespace = {}
+    exec("from harnack import *", namespace)
+    assert set(harnack.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(harnack, name) for name in harnack.__all__)
+    assert harnack.green_solve is green.green_solve
+    with pytest.raises(AttributeError):
+        harnack.no_such_name
 
 
 def test_killed_matrix_is_substochastic():
