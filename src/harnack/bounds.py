@@ -417,12 +417,18 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
         # First leg: from x into the first ball.
         first = float(leg_prob(times[0], balls[0] - np.array(x)).sum())
         log_product += math.log(first) if first > 0 else -math.inf
-        # Middle legs: worst start in the current ball into the next ball.
+        # Middle legs: worst start in the current ball into the next ball.  A
+        # leg's value depends only on its waypoint step and its time, so each
+        # distinct pair is computed once.
+        legs: dict[tuple[tuple[int, ...], int], float] = {}
         for i in range(1, m - 1):
-            src, dst = balls[i - 1], balls[i]
-            diff = dst[None, :, :] - src[:, None, :]
-            probs = leg_prob(times[i], diff.reshape(-1, d)).reshape(len(src), len(dst))
-            worst = float(probs.sum(axis=1).min())
+            key = (tuple(np.subtract(waypoints[i + 1], waypoints[i]).tolist()), times[i])
+            if key not in legs:
+                src, dst = balls[i - 1], balls[i]
+                diff = dst[None, :, :] - src[:, None, :]
+                probs = leg_prob(times[i], diff.reshape(-1, d)).reshape(len(src), len(dst))
+                legs[key] = float(probs.sum(axis=1).min())
+            worst = legs[key]
             log_product += math.log(worst) if worst > 0 else -math.inf
         # Final leg: worst start in the last ball onto y, parity-paired.
         src = balls[-1]

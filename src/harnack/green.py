@@ -7,11 +7,11 @@ mandatory, independent computations are provided and cross-audited:
 ``series``
     accumulates the killed kernels directly for one start per orbit of the
     domain's lattice symmetries (signed coordinate permutations about its
-    centre; ``g_B(gx, gy) = g_B(x, y)`` exactly), even and odd starts
-    advancing in lockstep on the parity class their mass lives on (the walk
-    is bipartite, so the other class holds exact zeros), with an adaptive
-    truncation per start: once the per-step survival ratio stabilises below
-    one, the remaining tail is bounded geometrically by
+    centre; ``g_B(gx, gy) = g_B(x, y)`` exactly), in one walk with one
+    sparse product per step (each column carries an even and an odd start,
+    whose masses live on opposite parity classes: the walk is bipartite),
+    with an adaptive truncation per start: once the per-step survival ratio
+    stabilises below one, the remaining tail is bounded geometrically by
     ``s_N * lam/(1 - lam)`` and iteration stops when every walked start's
     certified bound is below ``tol``.  Because the chain is bipartite,
     survival ratios oscillate with period two; the estimator takes the max
@@ -102,15 +102,16 @@ def green_table_series(
 
     The domain's lattice symmetries (:meth:`FiniteDomain.symmetries`) satisfy
     ``g_B(gx, gy) = g_B(x, y)`` exactly, so only each orbit's representative,
-    its smallest interior index, is walked.  Even and odd representatives
-    advance in lockstep, each block on its live parity class only, and
-    accumulate into the (row class, start class) blocks of their columns;
-    each walked column holds the same sums as when every start is walked.
-    Each representative certifies its own tail (staircase columns reach
-    their drop steps at different times); iteration ends when every
-    representative's certified tail bound is below ``tol``; steps are
-    certified ``_WINDOW`` at a time, and only those up to the stopping step
-    are accumulated.  Every other column is then gathered as an image of its
+    its smallest interior index, is walked.  The representatives advance in
+    one ``iter_killed_vectors`` walk, one sparse product per step, even and
+    odd ones paired in its columns, and each step's block is added to the
+    accumulator of its step parity; each walked column holds the same sums
+    as when every start is walked.  Each representative certifies its own
+    tail (staircase columns reach their drop steps at different times);
+    iteration ends when every representative's certified tail bound is below
+    ``tol``.  Steps are certified ``_WINDOW`` at a time; a window that holds
+    the stopping step is accumulated again, from its start, up to that step
+    only.  Every other column is then gathered as an image of its
     representative's, ``G[:, j] = G[h x, r]`` for a map h taking j to r.
     Without symmetry every start is a representative.
     """
@@ -118,48 +119,51 @@ def green_table_series(
     rep = maps.min(axis=0)  # each point's orbit representative
     classes = parity_classes(B)
     reps = [c[rep[c] == c] for c in classes]
-    start_classes = [c for c in (0, 1) if len(reps[c])]
-    # one contiguous block per (row class, start class): adding in place into
-    # strided views of one table is markedly slower
-    parts = {
-        (r, c): np.zeros((len(classes[r]), len(reps[c])))
-        for r in (0, 1)
-        for c in start_classes
-    }
-    count = sum(len(reps[c]) for c in start_classes)  # per-start arrays run class by class
+    halves = [slice(0, len(classes[0])), slice(len(classes[0]), len(B))]  # the walk's rows
+    steps = iter_killed_vectors(B, np.concatenate(reps), max_steps)
+    width = max(map(len, reps))  # column j walks even representative j and odd one j
+    totals = [np.zeros((len(B), width)) for _ in (0, 1)]  # sums over the even and the odd steps
+    count = sum(map(len, reps))  # per-start arrays run class by class
     history = np.stack([np.full(count, np.inf), np.ones(count)])  # sums of steps n-2, n-1
     tail_bounds = np.full(count, np.inf)  # finite once a start is certified
-    steps = zip(*[iter_killed_vectors(B, reps[c], max_steps) for c in start_classes])
-    window, sums = [next(steps)], []  # step 0 is accumulated, not certified
-    while window:
-        if sums:
-            # certify every step of the window at once: the same elementwise
-            # arithmetic as one step at a time, on (steps, starts) arrays
-            history = np.vstack([history[-2:], *sums])
-            s, s_prev, s_prev2 = history[2:], history[1:-1], history[:-2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = np.where(s_prev > 0, s / s_prev, 0.0)
-                rho = np.where(np.isfinite(s_prev2) & (s_prev2 > 0), s / s_prev2, np.inf)
-                one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
-                two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
-            tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
-            below = (tails < tol) & np.isinf(tail_bounds)
-            first = np.argmax(below, axis=0)  # each start's first certified step
-            newly = below.any(axis=0)
-            tail_bounds[newly] = tails[first[newly], np.flatnonzero(newly)]
-            if np.isfinite(tail_bounds).all():
-                window = window[: first[newly].max() + 1]
-        for step in window:
-            n = step[0][0]
-            for c, (_, _, block) in zip(start_classes, step):
-                parts[(c + n) % 2, c] += block
-        window, sums = [], []
-        for step in itertools.islice(steps, _WINDOW if np.isinf(tail_bounds).any() else 0):
-            window.append(step)  # summed now, while the blocks are in cache
-            sums.append(np.concatenate([block.sum(axis=0) for _, _, block in step]))
+    _, _, block = next(steps)
+    totals[0] += block  # step 0 is accumulated, not certified
+    n = 0  # the last accumulated step
+    while np.isinf(tail_bounds).any():
+        before, window, sums = [total.copy() for total in totals], [], []
+        for t, _, block in itertools.islice(steps, _WINDOW):
+            totals[t % 2] += block  # accumulated and summed while the block is in cache
+            window.append(block)
+            # each start's mass, on its live class: class c + t for starts of class c
+            sums.append(
+                np.concatenate([block[halves[(c + t) % 2], : len(reps[c])].sum(axis=0) for c in (0, 1)])
+            )
+        if not sums:
+            break  # max_steps reached
+        # certify every step of the window at once: the same elementwise
+        # arithmetic as one step at a time, on (steps, starts) arrays
+        history = np.vstack([history[-2:], *sums])
+        s, s_prev, s_prev2 = history[2:], history[1:-1], history[:-2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(s_prev > 0, s / s_prev, 0.0)
+            rho = np.where(np.isfinite(s_prev2) & (s_prev2 > 0), s / s_prev2, np.inf)
+            one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
+            two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
+        tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
+        below = (tails < tol) & np.isinf(tail_bounds)
+        first = np.argmax(below, axis=0)  # each start's first certified step
+        newly = below.any(axis=0)
+        tail_bounds[newly] = tails[first[newly], np.flatnonzero(newly)]
+        stop = first[newly].max() + 1 if np.isfinite(tail_bounds).all() else len(sums)
+        if stop < len(sums):  # accumulate the window again, up to the stopping step only
+            totals = before
+            for t, block in enumerate(window[:stop], start=n + 1):
+                totals[t % 2] += block
+        n += stop
     table = np.zeros((len(B), len(B)))
-    for (r, c), part in parts.items():
-        table[np.ix_(classes[r], reps[c])] = part
+    for p, total in enumerate(totals):  # starts of class c hold class c + p after p-parity steps
+        for c in (0, 1):
+            table[np.ix_(classes[(c + p) % 2], reps[c])] = total[halves[(c + p) % 2], : len(reps[c])]
     # map h takes column j to its representative; the identity (row 0) keeps
     # the representatives, every other map fills its columns by one gather
     image_of = np.argmax(maps == rep, axis=0)
@@ -304,8 +308,9 @@ def killed_lower_audit(
     by scanning ``C`` over a log grid and taking the minimum-implied amplitude;
     the reported pair maximises the amplitude margin.  Pass iff ``A > 0``.
 
-    All half-ball starts advance together, even and odd starts in lockstep,
-    and the fit runs in log space through the envelope routine of ``bounds``.
+    All half-ball starts advance in one walk, one sparse product per step,
+    even and odd starts paired in its columns, and the fit runs in log space
+    through the envelope routine of ``bounds``.
     The walk is bipartite, so each pair has one live term and one exact
     zero: distance shell r of pair m is the shell of step m when r + m is
     even and of step m + 1 otherwise, so each step's live block, restricted
@@ -323,24 +328,26 @@ def killed_lower_audit(
         half = B.within(R // 2)
         dist = _pair_distances(B.coords[half])
         shell_count = int(dist.max()) + 1
-        at = np.full(len(B), -1)  # position of each interior point in ``half``
-        at[half] = np.arange(len(half))
-        groups = [g for g in parity_classes(B, half) if len(g)]
-        walks = [iter_killed_vectors(B, half[g], R * R + 1) for g in groups]
-        layouts = []  # per parity of n: kept block rows, their (start, target) order and pairs
+        # the walk's block holds half-ball target t and start s at entry
+        # (row[half[t]], column[s]); after n steps the live (start, target)
+        # pairs are those whose parities differ by n, taken in (start, target)
+        # order, and read off the block by flat index
+        row = np.empty(len(B), dtype=np.int64)
+        row[np.concatenate(parity_classes(B))] = np.arange(len(B))
+        column = np.empty(len(half), dtype=np.int64)
+        groups = parity_classes(B, half)
+        for g in groups:
+            column[g] = np.arange(len(g))
+        width = max(map(len, groups))
+        parity = B.coords[half].sum(axis=1) % 2
+        layouts = []  # per parity of n: flat block indices, starts, targets, distances
+        for p in (0, 1):
+            s, t = np.nonzero(parity[None, :] == (parity[:, None] + p) % 2)
+            layouts.append((row[half[t]] * width + column[s], s, t, dist[s, t]))
         fit = _EnvelopeFit(d, grid, lower=True)
-        for steps in zip(*walks):
-            n = steps[0][0]
-            if n < 2:  # kept block rows ravel target-major; order them by (start, target)
-                keep = [np.flatnonzero(at[live] >= 0) for _, live, _ in steps]
-                s = np.concatenate([np.tile(g, len(k)) for k, g in zip(keep, groups)])
-                t = np.concatenate(
-                    [np.repeat(at[live[k]], len(g)) for k, g, (_, live, _) in zip(keep, groups, steps)]
-                )
-                order = np.lexsort((t, s))
-                layouts.append((keep, order, s[order], t[order], dist[s[order], t[order]]))
-            keep, order, s, t, pair_dist = layouts[n % 2]
-            vals = np.concatenate([block[k].ravel() for k, (_, _, block) in zip(keep, steps)])[order]
+        for n, _, block in iter_killed_vectors(B, half, R * R + 1):
+            flat, s, t, pair_dist = layouts[n % 2]
+            vals = block.take(flat)
             now = (_shell_extremes(vals, pair_dist, shell_count, lower=True), vals, s, t, pair_dist)
             m = n - 1
             if m >= 1:

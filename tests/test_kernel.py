@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from harnack.cache import KernelCache
 from harnack.kernel import (
+    _binomial,
     exactness_audit,
     free_field,
     full_column,
@@ -26,7 +27,7 @@ from harnack.kernel import (
     survival,
     walk_pmf,
 )
-from harnack.lattice import graph_distance, make_ball
+from harnack.lattice import FiniteDomain, graph_distance, make_ball
 
 
 def brute_two_step(d):
@@ -144,33 +145,64 @@ def full_block_iterates(B, starts, n_max):
         yield n, block
 
 
+def assert_stacked_iterates_equal_the_full_block(D, starts, n_max):
+    """Every start's live entries, in its class's column, bit for bit; all else exactly zero."""
+    starts = np.asarray(starts)
+    parity = D.coords.sum(axis=1) % 2
+    start_parity = parity[starts]
+    column = np.empty(len(starts), dtype=int)  # the j-th start of its class walks in column j
+    for c in (0, 1):
+        column[start_parity == c] = np.arange((start_parity == c).sum())
+    width = column.max() + 1
+    stacked = iter_killed_vectors(D, starts, n_max)
+    reference = full_block_iterates(D, starts, n_max)
+    for (n, rows, block), (m, full) in zip(stacked, reference):
+        assert n == m
+        assert np.array_equal(rows, np.concatenate(parity_classes(D)))
+        expected = np.zeros((len(D), width))
+        for i, j in enumerate(column):
+            live = parity == (start_parity[i] + n) % 2
+            assert not full[~live, i].any()  # the off-class rows are exact zeros
+            expected[live, j] = full[live, i]
+        assert np.array_equal(block, expected[rows])  # bit for bit, padding exactly zero
+    assert n == n_max
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_live_class_iterates_equal_the_full_block(d):
     for R in range(9):
         B = make_ball((0,) * d, R)
-        parity = B.coords.sum(axis=1) % 2
-        for members in parity_classes(B):
-            if not len(members):
-                continue
-            starts = members[:: max(1, len(members) // 4)]
-            split = iter_killed_vectors(B, starts, 2 * R + 3)
-            reference = full_block_iterates(B, starts, 2 * R + 3)
-            for (n, rows, block), (m, full) in zip(split, reference):
-                assert n == m
-                live = parity == (parity[starts[0]] + n) % 2
-                assert np.array_equal(rows, np.flatnonzero(live))
-                assert np.array_equal(block, full[rows])  # bit for bit
-                assert not full[~live].any()  # the off-class rows are exact zeros
+        even, odd = parity_classes(B)
+        # one class alone, and both classes in interior order with unequal counts
+        cases = [members[:: max(1, len(members) // 4)] for members in (even, odd) if len(members)]
+        if len(odd):
+            cases.append(np.sort(np.concatenate([even[:: max(1, len(even) // 5)], odd[:: max(1, len(odd) // 2)]])))
+        for starts in cases:
+            assert_stacked_iterates_equal_the_full_block(B, starts, 2 * R + 3)
 
 
-def test_mixed_or_empty_starts_are_rejected():
+def test_stacked_iterates_on_domains_that_are_not_balls():
+    L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
+    rectangle = FiniteDomain.from_points([(x, y) for x in range(2) for y in range(3)])
+    for D in (L, rectangle):
+        everything = np.arange(len(D))
+        for starts in (everything, everything[::-1], everything[:1], everything[1:2], everything[2:]):
+            assert_stacked_iterates_equal_the_full_block(D, starts, 9)
+
+
+def test_empty_starts_are_rejected_and_mixed_starts_pair_up():
     B = make_ball((0, 0), 3)
     even, odd = parity_classes(B)
     with pytest.raises(ValueError):
-        next(iter_killed_vectors(B, [even[0], odd[0]], 4))
-    with pytest.raises(ValueError):
         next(iter_killed_vectors(B, [], 4))
-    assert next(iter_killed_vectors(B, odd, 4))[1].tolist() == odd.tolist()
+    # an odd and an even start share column 0: it is the sum of their own
+    # iterates, one of which is an exact zero on every row
+    mixed = iter_killed_vectors(B, [odd[0], even[0]], 4)
+    alone = zip(iter_killed_vectors(B, [even[0]], 4), iter_killed_vectors(B, [odd[0]], 4))
+    for (_, rows, block), ((_, _, from_even), (_, _, from_odd)) in zip(mixed, alone):
+        assert block.shape == (len(B), 1)
+        assert np.array_equal(block, from_even + from_odd)
+    assert np.array_equal(next(iter_killed_vectors(B, odd, 4))[1], np.concatenate([even, odd]))
 
 
 def test_walk_pmf_is_the_correctly_rounded_binomial():
@@ -192,6 +224,20 @@ def test_walk_pmf_is_the_correctly_rounded_binomial():
     assert float(walk_pmf(2, 0)) == 0.5
     with pytest.raises(ValueError):
         walk_pmf(-1, [0])
+
+
+def test_prime_power_binomial_equals_math_comb():
+    for n in range(257):
+        assert [_binomial(n, k) for k in range(n + 1)] == [math.comb(n, k) for k in range(n + 1)]
+    for n in (9000, 9001, 18197, 20000):
+        for k in (0, 1, n // 2, n - 1, n):
+            assert _binomial(n, k) == math.comb(n, k), (n, k)
+    for n in (0, 1, 7, 18197):
+        assert _binomial(n, -1) == _binomial(n, n + 1) == _binomial(n, -n - 5) == 0
+    n = 20_000
+    sites = np.array([0, 2, -2, 150, -302, 19_998, -20_000, 20_000])
+    want = [float(Fraction(math.comb(n, (n + site) // 2), 2**n)) for site in sites.tolist()]
+    assert walk_pmf(n, sites).tolist() == want
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
