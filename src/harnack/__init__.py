@@ -34,90 +34,23 @@ cli
 
 import importlib
 
-# Public names resolve on first access, so ``import harnack`` loads no SciPy.
-_SOURCES = {
-    "bounds": "ChainCertificate GaussianForm InfeasibleCertificateError chain_certificate "
-    "gaussian_lower_audit gaussian_upper_audit lclt_error_scan near_diagonal_audit",
-    "ehi": "HarnackRecord d1_harnack_constant harnack_constant_exact",
-    "exit_time": "ExitCdf McEstimate chernoff_bound exact_exit_cdf mc_exit_sample",
-    "green": "GreenTable SolverError green_solve green_table_series",
-    "harmonic": "BalayageError BalayageResult LatticeField balayage dirichlet_iterate "
-    "dirichlet_mc dirichlet_solve harmonic_measure laplacian",
-    "kernel": "free_field n_step survival",
-    "lattice": "BallChain FiniteDomain build_ball_chain graph_distance make_ball",
-    "report": "AuditReport ReportEnvelope SCHEMA_VERSION",
-    "cache": "",
-}
-_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SCHEMA_VERSION",
-    # domains
-    "BallChain",
-    "FiniteDomain",
-    "LatticeField",
-    "make_ball",
-    "build_ball_chain",
-    "graph_distance",
-    # kernels
-    "free_field",
-    "n_step",
-    "survival",
-    # exit times
-    "ExitCdf",
-    "McEstimate",
-    "exact_exit_cdf",
-    "chernoff_bound",
-    "mc_exit_sample",
-    # green
-    "GreenTable",
-    "SolverError",
-    "green_solve",
-    "green_table_series",
-    # bounds
-    "GaussianForm",
-    "ChainCertificate",
-    "InfeasibleCertificateError",
-    "chain_certificate",
-    "near_diagonal_audit",
-    "gaussian_lower_audit",
-    "gaussian_upper_audit",
-    "lclt_error_scan",
-    # harmonic
-    "BalayageError",
-    "BalayageResult",
-    "balayage",
-    "dirichlet_solve",
-    "dirichlet_iterate",
-    "dirichlet_mc",
-    "harmonic_measure",
-    "laplacian",
-    # ehi
-    "HarnackRecord",
-    "harnack_constant_exact",
-    "d1_harnack_constant",
-    # reports
-    "AuditReport",
-    "ReportEnvelope",
-    # modules
-    "lattice",
-    "kernel",
-    "exit_time",
-    "green",
-    "bounds",
-    "harmonic",
-    "ehi",
-    "cache",
-    "report",
-]
+_MODULES = ("lattice", "kernel", "exit_time", "green", "bounds", "harmonic", "ehi", "cache", "report")
+_NAMES = {  # the quickstart's names and their modules
+    "make_ball": "lattice",
+    "green_solve": "green",
+    "n_step": "kernel",
+    "harnack_constant_exact": "ehi",
+}
+
+__all__ = ["__version__", *_MODULES, *_NAMES]
 
 
 def __getattr__(name: str):
-    if name in _SOURCES:
+    # Names resolve on first access, so ``import harnack`` loads no SciPy.
+    if name in _MODULES:
         return importlib.import_module("." + name, __name__)
-    if name in _MODULE_OF:
-        return getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+    if name in _NAMES:
+        return getattr(importlib.import_module("." + _NAMES[name], __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

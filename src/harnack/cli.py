@@ -177,151 +177,72 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Audit tasks, one list per subcommand; builders import their audit modules,
-# so the cache commands load no SciPy.
+# Audit tasks: one table of every family's audits, in report order.
 # ---------------------------------------------------------------------------
 
 AuditTask = Callable[[], AuditReport]
 
 
-def _dp_step_cap(cfg: RunConfig) -> int:
-    """Dense-DP step budget: 3-d boxes grow cubically, so cap tighter."""
-    return min(cfg.n_max, 64 if cfg.dim >= 3 else 128)
+def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
+    """The selected families' audits, their grids worked out once from ``cfg``.
 
+    The audit modules are imported here, so the cache commands load no SciPy.
+    """
+    from . import bounds, ehi, exit_time, green, harmonic, kernel
 
-def _kernel_tasks(cfg: RunConfig) -> list[AuditTask]:
-    from . import kernel
-    n_cap = _dp_step_cap(cfg)
-    tasks: list[AuditTask] = [lambda: kernel.exactness_audit(cfg.dim, n_cap)]
-    if cfg.dim == 2:
-        tasks.append(lambda: kernel.projection_audit(min(cfg.n_max, 64)))
-    return tasks
+    d, seed, radii, r0 = cfg.dim, cfg.seed, cfg.radius_grid(), cfg.r_min
 
+    def in_range(grid: Sequence[int]) -> list[int]:
+        return [R for R in grid if cfg.r_min <= R <= cfg.r_max]
 
-def _bounds_tasks(cfg: RunConfig) -> list[AuditTask]:
-    from . import bounds
-    n_cap = _dp_step_cap(cfg)
+    n_cap = min(cfg.n_max, 64 if d >= 3 else 128)  # dense-DP boxes grow cubically in 3-d
     lo = 16 if n_cap >= 32 else max(2, n_cap // 2)
-    tasks: list[AuditTask] = [
-        lambda: bounds.near_diagonal_audit(cfg.dim, n_cap),
-        lambda: bounds.gaussian_lower_audit(cfg.dim, n_cap),
-        lambda: bounds.gaussian_upper_audit(cfg.dim, n_cap),
-        lambda: bounds.lclt_error_scan(cfg.dim, (lo, n_cap)),
-    ]
-    if cfg.dim <= 2:
-        # Long-range certificates need the closed-form kernel (d <= 2).
-        tasks.append(lambda: bounds.chain_certificate_batch(cfg.dim, 50, cfg.seed))
-    return tasks
-
-
-def _exit_tasks(cfg: RunConfig) -> list[AuditTask]:
-    from . import exit_time
-    radius = cfg.r_min
-    return [
-        lambda: exit_time.chernoff_audit(cfg.dim, cfg.radius_grid()),
-        lambda: exit_time.crude_tail_audit(cfg.dim, radius),
-        lambda: exit_time.mc_consistency_audit(
-            cfg.dim,
-            radius,
-            n_max=min(cfg.n_max, 4 * radius * radius),
-            samples=100_000,
-            seed=cfg.seed,
-        ),
-    ]
-
-
-def _green_tasks(cfg: RunConfig) -> list[AuditTask]:
-    from . import green
-    radii = cfg.radius_grid()
     # Dense-table and killed-kernel sweeps cost O(R^2) DP steps over O(R^d)
     # points per start; keep their grids at moderate radii.
-    cap = 16 if cfg.dim <= 2 else 8
+    cap = 16 if d <= 2 else 8
     small = [R for R in radii if R <= cap] or [cap]
-    tasks: list[AuditTask] = [
-        lambda: green.equivalence_audit(cfg.dim, small, rel_tol=cfg.tol),
-        lambda: green.killed_lower_audit(cfg.dim, small),
-    ]
     # The pole-ratio constant degenerates below R = 4 (the sample region is
     # a single point), so only gate its stability on informative radii.
     comp = [R for R in radii if 4 <= R <= cap]
-    if comp:
-        tasks.append(lambda: green.comparability_audit(cfg.dim, comp))
-    if cfg.dim >= 2:
-        defaults = {2: (8, 16, 32), 3: (6, 8, 12)}.get(cfg.dim, ())
-        grid = [R for R in defaults if cfg.r_min <= R <= cfg.r_max]
-        grid = grid or [R for R in radii if R >= 4] or [4]
-        tasks.append(lambda: green.ugi_audit(cfg.dim, grid))
-    return tasks
-
-
-def _dirichlet_tasks(cfg: RunConfig) -> list[AuditTask]:
-    from . import harmonic
-    radius = min(cfg.r_max, 16)
-    return [
-        lambda: harmonic.dirichlet_triple_audit(
-            cfg.dim, radius, samples=100_000, seed=cfg.seed, agree_tol=cfg.tol
-        )
+    ugi = in_range({2: (8, 16, 32), 3: (6, 8, 12)}.get(d, ())) or [R for R in radii if R >= 4] or [4]
+    # Scale stability is a statement about moderate radii; tiny balls are
+    # still converging, so only gate when the grid reaches R >= 8.
+    stability = in_range((8, 16, 24, 32)) if d == 2 else []
+    oscillation = {
+        1: radii,
+        2: stability or [R for R in radii if R <= 32] or [8],
+        3: in_range((4, 6, 8, 10, 12)) or [6],  # exact constants stay affordable only at small radii
+    }[d]
+    chain = [R for R in (40, 48, 64) if R <= cfg.r_max] if d == 2 else []
+    table: list[tuple[str, bool, AuditTask]] = [
+        ("kernel", True, lambda: kernel.exactness_audit(d, n_cap)),
+        ("kernel", d == 2, lambda: kernel.projection_audit(min(cfg.n_max, 64))),
+        ("bounds", True, lambda: bounds.near_diagonal_audit(d, n_cap)),
+        ("bounds", True, lambda: bounds.gaussian_lower_audit(d, n_cap)),
+        ("bounds", True, lambda: bounds.gaussian_upper_audit(d, n_cap)),
+        ("bounds", True, lambda: bounds.lclt_error_scan(d, (lo, n_cap))),
+        # long-range certificates need the closed-form kernel (d <= 2)
+        ("bounds", d <= 2, lambda: bounds.chain_certificate_batch(d, 50, seed)),
+        ("exit", True, lambda: exit_time.chernoff_audit(d, radii)),
+        ("exit", True, lambda: exit_time.crude_tail_audit(d, r0)),
+        ("exit", True, lambda: exit_time.mc_consistency_audit(
+            d, r0, n_max=min(cfg.n_max, 4 * r0 * r0), samples=100_000, seed=seed)),
+        ("green", True, lambda: green.equivalence_audit(d, small, rel_tol=cfg.tol)),
+        ("green", True, lambda: green.killed_lower_audit(d, small)),
+        ("green", bool(comp), lambda: green.comparability_audit(d, comp)),
+        ("green", d >= 2, lambda: green.ugi_audit(d, ugi)),
+        ("dirichlet", True, lambda: harmonic.dirichlet_triple_audit(
+            d, min(cfg.r_max, 16), samples=100_000, seed=seed, agree_tol=cfg.tol)),
+        ("balayage", True, lambda: harmonic.balayage_batch_audit(
+            d, [R for R in radii if R <= 16] or [r0], instances=100, seed=seed, recon_tol=cfg.tol)),
+        ("ehi", d == 1, lambda: ehi.d1_closed_form_audit(cfg.r_max)),
+        ("ehi", True, lambda: ehi.small_r_bound_audit(
+            d, list(range(1, min(32, cfg.r_max) + 1)) if d == 1 else None)),
+        ("ehi", bool(stability), lambda: ehi.stability_audit(2, stability)),
+        ("ehi", True, lambda: ehi.oscillation_audit(d, oscillation, seed=seed)),
+        ("ehi", bool(chain), lambda: ehi.chained_harnack_audit(2, chain)),
     ]
-
-
-def _balayage_tasks(cfg: RunConfig) -> list[AuditTask]:
-    from . import harmonic
-    radii = [R for R in cfg.radius_grid() if R <= 16] or [cfg.r_min]
-    return [
-        lambda: harmonic.balayage_batch_audit(
-            cfg.dim, radii, instances=100, seed=cfg.seed, recon_tol=cfg.tol
-        )
-    ]
-
-
-def _ehi_tasks(cfg: RunConfig) -> list[AuditTask]:
-    from . import ehi
-    if cfg.dim == 1:
-        small_grid = list(range(1, min(32, cfg.r_max) + 1))
-        return [
-            lambda: ehi.d1_closed_form_audit(cfg.r_max),
-            lambda: ehi.small_r_bound_audit(1, small_grid),
-            lambda: ehi.oscillation_audit(1, cfg.radius_grid(), seed=cfg.seed),
-        ]
-    if cfg.dim == 2:
-        tasks: list[AuditTask] = [lambda: ehi.small_r_bound_audit(2)]
-        # Scale stability is a statement about moderate radii; tiny balls
-        # are still converging, so only gate when the grid reaches R >= 8.
-        stability_grid = [R for R in (8, 16, 24, 32) if cfg.r_min <= R <= cfg.r_max]
-        if stability_grid:
-            tasks.append(lambda: ehi.stability_audit(2, stability_grid))
-        osc_grid = stability_grid or [R for R in cfg.radius_grid() if R <= 32] or [8]
-        tasks.append(lambda: ehi.oscillation_audit(2, osc_grid, seed=cfg.seed))
-        if cfg.r_max >= 40:
-            chain_grid = [R for R in (40, 48, 64) if R <= cfg.r_max]
-            tasks.append(lambda: ehi.chained_harnack_audit(2, chain_grid))
-        return tasks
-    # d = 3: exact constants stay affordable only at small radii.
-    grid = [R for R in (4, 6, 8, 10, 12) if cfg.r_min <= R <= cfg.r_max] or [6]
-    return [
-        lambda: ehi.small_r_bound_audit(3),
-        lambda: ehi.oscillation_audit(3, grid, seed=cfg.seed),
-    ]
-
-
-_TASK_BUILDERS: dict[str, Callable[[RunConfig], list[AuditTask]]] = {
-    "kernel": _kernel_tasks,
-    "bounds": _bounds_tasks,
-    "exit": _exit_tasks,
-    "green": _green_tasks,
-    "dirichlet": _dirichlet_tasks,
-    "balayage": _balayage_tasks,
-    "ehi": _ehi_tasks,
-}
-
-
-def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
-    if cfg.command == "all":
-        tasks: list[AuditTask] = []
-        for name in AUDIT_COMMANDS[:-1]:
-            tasks.extend(_TASK_BUILDERS[name](cfg))
-        return tasks
-    return _TASK_BUILDERS[cfg.command](cfg)
+    return [task for family, wanted, task in table if wanted and cfg.command in (family, "all")]
 
 
 def _populate_cache(cfg: RunConfig) -> int:

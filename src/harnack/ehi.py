@@ -11,7 +11,6 @@ decay that the constant implies.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,14 +18,14 @@ import numpy as np
 
 from .green import SolverError, comparability_ratio
 from .harmonic import harmonic_measure_matrix
+from .kernel import Memo
 from .lattice import FiniteDomain, Point, build_ball_chain, make_ball
 from .report import AuditReport
 from .rng import philox
 
 _MIXTURE_STREAM = 0x05C1  # stream tag for random boundary mixtures
 
-_HITTING_CACHE: dict[tuple[int, int], tuple[FiniteDomain, np.ndarray]] = {}
-_HITTING_LOCK = threading.Lock()
+_HITTING = Memo()  # (d, R) -> (B(0, R), its hitting matrix)
 
 
 @dataclass(frozen=True)
@@ -45,19 +44,15 @@ class HarnackRecord:
 def hitting_kernels(d: int, R: int) -> tuple[FiniteDomain, np.ndarray]:
     """Exit-position kernel matrix of B(0,R): rows interior, columns boundary.
 
-    Memoized per (d, R); the matrix is read-only.
+    Kept per (d, R) in the bounded memo (``kernel.Memo``, within
+    ``kernel.MEMO_BYTES``); the matrix is read-only.
     """
-    key = (d, R)
-    with _HITTING_LOCK:
-        hit = _HITTING_CACHE.get(key)
-    if hit is not None:
-        return hit
-    D = make_ball((0,) * d, R)
-    M = harmonic_measure_matrix(D)
-    M.setflags(write=False)
-    with _HITTING_LOCK:
-        _HITTING_CACHE.setdefault(key, (D, M))
-    return D, M
+
+    def build() -> tuple[FiniteDomain, np.ndarray]:
+        D = make_ball((0,) * d, R)
+        return D, harmonic_measure_matrix(D)
+
+    return _HITTING.get((d, R), build)
 
 
 def harnack_constant_exact(d: int, R: int) -> HarnackRecord:

@@ -38,15 +38,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
-from .kernel import identity_minus, iter_killed_vectors, killed_lu, parity_classes
-from .lattice import FiniteDomain, Point, as_point, make_ball
+from .kernel import Memo, _ball_key, identity_minus, iter_killed_vectors, killed_lu, parity_classes
+from .lattice import FiniteDomain, as_point, make_ball
 from .report import AuditReport
 
 RESIDUAL_TOL = 1e-10
@@ -90,9 +89,7 @@ class GreenTable:
         return float(self.values[i, j])
 
 
-_TABLE_LOCK = threading.Lock()
-_TABLE_CACHE: dict[tuple[Point, int], GreenTable] = {}
-_TABLE_CACHE_MAX_ENTRIES = 16_000_000  # total cached float64 values
+_TABLES = Memo()  # B.key() -> full solved GreenTable
 
 
 def green_table_series(
@@ -184,44 +181,31 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
 
     ``columns`` restricts the solve to the given point indices (the returned
     ``values`` then has one column per requested index, in order).  Full
-    tables are read-only, and a ball's are memoized.
+    tables are read-only, and a ball's is kept in the bounded memo
+    (``kernel.Memo``, within ``kernel.MEMO_BYTES``).
     """
-    key = None if B.radius is None or columns is not None else B.key()
-    if key is not None:
-        with _TABLE_LOCK:
-            cached = _TABLE_CACHE.get(key)
-        if cached is not None:
-            return cached
-    size = len(B)
-    lu = killed_lu(B)
-    if columns is None:
-        rhs = np.eye(size)
-    else:
+    if columns is not None:
         columns = tuple(int(c) for c in columns)
-        rhs = np.zeros((size, len(columns)))
-        rhs[list(columns), np.arange(len(columns))] = 1.0
-    values = lu.solve(rhs)
-    residual = float(np.abs(identity_minus(B) @ values - rhs).max())
-    if residual >= RESIDUAL_TOL:
-        raise SolverError(
-            f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
-            f"on a domain of {size} points"
+
+    def solve() -> GreenTable:
+        size = len(B)
+        if columns is None:
+            rhs = np.eye(size)
+        else:
+            rhs = np.zeros((size, len(columns)))
+            rhs[list(columns), np.arange(len(columns))] = 1.0
+        values = killed_lu(B).solve(rhs)
+        residual = float(np.abs(identity_minus(B) @ values - rhs).max())
+        if residual >= RESIDUAL_TOL:
+            raise SolverError(
+                f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
+                f"on a domain of {size} points"
+            )
+        return GreenTable(
+            domain=B, values=values, method="solve", meta={"residual": residual}, columns=columns
         )
-    if columns is None:
-        values.setflags(write=False)
-    table = GreenTable(
-        domain=B,
-        values=values,
-        method="solve",
-        meta={"residual": residual},
-        columns=columns,
-    )
-    if key is not None:
-        with _TABLE_LOCK:
-            total = sum(t.values.size for t in _TABLE_CACHE.values())
-            if total + values.size <= _TABLE_CACHE_MAX_ENTRIES:
-                _TABLE_CACHE.setdefault(key, table)
-    return table
+
+    return solve() if columns is not None else _TABLES.get(_ball_key(B), solve)
 
 
 def _pair_distances(coords: np.ndarray) -> np.ndarray:

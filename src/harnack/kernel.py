@@ -63,6 +63,7 @@ __all__ = [
     "exit_steps",
     "killed_operator",
     "identity_minus",
+    "Memo",
     "killed_matrix",
     "killed_lu",
     "parity_classes",
@@ -251,12 +252,74 @@ def walk_pmf(n: int, sites) -> np.ndarray:
     return out
 
 
+# --- one bounded memo -------------------------------------------------------
+
+MEMO_BYTES = 256 << 20  # what all memos together may hold; a value past it is not stored
+
+
+def _sealed(value) -> int:
+    """Make a memoized value's arrays read-only; return the bytes they hold.
+
+    A SuperLU factor counts the binary64 values and int32 indices of its
+    L + U nonzeros, a sparse matrix its three arrays, a ``GreenTable`` its
+    ``values`` and a tuple its members; anything else (a domain) counts 0.
+    """
+    if isinstance(value, spla.SuperLU):
+        return 12 * value.nnz
+    if isinstance(value, tuple):
+        return sum(map(_sealed, value))
+    if sp.issparse(value):
+        return sum(map(_sealed, (value.data, value.indices, value.indptr)))
+    arr = getattr(value, "values", value)
+    if not isinstance(arr, np.ndarray):
+        return 0
+    _frozen(arr)
+    return arr.nbytes
+
+
+class Memo:
+    """A keyed get-or-compute memo; every instance draws on one budget, ``MEMO_BYTES``.
+
+    ``get`` computes outside the lock, so a slow build holds up no other
+    key; when threads build one key at once, the first insert wins and all
+    of them return it.  Every value ``get`` returns has read-only arrays.
+    A value that would take the memos' total past ``MEMO_BYTES`` is
+    returned but not stored, and so is every value of key ``None``.
+    """
+
+    _lock = threading.Lock()
+    held = 0  # bytes stored by all instances
+
+    def __init__(self) -> None:
+        self._values: dict = {}
+
+    def __contains__(self, key) -> bool:
+        return key in self._values
+
+    def get(self, key, compute):
+        with Memo._lock:
+            if key in self._values:
+                return self._values[key]
+        value = compute()
+        size = _sealed(value)
+        if key is None:
+            return value
+        with Memo._lock:
+            if key not in self._values and Memo.held + size <= MEMO_BYTES:
+                self._values[key] = value
+                Memo.held += size
+            return self._values.get(key, value)
+
+
+def _ball_key(B: FiniteDomain) -> tuple[Point, int] | None:
+    """A ball's memo key; ``None`` (not stored) for any other domain."""
+    return None if B.radius is None else B.key()
+
+
 # --- killed kernels ---------------------------------------------------------
 
-_KILLED_LOCK = threading.Lock()
-_KILLED: dict[tuple[Point, int], sp.csr_matrix] = {}
-_LU_LOCK = threading.Lock()
-_LU_CACHE: dict[tuple[Point, int], spla.SuperLU] = {}
+_KILLED = Memo()  # B.key() -> P^B
+_LU = Memo()  # B.key() -> SuperLU factor of I - P^B
 
 
 def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
@@ -301,37 +364,20 @@ def identity_minus(D: FiniteDomain) -> sp.csc_matrix:
 def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
     """The substochastic one-step matrix ``P^B`` of a domain (read-only).
 
-    A ball's is memoized; any other domain's is built afresh.
+    A ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``);
+    any other domain's is built afresh.
     """
-    key = None if B.radius is None else B.key()
-    with _KILLED_LOCK:
-        if key in _KILLED:
-            return _KILLED[key]
-    mat = killed_operator(B)
-    for arr in (mat.data, mat.indices, mat.indptr):
-        _frozen(arr)
-    if key is None:
-        return mat
-    with _KILLED_LOCK:
-        return _KILLED.setdefault(key, mat)
+    return _KILLED.get(_ball_key(B), lambda: killed_operator(B))
 
 
 def killed_lu(B: FiniteDomain) -> spla.SuperLU:
     """The sparse LU factor of a domain's ``I - P^B``.
 
-    A ball's is memoized, so Green tables, Dirichlet solves and harmonic
-    measures on the same ball share one factorization; any other domain's
-    is factored afresh.
+    A ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``),
+    so Green tables, Dirichlet solves and harmonic measures on the same
+    ball share one factorization; any other domain's is factored afresh.
     """
-    key = None if B.radius is None else B.key()
-    with _LU_LOCK:
-        if key in _LU_CACHE:
-            return _LU_CACHE[key]
-    factor = spla.splu(identity_minus(B))
-    if key is None:
-        return factor
-    with _LU_LOCK:
-        return _LU_CACHE.setdefault(key, factor)
+    return _LU.get(_ball_key(B), lambda: spla.splu(identity_minus(B)))
 
 
 def parity_classes(B: FiniteDomain, points: np.ndarray | None = None) -> list[np.ndarray]:

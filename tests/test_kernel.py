@@ -262,6 +262,9 @@ def test_package_names_resolve_on_first_access():
     import harnack
     from harnack import green
 
+    quickstart = {"make_ball", "green_solve", "n_step", "harnack_constant_exact"}
+    modules = {"lattice", "kernel", "exit_time", "green", "bounds", "harmonic", "ehi", "cache", "report"}
+    assert sorted(harnack.__all__) == sorted({"__version__"} | quickstart | modules)
     namespace = {}
     exec("from harnack import *", namespace)
     assert set(harnack.__all__) <= set(namespace)
