@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import _box_graph, iter_free_fields, walk_pmf
+from .kernel import _orthant_graph, orthant_fields, walk_pmf
 from .lattice import Point, as_point, graph_distance, l1_path, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -140,11 +140,11 @@ def lclt_error_scan(
         raise ValueError("supported scan window is 2 <= n_lo <= n_hi <= 128")
     form = lclt_form(d)
     rows = []
-    for n, field in iter_free_fields(d, hi):
+    for n, field in orthant_fields(d, hi):
         if n < lo:
             continue
-        graph = _box_graph(d, n)
-        euclid2 = reduce(np.add.outer, [np.arange(-n, n + 1) ** 2] * d)
+        graph = _orthant_graph(d, n)
+        euclid2 = reduce(np.add.outer, [np.arange(n + 1) ** 2] * d)
         window = (euclid2 <= (radius_factor * radius_factor) * n) & (
             (graph - n) % 2 == 0
         )
@@ -198,13 +198,13 @@ def near_diagonal_audit(d: int, n_max: int, L: float = 0.7) -> AuditReport:
     if n_max > 128:
         raise ValueError("n_max above the supported desk-scale window (128)")
     n1, n1_witness, n2, n2_witness, prev = 0.0, None, math.inf, None, None
-    for n, field in iter_free_fields(d, n_max + 1):
+    for n, field in orthant_fields(d, n_max + 1):
         if n <= n_max:
             cand = float(field.max()) * max(n, 1) ** (d / 2.0)
             if cand > n1:
                 n1 = cand
                 n1_witness = {"n": n, "value": cand}
-        now = _shell_extremes(field, _box_graph(d, n), d * n + 1, lower=True)
+        now = _shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=True)
         m = n - 1
         if 1 <= m <= n_max:
             admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (L * L) * m
@@ -242,8 +242,8 @@ def gaussian_lower_audit(
     grid = np.asarray(_DECAY_GRID if decay_grid is None else decay_grid, dtype=float)
     fit = _EnvelopeFit(d, grid, lower=True)
     prev = None
-    for n, field in iter_free_fields(d, n_max + 1):
-        now = _shell_extremes(field, _box_graph(d, n), d * n + 1, lower=True)
+    for n, field in orthant_fields(d, n_max + 1):
+        now = _shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=True)
         m = n - 1
         if m >= 1:
             fit.fold(_pair_shells(prev, now, m), m, lambda r: m)
@@ -284,8 +284,8 @@ def gaussian_upper_audit(
         if (grid >= rate).any():
             raise ValueError(f"decay values must stay below log(2d) = {rate:.4f}")
     fit = _EnvelopeFit(d, grid, lower=False)
-    for n, field in iter_free_fields(d, n_max):
-        fit.fold(_shell_extremes(field, _box_graph(d, n), d * n + 1, lower=False), max(n, 1), lambda r: n)
+    for n, field in orthant_fields(d, n_max):
+        fit.fold(_shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=False), max(n, 1), lambda r: n)
     amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmin())
     passed = bool(np.isfinite(amplitudes[best]) and amplitudes[best] >= 1.0)

@@ -1,12 +1,23 @@
 """Exact n-step kernels of the simple random walk, free and killed.
 
 The walk steps to each of the 2d lattice neighbours with probability 1/(2d).
-Free kernels are computed by dynamic programming on a dense box: one step maps
-a mass field ``f`` to ``(Pf)(y) = (1/2d) * sum_{z ~ y} f(z)``, growing the box
-by one cell per side.  Because the update is a convex combination of exact
-point masses, wrong-parity entries stay *exactly* zero: ``p_n(x, y) = 0``
-unless ``n + graph_distance(x, y)`` is even, and for reachable points exactly
-one of ``p_n, p_{n+1}`` is nonzero.
+Free kernels are computed by dynamic programming: one step maps a mass field
+``f`` to ``(Pf)(y) = (1/2d) * sum_{z ~ y} f(z)``.  Because the update is a
+convex combination of exact point masses, wrong-parity entries stay *exactly*
+zero: ``p_n(x, y) = 0`` unless ``n + graph_distance(x, y)`` is even, and for
+reachable points exactly one of ``p_n, p_{n+1}`` is nonzero.
+
+The DP runs on the orthant ``{0..n}^d`` only, reading a neighbour at ``-1``
+on an axis as its mirror image at ``+1``.  This equals the DP on the full box
+``{-n..n}^d`` bit for bit: a reflection of one axis only swaps the two
+operands of that axis's pair sum ``f(y+e) + f(y-e)``, IEEE addition is
+commutative, and the pairs are still added in axis order, then divided by
+2d.  That order makes ``p_2(0,0) == 1/(2d)`` exact in binary64 for d in
+{1,2,3} (for d=3 the sum ``6*fl(1/6)`` lands on the round-to-even tie at
+1.0).  Permutations of the coordinates are *not* folded: they reorder the
+per-axis sums, and in d = 3 the rounded field is not symmetric under them.
+One progression per dimension, keyed ``(d, n)``, lives in the bounded memo
+(``Memo``); the box, where a caller needs it, is unfolded exactly.
 
 Killed kernels restrict the same update to a ball ``B``: mass stepping out of
 ``B`` is dropped, giving ``p_n^B(x, y) = P^x(X_n = y, n < exit time)``, stored
@@ -23,11 +34,6 @@ the same order as a full matrix-vector step.  A caller that sums one
 start's mass scatters its rows into a full interior vector first, so
 numpy's pairwise summation groups the terms as it does over the full vector
 and the sum is unchanged to the bit.
-
-The step accumulates the two neighbour shifts per axis first, then adds the
-per-axis pairs in axis order, then divides by 2d; this ordering makes
-``p_2(0,0) == 1/(2d)`` exact in binary64 for d in {1,2,3} (for d=3 the sum
-``6*fl(1/6)`` lands on the round-to-even tie at 1.0).
 
 For d <= 2 there is an independent closed-form route: in d=1 the kernel is
 the binomial pmf ``b_n``, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns
@@ -56,6 +62,7 @@ from .lattice import FiniteDomain, Point, as_point
 from .report import AuditReport
 
 __all__ = [
+    "orthant_fields",
     "free_field",
     "iter_free_fields",
     "n_step",
@@ -75,115 +82,6 @@ __all__ = [
     "exactness_audit",
     "projection_audit",
 ]
-
-
-def _step_array(arr: np.ndarray, d: int) -> np.ndarray:
-    """One free step on a centred box, growing it by one cell per side."""
-    big_shape = tuple(s + 2 for s in arr.shape)
-    base = tuple(slice(1, s + 1) for s in arr.shape)
-    total = None
-    for axis in range(d):
-        pair = np.zeros(big_shape)
-        lo = list(base)
-        hi = list(base)
-        lo[axis] = slice(0, arr.shape[axis])
-        hi[axis] = slice(2, arr.shape[axis] + 2)
-        pair[tuple(lo)] = arr
-        pair[tuple(hi)] += arr
-        if total is None:
-            total = pair
-        else:
-            total += pair
-    total /= 2.0 * d
-    return total
-
-
-# --- free-field cache -------------------------------------------------------
-#
-# Sequential audits iterate fields without retention (iter_free_fields);
-# random access (n_step) goes through a memoized progression.  Low dimensions
-# retain the whole progression, higher ones only the requested steps, so the
-# cache stays within a desk-scale memory budget.  The maps behave as single
-# logical maps under concurrent insert-or-get (one lock).
-
-_FREE_LOCK = threading.Lock()
-_FREE_SEQ: dict[int, list[np.ndarray]] = {}
-_FREE_SPOT: dict[int, dict[int, np.ndarray]] = {}
-_FREE_SPOT_KEEP = 4
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Mark a memoized array read-only, so no caller can corrupt the memo."""
-    arr.setflags(write=False)
-    return arr
-
-
-def _retain_limit(d: int) -> int:
-    return {1: 4096, 2: 256}.get(d, 0)
-
-
-def free_field(d: int, n: int) -> np.ndarray:
-    """The dense box of ``p_n(0, .)`` in dimension ``d`` (memoized)."""
-    if d < 1 or n < 0:
-        raise ValueError("need d >= 1 and n >= 0")
-    with _FREE_LOCK:
-        if n <= _retain_limit(d):
-            seq = _FREE_SEQ.setdefault(d, [_frozen(np.ones((1,) * d))])
-            while len(seq) <= n:
-                seq.append(_frozen(_step_array(seq[-1], d)))
-            return seq[n]
-        spot = _FREE_SPOT.setdefault(d, {})
-        if n in spot:
-            return spot[n]
-        starts = [m for m in spot if m < n]
-        if starts:
-            m = max(starts)
-            arr = spot[m]
-        else:
-            seq = _FREE_SEQ.get(d)
-            m = min(_retain_limit(d), n) if seq else 0
-            if seq:
-                while len(seq) <= m:
-                    seq.append(_frozen(_step_array(seq[-1], d)))
-                arr = seq[m]
-            else:
-                arr = np.ones((1,) * d)
-        for _ in range(n - m):
-            arr = _step_array(arr, d)
-        spot[n] = _frozen(arr)
-        while len(spot) > _FREE_SPOT_KEEP:
-            del spot[min(spot)]
-        return arr
-
-
-def _box_graph(d: int, n: int) -> np.ndarray:
-    """Graph distance from the origin over the free field's box of side 2n+1."""
-    return reduce(np.add.outer, [np.abs(np.arange(-n, n + 1))] * d)
-
-
-def iter_free_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(n, p_n(0,.))`` for n = 0..n_max without retaining the fields."""
-    if d < 1 or n_max < 0:
-        raise ValueError("need d >= 1 and n_max >= 0")
-    arr = np.ones((1,) * d)
-    yield 0, arr
-    for n in range(1, n_max + 1):
-        arr = _step_array(arr, d)
-        yield n, arr
-
-
-def n_step(x, y, n: int) -> float:
-    """Exact ``p_n(x, y)`` via the memoized free field (translation invariance)."""
-    x, y = as_point(x), as_point(y)
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    offset = tuple(b - a for a, b in zip(x, y))
-    if sum(abs(o) for o in offset) > n:
-        return 0.0
-    arr = free_field(len(x), n)
-    return float(arr[tuple(o + n for o in offset)])
 
 
 def _binomial(n: int, k: int) -> int:
@@ -257,6 +155,12 @@ def walk_pmf(n: int, sites) -> np.ndarray:
 MEMO_BYTES = 256 << 20  # what all memos together may hold; a value past it is not stored
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a memoized array read-only, so no caller can corrupt the memo."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _sealed(value) -> int:
     """Make a memoized value's arrays read-only; return the bytes they hold.
 
@@ -314,6 +218,95 @@ class Memo:
 def _ball_key(B: FiniteDomain) -> tuple[Point, int] | None:
     """A ball's memo key; ``None`` (not stored) for any other domain."""
     return None if B.radius is None else B.key()
+
+
+# --- free fields -------------------------------------------------------------
+
+_FREE = Memo()  # (d, n) -> p_n(0, .) on the orthant {0..n}^d
+
+
+def _orthant_step(arr: np.ndarray, d: int) -> np.ndarray:
+    """One free step on the orthant ``{0..n}^d``, growing it by one cell per axis."""
+    n = arr.shape[0] - 1
+    # The result, which the memo keeps, is allocated before the scratch.  Peak
+    # RSS follows glibc's dynamic mmap threshold, which rises as mmapped blocks
+    # are freed: in-process `all --dim 2` runs (glibc 2.36, x86-64) peaked near
+    # 95 MB instead of 87 MB in 6 of 20 runs with the scratch allocated first,
+    # in 3 of 20 in this order, and in none with the threshold pinned.
+    total = np.zeros((n + 2,) * d)
+    for axis in range(d):
+        pair = total if axis == 0 else np.zeros(total.shape)
+        # this axis first, the others cut to the old extent, beyond which the pair is zero
+        o = np.moveaxis(pair, axis, 0)[(slice(None),) + (slice(0, n + 1),) * (d - 1)]
+        f = np.moveaxis(arr, axis, 0)
+        o[:n] = f[1:]  # f(y + e)
+        o[1:] += f  # f(y - e)
+        if n:
+            o[0] += f[1]  # f(-e) := f(e)
+        if axis:
+            total += pair
+    total /= 2.0 * d
+    return total
+
+
+def orthant_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(n, p_n(0, .))`` over the orthant ``{0..n}^d`` for n = 0..n_max.
+
+    Entry ``y`` holds ``p_n(0, y)``, and ``p_n(0, .)`` is even in every
+    coordinate, so the orthant holds every value of the box.  The fields
+    come from the bounded memo (``Memo``, keyed ``(d, n)``), so audits that
+    walk the same dimension share one progression; they are read-only.
+    """
+    if d < 1 or n_max < 0:
+        raise ValueError("need d >= 1 and n_max >= 0")
+    arr = _FREE.get((d, 0), lambda: np.ones((1,) * d))
+    yield 0, arr
+    for n in range(1, n_max + 1):
+        arr = _FREE.get((d, n), lambda: _orthant_step(arr, d))
+        yield n, arr
+
+
+def _orthant_graph(d: int, n: int) -> np.ndarray:
+    """Graph distance from the origin over the orthant ``{0..n}^d``."""
+    return reduce(np.add.outer, [np.arange(n + 1)] * d)
+
+
+def _unfold(arr: np.ndarray) -> np.ndarray:
+    """The box ``{-n..n}^d`` of an orthant field, mirrored exactly (read-only)."""
+    for axis in range(arr.ndim):
+        arr = np.concatenate([np.flip(arr[(slice(None),) * axis + (slice(1, None),)], axis), arr], axis=axis)
+    return _frozen(arr)
+
+
+def free_field(d: int, n: int) -> np.ndarray:
+    """The dense box of ``p_n(0, .)`` in dimension ``d``, unfolded from the memoized orthant."""
+    for _, arr in orthant_fields(d, n):
+        pass
+    return _unfold(arr)
+
+
+def iter_free_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(n, p_n(0,.))`` over the box ``{-n..n}^d`` for n = 0..n_max (read-only).
+
+    Each box is unfolded from the memoized orthant progression (``orthant_fields``).
+    """
+    for n, arr in orthant_fields(d, n_max):
+        yield n, _unfold(arr)
+
+
+def n_step(x, y, n: int) -> float:
+    """Exact ``p_n(x, y)`` via the memoized orthant progression (translation invariance)."""
+    x, y = as_point(x), as_point(y)
+    if len(x) != len(y):
+        raise ValueError("dimension mismatch")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    offset = tuple(abs(b - a) for a, b in zip(x, y))
+    if sum(offset) > n:
+        return 0.0
+    for _, arr in orthant_fields(len(x), n):
+        pass
+    return float(arr[offset])
 
 
 # --- killed kernels ---------------------------------------------------------
@@ -511,15 +504,16 @@ def exactness_audit(d: int, n_max: int) -> AuditReport:
     parity_exact = True
     rows = []
     for n, field in iter_free_fields(d, n_max):
-        dev = abs(float(field.sum()) - 1.0)
+        dev = abs(float(field.sum()) - 1.0)  # over the box: pairwise summation rounds by position
         if dev > worst_mass:
             worst_mass, worst_n = dev, n
+        orthant = field[(slice(n, None),) * d]  # holds every value of the box
         # wrong-parity cells: graph distance from origin has opposite parity to n
-        off = field[(_box_graph(d, n) + n) % 2 == 1]
+        off = orthant[(_orthant_graph(d, n) + n) % 2 == 1]
         if off.size and float(np.abs(off).max()) != 0.0:
             parity_exact = False
         if n == 2:
-            two_step_exact = float(field[(n,) * d]) == 1.0 / (2 * d)
+            two_step_exact = float(orthant[(0,) * d]) == 1.0 / (2 * d)
         rows.append({"n": n, "mass_deviation": dev})
     passed = worst_mass <= mass_tol and parity_exact and two_step_exact
     return AuditReport(

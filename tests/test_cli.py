@@ -76,14 +76,21 @@ def test_repeat_runs_are_byte_identical_excluding_timings(tmp_path):
     assert json.dumps(body_a, sort_keys=True) == json.dumps(body_b, sort_keys=True)
 
 
-def test_thread_pool_width_does_not_change_audits(tmp_path):
+def test_thread_pool_width_does_not_change_audits(tmp_path, monkeypatch):
+    from harnack import kernel
+
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["green", "--dim", "1", "--r-min", "2", "--r-max", "4", "--seed", "3"]
-    assert run_cli(base + ["--threads", "1", "--out", str(out_a)]) == EXIT_OK
-    assert run_cli(base + ["--threads", "3", "--out", str(out_b)]) == EXIT_OK
-    audits_a = json.loads(out_a.read_text())["audits"]
-    audits_b = json.loads(out_b.read_text())["audits"]
-    assert json.dumps(audits_a, sort_keys=True) == json.dumps(audits_b, sort_keys=True)
+    for base in (
+        ["green", "--dim", "1", "--r-min", "2", "--r-max", "4", "--seed", "3"],
+        ["bounds", "--dim", "2", "--n-max", "40", "--seed", "3"],
+    ):
+        for threads, out in (("1", out_a), ("3", out_b)):
+            # an empty free-field memo, so three bounds audits walk the one progression at once
+            monkeypatch.setattr(kernel, "_FREE", kernel.Memo())
+            assert run_cli(base + ["--threads", threads, "--out", str(out)]) == EXIT_OK
+        audits_a = json.loads(out_a.read_text())["audits"]
+        audits_b = json.loads(out_b.read_text())["audits"]
+        assert json.dumps(audits_a, sort_keys=True) == json.dumps(audits_b, sort_keys=True)
 
 
 def test_environment_overrides_and_flag_precedence(tmp_path, monkeypatch):

@@ -11,17 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack import bounds, kernel
 from harnack.cache import KernelCache
 from harnack.kernel import (
     _binomial,
     exactness_audit,
     free_field,
     full_column,
+    iter_free_fields,
     iter_killed_vectors,
     killed_matrix,
     lazy_distribution,
     lazy_exit_survival_curve,
     n_step,
+    orthant_fields,
     parity_classes,
     projection_audit,
     survival,
@@ -65,6 +68,63 @@ def test_field_mass_and_parity(d):
         grids = np.meshgrid(*([np.arange(-n, n + 1)] * d), indexing="ij")
         dist = sum(np.abs(g) for g in grids)
         assert not field[(dist + n) % 2 == 1].any()
+
+
+def full_box_step(arr, d):
+    """One free step on the centred box, growing it by one cell per side: the unfolded reference DP."""
+    big_shape = tuple(s + 2 for s in arr.shape)
+    base = tuple(slice(1, s + 1) for s in arr.shape)
+    total = None
+    for axis in range(d):
+        pair = np.zeros(big_shape)
+        lo = list(base)
+        hi = list(base)
+        lo[axis] = slice(0, arr.shape[axis])
+        hi[axis] = slice(2, arr.shape[axis] + 2)
+        pair[tuple(lo)] = arr
+        pair[tuple(hi)] += arr
+        if total is None:
+            total = pair
+        else:
+            total += pair
+    total /= 2.0 * d
+    return total
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 100), (2, 100), (3, 65)])
+def test_folded_fields_equal_the_full_box_dp(d, n_max):
+    rng = np.random.default_rng(d)
+    box = np.ones((1,) * d)
+    for n, field in iter_free_fields(d, n_max):
+        if n:
+            box = full_box_step(box, d)
+        assert field.tobytes() == box.tobytes(), n
+        assert free_field(d, n).tobytes() == box.tobytes(), n
+        for offset in rng.integers(-n, n + 1, size=(8, d)).tolist():
+            value = n_step((0,) * d, offset, n)
+            assert value == box[tuple(o + n for o in offset)]
+            for axis in range(d):
+                mirrored = list(offset)
+                mirrored[axis] = -mirrored[axis]
+                assert n_step((0,) * d, mirrored, n) == value
+
+
+def test_free_field_audits_share_one_progression(monkeypatch):
+    steps = []
+    step = kernel._orthant_step
+
+    def counted(arr, d):
+        steps.append(arr.shape[0])
+        return step(arr, d)
+
+    monkeypatch.setattr(kernel, "_FREE", kernel.Memo())
+    monkeypatch.setattr(kernel, "_orthant_step", counted)
+    assert exactness_audit(2, 16).passed
+    assert bounds.near_diagonal_audit(2, 16).passed
+    assert bounds.gaussian_lower_audit(2, 16).passed
+    assert bounds.gaussian_upper_audit(2, 16).passed
+    assert bounds.lclt_error_scan(2, (8, 16)).passed
+    assert steps == list(range(1, 18))  # one pass to n = 17, for near_diagonal's pairs
 
 
 def closed_form_n_step(z, n):
@@ -330,9 +390,12 @@ def test_memoized_arrays_are_read_only():
     before = n_step((0, 0), (0, 1), 3)
     with pytest.raises(ValueError):
         free_field(2, 3)[3, 4] = 99.0
+    for _, field in orthant_fields(2, 3):
+        with pytest.raises(ValueError):
+            field[(0,) * field.ndim] = 99.0
     assert n_step((0, 0), (0, 1), 3) == before == 0.140625
     with pytest.raises(ValueError):
-        free_field(3, 2)[0, 0, 0] = 1.0  # beyond the retained progression
+        free_field(3, 2)[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         green_solve(make_ball((0, 0), 2)).values[0, 0] = 0.0
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ parsed, not imported, so nothing under ``perfbench/`` is run or written.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 from harnack import kernel
@@ -53,3 +54,29 @@ def test_the_killed_memo_answers_membership_by_ball_key():
     assert B.key() not in kernel._KILLED
     kernel.killed_matrix(B)
     assert B.key() in kernel._KILLED
+
+
+def test_the_benchmark_workloads_reach_the_free_field_names(monkeypatch, tmp_path):
+    # Every workload must call `iter_free_fields`, and the cache workload
+    # `free_field`, or the tracer's per-layer record is incomplete.  Rebind
+    # them in every harnack module, as the tracer does.
+    calls = {"iter_free_fields": 0, "free_field": 0}
+    for name in calls:
+        original = getattr(kernel, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in [m for n, m in sys.modules.items() if n == "harnack" or n.startswith("harnack.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert kernel.exactness_audit(2, 4).passed
+    assert kernel.projection_audit(4).passed
+    assert calls == {"iter_free_fields": 2, "free_field": 0}
+    cache = KernelCache(tmp_path)
+    cache.put_free(1, 3, kernel.free_field(1, 3))
+    calls["free_field"] = 0
+    assert cache.verify(fraction=1.0)["ok"]
+    assert calls["free_field"] == 1
