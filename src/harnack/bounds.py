@@ -192,11 +192,14 @@ def near_diagonal_audit(d: int, n_max: int, L: float = 0.7) -> AuditReport:
     grid; ``N2`` is the smallest value of ``(p_n + p_{n+1})(0,y) * n^{d/2}``
     over points admissible at lag L, i.e. ``n >= max(1, dist^2) / L^2``.
     Pass requires N2 > 0 (the paired kernel never vanishes on-diagonal-scale).
+    ``ValueError`` when ``n_max * L^2 < 1``: then no time is admissible.
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must lie in (0, 1)")
     if n_max > 128:
         raise ValueError("n_max above the supported desk-scale window (128)")
+    if (L * L) * n_max < 1:  # as the admissibility test below reads it
+        raise ValueError("n_max must reach 1/L^2, the first admissible time")
     n1, n1_witness, n2, n2_witness, prev = 0.0, None, math.inf, None, None
     for n, field in orthant_fields(d, n_max + 1):
         if n <= n_max:

@@ -204,10 +204,9 @@ class KernelCache:
         if rec.kind == KIND_KILLED:
             assert rec.center is not None and rec.radius is not None and rec.start is not None
             ball = make_ball(rec.center, rec.radius)
-            for _, rows, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
+            for _, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
                 pass
-            vec = kernel.full_column(ball, rows, block)
-            return encode_killed(rec.center, rec.radius, rec.start, rec.n, vec)
+            return encode_killed(rec.center, rec.radius, rec.start, rec.n, block[:, 0])
         if rec.kind == KIND_GREEN:
             assert rec.center is not None and rec.radius is not None
             table = green_solve(make_ball(rec.center, rec.radius))

@@ -34,7 +34,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 from .cache import KernelCache
 from .lattice import make_ball
@@ -93,8 +93,8 @@ class RunConfig:
             raise UsageError("--r-min must be >= 1")
         if self.r_max < self.r_min:
             raise UsageError("--r-max must be >= --r-min")
-        if self.n_max < 2:
-            raise UsageError("--n-max must be >= 2")
+        if self.n_max < 3:
+            raise UsageError("--n-max must be >= 3")
         if not self.tol > 0.0:
             raise UsageError("--tol must be positive")
         if self.seed < 0:
@@ -126,32 +126,8 @@ class RunConfig:
         return "harnack_report.json" if self.format == "json" else "harnack_report"
 
 
-def _int_env(name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"environment variable {name} must be an integer") from None
-
-
-def _float_env(name: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"environment variable {name} must be a number") from None
-
-
-_ENV_CASTS: dict[str, Callable[[str, str], object]] = {
-    "dim": _int_env,
-    "r_min": _int_env,
-    "r_max": _int_env,
-    "n_max": _int_env,
-    "tol": _float_env,
-    "seed": _int_env,
-    "threads": _int_env,
-    "format": lambda _n, raw: raw,
-    "cache_dir": lambda _n, raw: raw,
-    "out": lambda _n, raw: raw,
-}
+_ENV_TYPES = {name: kind for name, kind in get_type_hints(RunConfig).items() if name != "command"}
+_NUMBERS = {int: "an integer", float: "a number"}  # the other fields are strings
 
 
 def _resolve(name: str, flag_value, default):
@@ -160,16 +136,22 @@ def _resolve(name: str, flag_value, default):
         return flag_value
     env_name = ENV_PREFIX + name.upper()
     raw = os.environ.get(env_name)
-    if raw is not None and raw != "":
-        return _ENV_CASTS[name](env_name, raw)
-    return default
+    if raw is None or raw == "":
+        return default
+    kind = _ENV_TYPES[name]
+    if kind not in _NUMBERS:
+        return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise UsageError(f"environment variable {env_name} must be {_NUMBERS[kind]}") from None
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     defaults = RunConfig(command=args.command)
     values = {
         name: _resolve(name, getattr(args, name), getattr(defaults, name))
-        for name in _ENV_CASTS
+        for name in _ENV_TYPES
     }
     cfg = RunConfig(command=args.command, **values)
     cfg.validate()
@@ -387,10 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="harnack",
         description="Audit runner for random-walk kernels, Green tables, "
         "boundary-value solvers and Harnack constants on the integer lattice.",
-        epilog="Flags may be set via HARNACK_* environment variables "
-        "(HARNACK_DIM, HARNACK_R_MIN, HARNACK_R_MAX, HARNACK_N_MAX, "
-        "HARNACK_TOL, HARNACK_SEED, HARNACK_FORMAT, HARNACK_CACHE_DIR, "
-        "HARNACK_THREADS, HARNACK_OUT); explicit flags take precedence.",
+        epilog="Flags may be set via HARNACK_* environment variables ("
+        + ", ".join(ENV_PREFIX + name.upper() for name in _ENV_TYPES)
+        + "); explicit flags take precedence.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     help_lines = {

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernel import full_column, iter_killed_vectors, lazy_exit_survival_curve
+from .kernel import iter_killed_vectors, lazy_exit_survival_curve
 from .lattice import FiniteDomain, Point, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -58,8 +58,8 @@ def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> ExitCdf:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     values = np.empty(n_max + 1)
-    for n, rows, block in iter_killed_vectors(B, [B.index_of(x)], n_max):
-        values[n] = 1.0 - float(full_column(B, rows, block).sum())
+    for n, block in iter_killed_vectors(B, [B.index_of(x)], n_max):
+        values[n] = 1.0 - float(block[:, 0].sum())
     return ExitCdf(domain=B, start=x, values=values)
 
 
@@ -183,9 +183,9 @@ def crude_tail_audit(
         limit *= 2
     walk = iter_killed_vectors(B, [B.index_of((0,) * d)], limit)
     cdf = {}
-    for n, live, block in walk:
+    for n, block in walk:
         if n in n_values:
-            cdf[n] = 1.0 - float(full_column(B, live, block).sum())
+            cdf[n] = 1.0 - float(block[:, 0].sum())
         if n == n_max:
             break
     p = (2.0 * d) ** (-3.0 * R)
@@ -203,10 +203,10 @@ def crude_tail_audit(
     survival = 1.0 - cdf[n_max]
     while survival > target and search_n < max_n:
         search_n *= 2
-        for n, live, block in walk:
+        for n, block in walk:
             if n == search_n:
                 break
-        survival = float(full_column(B, live, block).sum())
+        survival = float(block[:, 0].sum())
     found = survival <= target
     all_pass &= found
     return AuditReport(

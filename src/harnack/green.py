@@ -42,10 +42,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
 from .kernel import Memo, _ball_key, identity_minus, iter_killed_vectors, killed_lu, parity_classes
-from .lattice import FiniteDomain, as_point, make_ball
+from .lattice import FiniteDomain, make_ball
 from .report import AuditReport
 
 RESIDUAL_TOL = 1e-10
@@ -69,24 +70,16 @@ class SolverError(RuntimeError):
 
 @dataclass
 class GreenTable:
-    """Green values over a ball's point index.
+    """Green values over a domain's interior index.
 
-    ``values[i, j] = g_B(interior[i], columns[j])``; ``columns`` is ``None``
-    for a full table (then ``j`` runs over the whole index).
+    ``values[i, j] = g_B(interior[i], interior[j])`` for a full table; a
+    column-restricted solve holds one column per requested index, in order.
     """
 
     domain: FiniteDomain
     values: np.ndarray
     method: str
     meta: dict = field(default_factory=dict)
-    columns: tuple[int, ...] | None = None
-
-    def value(self, x, y) -> float:
-        i = self.domain.index_of(as_point(x))
-        j = self.domain.index_of(as_point(y))
-        if self.columns is not None:
-            j = self.columns.index(j)
-        return float(self.values[i, j])
 
 
 _TABLES = Memo()  # B.key() -> full solved GreenTable
@@ -103,10 +96,12 @@ def green_table_series(
     one ``iter_killed_vectors`` walk, one sparse product per step, even and
     odd ones paired in its columns, and each step's block is added to the
     accumulator of its step parity; each walked column holds the same sums
-    as when every start is walked.  Each representative certifies its own
-    tail (staircase columns reach their drop steps at different times);
-    iteration ends when every representative's certified tail bound is below
-    ``tol``.  Steps are certified ``_WINDOW`` at a time; a window that holds
+    as when every start is walked.  Each start's mass is read off one
+    product with a 2 x |B| class-sum matrix, which adds its live class in
+    index order, as a full-interior column sum does.  Each representative
+    certifies its own tail (staircase columns reach their drop steps at
+    different times); iteration ends when every representative's certified
+    tail bound is below ``tol``.  Steps are certified ``_WINDOW`` at a time; a window that holds
     the stopping step is accumulated again, from its start, up to that step
     only.  Every other column is then gathered as an image of its
     representative's, ``G[:, j] = G[h x, r]`` for a map h taking j to r.
@@ -116,25 +111,27 @@ def green_table_series(
     rep = maps.min(axis=0)  # each point's orbit representative
     classes = parity_classes(B)
     reps = [c[rep[c] == c] for c in classes]
-    halves = [slice(0, len(classes[0])), slice(len(classes[0]), len(B))]  # the walk's rows
+    # row c adds class c's rows in ascending order, one term at a time
+    class_sums = sp.csr_matrix(
+        (np.ones(len(B)), np.concatenate(classes), [0, len(classes[0]), len(B)]), shape=(2, len(B))
+    )
     steps = iter_killed_vectors(B, np.concatenate(reps), max_steps)
     width = max(map(len, reps))  # column j walks even representative j and odd one j
     totals = [np.zeros((len(B), width)) for _ in (0, 1)]  # sums over the even and the odd steps
     count = sum(map(len, reps))  # per-start arrays run class by class
     history = np.stack([np.full(count, np.inf), np.ones(count)])  # sums of steps n-2, n-1
     tail_bounds = np.full(count, np.inf)  # finite once a start is certified
-    _, _, block = next(steps)
+    _, block = next(steps)
     totals[0] += block  # step 0 is accumulated, not certified
     n = 0  # the last accumulated step
     while np.isinf(tail_bounds).any():
         before, window, sums = [total.copy() for total in totals], [], []
-        for t, _, block in itertools.islice(steps, _WINDOW):
+        for t, block in itertools.islice(steps, _WINDOW):
             totals[t % 2] += block  # accumulated and summed while the block is in cache
             window.append(block)
             # each start's mass, on its live class: class c + t for starts of class c
-            sums.append(
-                np.concatenate([block[halves[(c + t) % 2], : len(reps[c])].sum(axis=0) for c in (0, 1)])
-            )
+            mass = class_sums @ block
+            sums.append(np.concatenate([mass[(c + t) % 2, : len(reps[c])] for c in (0, 1)]))
         if not sums:
             break  # max_steps reached
         # certify every step of the window at once: the same elementwise
@@ -160,7 +157,8 @@ def green_table_series(
     table = np.zeros((len(B), len(B)))
     for p, total in enumerate(totals):  # starts of class c hold class c + p after p-parity steps
         for c in (0, 1):
-            table[np.ix_(classes[(c + p) % 2], reps[c])] = total[halves[(c + p) % 2], : len(reps[c])]
+            live = classes[(c + p) % 2]
+            table[np.ix_(live, reps[c])] = total[live, : len(reps[c])]
     # map h takes column j to its representative; the identity (row 0) keeps
     # the representatives, every other map fills its columns by one gather
     image_of = np.argmax(maps == rep, axis=0)
@@ -201,9 +199,7 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
                 f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
                 f"on a domain of {size} points"
             )
-        return GreenTable(
-            domain=B, values=values, method="solve", meta={"residual": residual}, columns=columns
-        )
+        return GreenTable(domain=B, values=values, method="solve", meta={"residual": residual})
 
     return solve() if columns is not None else _TABLES.get(_ball_key(B), solve)
 
@@ -313,11 +309,9 @@ def killed_lower_audit(
         dist = _pair_distances(B.coords[half])
         shell_count = int(dist.max()) + 1
         # the walk's block holds half-ball target t and start s at entry
-        # (row[half[t]], column[s]); after n steps the live (start, target)
-        # pairs are those whose parities differ by n, taken in (start, target)
+        # (half[t], column[s]); after n steps the live (start, target) pairs
+        # are those whose parities differ by n, taken in (start, target)
         # order, and read off the block by flat index
-        row = np.empty(len(B), dtype=np.int64)
-        row[np.concatenate(parity_classes(B))] = np.arange(len(B))
         column = np.empty(len(half), dtype=np.int64)
         groups = parity_classes(B, half)
         for g in groups:
@@ -327,9 +321,9 @@ def killed_lower_audit(
         layouts = []  # per parity of n: flat block indices, starts, targets, distances
         for p in (0, 1):
             s, t = np.nonzero(parity[None, :] == (parity[:, None] + p) % 2)
-            layouts.append((row[half[t]] * width + column[s], s, t, dist[s, t]))
+            layouts.append((half[t] * width + column[s], s, t, dist[s, t]))
         fit = _EnvelopeFit(d, grid, lower=True)
-        for n, _, block in iter_killed_vectors(B, half, R * R + 1):
+        for n, block in iter_killed_vectors(B, half, R * R + 1):
             flat, s, t, pair_dist = layouts[n % 2]
             vals = block.take(flat)
             now = (_shell_extremes(vals, pair_dist, shell_count, lower=True), vals, s, t, pair_dist)

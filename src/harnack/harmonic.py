@@ -1,7 +1,10 @@
 """Discrete harmonic functions on finite lattice domains.
 
 The Laplacian here is the averaging operator minus the identity, so a
-function is harmonic exactly when it equals its neighbor average.  The
+function is harmonic exactly when it equals its neighbor average.  A field
+is a :class:`LatticeField`: a domain and its values in the domain's closure
+order (or over the interior prefix of it); boundary data are arrays over
+``D.outer_coords``, and harmonic measures are such arrays too.  The
 Dirichlet problem is solved three independent ways (sparse LU, clamped
 fixed-point iteration, Monte Carlo) and harmonic measure by one adjoint
 solve; on a ball both reuse its memoized factor and assemble no matrix.
@@ -13,15 +16,15 @@ boundary of a subset A (interior indices of B); the reconstruction
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .exit_time import McEstimate, exit_walks
 from .green import RESIDUAL_TOL, SolverError
 from .kernel import exit_steps, killed_lu, killed_matrix, killed_operator
-from .lattice import FiniteDomain, Point, as_point, make_ball
+from .lattice import FiniteDomain, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
 
@@ -36,52 +39,33 @@ class BalayageError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeField:
-    """Real values attached to an ordered tuple of lattice points.
+    """Real values over a domain's closure index, or over its interior prefix."""
 
-    A field over a domain's interior or closure shares the domain's closure
-    ``index_map``; points mapped past ``values`` are not in the field.
-    """
-
-    points: tuple[Point, ...]
+    domain: FiniteDomain
     values: np.ndarray
-    index_map: dict[Point, int] = field(compare=False, repr=False)
-
-    @classmethod
-    def over(cls, points: Sequence, values: np.ndarray) -> "LatticeField":
-        pts = tuple(as_point(p) for p in points)
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (len(pts),):
-            raise ValueError("values must align one-to-one with points")
-        return cls(
-            points=pts, values=vals, index_map={p: i for i, p in enumerate(pts)}
-        )
 
     def value_at(self, point) -> float:
-        i = self.index_map.get(as_point(point), len(self.values))
-        if i >= len(self.values):
+        i = self.domain.closure_index(as_point(point))
+        if not 0 <= i < len(self.values):
             raise KeyError(point)
         return float(self.values[i])
 
-    def __contains__(self, point) -> bool:
-        return self.index_map.get(as_point(point), len(self.values)) < len(self.values)
-
 
 def _on_closure(h: LatticeField, D: FiniteDomain) -> np.ndarray:
-    """``h`` over D's closure index: its own values if it shares that index."""
-    if h.index_map is D.index_map and len(h.values) == len(D.index_map):
-        return h.values
-    missing = next((p for p in D.closure if p not in h), None)
-    if missing is not None:
-        raise ValueError(f"{missing} of the closure has no value in h")
-    return h.values[[h.index_map[p] for p in D.closure]]
+    """``h``'s values, which must cover D's closure index."""
+    if h.domain is not D:
+        raise ValueError("h is a field over another domain")
+    if len(h.values) != len(D) + len(D.outer_coords):
+        raise ValueError("h has no values on the outer boundary")
+    return h.values
 
 
 def laplacian(h: LatticeField, D: FiniteDomain) -> np.ndarray:
     """Neighbour average minus centre, ``(1/2d) sum_{y~x} h(y) - h(x)``, over D.
 
-    ``h`` is read over D's closure (no gather when it shares D's closure
-    index); returns the vector over D's interior index.  Raises
-    ``ValueError`` if ``h`` has no value at a point of the closure.
+    ``h`` must be a field over D's closure; returns the vector over D's
+    interior index.  Raises ``ValueError`` for a field over another domain
+    (even an equal one) or over D's interior only.
     """
     return _laplacian_of(_on_closure(h, D), D)
 
@@ -92,20 +76,11 @@ def _laplacian_of(vals: np.ndarray, D: FiniteDomain) -> np.ndarray:
 
 
 def _boundary_field(D: FiniteDomain, phi) -> np.ndarray:
-    """Boundary data as an array over D's outer boundary, from a field or mapping."""
-    if isinstance(phi, LatticeField):
-        return np.array([phi.value_at(p) for p in D.outer_boundary])
-    if isinstance(phi, Mapping):
-        return np.array([float(phi[p]) for p in D.outer_boundary])
+    """Boundary data as a float array over ``D.outer_coords``."""
     vals = np.asarray(phi, dtype=float)
     if vals.shape != (len(D.outer_coords),):
-        raise ValueError("boundary data must align with D.outer_boundary")
+        raise ValueError("boundary data must align with D.outer_coords")
     return vals
-
-
-def _assemble(D: FiniteDomain, interior: np.ndarray, bdata: np.ndarray) -> LatticeField:
-    """A field over D's closure; it shares the domain's closure index."""
-    return LatticeField(D.closure, np.concatenate([interior, bdata]), D.index_map)
 
 
 def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
@@ -117,7 +92,7 @@ def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     exactly and is residual-checked to 1e-10.
     """
     bdata = _boundary_field(D, phi)
-    return _assemble(D, _dirichlet_interior(D, bdata), bdata)
+    return LatticeField(D, np.concatenate([_dirichlet_interior(D, bdata), bdata]))
 
 
 def _dirichlet_interior(D: FiniteDomain, bdata: np.ndarray) -> np.ndarray:
@@ -154,7 +129,7 @@ def dirichlet_iterate(
             break
     else:
         raise SolverError("fixed-point iteration failed to settle")
-    return _assemble(D, interior, bdata)
+    return LatticeField(D, np.concatenate([interior, bdata]))
 
 
 def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> McEstimate:
@@ -179,8 +154,8 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> McEstimate
     )
 
 
-def harmonic_measure(D: FiniteDomain, x) -> LatticeField:
-    """Exit-position distribution from x, via one adjoint solve.
+def harmonic_measure(D: FiniteDomain, x) -> np.ndarray:
+    """Exit-position distribution from x over ``D.outer_coords``, via one adjoint solve.
 
     The interior system is symmetric, so the row of hitting probabilities is
     ``(boundary coupling)^T (I - P)^{-1} delta_x`` — a single sparse solve.
@@ -194,13 +169,13 @@ def harmonic_measure(D: FiniteDomain, x) -> LatticeField:
     u = killed_lu(D).solve(delta)
     out = np.zeros(len(D.outer_coords))
     np.add.at(out, cols_b, w * u[rows_b])
-    return LatticeField.over(D.outer_boundary, out)
+    return out
 
 
 def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
     """All exit-position rows at once: shape (interior, boundary).
 
-    Row x is ``harmonic_measure(D, x)`` over ``D.outer_boundary`` order; rows sum
+    Row x is ``harmonic_measure(D, x)`` over ``D.outer_coords`` order; rows sum
     to one.  One LU factorization (a ball's is memoized) with |∂D|
     right-hand sides.
     """
@@ -254,7 +229,7 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
 
     # The sweep: h on A, the Dirichlet solution on B minus A, 0 outside B.
     target = vals[a_idx]
-    sweep_vals = np.zeros(len(B.index_map))
+    sweep_vals = np.zeros(len(B) + len(B.outer_coords))
     sweep_vals[a_idx] = target
     complement = np.setdiff1d(np.arange(len(B)), a_idx)
     Dc = FiniteDomain.from_points(B.coords[complement])
@@ -262,7 +237,6 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     in_ball = np.empty(len(Dc) + len(Dc.outer_coords), dtype=np.int64)
     in_ball[Dc.neighbor_index] = B.neighbor_index[complement]
     sweep_vals[complement] = _dirichlet_interior(Dc, sweep_vals[in_ball[len(Dc) :]])
-    sweep = LatticeField(B.closure, sweep_vals, B.index_map)
 
     # Charge: identity minus killed one-step, applied to the sweep on B.
     inside = sweep_vals[: len(B)]
@@ -291,9 +265,9 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
             f"reconstruction off by {worst:.3e} (relative) at {witness}"
         )
     return BalayageResult(
-        charge=LatticeField(B.interior, f, B.index_map),
-        sweep=sweep,
-        reconstruction=LatticeField(B.interior, u, B.index_map),
+        charge=LatticeField(B, f),
+        sweep=LatticeField(B, sweep_vals),
+        reconstruction=LatticeField(B, u),
         max_reconstruction_rel_error=worst,
     )
 
@@ -325,7 +299,7 @@ def dirichlet_triple_audit(
     hm = harmonic_measure(D, center)
     gap = float(np.abs(solved.values - iterated.values).max())
     z = abs(mc.estimate - solved.value_at(center)) / max(mc.standard_error, 1e-12)
-    measure_gap = abs(float(hm.values @ phi) - solved.value_at(center))
+    measure_gap = abs(float(hm @ phi) - solved.value_at(center))
     rows = [
         {"check": "solve_vs_iterate", "value": gap, "limit": agree_tol},
         {"check": "mc_z_score", "value": z, "limit": z_cap},

@@ -22,18 +22,14 @@ One progression per dimension, keyed ``(d, n)``, lives in the bounded memo
 Killed kernels restrict the same update to a ball ``B``: mass stepping out of
 ``B`` is dropped, giving ``p_n^B(x, y) = P^x(X_n = y, n < exit time)``, stored
 over the ball's interior index with one column per start, so a block of
-starts advances with one sparse x dense product per step.  The walk is
-bipartite: every step flips the parity of ``sum(coords)``, so the killed
-matrix maps the even interior points to the odd ones and back, and after n
-steps from a start of parity c the mass lives on class ``c + n (mod 2)``
-only.  The iteration orders the interior class by class and lets each
-column carry one even and one odd start: their masses always sit on
-opposite classes, so one product with the class-permuted killed matrix
-advances both parity walks at once, every live entry the same row sum in
-the same order as a full matrix-vector step.  A caller that sums one
-start's mass scatters its rows into a full interior vector first, so
-numpy's pairwise summation groups the terms as it does over the full vector
-and the sum is unchanged to the bit.
+starts advances with one product with ``killed_matrix(B)`` per step.  The
+walk is bipartite: every step flips the parity of ``sum(coords)``, so the
+killed matrix maps the even interior points to the odd ones and back, and
+after n steps from a start of parity c the mass lives on class
+``c + n (mod 2)`` only.  Each column therefore carries one even and one odd
+start: their masses always sit on opposite classes, so one product advances
+both parity walks at once, every entry the same row sum in the same order as
+a single-start step.
 
 For d <= 2 there is an independent closed-form route: in d=1 the kernel is
 the binomial pmf ``b_n``, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns
@@ -75,8 +71,6 @@ __all__ = [
     "killed_lu",
     "parity_classes",
     "iter_killed_vectors",
-    "full_column",
-    "survival",
     "lazy_distribution",
     "lazy_exit_survival_curve",
     "exactness_audit",
@@ -388,61 +382,32 @@ def parity_classes(B: FiniteDomain, points: np.ndarray | None = None) -> list[np
 
 def iter_killed_vectors(
     B: FiniteDomain, starts: Sequence[int], n_max: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(n, rows, block)`` for n = 0..n_max, one sparse x dense product per step.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(n, block)`` for n = 0..n_max, one sparse x dense product per step.
 
     ``starts`` are interior indices of either parity class or of both
-    (``ValueError`` when empty).  ``rows`` are the interior indices of the
-    block's rows, the even class and then the odd one, the same every step.
+    (``ValueError`` when empty).  The block's rows are the interior index.
     Column j carries the j-th even and the j-th odd start, each class in the
     order given, with ``p_n^B(start, .)`` of the even start on the rows of
     class ``n (mod 2)`` and of the odd start on the other class; the
     narrower class's missing starts are exact-zero columns.  The two masses
-    never share a class, so each step multiplies the whole block by the
-    class-permuted ``killed_matrix(B)``.  Its rows keep the matrix's column
-    order, so every live entry is the same sum in the same order as a full
-    matrix-vector step, and a block of one start reproduces the single-start
-    iteration bit for bit.  Single-start sums scatter the rows into a full
-    interior vector first (``full_column``): numpy's pairwise summation
-    groups terms by position, so summing the block's rows alone would round
-    differently.  The yielded arrays are fresh each step and may be kept.
+    never share a class, so each step multiplies the whole block by
+    ``killed_matrix(B)``, and a block of one start is the single-start
+    iteration itself: its mass is ``block[:, 0].sum()``.  The yielded
+    arrays are fresh each step and may be kept.
     """
     starts = np.asarray(starts, dtype=np.int64)
     if len(starts) == 0:
         raise ValueError("starts must be a nonempty set of interior indices")
-    classes = parity_classes(B)
-    rows = np.concatenate(classes)
-    position = np.empty(len(B), dtype=np.int64)  # each point's row in the block
-    position[rows] = np.arange(len(B))
-    # every row's columns lie in the other class, whose order the permutation
-    # keeps, so the permuted rows stay sorted
-    mat = killed_matrix(B)[rows]
-    step = sp.csr_matrix((mat.data, position[mat.indices], mat.indptr), shape=mat.shape)
-    parity = B.coords[starts].sum(axis=1) % 2
-    per_class = [starts[parity == c] for c in (0, 1)]
+    per_class = [starts[g] for g in parity_classes(B, starts)]
     block = np.zeros((len(B), max(map(len, per_class))))
     for members in per_class:
-        block[position[members], np.arange(len(members))] = 1.0
-    yield 0, rows, block
+        block[members, np.arange(len(members))] = 1.0
+    step = killed_matrix(B)
+    yield 0, block
     for n in range(1, n_max + 1):
         block = step @ block
-        yield n, rows, block
-
-
-def full_column(B: FiniteDomain, rows: np.ndarray, block: np.ndarray, j: int = 0) -> np.ndarray:
-    """Column ``j`` of a killed block over the whole interior, in interior order."""
-    out = np.zeros(len(B))
-    out[rows] = block[:, j]
-    return out
-
-
-def survival(x, B: FiniteDomain, n: int) -> float:
-    """``P^x(exit time of B > n)``: total mass of the n-step killed field."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for _, rows, block in iter_killed_vectors(B, [B.index_of(as_point(x))], n):
-        pass
-    return float(full_column(B, rows, block).sum())
+        yield n, block
 
 
 # --- lazy 1-d comparison walk ----------------------------------------------

@@ -13,11 +13,13 @@ Conventions used throughout the package:
   changes the distance to the centre by exactly one.
 
 A :class:`FiniteDomain` (a ball or any finite point set) indexes its interior
-lexicographically, then its outer boundary, and stores the closure indices of
-every interior point's 2d neighbours, so that every other module addresses
-fields as flat numpy vectors and builds lattice operators from one array.
-It also finds the domain's lattice symmetries as index maps, so that walk
-quantities invariant under them need only be computed once per orbit.
+lexicographically, then its outer boundary.  This *closure order* is the one
+index of the package: the domain keeps it as a dense box over its bounding
+box (point to position) and as the closure indices of every interior point's
+2d neighbours, so that every other module addresses fields as flat numpy
+vectors and builds lattice operators from one array.  It also finds the
+domain's lattice symmetries as index maps, so that walk quantities invariant
+under them need only be computed once per orbit.
 """
 
 from __future__ import annotations
@@ -82,15 +84,19 @@ class FiniteDomain:
     (lexicographic, ``coords``) first, then the outer boundary (``outer_coords``,
     lexicographic).  ``neighbor_index[i, k]`` is the closure index of the
     k-th neighbour of interior point i, in :func:`neighbors` order, so an
-    index ``>= len(D)`` is a step out of the domain.  The point tuples and
-    ``index_map`` are built on first use.  Build one with :func:`make_ball`
-    (which also sets ``center``, ``radius`` and :meth:`key`) or
-    :meth:`from_points`.  Domains compare by identity.
+    index ``>= len(D)`` is a step out of the domain.  ``box`` holds the
+    closure index of every cell of the bounding box grown by one, the cell
+    ``p - corner`` for point ``p``, and -1 off the closure; it answers
+    :meth:`closure_index`.  The point tuples are built on first use.  Build
+    one with :func:`make_ball` (which also sets ``center``, ``radius`` and
+    :meth:`key`) or :meth:`from_points`.  Domains compare by identity.
     """
 
     coords: np.ndarray = field(repr=False)
     outer_coords: np.ndarray = field(repr=False)
     neighbor_index: np.ndarray = field(repr=False)
+    box: np.ndarray = field(repr=False)
+    corner: Point = field(repr=False)
     center: Point | None = None
     radius: int | None = None
 
@@ -111,8 +117,8 @@ class FiniteDomain:
     ) -> "FiniteDomain":
         """Index ``cells`` ((m, d) integers) and their outer boundary in a dense box.
 
-        The box spans the cells' bounding box, so its memory grows with that
-        volume, not with the number of cells.
+        The box spans the cells' bounding box grown by one, so its memory
+        grows with that volume, not with the number of cells.
         """
         d = cells.shape[1]
         offsets = np.array(neighbors((0,) * d), dtype=np.int64)
@@ -127,10 +133,10 @@ class FiniteDomain:
         box[tuple(steps[:, out])] = -2
         outer = np.argwhere(box == -2)
         box[tuple(outer.T)] = m + np.arange(len(outer))
-        arrays = (inner + lo, outer + lo, box[tuple(steps)])
+        arrays = (inner + lo, outer + lo, box[tuple(steps)], box)
         for arr in arrays:
             arr.setflags(write=False)
-        return cls(*arrays, center=center, radius=radius)
+        return cls(*arrays, corner=as_point(lo), center=center, radius=radius)
 
     @cached_property
     def interior(self) -> tuple[Point, ...]:
@@ -139,11 +145,6 @@ class FiniteDomain:
     @cached_property
     def outer_boundary(self) -> tuple[Point, ...]:
         return tuple(map(tuple, self.outer_coords.tolist()))
-
-    @cached_property
-    def index_map(self) -> dict[Point, int]:
-        """Closure index of every interior and outer-boundary point."""
-        return {p: i for i, p in enumerate(self.closure)}
 
     @property
     def closure(self) -> tuple[Point, ...]:
@@ -156,14 +157,21 @@ class FiniteDomain:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __contains__(self, p: object) -> bool:
+    def closure_index(self, p: Point) -> int:
+        """Closure index of ``p``, or -1 when ``p`` is off the closure."""
+        cell = [c - o for c, o in zip(p, self.corner)]
+        if len(p) != len(self.corner) or not all(0 <= c < s for c, s in zip(cell, self.box.shape)):
+            return -1
+        return int(self.box[tuple(cell)])
+
+    def __contains__(self, p: Point) -> bool:
         """Membership of the interior."""
-        return self.index_map.get(p, len(self)) < len(self)
+        return 0 <= self.closure_index(p) < len(self)
 
     def index_of(self, p: Point) -> int:
         """Interior index of ``p``."""
-        i = self.index_map.get(p, len(self))
-        if i >= len(self):
+        i = self.closure_index(p)
+        if not 0 <= i < len(self):
             raise ValueError(f"{p} is not an interior point of the domain")
         return i
 
@@ -201,19 +209,17 @@ class FiniteDomain:
         """
         lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
         doubled = 2 * self.coords - (lo + hi)
-        box = np.full(tuple(hi - lo + 1), -1, dtype=np.int64)
-        box[tuple((self.coords - lo).T)] = np.arange(len(self))
         maps = []
         for perm in itertools.permutations(range(self.dimension)):
             for signs in itertools.product((1, -1), repeat=self.dimension):
                 image = doubled[:, perm] * np.array(signs) + (lo + hi)
                 if (image % 2).any():
                     continue  # the map does not carry lattice points to lattice points
-                cells = image // 2 - lo
-                if (cells < 0).any() or (cells > hi - lo).any():
+                cells = image // 2 - self.corner
+                if (cells < 0).any() or (cells >= self.box.shape).any():
                     continue
-                index = box[tuple(cells.T)]
-                if (index >= 0).all():
+                index = self.box[tuple(cells.T)]
+                if ((index >= 0) & (index < len(self))).all():
                     maps.append(index)
         out = np.stack(maps)
         out.setflags(write=False)

@@ -67,6 +67,17 @@ def test_near_diagonal_audit_passes_with_sane_constants():
     assert report.constants["N2"] > 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_near_diagonal_audit_needs_an_admissible_time(d):
+    # at L = 0.7 the first admissible time is n = 3 > 1/L^2 ~ 2.04
+    with pytest.raises(ValueError):
+        near_diagonal_audit(d, 2)
+    with pytest.raises(ValueError):
+        near_diagonal_audit(d, 3, L=0.5)
+    assert near_diagonal_audit(d, 3).passed
+    assert near_diagonal_audit(d, 4, L=0.5).passed  # L^2 * n_max == 1 exactly
+
+
 def test_near_diagonal_lower_fit_shrinks_with_wider_windows():
     fits = [
         near_diagonal_audit(2, 32, L=L).constants["N2"] for L in (0.5, 0.7, 0.9)

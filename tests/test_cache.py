@@ -5,7 +5,7 @@ import pytest
 
 from harnack.cache import KernelCache, decode, encode_free, encode_green, encode_killed
 from harnack.green import green_solve
-from harnack.kernel import free_field, full_column, iter_killed_vectors
+from harnack.kernel import free_field, iter_killed_vectors
 from harnack.lattice import make_ball
 
 
@@ -22,8 +22,8 @@ def test_free_record_roundtrip(tmp_path):
 def test_killed_and_green_roundtrips(tmp_path):
     cache = KernelCache(tmp_path)
     B = make_ball((1, -1), 2)
-    *_, (_, rows, block) = iter_killed_vectors(B, [B.index_of((1, 0))], 3)
-    vec = full_column(B, rows, block)
+    *_, (_, block) = iter_killed_vectors(B, [B.index_of((1, 0))], 3)
+    vec = block[:, 0]
     kp = cache.put_killed(B.center, B.radius, (1, 0), 3, vec)
     krec = cache.read(kp.name)
     assert krec.kind == 1 and np.array_equal(krec.values, vec)
@@ -38,8 +38,8 @@ def test_encode_decode_inverse():
     rec = decode(encode_free(1, 5, field))
     assert np.array_equal(rec.values, field)
     B = make_ball((0,), 2)
-    *_, (_, rows, block) = iter_killed_vectors(B, [B.index_of((0,))], 2)
-    vec = full_column(B, rows, block)
+    *_, (_, block) = iter_killed_vectors(B, [B.index_of((0,))], 2)
+    vec = block[:, 0]
     rec = decode(encode_killed((0,), 2, (0,), 2, vec))
     assert np.array_equal(rec.values, vec)
     rec = decode(encode_green((0,), 2, green_solve(B).values))

@@ -4,12 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import harnack
-from harnack.cli import EXIT_AUDIT_FAILURE, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, main
+from harnack.cli import (
+    EXIT_AUDIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    RunConfig,
+    UsageError,
+    build_parser,
+    config_from_args,
+    main,
+)
 
 
 def run_cli(args):
@@ -44,9 +54,16 @@ def test_invalid_config_values_exit_2(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_n_max_below_three_is_a_usage_error(tmp_path, capsys):
+    # near_diagonal needs n >= 1/L^2 ~ 2.04 at L = 0.7, so --n-max 2 has no admissible time
+    assert run_cli(["bounds", "--dim", "1", "--n-max", "2", "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+    assert "--n-max must be >= 3" in capsys.readouterr().err
+    RunConfig(command="bounds", n_max=3).validate()
+
+
 def test_run_config_validation_direct():
     with pytest.raises(UsageError):
-        RunConfig(command="kernel", n_max=1).validate()
+        RunConfig(command="kernel", n_max=2).validate()
     with pytest.raises(UsageError):
         RunConfig(command="nope").validate()
     cfg = RunConfig(command="green", r_min=3, r_max=24)
@@ -105,6 +122,40 @@ def test_environment_overrides_and_flag_precedence(tmp_path, monkeypatch):
     assert config["seed"] == 4  # explicit flag wins
     monkeypatch.setenv("HARNACK_DIM", "zero")
     assert run_cli(["kernel", "--out", str(out)]) == EXIT_USAGE
+
+
+ENV_SAMPLES = {  # a raw environment value and its parsed value, per RunConfig field
+    "dim": ("1", 1),
+    "r_min": ("3", 3),
+    "r_max": ("24", 24),
+    "n_max": ("12", 12),
+    "tol": ("1e-6", 1e-6),
+    "seed": ("9", 9),
+    "format": ("csv", "csv"),
+    "cache_dir": ("kernels", "kernels"),
+    "threads": ("2", 2),
+    "out": ("r.json", "r.json"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.name != "command"])
+def test_every_config_field_is_set_by_its_environment_variable(name, monkeypatch):
+    raw, value = ENV_SAMPLES[name]
+    monkeypatch.setenv("HARNACK_" + name.upper(), raw)
+    args = build_parser().parse_args(["green"])
+    assert getattr(config_from_args(args), name) == value
+    assert "HARNACK_" + name.upper() in build_parser().epilog
+
+
+def test_bad_numeric_environment_values_name_their_variable(monkeypatch):
+    args = build_parser().parse_args(["green"])
+    monkeypatch.setenv("HARNACK_TOL", "small")
+    with pytest.raises(UsageError, match="HARNACK_TOL must be a number"):
+        config_from_args(args)
+    monkeypatch.delenv("HARNACK_TOL")
+    monkeypatch.setenv("HARNACK_SEED", "1.5")
+    with pytest.raises(UsageError, match="HARNACK_SEED must be an integer"):
+        config_from_args(args)
 
 
 def test_csv_format_writes_summary_and_row_files(tmp_path):

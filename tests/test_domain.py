@@ -6,6 +6,8 @@ system and the boundary coupling must equal them exactly (same sparse
 ``indices`` and ``data``, same exit order).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -99,6 +101,12 @@ def check_domain(D, points):
     assert_same_sparse(identity_minus(D), system)
     assert_same_sparse(identity_minus(D), green_system)
     assert np.array_equal(rows_new, rows_b) and np.array_equal(cols_new, cols_b)
+    position = {p: i for i, p in enumerate(interior + outer)}
+    assert all(D.closure_index(p) == i for p, i in position.items())
+    lo, hi = np.min(interior, axis=0) - 2, np.max(interior, axis=0) + 2
+    for p in itertools.product(*[range(int(a), int(b) + 1) for a, b in zip(lo, hi)]):
+        if p not in position:
+            assert D.closure_index(p) == -1
 
 
 @given(any_point_set)
@@ -129,7 +137,7 @@ def test_set_with_a_hole():
 def test_laplacian_vector_matches_pointwise_loop(points, seed):
     D = FiniteDomain.from_points(points)
     values = np.random.default_rng(seed).uniform(0.0, 1.0, len(D.closure))
-    h = LatticeField.over(D.closure, values)
+    h = LatticeField(D, values)
     ref = [reference_laplacian(h, p) for p in D.interior]
     assert np.array_equal(laplacian(h, D), np.array(ref))
 

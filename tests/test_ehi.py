@@ -46,10 +46,7 @@ def test_hitting_kernels_are_nonnegative_harmonic_partitions():
     assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12
     # each column is harmonic in the interior as a function of the start
     for j in (0, len(D.outer_boundary) // 2):
-        h = LatticeField.over(
-            D.closure,
-            np.concatenate([M[:, j], np.eye(len(D.outer_boundary))[j]]),
-        )
+        h = LatticeField(D, np.concatenate([M[:, j], np.eye(len(D.outer_boundary))[j]]))
         assert np.abs(laplacian(h, D)).max() <= 1e-12
 
 

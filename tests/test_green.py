@@ -152,6 +152,19 @@ def test_parity_split_series_equals_full_block_series(center, radii):
         assert_orbit_series(make_ball(center, R))
 
 
+SERIES_TERMS = {  # green_table_series(B(0, R), tol=1e-12).meta["terms"] for R = 0..8
+    1: [1, 84, 207, 384, 615, 902, 1243, 1640, 2095],
+    2: [1, 42, 103, 190, 303, 444, 613, 808, 1033],
+    3: [1, 32, 67, 120, 191, 278, 383, 504, 645],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_series_terms_are_pinned(d):
+    terms = [green_table_series(make_ball((0,) * d, R), tol=1e-12).meta["terms"] for R in range(9)]
+    assert terms == SERIES_TERMS[d]
+
+
 def test_windowed_certification_stops_where_one_step_certification_does():
     # tiny balls certify inside the first window, d=1 R=16 after many windows;
     # the d=3 R=1 ball's even class is a single row (the centre)
@@ -162,9 +175,11 @@ def test_windowed_certification_stops_where_one_step_certification_does():
 
 
 def test_series_matches_reference_at_every_stopping_position_in_a_window():
-    # 56 tolerances stop these two balls at every step position 0..63 of a window
+    # 56 tolerances stop these balls at every step position 0..63 of a window;
+    # the d=3 R=2 ball's odd class is one orbit, walked in one column, and its
+    # mass on the 19-point even class must be the reference's in-order sum
     positions = set()
-    for center, R in (((0,), 3), ((0, 0), 2)):
+    for center, R in (((0,), 3), ((0, 0), 2), ((0, 0, 0), 2)):
         for k in range(8, 64):
             series, _ = assert_orbit_series(make_ball(center, R), tol=10 ** (-k / 4))
             positions.add((series.meta["terms"] - 1) % _WINDOW)

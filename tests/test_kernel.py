@@ -17,7 +17,6 @@ from harnack.kernel import (
     _binomial,
     exactness_audit,
     free_field,
-    full_column,
     iter_free_fields,
     iter_killed_vectors,
     killed_matrix,
@@ -27,9 +26,9 @@ from harnack.kernel import (
     orthant_fields,
     parity_classes,
     projection_audit,
-    survival,
     walk_pmf,
 )
+from harnack.exit_time import exact_exit_cdf
 from harnack.lattice import FiniteDomain, graph_distance, make_ball
 
 
@@ -164,17 +163,15 @@ def test_pair_kernel_positive_within_range(d, n):
 def test_killed_chain_matches_hand_dp():
     # B(0,1) in d=1: interior (-1, 0, 1); mass leaving the interval dies.
     B = make_ball((0,), 1)
-    chain = {
-        n: full_column(B, rows, block)
-        for n, rows, block in iter_killed_vectors(B, [B.index_of((0,))], 4)
-    }
+    chain = {n: block[:, 0] for n, block in iter_killed_vectors(B, [B.index_of((0,))], 4)}
     assert list(chain[0]) == [0.0, 1.0, 0.0]
     assert list(chain[1]) == [0.5, 0.0, 0.5]
     assert list(chain[2]) == [0.0, 0.5, 0.0]
     assert list(chain[3]) == [0.25, 0.0, 0.25]
     assert list(chain[4]) == [0.0, 0.25, 0.0]
-    assert survival((0,), B, 2) == 0.5
-    assert survival((0,), B, 4) == 0.25
+    cdf = exact_exit_cdf(B, (0,), 4)
+    assert cdf.survival(2) == 0.5
+    assert cdf.survival(4) == 0.25
 
 
 @pytest.mark.parametrize("d,R", [(1, 3), (2, 3), (3, 2)])
@@ -184,14 +181,14 @@ def test_killed_block_columns_match_single_start_iteration(d, R):
     for members in parity_classes(B):
         starts = [members[0], members[len(members) // 2], members[-1]]
         vecs = np.eye(len(B))[:, starts].T.copy()
-        for n, rows, block in iter_killed_vectors(B, starts, 12):
+        for n, block in iter_killed_vectors(B, starts, 12):
             for j, vec in enumerate(vecs):
-                assert np.array_equal(full_column(B, rows, block, j), vec)
+                assert np.array_equal(block[:, j], vec)
             vecs = [P @ vec for vec in vecs]
     with pytest.raises(ValueError):
-        survival((0,) * d, B, -1)
+        exact_exit_cdf(B, (0,) * d, -1)
     with pytest.raises(ValueError):
-        survival((R + 1,) + (0,) * (d - 1), B, 2)  # outside the ball
+        exact_exit_cdf(B, (R + 1,) + (0,) * (d - 1), 2)  # outside the ball
 
 
 def full_block_iterates(B, starts, n_max):
@@ -216,15 +213,14 @@ def assert_stacked_iterates_equal_the_full_block(D, starts, n_max):
     width = column.max() + 1
     stacked = iter_killed_vectors(D, starts, n_max)
     reference = full_block_iterates(D, starts, n_max)
-    for (n, rows, block), (m, full) in zip(stacked, reference):
+    for (n, block), (m, full) in zip(stacked, reference):
         assert n == m
-        assert np.array_equal(rows, np.concatenate(parity_classes(D)))
         expected = np.zeros((len(D), width))
         for i, j in enumerate(column):
             live = parity == (start_parity[i] + n) % 2
             assert not full[~live, i].any()  # the off-class rows are exact zeros
             expected[live, j] = full[live, i]
-        assert np.array_equal(block, expected[rows])  # bit for bit, padding exactly zero
+        assert np.array_equal(block, expected)  # bit for bit, padding exactly zero
     assert n == n_max
 
 
@@ -259,10 +255,9 @@ def test_empty_starts_are_rejected_and_mixed_starts_pair_up():
     # iterates, one of which is an exact zero on every row
     mixed = iter_killed_vectors(B, [odd[0], even[0]], 4)
     alone = zip(iter_killed_vectors(B, [even[0]], 4), iter_killed_vectors(B, [odd[0]], 4))
-    for (_, rows, block), ((_, _, from_even), (_, _, from_odd)) in zip(mixed, alone):
+    for (_, block), ((_, from_even), (_, from_odd)) in zip(mixed, alone):
         assert block.shape == (len(B), 1)
         assert np.array_equal(block, from_even + from_odd)
-    assert np.array_equal(next(iter_killed_vectors(B, odd, 4))[1], np.concatenate([even, odd]))
 
 
 def test_walk_pmf_is_the_correctly_rounded_binomial():
@@ -346,8 +341,8 @@ def test_killed_matrix_is_substochastic():
 @given(st.integers(1, 2), st.integers(1, 4), st.integers(0, 12))
 @settings(max_examples=40)
 def test_survival_is_nonincreasing(d, R, n):
-    B = make_ball((0,) * d, R)
-    assert survival((0,) * d, B, n) >= survival((0,) * d, B, n + 1) - 1e-15
+    cdf = exact_exit_cdf(make_ball((0,) * d, R), (0,) * d, n + 1)
+    assert cdf.survival(n) >= cdf.survival(n + 1) - 1e-15
 
 
 def test_lazy_distribution_mass_and_degenerate_case():
