@@ -2,9 +2,10 @@
 
 Four bound families are fitted as grid extrema over exact kernels
 (near-diagonal upper/lower and global upper/lower in graph distance), the
-kernel is compared against its sharp Gaussian limit in euclidean form, and
-long-range lower bounds are certified by an explicit ball-chaining product
-that is always dominated by the exact probability.
+kernel is compared against its sharp Gaussian limit in euclidean form (the
+``(amplitude, decay)`` pair of :func:`lclt_form`), and long-range lower
+bounds are certified by an explicit ball-chaining product that is always
+dominated by the exact probability.
 
 Every graph-distance fit, and the killed fit in ``green``, reduces each
 step to one extreme per distance shell and folds those in log space
@@ -33,43 +34,13 @@ class InfeasibleCertificateError(RuntimeError):
     """No integer block count fits the chaining window for (x, y, n, L)."""
 
 
-@dataclass(frozen=True)
-class GaussianForm:
-    """A Gaussian comparison profile ``A * n^(-d/2) * exp(-B * dist^2 / n)``."""
-
-    dimension: int
-    amplitude: float
-    decay: float
-    distance_kind: str  # "graph" or "euclidean"
-
-    def __post_init__(self):
-        if self.amplitude <= 0 or self.decay <= 0:
-            raise ValueError("amplitude and decay must be positive")
-        if self.distance_kind not in ("graph", "euclidean"):
-            raise ValueError("distance_kind must be 'graph' or 'euclidean'")
-
-    def value(self, n: int, distance: float) -> float:
-        """Evaluate the profile at time n and the given distance."""
-        t = max(n, 1)
-        return (
-            self.amplitude
-            * t ** (-self.dimension / 2.0)
-            * math.exp(-self.decay * distance * distance / t)
-        )
-
-
-def lclt_form(d: int) -> GaussianForm:
-    """The sharp Gaussian limit of the walk in euclidean distance.
+def lclt_form(d: int) -> tuple[float, float]:
+    """``(amplitude, decay)`` of the walk's sharp Gaussian limit in euclidean distance.
 
     Each coordinate has per-step variance 1/d, so on the admissible parity
     class ``p_n(0, y) ~ 2 (d / (2 pi n))^{d/2} exp(-d |y|_2^2 / (2n))``.
     """
-    return GaussianForm(
-        dimension=d,
-        amplitude=2.0 * (d / (2.0 * math.pi)) ** (d / 2.0),
-        decay=d / 2.0,
-        distance_kind="euclidean",
-    )
+    return 2.0 * (d / (2.0 * math.pi)) ** (d / 2.0), d / 2.0
 
 
 def _shell_extremes(values: np.ndarray, dist: np.ndarray, count: int, lower: bool) -> np.ndarray:
@@ -138,7 +109,7 @@ def lclt_error_scan(
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo < 2 or hi > 128 or lo > hi:
         raise ValueError("supported scan window is 2 <= n_lo <= n_hi <= 128")
-    form = lclt_form(d)
+    amplitude, decay = lclt_form(d)
     rows = []
     for n, field in orthant_fields(d, hi):
         if n < lo:
@@ -149,9 +120,9 @@ def lclt_error_scan(
             (graph - n) % 2 == 0
         )
         gauss = (
-            form.amplitude
+            amplitude
             * float(n) ** (-d / 2.0)
-            * np.exp(-form.decay * euclid2 / float(n))
+            * np.exp(-decay * euclid2 / float(n))
         )
         err = float(np.abs(field - gauss)[window].max())
         rows.append(
@@ -170,8 +141,8 @@ def lclt_error_scan(
             "growth_cap": growth_cap,
         },
         constants={
-            "amplitude": form.amplitude,
-            "decay": form.decay,
+            "amplitude": amplitude,
+            "decay": decay,
             "max_scaled_error": float(scaled.max()),
             "first_scaled_error": float(scaled[0]),
         },

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -37,6 +36,7 @@ from typing import Any
 import numpy as np
 
 from .lattice import Point, as_point, ball_count, make_ball
+from .report import write_atomic
 from .rng import philox
 
 MAGIC = b"ZDK1"
@@ -134,17 +134,8 @@ class KernelCache:
         self.directory = Path(directory)
 
     def _write(self, name: str, blob: bytes) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / name
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-", suffix=".part")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, blob)
         return path
 
     def put_free(self, d: int, n: int, values: np.ndarray) -> Path:
@@ -217,27 +208,27 @@ class KernelCache:
         """Re-derive a sampled fraction of files (at least one) bit-exactly.
 
         Returns a summary dict; ``ok`` is False if any sampled file's bytes
-        differ from a from-scratch recomputation.  ``ValueError`` if
-        ``fraction`` lies outside (0, 1] or ``seed`` is negative.
+        differ from a from-scratch recomputation or cannot be read.
+        ``ValueError`` if ``fraction`` lies outside (0, 1] or ``seed``
+        outside [0, 2^64).
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
+        gen = philox(seed, stream=0xCAC4E)
         files = sorted(self.directory.glob("*.zdk")) if self.directory.is_dir() else []
         if not files:
             return {"ok": True, "checked": 0, "total": 0, "mismatches": []}
         count = max(1, int(round(fraction * len(files))))
-        gen = philox(seed, stream=0xCAC4E)
         picks = sorted(gen.choice(len(files), size=min(count, len(files)), replace=False).tolist())
         mismatches = []
         for i in picks:
-            blob = files[i].read_bytes()
             try:
-                fresh = self._rederive(decode(blob))
+                blob = files[i].read_bytes()
+                intact = self._rederive(decode(blob)) == blob
             except Exception:
-                # Undecodable bytes are corruption too, not just value drift.
-                mismatches.append(files[i].name)
-                continue
-            if fresh != blob:
+                # Unreadable or undecodable entries are corruption too, not just value drift.
+                intact = False
+            if not intact:
                 mismatches.append(files[i].name)
         return {
             "ok": not mismatches,

@@ -19,16 +19,17 @@ over the environment, which wins over built-in defaults.
 
 Exit status: 0 when every selected audit passes, 1 when any audit fails
 (failing audit ids are printed to stderr) or the report or cache cannot be
-written (one ``error: cannot write`` line), 2 for usage errors.  Reports are
-written atomically, and rerunning with the same config and seed reproduces
-the report body byte-for-byte (wall-clock data lives in a separate
-``timings`` section).
+written, read or removed (one ``error: cannot write|read|remove`` line), 2
+for usage errors.  Reports are written atomically, and rerunning with the
+same config and seed reproduces the report body byte-for-byte (wall-clock
+data lives in a separate ``timings`` section).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -43,16 +44,16 @@ from .report import AuditReport, ReportEnvelope, write_json_atomic
 __all__ = ["RunConfig", "UsageError", "run", "main", "entrypoint"]
 
 ENV_PREFIX = "HARNACK_"
-AUDIT_COMMANDS = (
-    "kernel",
-    "bounds",
-    "exit",
-    "green",
-    "dirichlet",
-    "balayage",
-    "ehi",
-    "all",
-)
+AUDIT_COMMANDS = {  # name -> help, in report order
+    "kernel": "exact n-step kernel audits (mass, parity, projection law)",
+    "bounds": "Gaussian envelope fits, LCLT error scan, chain certificates",
+    "exit": "exit-time tail bounds and Monte Carlo cross-checks",
+    "green": "Green-table oracle equivalence and interior comparisons",
+    "dirichlet": "boundary-value solver triple agreement",
+    "balayage": "seeded sweeping-out batches",
+    "ehi": "Harnack constant audits",
+    "all": "every audit family, in order",
+}
 EXIT_OK = 0
 EXIT_AUDIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -62,8 +63,8 @@ class UsageError(ValueError):
     """Invalid configuration; reported on stderr with exit status 2."""
 
 
-class WriteError(RuntimeError):
-    """A report or cache file could not be written; reported with exit status 1."""
+class FileError(RuntimeError):
+    """A report or cache file could not be written, read or removed; exit status 1."""
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,10 @@ class RunConfig:
             raise UsageError("--r-max must be >= --r-min")
         if self.n_max < 3:
             raise UsageError("--n-max must be >= 3")
-        if not self.tol > 0.0:
-            raise UsageError("--tol must be positive")
-        if self.seed < 0:
-            raise UsageError("--seed must be nonnegative")
+        if not 0.0 < self.tol < math.inf:
+            raise UsageError("--tol must be a positive finite number")
+        if not 0 <= self.seed < 1 << 64:
+            raise UsageError("--seed must be an integer in [0, 2^64)")
         if self.format not in ("json", "csv"):
             raise UsageError("--format must be json or csv")
         if self.threads < 1:
@@ -243,7 +244,7 @@ def _populate_cache(cfg: RunConfig) -> int:
                 cache.put_green((0,) * cfg.dim, radius, table.values)
                 written += 1
     except OSError as exc:
-        raise WriteError(f"cannot write {cfg.cache_dir}: {exc.strerror or exc}") from None
+        raise FileError(f"cannot write {cfg.cache_dir}: {exc.strerror or exc}") from None
     return written
 
 
@@ -285,7 +286,7 @@ def _write_report(cfg: RunConfig, envelope: ReportEnvelope) -> str:
             for audit in envelope.audits:
                 audit.write_rows_csv(os.path.join(out, audit.audit_id + ".csv"))
     except OSError as exc:
-        raise WriteError(f"cannot write {out}: {exc.strerror or exc}") from None
+        raise FileError(f"cannot write {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -318,17 +319,18 @@ def _cache_command(args: argparse.Namespace) -> int:
     if not cache_dir:
         raise UsageError("cache commands need --cache-dir or HARNACK_CACHE_DIR")
     cache = KernelCache(cache_dir)
-    if args.action == "list":
+    if args.action != "verify":
         try:
-            entries = cache.list_entries()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_AUDIT_FAILURE
-        print(json.dumps(entries, indent=2))
-        return EXIT_OK
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cache file(s)")
+            if args.action == "list":
+                message = json.dumps(cache.list_entries(), indent=2)
+            else:
+                message = f"removed {cache.clear()} cache file(s)"
+        except OSError as exc:
+            verb = "read" if args.action == "list" else "remove"
+            raise FileError(f"cannot {verb} {exc.filename}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # a listed entry that does not decode
+            raise FileError(str(exc)) from None
+        print(message)
         return EXIT_OK
     # verify
     try:
@@ -374,18 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         + "); explicit flags take precedence.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "kernel": "exact n-step kernel audits (mass, parity, projection law)",
-        "bounds": "Gaussian envelope fits, LCLT error scan, chain certificates",
-        "exit": "exit-time tail bounds and Monte Carlo cross-checks",
-        "green": "Green-table oracle equivalence and interior comparisons",
-        "dirichlet": "boundary-value solver triple agreement",
-        "balayage": "seeded sweeping-out batches",
-        "ehi": "Harnack constant audits",
-        "all": "every audit family, in order",
-    }
-    for name in AUDIT_COMMANDS:
-        sub = subparsers.add_parser(name, help=help_lines[name])
+    for name, help_line in AUDIT_COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_line)
         _add_audit_flags(sub)
         sub.set_defaults(handler=_run_audits)
     cache_parser = subparsers.add_parser("cache", help="binary kernel cache maintenance")
@@ -408,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except WriteError as exc:
+    except FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUDIT_FAILURE
 

@@ -3,19 +3,20 @@
 Exact exit CDFs come from the killed-kernel iteration; they are audited
 against the sub-Gaussian tail ``2d exp(-R^2/(4dn))`` through the
 one-dimensional lazy-walk reduction, against a crude geometric envelope,
-and against seeded Monte Carlo replays.
+and against seeded Monte Carlo replays.  Results are plain arrays over
+n = 0..n_max: the exact CDF, and the Monte Carlo estimates with their
+standard errors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .kernel import iter_killed_vectors, lazy_exit_survival_curve
-from .lattice import FiniteDomain, Point, as_point, make_ball
+from .lattice import FiniteDomain, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
 
@@ -23,34 +24,7 @@ _MC_STREAM = 0xE417  # stream tag for exit-time Monte Carlo draws
 _MC_BLOCK = 65_536  # samples per block; per-block substreams merge order-free
 
 
-@dataclass(frozen=True)
-class ExitCdf:
-    """P(tau_B <= n) for n = 0..n_max from a fixed start inside the ball."""
-
-    domain: FiniteDomain
-    start: Point
-    values: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def survival(self, n: int) -> float:
-        """P(tau_B > n), the complementary tail."""
-        return 1.0 - float(self.values[n])
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo point estimate with its replay coordinates."""
-
-    estimate: float
-    count: int
-    seed: int
-    standard_error: float
-
-
-def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> ExitCdf:
+def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> np.ndarray:
     """Exact P^x(tau_B <= n) for n = 0..n_max via killed-kernel iteration."""
     x = as_point(x)
     if x not in B:
@@ -60,12 +34,7 @@ def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> ExitCdf:
     values = np.empty(n_max + 1)
     for n, block in iter_killed_vectors(B, [B.index_of(x)], n_max):
         values[n] = 1.0 - float(block[:, 0].sum())
-    return ExitCdf(domain=B, start=x, values=values)
-
-
-def chernoff_bound(d: int, R: int, n: int) -> float:
-    """The sub-Gaussian exit bound ``2d exp(-R^2 / (4 d n))``."""
-    return 2.0 * d * math.exp(-(R * R) / (4.0 * d * n))
+    return values
 
 
 def lazy_reduction_cdf(d: int, R: int, n_max: int) -> np.ndarray:
@@ -103,7 +72,7 @@ def chernoff_audit(
     for R in r_values:
         n_max = n_max_factor * R * R
         B = make_ball((0,) * d, R)
-        cdf = exact_exit_cdf(B, (0,) * d, n_max).values
+        cdf = exact_exit_cdf(B, (0,) * d, n_max)
         lazy = lazy_reduction_cdf(d, R, n_max)
         n = np.arange(1, n_max + 1)
         bound = 2.0 * d * np.exp(-(R * R) / (4.0 * d * n))
@@ -274,34 +243,21 @@ def exit_walks(
 
 def mc_exit_sample(
     B: FiniteDomain, x, n_max: int, samples: int, seed: int
-) -> list[McEstimate]:
-    """Monte Carlo exit CDF estimates for n = 0..n_max, replayable by seed.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo estimates of P^x(tau_B <= n) for n = 0..n_max, and their standard errors.
 
     Paths are simulated in independent blocks with per-block substreams of
-    the counter-based generator, so the estimate depends only on ``seed``
+    the counter-based generator, so the estimates depend only on ``seed``
     and ``samples`` (merging is order-independent).
     """
     exited_by = np.zeros(n_max + 1, dtype=np.int64)
     for exit_step, _ in exit_walks(B, x, samples, seed, _MC_STREAM, n_max):
         exited_by += np.cumsum(np.bincount(exit_step, minlength=n_max + 2))[: n_max + 1]
-    estimates = []
-    for n in range(n_max + 1):
-        p_hat = exited_by[n] / samples
-        if samples > 1:
-            se = math.sqrt(p_hat * (1.0 - p_hat) * samples / (samples - 1)) / math.sqrt(
-                samples
-            )
-        else:
-            se = 0.0
-        estimates.append(
-            McEstimate(
-                estimate=float(p_hat),
-                count=samples,
-                seed=seed,
-                standard_error=float(se),
-            )
-        )
-    return estimates
+    p_hat = exited_by / samples
+    if samples == 1:
+        return p_hat, np.zeros(n_max + 1)
+    se = np.sqrt(p_hat * (1.0 - p_hat) * samples / (samples - 1)) / math.sqrt(samples)
+    return p_hat, se
 
 
 def mc_consistency_audit(
@@ -322,32 +278,21 @@ def mc_consistency_audit(
         n_max = 4 * R * R
     B = make_ball((0,) * d, R)
     exact = exact_exit_cdf(B, (0,) * d, n_max)
-    ests = mc_exit_sample(B, (0,) * d, n_max, samples, seed)
-    floor = 1e-12
-    worst_z = -1.0
-    worst = None
-    rows = []
-    for n, est in enumerate(ests):
-        dev = abs(est.estimate - exact.values[n])
-        z = dev / max(est.standard_error, floor)
-        if z > worst_z:
-            worst_z = z
-            worst = {"n": n, "z": z, "exact": exact.values[n], "mc": est.estimate}
-        rows.append(
-            {
-                "n": n,
-                "exact": exact.values[n],
-                "mc": est.estimate,
-                "standard_error": est.standard_error,
-                "z": z,
-            }
-        )
+    mc, se = mc_exit_sample(B, (0,) * d, n_max, samples, seed)
+    z = np.abs(mc - exact) / np.maximum(se, 1e-12)
+    worst_n = int(z.argmax())
+    rows = [
+        {"n": n, "exact": exact[n], "mc": mc[n], "standard_error": se[n], "z": z[n]}
+        for n in range(n_max + 1)
+    ]
+    worst_z = z[worst_n]
+    worst = {"n": worst_n, "z": worst_z, "exact": exact[worst_n], "mc": mc[worst_n]}
     return AuditReport(
         audit_id=f"exit.mc.d{d}",
         grid={"d": d, "R": R, "n_max": n_max, "samples": samples, "seed": seed},
         constants={"max_z": worst_z, "z_cap": z_cap},
         worst=worst,
-        passed=worst_z <= z_cap,
+        passed=bool(worst_z <= z_cap),
         notes=["replay with the recorded seed reproduces the estimates bit-exactly"],
         rows=rows,
     )

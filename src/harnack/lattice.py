@@ -8,9 +8,10 @@ Conventions used throughout the package:
 * the *ball* ``B(x0, R)`` is the set of points at distance <= R from ``x0``;
 * the *outer boundary* of a finite set A is every point outside A with a
   neighbour inside; the *inner boundary* is every point of A with a
-  neighbour outside.  For a ball the outer boundary sits at distance exactly
-  R+1 and the inner boundary at distance exactly R, because one unit step
-  changes the distance to the centre by exactly one.
+  neighbour outside (``FiniteDomain.inner_mask``, a mask over the interior
+  index).  For a ball the outer boundary sits at distance exactly R+1 and
+  the inner boundary at distance exactly R, because one unit step changes
+  the distance to the centre by exactly one.
 
 A :class:`FiniteDomain` (a ball or any finite point set) indexes its interior
 lexicographically, then its outer boundary.  This *closure order* is the one
@@ -87,7 +88,8 @@ class FiniteDomain:
     index ``>= len(D)`` is a step out of the domain.  ``box`` holds the
     closure index of every cell of the bounding box grown by one, the cell
     ``p - corner`` for point ``p``, and -1 off the closure; it answers
-    :meth:`closure_index`.  The point tuples are built on first use.  Build
+    :meth:`closure_index`.  The point tuples (``interior``,
+    ``outer_boundary``) are built on first use.  Build
     one with :func:`make_ball` (which also sets ``center``, ``radius`` and
     :meth:`key`) or :meth:`from_points`.  Domains compare by identity.
     """
@@ -147,10 +149,6 @@ class FiniteDomain:
         return tuple(map(tuple, self.outer_coords.tolist()))
 
     @property
-    def closure(self) -> tuple[Point, ...]:
-        return self.interior + self.outer_boundary
-
-    @property
     def dimension(self) -> int:
         return self.coords.shape[1]
 
@@ -184,11 +182,6 @@ class FiniteDomain:
         member = np.zeros(len(self) + len(self.outer_coords), dtype=bool)
         member[slice(len(self)) if subset is None else subset] = True
         return member[: len(self)] & ~member[self.neighbor_index].all(axis=1)
-
-    @cached_property
-    def inner_boundary(self) -> tuple[Point, ...]:
-        """Interior points with a neighbour outside, lexicographic."""
-        return tuple(self.interior[i] for i in np.flatnonzero(self.inner_mask()))
 
     def within(self, r: int, center: Point | None = None) -> np.ndarray:
         """Interior indices at graph distance <= r from ``center`` (default: the ball's)."""

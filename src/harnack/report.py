@@ -12,7 +12,6 @@ reproducibility comparisons.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import os
 import tempfile
@@ -91,9 +90,7 @@ class AuditReport:
                 if key not in fieldnames:
                     fieldnames.append(key)
         payload = jsonable(self.rows)
-        _atomic_write_text(
-            path, _csv_text(fieldnames, payload), newline=""
-        )
+        write_atomic(path, _csv_text(fieldnames, payload), newline="")
 
 
 @dataclass
@@ -135,15 +132,15 @@ def _csv_text(fieldnames: list[str], rows: Iterable[Mapping[str, Any]]) -> str:
     return buf.getvalue()
 
 
-def _atomic_write_text(path: str | os.PathLike, text: str, newline: str | None = None) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same dir."""
+def write_atomic(path: str | os.PathLike, data: str | bytes, newline: str | None = None) -> None:
+    """Write text or bytes to ``path`` via a temp file + rename in the same dir."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", newline=newline) as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w", newline=newline) as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -153,4 +150,4 @@ def _atomic_write_text(path: str | os.PathLike, text: str, newline: str | None =
 
 def write_json_atomic(path: str | os.PathLike, obj: Any) -> None:
     """Serialize ``obj`` to JSON and write it atomically (temp + rename)."""
-    _atomic_write_text(path, json.dumps(jsonable(obj), indent=2, sort_keys=False) + "\n")
+    write_atomic(path, json.dumps(jsonable(obj), indent=2, sort_keys=False) + "\n")

@@ -13,7 +13,7 @@ import numpy as np
 
 def philox(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a Generator over Philox keyed by ``(seed, stream)``."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be nonnegative integers")
+    if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 64):
+        raise ValueError("seed and stream must be integers in [0, 2^64)")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

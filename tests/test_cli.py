@@ -47,11 +47,24 @@ def test_invalid_config_values_exit_2(tmp_path, capsys):
         ["kernel", "--dim", "4"],
         ["green", "--r-min", "8", "--r-max", "4"],
         ["kernel", "--tol", "0"],
+        ["kernel", "--tol", "inf"],
+        ["kernel", "--tol=-inf"],
+        ["kernel", "--tol", "nan"],
         ["kernel", "--threads", "0"],
         ["exit", "--seed", "-1"],
+        ["exit", "--seed", str(1 << 64)],
     ):
         assert run_cli(args + ["--out", str(tmp_path / "r.json")]) == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_tol_from_the_environment_must_be_finite(tol, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HARNACK_TOL", tol)
+    assert run_cli(["kernel", "--dim", "1", "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+    assert "--tol must be a positive finite number" in capsys.readouterr().err
 
 
 def test_n_max_below_three_is_a_usage_error(tmp_path, capsys):
@@ -64,6 +77,9 @@ def test_n_max_below_three_is_a_usage_error(tmp_path, capsys):
 def test_run_config_validation_direct():
     with pytest.raises(UsageError):
         RunConfig(command="kernel", n_max=2).validate()
+    with pytest.raises(UsageError, match=r"--seed must be an integer in \[0, 2\^64\)"):
+        RunConfig(command="exit", seed=1 << 64).validate()
+    RunConfig(command="exit", seed=(1 << 64) - 1).validate()
     with pytest.raises(UsageError):
         RunConfig(command="nope").validate()
     cfg = RunConfig(command="green", r_min=3, r_max=24)
@@ -207,6 +223,7 @@ def test_cache_populate_verify_corrupt_and_clear(tmp_path, capsys):
     ("--fraction", "-1"),
     ("--fraction", "1.5"),
     ("--seed", "-1"),
+    ("--seed", str(1 << 64)),
 ])
 def test_cache_verify_rejects_bad_fraction_and_seed(tmp_path, capsys, flag, value):
     cache_dir = tmp_path / "cache"
@@ -232,6 +249,25 @@ def test_unwritable_report_or_cache_is_an_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {blocker}") and err.count("\n") == 1
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("action", ["list", "verify", "clear"])
+def test_unreadable_cache_entry_is_an_error_not_a_traceback(action, tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    assert run_cli(["kernel", "--dim", "1", "--n-max", "4", "--cache-dir", str(cache_dir),
+                    "--out", str(tmp_path / "k.json")]) == EXIT_OK
+    (cache_dir / "bad.zdk").mkdir()
+    capsys.readouterr()
+    extra = ["--fraction", "1.0"] if action == "verify" else []
+    assert run_cli(["cache", action, "--cache-dir", str(cache_dir), *extra]) == EXIT_AUDIT_FAILURE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    if action == "verify":
+        assert err == "corrupt cache entry: bad.zdk\n"
+    else:
+        verb = "read" if action == "list" else "remove"
+        assert err.startswith(f"error: cannot {verb} {cache_dir / 'bad.zdk'}: ")
+    assert (cache_dir / "bad.zdk").is_dir()
 
 
 def test_cache_without_directory_is_usage_error(capsys, monkeypatch):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from harnack.exit_time import (
+    _MC_STREAM,
     chernoff_audit,
     exit_walks,
-    chernoff_bound,
     crude_tail_audit,
     exact_exit_cdf,
     lazy_reduction_cdf,
@@ -25,17 +25,17 @@ def test_exit_cdf_matches_hand_enumeration():
     # survive two steps with probability 1/2, each epoch independent.
     B = make_ball((0,), 1)
     cdf = exact_exit_cdf(B, (0,), 6)
-    assert list(cdf.values) == [0.0, 0.0, 0.5, 0.5, 0.75, 0.75, 0.875]
-    assert cdf.survival(4) == 0.25
+    assert list(cdf) == [0.0, 0.0, 0.5, 0.5, 0.75, 0.75, 0.875]
+    assert 1 - cdf[4] == 0.25
 
 
 def test_exit_cdf_monotone_and_off_center_start():
     B = make_ball((0, 0), 3)
     cdf = exact_exit_cdf(B, (2, 1), 40)
-    assert (np.diff(cdf.values) >= -1e-16).all()
-    assert cdf.values[0] == 0.0
+    assert (np.diff(cdf) >= -1e-16).all()
+    assert cdf[0] == 0.0
     # From the inner boundary one step can leave: P(exit at step 1) > 0.
-    assert cdf.values[1] > 0.0
+    assert cdf[1] > 0.0
 
 
 def test_exit_cdf_rejects_outside_start():
@@ -44,16 +44,21 @@ def test_exit_cdf_rejects_outside_start():
 
 
 def test_chernoff_bound_formula():
-    assert chernoff_bound(2, 20, 10) == 4.0 * math.exp(-5.0)
-    assert chernoff_bound(2, 20, 10) == pytest.approx(0.026951787996341868, rel=1e-15)
-    assert chernoff_bound(1, 4, 100) >= 1.0  # vacuous regime
+    # Each row's bound is 2d exp(-R^2 / (4 d n)) at its tightest step n.
+    for d, radii in ((1, [4, 8]), (2, [4, 8, 12])):
+        for row in chernoff_audit(d, radii).rows:
+            R, n = row["R"], row["tight_n"]
+            expected = 2.0 * d * math.exp(-(R * R) / (4.0 * d * n))
+            assert row["chernoff_bound"] == pytest.approx(expected, rel=1e-15)
+    (row,) = chernoff_audit(1, [4]).rows
+    assert row["vacuous_rows"] > 0  # early steps have bound >= 1
 
 
 @pytest.mark.parametrize("d,R", [(1, 5), (2, 4)])
 def test_lazy_reduction_dominates_exact_cdf(d, R):
     n_max = 3 * R * R
     B = make_ball((0,) * d, R)
-    exact = exact_exit_cdf(B, (0,) * d, n_max).values
+    exact = exact_exit_cdf(B, (0,) * d, n_max)
     reduced = lazy_reduction_cdf(d, R, n_max)
     assert (exact <= reduced + 1e-12).all()
 
@@ -95,17 +100,36 @@ def test_mc_replay_is_bit_exact():
     B = make_ball((0, 0), 2)
     a = mc_exit_sample(B, (0, 0), 12, samples=30_000, seed=42)
     b = mc_exit_sample(B, (0, 0), 12, samples=30_000, seed=42)
-    assert [e.estimate for e in a] == [e.estimate for e in b]
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     c = mc_exit_sample(B, (0, 0), 12, samples=30_000, seed=43)
-    assert [e.estimate for e in a] != [e.estimate for e in c]
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_mc_agrees_with_exact_within_four_se():
     B = make_ball((0,), 2)
-    exact = exact_exit_cdf(B, (0,), 16).values
-    for n, est in enumerate(mc_exit_sample(B, (0,), 16, samples=20_000, seed=0)):
-        assert est.count == 20_000
-        assert abs(est.estimate - exact[n]) <= 4.0 * est.standard_error + 1e-12
+    exact = exact_exit_cdf(B, (0,), 16)
+    estimates, standard_errors = mc_exit_sample(B, (0,), 16, samples=20_000, seed=0)
+    assert estimates.shape == standard_errors.shape == (17,)
+    assert (np.abs(estimates - exact) <= 4.0 * standard_errors + 1e-12).all()
+
+
+@pytest.mark.parametrize("d,R,n_max,samples", [(1, 4, 40, 5_000), (2, 3, 30, 7_000), (1, 2, 6, 1)])
+def test_mc_arrays_equal_the_per_step_arithmetic(d, R, n_max, samples):
+    # p = exited_by / samples and SE = sqrt(p(1-p) s/(s-1)) / sqrt(s), step by step with math.sqrt.
+    B = make_ball((0,) * d, R)
+    estimates, standard_errors = mc_exit_sample(B, (0,) * d, n_max, samples, seed=5)
+    exited_by = np.zeros(n_max + 1, dtype=np.int64)
+    for exit_step, _ in exit_walks(B, (0,) * d, samples, 5, _MC_STREAM, n_max):
+        for n in range(n_max + 1):
+            exited_by[n] += int((exit_step <= n).sum())
+    for n in range(n_max + 1):
+        p_hat = exited_by[n] / samples
+        se = (
+            math.sqrt(p_hat * (1.0 - p_hat) * samples / (samples - 1)) / math.sqrt(samples)
+            if samples > 1
+            else 0.0
+        )
+        assert estimates[n] == p_hat and standard_errors[n] == se
 
 
 def test_mc_consistency_audit_passes():

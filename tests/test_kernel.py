@@ -170,8 +170,8 @@ def test_killed_chain_matches_hand_dp():
     assert list(chain[3]) == [0.25, 0.0, 0.25]
     assert list(chain[4]) == [0.0, 0.25, 0.0]
     cdf = exact_exit_cdf(B, (0,), 4)
-    assert cdf.survival(2) == 0.5
-    assert cdf.survival(4) == 0.25
+    assert 1 - cdf[2] == 0.5
+    assert 1 - cdf[4] == 0.25
 
 
 @pytest.mark.parametrize("d,R", [(1, 3), (2, 3), (3, 2)])
@@ -342,7 +342,7 @@ def test_killed_matrix_is_substochastic():
 @settings(max_examples=40)
 def test_survival_is_nonincreasing(d, R, n):
     cdf = exact_exit_cdf(make_ball((0,) * d, R), (0,) * d, n + 1)
-    assert cdf.survival(n) >= cdf.survival(n + 1) - 1e-15
+    assert 1 - cdf[n] >= 1 - cdf[n + 1] - 1e-15
 
 
 def test_lazy_distribution_mass_and_degenerate_case():

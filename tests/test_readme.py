@@ -1,7 +1,11 @@
 """README examples run as written."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
+
+from harnack.cli import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,22 @@ def test_library_quickstart_runs(capsys):
     exec(compile(block, "README.md quickstart", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2 and all(float(v) > 0 for v in printed)
+
+
+def test_flag_table_matches_the_run_config():
+    # Every RunConfig field but `command` has one row; `none` and `per-command` mean None.
+    text = README.read_text()
+    section = text[text.index("### Flags and environment"):text.index("### Exit codes")]
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+    kinds = get_type_hints(RunConfig)
+    table = {}
+    for flags, values in re.findall(r"^\| (`--.*?) \| (.*?) \|", section, re.M):
+        names = [flag.strip("`").removeprefix("--").replace("-", "_") for flag in flags.split(", ")]
+        for name, raw in zip(names, values.split(", "), strict=True):
+            assert name not in table, f"--{name} has two rows"
+            if raw in ("none", "per-command"):
+                table[name] = None
+            else:
+                kind = kinds[name]
+                table[name] = raw if kind not in (int, float) else kind(raw)
+    assert table == defaults

@@ -1,6 +1,7 @@
 """Counter-based RNG streams: replay and stream independence."""
 
 import numpy as np
+import pytest
 
 from harnack.rng import philox
 
@@ -26,3 +27,11 @@ def test_draw_order_does_not_couple_streams():
     gen_a.uniform(size=1000)
     second = philox(0, stream=5).uniform(size=4)
     assert np.array_equal(first, second)
+
+
+def test_keys_must_fit_in_64_bits():
+    top = (1 << 64) - 1
+    assert philox(top, stream=top).integers(0, 2, size=1).shape == (1,)
+    for seed, stream in ((1 << 64, 0), (0, 1 << 64), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            philox(seed, stream)
