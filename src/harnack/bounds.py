@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +27,12 @@ from .rng import philox
 
 _DECAY_GRID = np.geomspace(1.0 / 64, 8.0, 32)
 _BATCH_STREAM = 0xC4A1  # stream tag for random chain-certificate instances
+RADIUS_FACTOR = 4.0  # the LCLT scan's euclidean window, in units of sqrt(n)
+GROWTH_CAP = 2.0  # the LCLT gate: max scaled error <= GROWTH_CAP x the first
+LAG = 0.7  # the near-diagonal lag L: n is admissible once n >= max(1, dist^2) / L^2
+R_RANGE = (64, 96)  # random chain instances: distance range,
+L_RANGE = (0.6, 0.95)  # lag range
+N_CAP = 20_000  # and step-count cap
 
 
 class InfeasibleCertificateError(RuntimeError):
@@ -90,19 +95,14 @@ class _EnvelopeFit:
             self.witness[i] = witness(int(at[i]))
 
 
-def lclt_error_scan(
-    d: int,
-    n_range: tuple[int, int],
-    radius_factor: float = 4.0,
-    growth_cap: float = 2.0,
-) -> AuditReport:
+def lclt_error_scan(d: int, n_range: tuple[int, int]) -> AuditReport:
     """Scan the sup-norm error of the kernel against its Gaussian limit.
 
     For each n in the range the error ``e_n = sup |p_n - gaussian|`` is taken
     over same-parity points with euclidean norm at most
-    ``radius_factor * sqrt(n)`` and reported scaled by ``n^(d/2 + 1)``.
+    ``RADIUS_FACTOR * sqrt(n)`` and reported scaled by ``n^(d/2 + 1)``.
     A bounded scaled sequence certifies the expected decay order; pass
-    requires its maximum to stay within ``growth_cap`` times its value at
+    requires its maximum to stay within ``GROWTH_CAP`` times its value at
     the first scanned n (the sequence may creep toward its asymptote, so
     the cap tests boundedness, not monotonicity).
     """
@@ -116,7 +116,7 @@ def lclt_error_scan(
             continue
         graph = _orthant_graph(d, n)
         euclid2 = reduce(np.add.outer, [np.arange(n + 1) ** 2] * d)
-        window = (euclid2 <= (radius_factor * radius_factor) * n) & (
+        window = (euclid2 <= (RADIUS_FACTOR * RADIUS_FACTOR) * n) & (
             (graph - n) % 2 == 0
         )
         gauss = (
@@ -131,14 +131,14 @@ def lclt_error_scan(
     scaled = np.array([row["scaled_error"] for row in rows])
     ns = np.array([row["n"] for row in rows])
     peak = int(scaled.argmax())
-    passed = bool(scaled[peak] <= growth_cap * scaled[0])
+    passed = bool(scaled[peak] <= GROWTH_CAP * scaled[0])
     return AuditReport(
         audit_id=f"bounds.lclt.d{d}",
         grid={
             "d": d,
             "n": [lo, hi],
-            "radius_factor": radius_factor,
-            "growth_cap": growth_cap,
+            "radius_factor": RADIUS_FACTOR,
+            "growth_cap": GROWTH_CAP,
         },
         constants={
             "amplitude": amplitude,
@@ -156,20 +156,18 @@ def lclt_error_scan(
     )
 
 
-def near_diagonal_audit(d: int, n_max: int, L: float = 0.7) -> AuditReport:
+def near_diagonal_audit(d: int, n_max: int) -> AuditReport:
     """Fit the near-diagonal amplitude window of the kernel.
 
     ``N1`` is the largest value of ``p_n(0,y) * max(n,1)^{d/2}`` over the full
     grid; ``N2`` is the smallest value of ``(p_n + p_{n+1})(0,y) * n^{d/2}``
-    over points admissible at lag L, i.e. ``n >= max(1, dist^2) / L^2``.
+    over points admissible at lag L = ``LAG``, i.e. ``n >= max(1, dist^2) / L^2``.
     Pass requires N2 > 0 (the paired kernel never vanishes on-diagonal-scale).
     ``ValueError`` when ``n_max * L^2 < 1``: then no time is admissible.
     """
-    if not 0.0 < L < 1.0:
-        raise ValueError("L must lie in (0, 1)")
     if n_max > 128:
         raise ValueError("n_max above the supported desk-scale window (128)")
-    if (L * L) * n_max < 1:  # as the admissibility test below reads it
+    if (LAG * LAG) * n_max < 1:  # as the admissibility test below reads it
         raise ValueError("n_max must reach 1/L^2, the first admissible time")
     n1, n1_witness, n2, n2_witness, prev = 0.0, None, math.inf, None, None
     for n, field in orthant_fields(d, n_max + 1):
@@ -181,7 +179,7 @@ def near_diagonal_audit(d: int, n_max: int, L: float = 0.7) -> AuditReport:
         now = _shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=True)
         m = n - 1
         if 1 <= m <= n_max:
-            admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (L * L) * m
+            admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (LAG * LAG) * m
             if admissible.any():
                 cand = float(_pair_shells(prev, now, m)[admissible].min()) * m ** (d / 2.0)
                 if cand < n2:
@@ -191,7 +189,7 @@ def near_diagonal_audit(d: int, n_max: int, L: float = 0.7) -> AuditReport:
     passed = bool(n2 > 0 and math.isfinite(n2))
     return AuditReport(
         audit_id=f"bounds.near_diagonal.d{d}",
-        grid={"d": d, "n_max": n_max, "L": L},
+        grid={"d": d, "n_max": n_max, "L": LAG},
         constants={"N1": n1, "N2": n2},
         worst={"N1_at": n1_witness, "N2_at": n2_witness},
         passed=passed,
@@ -203,17 +201,15 @@ def near_diagonal_audit(d: int, n_max: int, L: float = 0.7) -> AuditReport:
     )
 
 
-def gaussian_lower_audit(
-    d: int, n_max: int, decay_grid: Sequence[float] | None = None
-) -> AuditReport:
+def gaussian_lower_audit(d: int, n_max: int) -> AuditReport:
     """Two-parameter lower-bound fit for the paired kernel in graph distance.
 
-    For each trial decay ``c`` on a log grid, the amplitude
+    For each trial decay ``c`` on the log grid ``_DECAY_GRID``, the amplitude
     ``L1(c) = min (p_n + p_{n+1}) * n^{d/2} * exp(+c dist^2 / n)`` is taken
     over ``1 <= n <= n_max`` and ``dist(0,y) <= n``; the reported pair
     maximizes the amplitude.  Pass requires a strictly positive fit.
     """
-    grid = np.asarray(_DECAY_GRID if decay_grid is None else decay_grid, dtype=float)
+    grid = _DECAY_GRID
     fit = _EnvelopeFit(d, grid, lower=True)
     prev = None
     for n, field in orthant_fields(d, n_max + 1):
@@ -239,24 +235,17 @@ def gaussian_lower_audit(
     )
 
 
-def gaussian_upper_audit(
-    d: int, n_max: int, decay_grid: Sequence[float] | None = None
-) -> AuditReport:
+def gaussian_upper_audit(d: int, n_max: int) -> AuditReport:
     """Two-parameter upper-bound fit for the kernel in graph distance.
 
-    For each trial decay ``c`` below the single-path rate ``log(2d)`` the
+    For each trial decay ``c`` on a log grid from 1/64 to 0.9 times the
+    single-path rate ``log(2d)`` the
     amplitude ``U1(c) = max p_n * max(n,1)^{d/2} * exp(+c dist^2 / max(n,1))``
     is taken over ``0 <= n <= n_max`` (zero-kernel points impose nothing);
     the reported pair minimizes the amplitude.  Pass requires a finite fit
     with ``U1 >= 1`` (forced by the n = 0 diagonal).
     """
-    rate = math.log(2 * d)
-    if decay_grid is None:
-        grid = np.geomspace(1.0 / 64, 0.9 * rate, 32)
-    else:
-        grid = np.asarray(decay_grid, dtype=float)
-        if (grid >= rate).any():
-            raise ValueError(f"decay values must stay below log(2d) = {rate:.4f}")
+    grid = np.geomspace(1.0 / 64, 0.9 * math.log(2 * d), 32)
     fit = _EnvelopeFit(d, grid, lower=False)
     for n, field in orthant_fields(d, n_max):
         fit.fold(_shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=False), max(n, 1), lambda r: n)
@@ -305,7 +294,6 @@ class ChainCertificate:
     distance: int
     blocks: int  # m, the number of chain legs
     segment: int  # r = floor(distance / m)
-    leg_time: int  # s = floor(n / m)
     waypoints: tuple[Point, ...]
     times: tuple[int, ...]
     log_product: float
@@ -419,7 +407,6 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
         distance=R,
         blocks=m,
         segment=r,
-        leg_time=s,
         waypoints=waypoints,
         times=times,
         log_product=log_product,
@@ -430,19 +417,13 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
     )
 
 
-def random_chain_instance(
-    d: int,
-    rng,
-    r_range: tuple[int, int] = (64, 96),
-    l_range: tuple[float, float] = (0.6, 0.95),
-    n_cap: int = 20_000,
-) -> tuple[Point, Point, int, float]:
-    """Draw one admissible (x, y, n, L) for the chaining window."""
+def random_chain_instance(d: int, rng) -> tuple[Point, Point, int, float]:
+    """Draw one admissible (x, y, n, L): R in ``R_RANGE``, L in ``L_RANGE``, n <= ``N_CAP``."""
     while True:
-        R = int(rng.integers(r_range[0], r_range[1] + 1))
-        L = float(rng.uniform(l_range[0], l_range[1]))
+        R = int(rng.integers(R_RANGE[0], R_RANGE[1] + 1))
+        L = float(rng.uniform(L_RANGE[0], L_RANGE[1]))
         lo = math.ceil(64.0 * R / (L * L))
-        hi = min(math.floor(R * R / (L * L)), n_cap)
+        hi = min(math.floor(R * R / (L * L)), N_CAP)
         if lo > hi:
             continue
         n = int(rng.integers(lo, hi + 1))
@@ -456,14 +437,7 @@ def random_chain_instance(
         return (0,) * d, y, n, L
 
 
-def chain_certificate_batch(
-    d: int,
-    count: int,
-    seed: int,
-    r_range: tuple[int, int] = (64, 96),
-    l_range: tuple[float, float] = (0.6, 0.95),
-    n_cap: int = 20_000,
-) -> AuditReport:
+def chain_certificate_batch(d: int, count: int, seed: int) -> AuditReport:
     """Build many random admissible chain certificates and audit validity."""
     rng = philox(seed, stream=_BATCH_STREAM)
     rows = []
@@ -471,7 +445,7 @@ def chain_certificate_batch(
     all_valid = True
     worst = None
     for _ in range(count):
-        x, y, n, L = random_chain_instance(d, rng, r_range, l_range, n_cap)
+        x, y, n, L = random_chain_instance(d, rng)
         try:
             cert = chain_certificate(x, y, n, L)
         except InfeasibleCertificateError:
@@ -500,9 +474,9 @@ def chain_certificate_batch(
             "d": d,
             "count": count,
             "seed": seed,
-            "R": list(r_range),
-            "L": list(l_range),
-            "n_cap": n_cap,
+            "R": list(R_RANGE),
+            "L": list(L_RANGE),
+            "n_cap": N_CAP,
         },
         constants={"infeasible": infeasible},
         worst=worst,

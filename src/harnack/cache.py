@@ -204,7 +204,7 @@ class KernelCache:
             return encode_green(rec.center, rec.radius, table.values)
         raise ValueError(f"unknown cache kind {rec.kind}")
 
-    def verify(self, fraction: float = 0.01, seed: int = 0) -> dict[str, Any]:
+    def verify(self, fraction: float, seed: int) -> dict[str, Any]:
         """Re-derive a sampled fraction of files (at least one) bit-exactly.
 
         Returns a summary dict; ``ok`` is False if any sampled file's bytes

@@ -209,15 +209,15 @@ def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
         ("exit", True, lambda: exit_time.chernoff_audit(d, radii)),
         ("exit", True, lambda: exit_time.crude_tail_audit(d, r0)),
         ("exit", True, lambda: exit_time.mc_consistency_audit(
-            d, r0, n_max=min(cfg.n_max, 4 * r0 * r0), samples=100_000, seed=seed)),
+            d, r0, n_max=min(cfg.n_max, 4 * r0 * r0), seed=seed)),
         ("green", True, lambda: green.equivalence_audit(d, small, rel_tol=cfg.tol)),
         ("green", True, lambda: green.killed_lower_audit(d, small)),
         ("green", bool(comp), lambda: green.comparability_audit(d, comp)),
         ("green", d >= 2, lambda: green.ugi_audit(d, ugi)),
         ("dirichlet", True, lambda: harmonic.dirichlet_triple_audit(
-            d, min(cfg.r_max, 16), samples=100_000, seed=seed, agree_tol=cfg.tol)),
+            d, min(cfg.r_max, 16), seed=seed, agree_tol=cfg.tol)),
         ("balayage", True, lambda: harmonic.balayage_batch_audit(
-            d, [R for R in radii if R <= 16] or [r0], instances=100, seed=seed, recon_tol=cfg.tol)),
+            d, [R for R in radii if R <= 16] or [r0], seed=seed, recon_tol=cfg.tol)),
         ("ehi", d == 1, lambda: ehi.d1_closed_form_audit(cfg.r_max)),
         ("ehi", True, lambda: ehi.small_r_bound_audit(
             d, list(range(1, min(32, cfg.r_max) + 1)) if d == 1 else None)),

@@ -24,6 +24,10 @@ from .report import AuditReport
 from .rng import philox
 
 _MIXTURE_STREAM = 0x05C1  # stream tag for random boundary mixtures
+DELTA_MIN = 0.05  # the oscillation gate: 1 - max Osc(half)/Osc(ball) >= DELTA_MIN
+MIXTURES = 16  # random nonnegative kernel mixtures per radius
+STABILITY_RATIO_CAP = 1.5  # the scale-stability gate on max / min C(R)
+CLOSED_FORM_TOL = 1e-12  # the 1-d gate on |exact - closed form|
 
 _HITTING = Memo()  # (d, R) -> (B(0, R), its hitting matrix)
 
@@ -137,9 +141,7 @@ def small_r_bound_audit(d: int, r_values: Sequence[int] | None = None) -> AuditR
     )
 
 
-def chained_harnack_audit(
-    d: int, r_values: Sequence[int] | None = None
-) -> AuditReport:
+def chained_harnack_audit(d: int, r_values: Sequence[int]) -> AuditReport:
     """Certify large-R constants by comparability amplification along a chain.
 
     kappa bounds the half-ball kernel ratio of the radius-R/2 sub-balls
@@ -147,8 +149,6 @@ def chained_harnack_audit(
     half-ball pair is joined by N overlapping sub-balls, so the proof's own
     bound C(R) <= kappa^N must dominate the exact constant.
     """
-    if r_values is None:
-        r_values = (40, 48, 64)
     r_values = sorted(int(R) for R in r_values)
     if min(r_values) <= 32:
         raise ValueError("the chained certificate targets R > 32")
@@ -193,18 +193,12 @@ def chained_harnack_audit(
     )
 
 
-def oscillation_audit(
-    d: int,
-    r_values: Sequence[int],
-    delta_min: float = 0.05,
-    mixtures: int = 16,
-    seed: int = 0,
-) -> AuditReport:
+def oscillation_audit(d: int, r_values: Sequence[int], seed: int) -> AuditReport:
     """Oscillation decay: the half-ball swing shrinks by a uniform factor.
 
-    For every hitting kernel (and seeded random nonnegative mixtures), the
-    ratio Osc(half ball) / Osc(ball) is below ``1 - delta_min``; constant
-    inputs (zero oscillation) are excluded.
+    For every hitting kernel (and ``MIXTURES`` seeded random nonnegative
+    mixtures), the ratio Osc(half ball) / Osc(ball) is below
+    ``1 - DELTA_MIN``; constant inputs (zero oscillation) are excluded.
     """
     r_values = sorted(int(R) for R in r_values)
     rng = philox(seed, stream=_MIXTURE_STREAM)
@@ -215,7 +209,7 @@ def oscillation_audit(
         D, M = hitting_kernels(d, R)
         half = D.within(R // 2)
         fields = [M]
-        mix = rng.uniform(0.0, 1.0, size=(M.shape[1], mixtures))
+        mix = rng.uniform(0.0, 1.0, size=(M.shape[1], MIXTURES))
         fields.append(M @ mix)
         worst_ratio = 0.0
         for values in fields:
@@ -227,14 +221,14 @@ def oscillation_audit(
                     worst_ratio, float((osc_half[keep] / osc_full[keep]).max())
                 )
         delta = 1.0 - worst_ratio
-        ok = delta >= delta_min
+        ok = delta >= DELTA_MIN
         all_pass &= ok
         rows.append({"R": R, "delta": delta, "worst_ratio": worst_ratio, "ok": ok})
         if worst is None or delta < worst["delta"]:
             worst = {"R": R, "delta": delta}
     return AuditReport(
         audit_id=f"ehi.oscillation.d{d}",
-        grid={"d": d, "R": r_values, "delta_min": delta_min, "mixtures": mixtures, "seed": seed},
+        grid={"d": d, "R": r_values, "delta_min": DELTA_MIN, "mixtures": MIXTURES, "seed": seed},
         constants={},
         worst=worst,
         passed=bool(all_pass),
@@ -243,13 +237,11 @@ def oscillation_audit(
     )
 
 
-def stability_audit(
-    d: int, r_values: Sequence[int] = (8, 16, 24, 32), ratio_cap: float = 1.5
-) -> AuditReport:
+def stability_audit(d: int, r_values: Sequence[int]) -> AuditReport:
     """Exact Harnack constants across radii must be scale-stable.
 
     The constant is expected to converge as the radius grows; the audit
-    gates the max/min ratio over the grid by ``ratio_cap``.
+    gates the max/min ratio over the grid by ``STABILITY_RATIO_CAP``.
     """
     records = [harnack_constant_exact(d, int(R)) for R in sorted(r_values)]
     consts = [rec.constant for rec in records]
@@ -265,19 +257,20 @@ def stability_audit(
             "min_constant": min(consts),
             "max_constant": max(consts),
             "ratio": ratio,
-            "ratio_cap": ratio_cap,
+            "ratio_cap": STABILITY_RATIO_CAP,
         },
         worst={"R": records[consts.index(max(consts))].R, "constant": max(consts)},
-        passed=ratio <= ratio_cap,
+        passed=ratio <= STABILITY_RATIO_CAP,
         rows=rows,
     )
 
 
-def d1_closed_form_audit(r_max: int = 128, tol: float = 1e-12) -> AuditReport:
+def d1_closed_form_audit(r_max: int) -> AuditReport:
     """Every 1-d exact constant must match the gambler's-ruin closed form.
 
     In one dimension harmonic functions are affine, so the constant is the
-    explicit ratio ``(R+1+floor(R/2)) / (R+1-floor(R/2))``, strictly below 3.
+    explicit ratio ``(R+1+floor(R/2)) / (R+1-floor(R/2))``, strictly below 3;
+    the gap must stay within ``CLOSED_FORM_TOL``.
     """
     worst_gap = -1.0
     worst = None
@@ -292,11 +285,11 @@ def d1_closed_form_audit(r_max: int = 128, tol: float = 1e-12) -> AuditReport:
             worst_gap = gap
             worst = {"R": R, "gap": gap}
         rows.append({"R": R, "exact": exact, "closed_form": formula, "gap": gap})
-    passed = worst_gap <= tol and max_const < 3.0
+    passed = worst_gap <= CLOSED_FORM_TOL and max_const < 3.0
     return AuditReport(
         audit_id="ehi.closed_form.d1",
         grid={"d": 1, "r_max": r_max},
-        constants={"max_gap": worst_gap, "max_constant": max_const, "tol": tol},
+        constants={"max_gap": worst_gap, "max_constant": max_const, "tol": CLOSED_FORM_TOL},
         worst=worst,
         passed=passed,
         notes=["also gates max constant < 3"],

@@ -11,7 +11,7 @@ standard errors.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,6 +22,12 @@ from .rng import philox
 
 _MC_STREAM = 0xE417  # stream tag for exit-time Monte Carlo draws
 _MC_BLOCK = 65_536  # samples per block; per-block substreams merge order-free
+N_MAX_FACTOR = 4  # the Chernoff audit checks 1 <= n <= N_MAX_FACTOR * R^2
+SLACK = 1e-12  # the Chernoff chain's round-off allowance
+TAIL_TARGET = 1e-6  # the crude-tail search runs until survival falls below it,
+TAIL_MAX_N = 1 << 22  # or reaches this step
+MC_SAMPLES = 100_000  # walkers of the Monte Carlo cross-check
+Z_CAP = 4.0  # the Monte Carlo gate: max |mc - exact| / se over all n
 
 
 def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> np.ndarray:
@@ -50,18 +56,14 @@ def lazy_reduction_cdf(d: int, R: int, n_max: int) -> np.ndarray:
     return d * (1.0 - surv)
 
 
-def chernoff_audit(
-    d: int,
-    r_values: Iterable[int],
-    n_max_factor: int = 4,
-    slack: float = 1e-12,
-) -> AuditReport:
+def chernoff_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     """Audit the exit-tail chain exact <= d*lazy <= 2d exp(-R^2/(4dn)).
 
-    For each radius the full range ``1 <= n <= n_max_factor * R^2`` is
-    checked.  Rows where the closed-form bound is >= 1 are flagged vacuous
-    and excluded from the bound comparison (they carry no information), but
-    the lazy-walk reduction inequality is still required there.
+    For each radius the full range ``1 <= n <= N_MAX_FACTOR * R^2`` is
+    checked, each inequality up to ``SLACK``.  Rows where the closed-form
+    bound is >= 1 are flagged vacuous and excluded from the bound comparison
+    (they carry no information), but the lazy-walk reduction inequality is
+    still required there.
     """
     r_values = sorted(int(R) for R in r_values)
     rows = []
@@ -70,16 +72,16 @@ def chernoff_audit(
     vacuous_count = 0
     checked = 0
     for R in r_values:
-        n_max = n_max_factor * R * R
+        n_max = N_MAX_FACTOR * R * R
         B = make_ball((0,) * d, R)
         cdf = exact_exit_cdf(B, (0,) * d, n_max)
         lazy = lazy_reduction_cdf(d, R, n_max)
         n = np.arange(1, n_max + 1)
         bound = 2.0 * d * np.exp(-(R * R) / (4.0 * d * n))
         exact = cdf[1:]
-        reduction_ok = exact <= lazy[1:] + slack
+        reduction_ok = exact <= lazy[1:] + SLACK
         vacuous = bound >= 1.0
-        bound_ok = vacuous | (lazy[1:] <= bound + slack)
+        bound_ok = vacuous | (lazy[1:] <= bound + SLACK)
         ok = bool(reduction_ok.all() and bound_ok.all())
         all_pass &= ok
         vacuous_count += int(vacuous.sum())
@@ -111,8 +113,8 @@ def chernoff_audit(
         grid={
             "d": d,
             "R": r_values,
-            "n": f"1..{n_max_factor}*R^2",
-            "slack": slack,
+            "n": f"1..{N_MAX_FACTOR}*R^2",
+            "slack": SLACK,
         },
         constants={"checked_points": checked, "vacuous_points": vacuous_count},
         worst=worst,
@@ -125,30 +127,23 @@ def chernoff_audit(
     )
 
 
-def crude_tail_audit(
-    d: int,
-    R: int,
-    n_values: Sequence[int] | None = None,
-    target: float = 1e-6,
-    max_n: int = 1 << 22,
-) -> AuditReport:
+def crude_tail_audit(d: int, R: int) -> AuditReport:
     """Audit that exit is certain: survival under a geometric envelope.
 
     In any window of ``3R`` steps the walk escapes with probability at least
     ``p = (2d)^(-3R)`` (follow a fixed geodesic to the boundary, length at
     most R+1 <= 3R), so ``P(tau_B > n) <= (1-p)^floor(n/(3R))``.  The audit
-    checks domination on a grid and runs a doubling search until survival
-    falls below ``target``.
+    checks domination on the steps R, 3R, R^2, 3R^2 and 9R^2 and runs a
+    doubling search until survival falls below ``TAIL_TARGET`` or the step
+    reaches ``TAIL_MAX_N``.
     """
-    if n_values is None:
-        n_values = [R, 3 * R, R * R, 3 * R * R, 9 * R * R]
-    n_values = sorted(set(int(n) for n in n_values))
-    n_max = max(n_values)
-    if R < 1 or n_max < 1 or n_values[0] < 0:
-        raise ValueError("need R >= 1 and grid steps >= 0, not all 0")
+    if R < 1:
+        raise ValueError("need R >= 1")
+    n_values = sorted({R, 3 * R, R * R, 3 * R * R, 9 * R * R})
+    n_max = n_values[-1]
     B = make_ball((0,) * d, R)
     limit = n_max  # the largest step the doubling search can reach
-    while limit < max_n:
+    while limit < TAIL_MAX_N:
         limit *= 2
     walk = iter_killed_vectors(B, [B.index_of((0,) * d)], limit)
     cdf = {}
@@ -170,17 +165,17 @@ def crude_tail_audit(
     # grid maximum.
     search_n = n_max
     survival = 1.0 - cdf[n_max]
-    while survival > target and search_n < max_n:
+    while survival > TAIL_TARGET and search_n < TAIL_MAX_N:
         search_n *= 2
         for n, block in walk:
             if n == search_n:
                 break
         survival = float(block[:, 0].sum())
-    found = survival <= target
+    found = survival <= TAIL_TARGET
     all_pass &= found
     return AuditReport(
         audit_id=f"exit.crude_tail.d{d}",
-        grid={"d": d, "R": R, "n": n_values, "target": target},
+        grid={"d": d, "R": R, "n": n_values, "target": TAIL_TARGET},
         constants={
             "escape_probability": p,
             "window": 3 * R,
@@ -260,25 +255,17 @@ def mc_exit_sample(
     return p_hat, se
 
 
-def mc_consistency_audit(
-    d: int,
-    R: int,
-    n_max: int | None = None,
-    samples: int = 100_000,
-    seed: int = 0,
-    z_cap: float = 4.0,
-) -> AuditReport:
+def mc_consistency_audit(d: int, R: int, n_max: int, seed: int) -> AuditReport:
     """Cross-check the exact exit CDF against its Monte Carlo estimate.
 
-    One simulation run yields estimates for every n <= n_max; each must lie
-    within ``z_cap`` standard errors of the exact value (a tiny absolute
-    floor covers the SE = 0 endpoints where the estimate is 0 or 1).
+    One simulation run of ``MC_SAMPLES`` walkers yields estimates for every
+    n <= n_max; each must lie within ``Z_CAP`` standard errors of the exact
+    value (a tiny absolute floor covers the SE = 0 endpoints where the
+    estimate is 0 or 1).
     """
-    if n_max is None:
-        n_max = 4 * R * R
     B = make_ball((0,) * d, R)
     exact = exact_exit_cdf(B, (0,) * d, n_max)
-    mc, se = mc_exit_sample(B, (0,) * d, n_max, samples, seed)
+    mc, se = mc_exit_sample(B, (0,) * d, n_max, MC_SAMPLES, seed)
     z = np.abs(mc - exact) / np.maximum(se, 1e-12)
     worst_n = int(z.argmax())
     rows = [
@@ -289,10 +276,10 @@ def mc_consistency_audit(
     worst = {"n": worst_n, "z": worst_z, "exact": exact[worst_n], "mc": mc[worst_n]}
     return AuditReport(
         audit_id=f"exit.mc.d{d}",
-        grid={"d": d, "R": R, "n_max": n_max, "samples": samples, "seed": seed},
-        constants={"max_z": worst_z, "z_cap": z_cap},
+        grid={"d": d, "R": R, "n_max": n_max, "samples": MC_SAMPLES, "seed": seed},
+        constants={"max_z": worst_z, "z_cap": Z_CAP},
         worst=worst,
-        passed=bool(worst_z <= z_cap),
+        passed=bool(worst_z <= Z_CAP),
         notes=["replay with the recorded seed reproduces the estimates bit-exactly"],
         rows=rows,
     )

@@ -51,6 +51,8 @@ from .report import AuditReport
 
 RESIDUAL_TOL = 1e-10
 _WINDOW = 64  # series steps pulled and certified together
+UGI_RATIO_CAP = 10.0  # the interior comparison's gate on G2 / G1 at each R
+STABILITY_CAP = 3.0  # the pole-ratio gate on max / min ratio across R
 
 __all__ = [
     "GreenTable",
@@ -76,18 +78,14 @@ class GreenTable:
     column-restricted solve holds one column per requested index, in order.
     """
 
-    domain: FiniteDomain
     values: np.ndarray
-    method: str
     meta: dict = field(default_factory=dict)
 
 
 _TABLES = Memo()  # B.key() -> full solved GreenTable
 
 
-def green_table_series(
-    B: FiniteDomain, tol: float = 1e-10, max_steps: int = 200_000
-) -> GreenTable:
+def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) -> GreenTable:
     """Full Green table by series accumulation over one start per symmetry orbit.
 
     The domain's lattice symmetries (:meth:`FiniteDomain.symmetries`) satisfy
@@ -171,7 +169,7 @@ def green_table_series(
         "tol": tol,
         "truncated": bool(np.isinf(tail_bounds).any()),
     }
-    return GreenTable(domain=B, values=table, method="series", meta=meta)
+    return GreenTable(values=table, meta=meta)
 
 
 def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenTable:
@@ -199,7 +197,7 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
                 f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
                 f"on a domain of {size} points"
             )
-        return GreenTable(domain=B, values=values, method="solve", meta={"residual": residual})
+        return GreenTable(values=values, meta={"residual": residual})
 
     return solve() if columns is not None else _TABLES.get(_ball_key(B), solve)
 
@@ -209,13 +207,13 @@ def _pair_distances(coords: np.ndarray) -> np.ndarray:
     return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
 
 
-def ugi_audit(d: int, r_values: Iterable[int], ratio_cap: float = 10.0) -> AuditReport:
+def ugi_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     """Two-sided interior comparison of ``g_B`` against its scale function.
 
     For points ``x, y`` in the half ball with ``r = max(1, dist(x,y))``
     restricted to ``r <= R/2``, the audit fits the extrema of
     ``g * r^{d-2}`` (d >= 3) or of ``g / log(R/r)`` (d = 2).  Pass requires
-    ``0 < G1 <= G2``, ``G2/G1 <= ratio_cap`` at every R, and a common value
+    ``0 < G1 <= G2``, ``G2/G1 <= UGI_RATIO_CAP`` at every R, and a common value
     inside every fitted window across R.
     """
     if d < 2:
@@ -240,7 +238,7 @@ def ugi_audit(d: int, r_values: Iterable[int], ratio_cap: float = 10.0) -> Audit
         imin = np.unravel_index(np.nanargmin(vals), vals.shape)
         imax = np.unravel_index(np.nanargmax(vals), vals.shape)
         ratio = g2 / g1 if g1 > 0 else math.inf
-        ok = g1 > 0 and math.isfinite(g2) and ratio <= ratio_cap
+        ok = g1 > 0 and math.isfinite(g2) and ratio <= UGI_RATIO_CAP
         all_pass &= ok
         rows.append({"R": R, "G1": g1, "G2": g2, "ratio": ratio})
         if worst is None or ratio > worst["ratio"]:
@@ -256,7 +254,7 @@ def ugi_audit(d: int, r_values: Iterable[int], ratio_cap: float = 10.0) -> Audit
     overlap = lo <= hi
     return AuditReport(
         audit_id=f"green.ugi.d{d}",
-        grid={"d": d, "R": r_values, "ratio_cap": ratio_cap},
+        grid={"d": d, "R": r_values, "ratio_cap": UGI_RATIO_CAP},
         constants={
             "G1": {str(row["R"]): row["G1"] for row in rows},
             "G2": {str(row["R"]): row["G2"] for row in rows},
@@ -273,11 +271,7 @@ def ugi_audit(d: int, r_values: Iterable[int], ratio_cap: float = 10.0) -> Audit
     )
 
 
-def killed_lower_audit(
-    d: int,
-    r_values: Iterable[int],
-    decay_grid: np.ndarray | None = None,
-) -> AuditReport:
+def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     """Fit a Gaussian lower envelope to the *killed* parity-paired kernel.
 
     For each R, over interior points ``x, y`` of the half ball and times
@@ -285,8 +279,9 @@ def killed_lower_audit(
 
         ``p_n^B(x,y) + p_{n+1}^B(x,y) >= A * n^{-d/2} * exp(-C * dist^2 / n)``
 
-    by scanning ``C`` over a log grid and taking the minimum-implied amplitude;
-    the reported pair maximises the amplitude margin.  Pass iff ``A > 0``.
+    by scanning ``C`` over the log grid ``bounds._DECAY_GRID`` and taking the
+    minimum-implied amplitude; the reported pair maximises the amplitude
+    margin.  Pass iff ``A > 0``.
 
     All half-ball starts advance in one walk, one sparse product per step,
     even and odd starts paired in its columns, and the fit runs in log space
@@ -298,7 +293,7 @@ def killed_lower_audit(
     to the smallest m, then distance, then kernel value, then the first
     (start, target) in half-ball order.
     """
-    grid = _DECAY_GRID if decay_grid is None else np.asarray(decay_grid, dtype=float)
+    grid = _DECAY_GRID
     r_values = sorted(int(r) for r in r_values)
     rows = []
     all_pass = True
@@ -371,20 +366,18 @@ def comparability_ratio(d: int, R: int) -> float:
     return float((g.max(axis=0) / g.min(axis=0)).max())
 
 
-def comparability_audit(
-    d: int, r_values: Iterable[int], stability_cap: float = 3.0
-) -> AuditReport:
-    """Measure the pole-ratio constant per R and check cross-R stability."""
+def comparability_audit(d: int, r_values: Iterable[int]) -> AuditReport:
+    """Measure the pole-ratio constant per R and check cross-R stability (``STABILITY_CAP``)."""
     r_values = sorted(int(r) for r in r_values)
     rows = []
     for R in r_values:
         rows.append({"R": R, "ratio": comparability_ratio(d, R)})
     ratios = [row["ratio"] for row in rows]
-    stable = max(ratios) / min(ratios) <= stability_cap if ratios else False
+    stable = max(ratios) / min(ratios) <= STABILITY_CAP if ratios else False
     ok = all(math.isfinite(r) and r >= 1.0 for r in ratios) and stable
     return AuditReport(
         audit_id=f"green.comparability.d{d}",
-        grid={"d": d, "R": r_values, "stability_cap": stability_cap},
+        grid={"d": d, "R": r_values, "stability_cap": STABILITY_CAP},
         constants={"ratios": {str(row["R"]): row["ratio"] for row in rows}},
         worst={"max_ratio": max(ratios)} if ratios else None,
         passed=bool(ok),
@@ -393,9 +386,7 @@ def comparability_audit(
     )
 
 
-def equivalence_audit(
-    d: int, r_values: Sequence[int], rel_tol: float = 1e-8
-) -> AuditReport:
+def equivalence_audit(d: int, r_values: Sequence[int], rel_tol: float) -> AuditReport:
     """Cross-check the two Green routes entry-by-entry on centred balls.
 
     For each radius the direct linear solve (residual-certified) and the

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exit_time import exit_walks
 from .green import RESIDUAL_TOL, SolverError
-from .kernel import exit_steps, killed_lu, killed_matrix, killed_operator
+from .kernel import exit_steps, killed_lu, killed_matrix
 from .lattice import FiniteDomain, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -31,6 +31,12 @@ from .rng import philox
 _MC_STREAM = 0xD187  # stream tag for Dirichlet Monte Carlo draws
 _BOUNDARY_STREAM = 0x4A12  # stream tag for random boundary data
 _MC_STEP_CAP = 1 << 22  # safety cap; exit is a.s. finite and far faster
+ITERATE_TOL = 1e-13  # the fixed-point iteration stops once a sweep moves no value more
+MAX_SWEEPS = 10_000_000  # safety cap on fixed-point sweeps; a contraction settles far sooner
+NONNEGATIVE_TOL = 1e-12  # h and the charge may dip this far below zero (round-off)
+MC_SAMPLES = 100_000  # walkers of the Dirichlet Monte Carlo route
+Z_CAP = 4.0  # the Dirichlet Monte Carlo gate, in standard errors
+INSTANCES = 100  # balayage instances per radius
 
 
 class BalayageError(RuntimeError):
@@ -107,25 +113,24 @@ def _dirichlet_interior(D: FiniteDomain, bdata: np.ndarray) -> np.ndarray:
     return interior
 
 
-def dirichlet_iterate(
-    D: FiniteDomain, phi, tol: float = 1e-13, max_sweeps: int = 10_000_000
-) -> LatticeField:
+def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
     """Fixed-point path: repeat neighbor averaging with the boundary clamped.
 
-    Stops when one full sweep moves no value by more than ``tol``; the
-    iteration is a strict contraction on finite domains, so this terminates.
+    Stops when one full sweep moves no value by more than ``ITERATE_TOL``;
+    the iteration is a strict contraction on finite domains, so this
+    terminates (``SolverError`` past ``MAX_SWEEPS`` sweeps).
     """
     bdata = _boundary_field(D, phi)
-    P = killed_operator(D)
+    P = killed_matrix(D)
     rows_b, cols_b, w = exit_steps(D)
     coupling = np.zeros(len(D))
     np.add.at(coupling, rows_b, w * bdata[cols_b])
     interior = np.full(len(D), float(bdata.mean()) if len(bdata) else 0.0)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         nxt = P @ interior + coupling
         delta = float(np.abs(nxt - interior).max())
         interior = nxt
-        if delta <= tol:
+        if delta <= ITERATE_TOL:
             break
     else:
         raise SolverError("fixed-point iteration failed to settle")
@@ -219,7 +224,7 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
         raise ValueError("A must be a strict subset of the ball")
     # Validate the input: nonnegative on the closure, harmonic inside.
     vals = _on_closure(h, B)
-    if vals.min() < -1e-12:
+    if vals.min() < -NONNEGATIVE_TOL:
         raise ValueError("h must be nonnegative on the ball closure")
     bad = np.flatnonzero(np.abs(laplacian(h, B)) > RESIDUAL_TOL)
     if bad.size:
@@ -247,7 +252,7 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
             f"charge leaks {noise:.3e} off the inner boundary of A"
         )
     f = np.where(off_support, 0.0, f)
-    if f.min() < -1e-12:
+    if f.min() < -NONNEGATIVE_TOL:
         raise BalayageError(f"charge has a negative value {f.min():.3e}")
 
     # Reconstruction: G_B f by one solve with the ball's factor, checked on A.
@@ -270,20 +275,14 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     )
 
 
-def dirichlet_triple_audit(
-    d: int,
-    R: int,
-    samples: int = 100_000,
-    seed: int = 0,
-    agree_tol: float = 1e-8,
-    z_cap: float = 4.0,
-) -> AuditReport:
+def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> AuditReport:
     """Three independent Dirichlet routes must agree on seeded boundary data.
 
     The sparse linear solve, the clamped fixed-point iteration, and the
     Monte Carlo exit average are computed for the same uniform boundary
     data; solve vs iterate must match within ``agree_tol`` everywhere, the
-    MC value at the centre within ``z_cap`` standard errors, and the solve
+    MC value of ``MC_SAMPLES`` walks from the centre within ``Z_CAP``
+    standard errors, and the solve
     value must equal the harmonic-measure average of the data exactly up to
     solver tolerance.
     """
@@ -293,20 +292,20 @@ def dirichlet_triple_audit(
     solved = dirichlet_solve(D, phi)
     iterated = dirichlet_iterate(D, phi)
     center = (0,) * d
-    mc, mc_se = dirichlet_mc(D, phi, center, samples, seed)
+    mc, mc_se = dirichlet_mc(D, phi, center, MC_SAMPLES, seed)
     hm = harmonic_measure(D, center)
     gap = float(np.abs(solved.values - iterated.values).max())
     z = abs(mc - solved.value_at(center)) / max(mc_se, 1e-12)
     measure_gap = abs(float(hm @ phi) - solved.value_at(center))
     rows = [
         {"check": "solve_vs_iterate", "value": gap, "limit": agree_tol},
-        {"check": "mc_z_score", "value": z, "limit": z_cap},
+        {"check": "mc_z_score", "value": z, "limit": Z_CAP},
         {"check": "measure_average", "value": measure_gap, "limit": RESIDUAL_TOL},
     ]
-    passed = gap <= agree_tol and z <= z_cap and measure_gap <= RESIDUAL_TOL
+    passed = gap <= agree_tol and z <= Z_CAP and measure_gap <= RESIDUAL_TOL
     return AuditReport(
         audit_id=f"dirichlet.triple.d{d}",
-        grid={"d": d, "R": R, "samples": samples, "seed": seed},
+        grid={"d": d, "R": R, "samples": MC_SAMPLES, "seed": seed},
         constants={
             "solve_vs_iterate": gap,
             "mc_z": z,
@@ -327,18 +326,15 @@ def _random_subset(B: FiniteDomain, rng) -> np.ndarray:
 
 
 def balayage_batch_audit(
-    d: int,
-    r_values: Sequence[int] = (4, 8),
-    instances: int = 100,
-    seed: int = 0,
-    recon_tol: float = 1e-8,
+    d: int, r_values: Sequence[int], seed: int, recon_tol: float
 ) -> AuditReport:
     """Run many seeded balayage instances and report the worst witnesses.
 
-    Per instance: a random harmonic function (uniform boundary data) is
-    swept onto a random sub-ball; the charge must be nonnegative within
-    1e-12, supported on the subset's inner boundary structurally, and must
-    reconstruct the function on the subset within ``recon_tol`` relative.
+    Per instance (``INSTANCES`` per radius): a random harmonic function
+    (uniform boundary data) is swept onto a random sub-ball; the charge must
+    be nonnegative within ``NONNEGATIVE_TOL``, supported on the subset's
+    inner boundary structurally, and must reconstruct the function on the
+    subset within ``recon_tol`` relative.
     """
     rows = []
     worst_recon = -1.0
@@ -348,7 +344,7 @@ def balayage_batch_audit(
     for R in r_values:
         B = make_ball((0,) * d, int(R))
         rng = philox(seed, stream=(0xBA1A << 32) | int(R))
-        for i in range(instances):
+        for i in range(INSTANCES):
             h_seed = int(rng.integers(1 << 31))
             subset = _random_subset(B, rng)
             h = random_harmonic(B, h_seed)
@@ -381,13 +377,13 @@ def balayage_batch_audit(
                     "min_charge": mc,
                 }
             )
-    passed = failures == 0 and worst_recon <= recon_tol and min_charge >= -1e-12
+    passed = failures == 0 and worst_recon <= recon_tol and min_charge >= -NONNEGATIVE_TOL
     return AuditReport(
         audit_id=f"balayage.batch.d{d}",
         grid={
             "d": d,
             "radii": [int(R) for R in r_values],
-            "instances": instances,
+            "instances": INSTANCES,
             "seed": seed,
         },
         constants={

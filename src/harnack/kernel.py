@@ -64,7 +64,6 @@ __all__ = [
     "n_step",
     "walk_pmf",
     "exit_steps",
-    "killed_operator",
     "identity_minus",
     "Memo",
     "killed_matrix",
@@ -76,6 +75,8 @@ __all__ = [
     "exactness_audit",
     "projection_audit",
 ]
+
+PROJECTION_TOL = 1e-12  # the projection gate on the max marginal deviation
 
 
 def _binomial(n: int, k: int) -> int:
@@ -322,16 +323,6 @@ def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
     return out // steps, flat[out] - len(D), 1.0 / steps
 
 
-def killed_operator(D: FiniteDomain) -> sp.csr_matrix:
-    """The substochastic one-step matrix of the walk killed outside ``D``."""
-    m, steps = D.neighbor_index.shape
-    flat = D.neighbor_index.ravel()
-    inside = np.flatnonzero(flat < m)
-    return sp.csr_matrix(
-        (np.full(len(inside), 1.0 / steps), (inside // steps, flat[inside])), shape=(m, m)
-    )
-
-
 def identity_minus(D: FiniteDomain) -> sp.csc_matrix:
     """``I - P`` of the walk killed outside ``D``, the matrix of the Green and Dirichlet solves.
 
@@ -349,12 +340,21 @@ def identity_minus(D: FiniteDomain) -> sp.csc_matrix:
 
 
 def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
-    """The substochastic one-step matrix ``P^B`` of a domain (read-only).
+    """The substochastic one-step matrix ``P^B`` of the walk killed outside ``B`` (read-only).
 
     A ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``);
     any other domain's is built afresh.
     """
-    return _KILLED.get(_ball_key(B), lambda: killed_operator(B))
+
+    def build() -> sp.csr_matrix:
+        m, steps = B.neighbor_index.shape
+        flat = B.neighbor_index.ravel()
+        inside = np.flatnonzero(flat < m)
+        return sp.csr_matrix(
+            (np.full(len(inside), 1.0 / steps), (inside // steps, flat[inside])), shape=(m, m)
+        )
+
+    return _KILLED.get(_ball_key(B), build)
 
 
 def killed_lu(B: FiniteDomain) -> spla.SuperLU:
@@ -496,11 +496,12 @@ def exactness_audit(d: int, n_max: int) -> AuditReport:
     )
 
 
-def projection_audit(n_max: int, tol: float = 1e-12) -> AuditReport:
+def projection_audit(n_max: int) -> AuditReport:
     """Audit the coordinate-projection law of the planar walk.
 
     Summing the 2-d kernel over one coordinate must reproduce the lazy 1-d
-    walk (hold 1/2, move 1/4 each way) for every step count n <= n_max.
+    walk (hold 1/2, move 1/4 each way) for every step count n <= n_max, to
+    ``PROJECTION_TOL``.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -518,7 +519,7 @@ def projection_audit(n_max: int, tol: float = 1e-12) -> AuditReport:
         grid={"d": 2, "n_max": n_max},
         constants={"max_marginal_deviation": worst},
         worst={"n": worst_n, "deviation": worst},
-        passed=worst <= tol,
-        notes=[f"tolerance {tol:g}"],
+        passed=worst <= PROJECTION_TOL,
+        notes=[f"tolerance {PROJECTION_TOL:g}"],
         rows=rows,
     )

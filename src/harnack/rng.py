@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def philox(seed: int, stream: int = 0) -> np.random.Generator:
+def philox(seed: int, stream: int) -> np.random.Generator:
     """Return a Generator over Philox keyed by ``(seed, stream)``."""
     if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 64):
         raise ValueError("seed and stream must be integers in [0, 2^64)")

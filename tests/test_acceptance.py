@@ -30,7 +30,7 @@ def test_acceptance_01_kernel_exactness(capsys):
 
 
 def test_acceptance_02_axis_projection(capsys):
-    audit = kernel.projection_audit(64, tol=1e-12)
+    audit = kernel.projection_audit(64)
     ok = audit.passed and audit.constants["max_marginal_deviation"] <= 1e-12
     _verdict(capsys, 2, "axis-projection", ok)
 
@@ -69,7 +69,7 @@ def test_acceptance_05_green_scaling_windows(capsys):
 def test_acceptance_06_sweep_reconstruction(capsys):
     ok = True
     for d in (1, 2):
-        audit = harmonic.balayage_batch_audit(d, r_values=(4, 8), instances=100, seed=0)
+        audit = harmonic.balayage_batch_audit(d, (4, 8), seed=0, recon_tol=1e-8)
         ok = ok and audit.passed
         ok = ok and audit.constants["failures"] == 0
         ok = ok and audit.constants["max_reconstruction_rel_error"] < 1e-8
@@ -80,8 +80,7 @@ def test_acceptance_06_sweep_reconstruction(capsys):
 def test_acceptance_07_dirichlet_three_routes(capsys):
     ok = True
     for d in (1, 2):
-        audit = harmonic.dirichlet_triple_audit(d, 8, samples=100_000, seed=0,
-                                                agree_tol=1e-8, z_cap=4.0)
+        audit = harmonic.dirichlet_triple_audit(d, 8, seed=0, agree_tol=1e-8)
         ok = ok and audit.passed
         ok = ok and audit.constants["solve_vs_iterate"] <= 1e-8
         ok = ok and audit.constants["mc_z"] <= 4.0
@@ -89,7 +88,7 @@ def test_acceptance_07_dirichlet_three_routes(capsys):
 
 
 def test_acceptance_08_interval_constant_formula(capsys):
-    audit = ehi.d1_closed_form_audit(r_max=128, tol=1e-12)
+    audit = ehi.d1_closed_form_audit(128)
     ok = audit.passed
     ok = ok and audit.constants["max_constant"] < 3.0
     ok = ok and audit.constants["max_gap"] <= 1e-12
@@ -97,7 +96,7 @@ def test_acceptance_08_interval_constant_formula(capsys):
 
 
 def test_acceptance_09_planar_constant_stability(capsys):
-    audit = ehi.stability_audit(2, r_values=(8, 16, 24, 32), ratio_cap=1.5)
+    audit = ehi.stability_audit(2, (8, 16, 24, 32))
     ok = audit.passed and audit.constants["ratio"] <= 1.5
     certified_cap = 4.0 ** 32
     for row in audit.rows:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from harnack.bounds import (
+    LAG,
     _EnvelopeFit,
     chain_certificate,
     chain_certificate_batch,
@@ -46,20 +47,11 @@ def test_near_diagonal_audit_passes_with_sane_constants():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_near_diagonal_audit_needs_an_admissible_time(d):
-    # at L = 0.7 the first admissible time is n = 3 > 1/L^2 ~ 2.04
+    # at L = LAG = 0.7 the first admissible time is n = 3 > 1/L^2 ~ 2.04
+    assert LAG == 0.7
     with pytest.raises(ValueError):
         near_diagonal_audit(d, 2)
-    with pytest.raises(ValueError):
-        near_diagonal_audit(d, 3, L=0.5)
     assert near_diagonal_audit(d, 3).passed
-    assert near_diagonal_audit(d, 4, L=0.5).passed  # L^2 * n_max == 1 exactly
-
-
-def test_near_diagonal_lower_fit_shrinks_with_wider_windows():
-    fits = [
-        near_diagonal_audit(2, 32, L=L).constants["N2"] for L in (0.5, 0.7, 0.9)
-    ]
-    assert fits[0] >= fits[1] >= fits[2] > 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -135,20 +127,19 @@ def gaussian_upper_reference(d, n_max, grid):
 
 @pytest.mark.parametrize("d,n_max", [(1, 96), (2, 48), (3, 20)])
 def test_shell_fits_equal_the_element_wise_loops(d, n_max):
-    for L in (0.5, 0.7):
-        report = near_diagonal_audit(d, n_max, L=L)
-        n2, n2_witness = near_diagonal_n2_reference(d, n_max, L)
-        assert report.constants["N2"] == n2
-        assert report.worst["N2_at"] == n2_witness
+    report = near_diagonal_audit(d, n_max)
+    n2, n2_witness = near_diagonal_n2_reference(d, n_max, LAG)
+    assert report.constants["N2"] == n2
+    assert report.worst["N2_at"] == n2_witness
     grid = np.geomspace(1.0 / 64, 8.0, 32)
-    report = gaussian_lower_audit(d, n_max, grid)
+    report = gaussian_lower_audit(d, n_max)
     amplitudes, witness_n = gaussian_lower_reference(d, n_max, grid)
     best = int(amplitudes.argmax())
     assert report.rows == [{"decay": float(c), "amplitude": float(a)} for c, a in zip(grid, amplitudes)]
     assert report.constants == {"L1": float(amplitudes[best]), "L2": float(grid[best])}
     assert report.worst == {"binding_n": int(witness_n[best])}
     grid = np.geomspace(1.0 / 64, 0.9 * math.log(2 * d), 32)
-    report = gaussian_upper_audit(d, n_max, grid)
+    report = gaussian_upper_audit(d, n_max)
     amplitudes, witness_n = gaussian_upper_reference(d, n_max, grid)
     best = int(amplitudes.argmin())
     assert report.rows == [{"decay": float(c), "amplitude": float(a)} for c, a in zip(grid, amplitudes)]

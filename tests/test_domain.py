@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harnack.harmonic import LatticeField, laplacian
-from harnack.kernel import exit_steps, identity_minus, killed_matrix, killed_operator
+from harnack.kernel import exit_steps, identity_minus, killed_matrix
 from harnack.lattice import FiniteDomain, make_ball, neighbors
 
 
@@ -93,7 +93,7 @@ def check_domain(D, points):
     assert np.array_equal(D.neighbor_index, nbr)
     assert np.array_equal(D.coords, np.array(interior, dtype=np.int64))
     P, system, green_system, rows_b, cols_b = reference_operators(points)
-    P_new = killed_operator(D)
+    P_new = killed_matrix(D)
     rows_new, cols_new, w = exit_steps(D)
     assert w == 1.0 / (2 * D.dimension)
     assert_same_sparse(P_new, P)

@@ -92,8 +92,6 @@ def test_crude_tail_search_continues_one_walk(monkeypatch):
     search_n = report.constants["search_n"]
     assert search_n > 144
     assert steps == list(range(search_n + 1))  # one walk, no step repeated
-    with pytest.raises(ValueError):
-        crude_tail_audit(1, 4, n_values=[0])  # a search from step 0 never doubles
 
 
 def test_mc_replay_is_bit_exact():
@@ -133,7 +131,7 @@ def test_mc_arrays_equal_the_per_step_arithmetic(d, R, n_max, samples):
 
 
 def test_mc_consistency_audit_passes():
-    report = mc_consistency_audit(1, 3, n_max=36, samples=20_000, seed=7)
+    report = mc_consistency_audit(1, 3, 36, seed=7)
     assert report.passed
     assert report.constants["max_z"] <= 4.0
 

@@ -154,7 +154,7 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
 def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
     import scipy.sparse as sp
 
-    from harnack import harmonic, kernel
+    from harnack import kernel
 
     B = make_ball((0, 0), 6)
     kernel.killed_lu(B)
@@ -162,8 +162,7 @@ def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("a sparse matrix is assembled for a factored ball")
 
-    for module, name in ((kernel, "killed_operator"), (harmonic, "killed_operator"),
-                         (kernel, "identity_minus"), (sp, "csr_matrix"), (sp, "csc_matrix")):
+    for module, name in ((kernel, "identity_minus"), (sp, "csr_matrix"), (sp, "csc_matrix")):
         monkeypatch.setattr(module, name, no_assembly)
     h = random_harmonic(B, seed=3)
     dirichlet_solve(B, np.linspace(0.0, 1.0, len(B.outer_boundary)))
@@ -297,5 +296,5 @@ def test_balayage_rejects_bad_inputs():
 
 
 def test_module_audits_pass():
-    assert dirichlet_triple_audit(1, 6, samples=20_000, seed=2).passed
-    assert balayage_batch_audit(2, (4,), instances=10, seed=3).passed
+    assert dirichlet_triple_audit(1, 6, seed=2, agree_tol=1e-8).passed
+    assert balayage_batch_audit(2, (4,), seed=3, recon_tol=1e-8).passed

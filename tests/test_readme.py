@@ -1,5 +1,7 @@
 """README examples run as written."""
 
+import ast
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -36,3 +38,14 @@ def test_flag_table_matches_the_run_config():
                 kind = kinds[name]
                 table[name] = raw if kind not in (int, float) else kind(raw)
     assert table == defaults
+
+
+def test_gate_table_matches_the_module_constants():
+    # Each row names an audit, its gate, the gate's value and the module constant that holds it.
+    text = README.read_text()
+    section = text[text.index("### Audit gates"):text.index("### Cache")]
+    rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \| .*? \| (\S+) \| `(\w+)\.(\w+)` \|$", section, re.M)
+    assert len(rows) == 13
+    for audit_id, value, module, name in rows:
+        constant = getattr(importlib.import_module("harnack." + module), name)
+        assert ast.literal_eval(value) == constant, f"{audit_id}: README {value}, {module}.{name} = {constant}"
