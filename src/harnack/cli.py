@@ -197,6 +197,11 @@ def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
         3: in_range((4, 6, 8, 10, 12)) or [6],  # exact constants stay affordable only at small radii
     }[d]
     chain = [R for R in (40, 48, 64) if R <= cfg.r_max] if d == 2 else []
+    small_r = {  # exact constants against the combinatorial cap, which holds for R <= 32
+        1: range(1, min(32, cfg.r_max) + 1),
+        2: (1, 2, 3, 4, 6, 8, 12, 16, 20, 24, 28, 32),
+        3: (1, 2, 3, 4, 6, 8, 10, 12),
+    }[d]
     table: list[tuple[str, bool, AuditTask]] = [
         ("kernel", True, lambda: kernel.exactness_audit(d, n_cap)),
         ("kernel", d == 2, lambda: kernel.projection_audit(min(cfg.n_max, 64))),
@@ -219,8 +224,7 @@ def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
         ("balayage", True, lambda: harmonic.balayage_batch_audit(
             d, [R for R in radii if R <= 16] or [r0], seed=seed, recon_tol=cfg.tol)),
         ("ehi", d == 1, lambda: ehi.d1_closed_form_audit(cfg.r_max)),
-        ("ehi", True, lambda: ehi.small_r_bound_audit(
-            d, list(range(1, min(32, cfg.r_max) + 1)) if d == 1 else None)),
+        ("ehi", True, lambda: ehi.small_r_bound_audit(d, small_r)),
         ("ehi", bool(stability), lambda: ehi.stability_audit(2, stability)),
         ("ehi", True, lambda: ehi.oscillation_audit(d, oscillation, seed=seed)),
         ("ehi", bool(chain), lambda: ehi.chained_harnack_audit(2, chain)),

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .green import SolverError, comparability_ratio
+from .green import comparability_ratio
 from .harmonic import harmonic_measure_matrix
-from .kernel import Memo
+from .kernel import Memo, SolverError
 from .lattice import FiniteDomain, Point, build_ball_chain, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -104,18 +104,12 @@ def d1_harnack_constant(R: int) -> float:
     return (R + 1 + S) / (R + 1 - S)
 
 
-def small_r_bound_audit(d: int, r_values: Sequence[int] | None = None) -> AuditReport:
+def small_r_bound_audit(d: int, r_values: Sequence[int]) -> AuditReport:
     """Check C(R) <= (2d)^32 on the small-radius grid (enormous slack expected).
 
     The combinatorial bound chains one-step inequalities ``h(x) >= h(y)/(2d)``
     along paths of length at most 2R <= 64, giving (2d)^32 after pairing.
     """
-    if r_values is None:
-        r_values = {
-            1: range(1, 33),
-            2: (1, 2, 3, 4, 6, 8, 12, 16, 20, 24, 28, 32),
-            3: (1, 2, 3, 4, 6, 8, 10, 12),
-        }.get(d, (1, 2, 4, 8))
     r_values = sorted(int(R) for R in r_values)
     if max(r_values) > 32:
         raise ValueError("the combinatorial bound is audited for R <= 32 only")

@@ -19,11 +19,12 @@ mandatory, independent computations are provided and cross-audited:
     other column is gathered as the exact image of its representative's.
 
 ``solve``
-    solves the defining linear system ``(I - P^B) G = I`` with a sparse LU
-    factorisation (deterministic, single-threaded, memoized per ball by
-    ``kernel.killed_lu`` and shared with the Dirichlet solves and harmonic
-    measures on that ball), and verifies the residual
-    ``max |(I - P^B) G - I| < 1e-10``.  The factors of this M-matrix are sign
+    solves the defining linear system ``(I - P^B) G = I`` with
+    ``kernel.killed_solve``, the package's one certified solve: a sparse LU
+    factorisation (deterministic, single-threaded, memoized per ball and
+    shared with the Dirichlet solves, harmonic measures and balayage on that
+    ball) whose result must satisfy ``max |G - P^B G - I| <
+    kernel.RESIDUAL_TOL``.  The factors of this M-matrix are sign
     structured, so back-substitution adds nonnegative terms only and even the
     exponentially small entries come out componentwise accurate.
 
@@ -45,18 +46,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
-from .kernel import Memo, _ball_key, identity_minus, iter_killed_vectors, killed_lu, parity_classes
+from .kernel import Memo, iter_killed_vectors, killed_solve, parity_classes
 from .lattice import FiniteDomain, make_ball
 from .report import AuditReport
 
-RESIDUAL_TOL = 1e-10
 _WINDOW = 64  # series steps pulled and certified together
 UGI_RATIO_CAP = 10.0  # the interior comparison's gate on G2 / G1 at each R
 STABILITY_CAP = 3.0  # the pole-ratio gate on max / min ratio across R
 
 __all__ = [
     "GreenTable",
-    "SolverError",
     "green_table_series",
     "green_solve",
     "ugi_audit",
@@ -64,10 +63,6 @@ __all__ = [
     "comparability_audit",
     "comparability_ratio",
 ]
-
-
-class SolverError(RuntimeError):
-    """A linear solve failed its residual certification."""
 
 
 @dataclass
@@ -173,7 +168,7 @@ def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) ->
 
 
 def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenTable:
-    """Green table by solving ``(I - P^B) G = I`` (sparse LU, certified residual).
+    """Green table by solving ``(I - P^B) G = I`` (``kernel.killed_solve``, certified).
 
     ``columns`` restricts the solve to the given point indices (the returned
     ``values`` then has one column per requested index, in order).  Full
@@ -184,22 +179,14 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
         columns = tuple(int(c) for c in columns)
 
     def solve() -> GreenTable:
-        size = len(B)
         if columns is None:
-            rhs = np.eye(size)
+            rhs = np.eye(len(B))
         else:
-            rhs = np.zeros((size, len(columns)))
+            rhs = np.zeros((len(B), len(columns)))
             rhs[list(columns), np.arange(len(columns))] = 1.0
-        values = killed_lu(B).solve(rhs)
-        residual = float(np.abs(identity_minus(B) @ values - rhs).max())
-        if residual >= RESIDUAL_TOL:
-            raise SolverError(
-                f"green solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
-                f"on a domain of {size} points"
-            )
-        return GreenTable(values=values, meta={"residual": residual})
+        return GreenTable(values=killed_solve(B, rhs))
 
-    return solve() if columns is not None else _TABLES.get(_ball_key(B), solve)
+    return solve() if columns is not None else _TABLES.get(B.key(), solve)
 
 
 def _pair_distances(coords: np.ndarray) -> np.ndarray:

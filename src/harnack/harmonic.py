@@ -7,10 +7,13 @@ order (or over the interior prefix of it); boundary data are arrays over
 ``D.outer_coords``, and harmonic measures are such arrays too.  The
 Dirichlet problem is solved three independent ways (sparse LU, clamped
 fixed-point iteration, Monte Carlo) and harmonic measure by one adjoint
-solve; on a ball both reuse its memoized factor and assemble no matrix.
-Balayage sweeps a nonnegative harmonic h on a ball B onto the inner
-boundary of a subset A (interior indices of B); the reconstruction
-``G_B f`` of h on A is one residual-certified solve with the ball's factor.
+solve.  Every LU solve here is ``kernel.killed_solve``, certified by
+``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it reuses the
+memoized factor and one-step matrix and assembles no matrix.  Balayage
+sweeps a nonnegative harmonic h on a ball B onto the inner boundary of a
+subset A (interior indices of B): the sweep is one Dirichlet solve on the
+complement of A, and the reconstruction ``G_B f`` of h on A is one solve
+with the ball's factor.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .exit_time import exit_walks
-from .green import RESIDUAL_TOL, SolverError
-from .kernel import exit_steps, killed_lu, killed_matrix
+from .kernel import RESIDUAL_TOL, SolverError, exit_steps, killed_matrix, killed_solve
 from .lattice import FiniteDomain, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -73,44 +75,31 @@ def laplacian(h: LatticeField, D: FiniteDomain) -> np.ndarray:
     interior index.  Raises ``ValueError`` for a field over another domain
     (even an equal one) or over D's interior only.
     """
-    return _laplacian_of(_on_closure(h, D), D)
-
-
-def _laplacian_of(vals: np.ndarray, D: FiniteDomain) -> np.ndarray:
-    """:func:`laplacian` of the values ``vals`` over D's closure index."""
+    vals = _on_closure(h, D)
     return vals[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - vals[: len(D)]
 
 
-def _boundary_field(D: FiniteDomain, phi) -> np.ndarray:
-    """Boundary data as a float array over ``D.outer_coords``."""
+def _boundary_field(D: FiniteDomain, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary data as a float array over ``D.outer_coords``, and their share of each neighbour average."""
     vals = np.asarray(phi, dtype=float)
     if vals.shape != (len(D.outer_coords),):
         raise ValueError("boundary data must align with D.outer_coords")
-    return vals
+    rows_b, cols_b, w = exit_steps(D)
+    coupling = np.zeros(len(D))
+    np.add.at(coupling, rows_b, w * vals[cols_b])
+    return vals, coupling
 
 
 def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     """Solve the boundary-value problem: harmonic inside, ``phi`` on ∂D.
 
-    Sparse-LU path (a ball's factor is the memoized ``killed_lu``); the
-    killed one-step matrix is strictly substochastic on the inner boundary,
-    so the system is nonsingular.  The result carries the boundary data
-    exactly and is residual-checked to 1e-10.
+    Sparse-LU path, ``kernel.killed_solve`` with the boundary coupling as
+    right-hand side (a ball's factor is memoized); the killed one-step
+    matrix is strictly substochastic on the inner boundary, so the system is
+    nonsingular.  The result carries the boundary data exactly.
     """
-    bdata = _boundary_field(D, phi)
-    return LatticeField(D, np.concatenate([_dirichlet_interior(D, bdata), bdata]))
-
-
-def _dirichlet_interior(D: FiniteDomain, bdata: np.ndarray) -> np.ndarray:
-    """:func:`dirichlet_solve` on arrays: interior values from data over ``D.outer_coords``."""
-    rows_b, cols_b, w = exit_steps(D)
-    rhs = np.zeros(len(D))
-    np.add.at(rhs, rows_b, w * bdata[cols_b])
-    interior = killed_lu(D).solve(rhs)
-    worst = float(np.abs(_laplacian_of(np.concatenate([interior, bdata]), D)).max())
-    if worst > RESIDUAL_TOL:
-        raise SolverError(f"max |laplacian| {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    return interior
+    bdata, coupling = _boundary_field(D, phi)
+    return LatticeField(D, np.concatenate([killed_solve(D, coupling), bdata]))
 
 
 def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
@@ -120,11 +109,8 @@ def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
     the iteration is a strict contraction on finite domains, so this
     terminates (``SolverError`` past ``MAX_SWEEPS`` sweeps).
     """
-    bdata = _boundary_field(D, phi)
+    bdata, coupling = _boundary_field(D, phi)
     P = killed_matrix(D)
-    rows_b, cols_b, w = exit_steps(D)
-    coupling = np.zeros(len(D))
-    np.add.at(coupling, rows_b, w * bdata[cols_b])
     interior = np.full(len(D), float(bdata.mean()) if len(bdata) else 0.0)
     for _ in range(MAX_SWEEPS):
         nxt = P @ interior + coupling
@@ -139,7 +125,7 @@ def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
 
 def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo path: the mean of ``phi`` at the exit point of walks from x, and its standard error."""
-    bdata = _boundary_field(D, phi)
+    bdata, _ = _boundary_field(D, phi)
     total = 0.0
     total_sq = 0.0
     for exit_step, exit_index in exit_walks(D, x, samples, seed, _MC_STREAM, _MC_STEP_CAP):
@@ -161,7 +147,7 @@ def harmonic_measure(D: FiniteDomain, x) -> np.ndarray:
     """Exit-position distribution from x over ``D.outer_coords``, via one adjoint solve.
 
     The interior system is symmetric, so the row of hitting probabilities is
-    ``(boundary coupling)^T (I - P)^{-1} delta_x`` — a single sparse solve.
+    ``(boundary coupling)^T (I - P)^{-1} delta_x`` — a single certified solve.
     """
     x = as_point(x)
     if x not in D:
@@ -169,7 +155,7 @@ def harmonic_measure(D: FiniteDomain, x) -> np.ndarray:
     rows_b, cols_b, w = exit_steps(D)
     delta = np.zeros(len(D))
     delta[D.index_of(x)] = 1.0
-    u = killed_lu(D).solve(delta)
+    u = killed_solve(D, delta)
     out = np.zeros(len(D.outer_coords))
     np.add.at(out, cols_b, w * u[rows_b])
     return out
@@ -179,13 +165,13 @@ def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
     """All exit-position rows at once: shape (interior, boundary).
 
     Row x is ``harmonic_measure(D, x)`` over ``D.outer_coords`` order; rows sum
-    to one.  One LU factorization (a ball's is memoized) with |∂D|
+    to one.  One certified solve (a ball's factor is memoized) with |∂D|
     right-hand sides.
     """
     rows_b, cols_b, w = exit_steps(D)
     rhs = np.zeros((len(D), len(D.outer_coords)))
     rhs[rows_b, cols_b] = w
-    return killed_lu(D).solve(rhs)
+    return killed_solve(D, rhs)
 
 
 def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:
@@ -212,8 +198,8 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     between (one Dirichlet solve on B minus A).  Its negative Laplacian is
     the charge f: nonnegative, and supported on the inner boundary of A
     after structural-noise verification.  The reconstruction ``G_B f`` is
-    one solve with the ball's memoized factor, certified by
-    ``max |(I - P^B) u - f| < 1e-10``, and must match h on A within 1e-8.
+    one ``kernel.killed_solve`` with the ball's memoized factor, and must
+    match h on A within 1e-8.
     """
     a_idx = np.unique(np.asarray(A, dtype=np.int64))
     if not a_idx.size:
@@ -234,12 +220,12 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     target = vals[a_idx]
     sweep_vals = np.zeros(len(B) + len(B.outer_coords))
     sweep_vals[a_idx] = target
-    complement = np.setdiff1d(np.arange(len(B)), a_idx)
+    complement = np.delete(np.arange(len(B)), a_idx)
     Dc = FiniteDomain.from_points(B.coords[complement])
     # Each step out of Dc lands in A or outside B: both neighbour arrays name it.
     in_ball = np.empty(len(Dc) + len(Dc.outer_coords), dtype=np.int64)
     in_ball[Dc.neighbor_index] = B.neighbor_index[complement]
-    sweep_vals[complement] = _dirichlet_interior(Dc, sweep_vals[in_ball[len(Dc) :]])
+    sweep_vals[complement] = dirichlet_solve(Dc, sweep_vals[in_ball[len(Dc) :]]).values[: len(Dc)]
 
     # Charge: identity minus killed one-step, applied to the sweep on B.
     inside = sweep_vals[: len(B)]
@@ -255,11 +241,8 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     if f.min() < -NONNEGATIVE_TOL:
         raise BalayageError(f"charge has a negative value {f.min():.3e}")
 
-    # Reconstruction: G_B f by one solve with the ball's factor, checked on A.
-    u = killed_lu(B).solve(f)
-    residual = float(np.abs(u - P @ u - f).max())
-    if residual >= RESIDUAL_TOL:
-        raise SolverError(f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    # Reconstruction: G_B f by one certified solve with the ball's factor, checked on A.
+    u = killed_solve(B, f)
     rel = np.abs(u[a_idx] - target) / np.maximum(np.abs(target), 1e-300)
     worst = float(rel.max())
     if worst > 1e-8:
@@ -287,9 +270,8 @@ def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> Audit
     solver tolerance.
     """
     D = make_ball((0,) * d, R)
-    rng = philox(seed, stream=_BOUNDARY_STREAM)
-    phi = rng.uniform(0.0, 1.0, size=len(D.outer_coords))
-    solved = dirichlet_solve(D, phi)
+    solved = random_harmonic(D, seed)
+    phi = solved.values[len(D) :]
     iterated = dirichlet_iterate(D, phi)
     center = (0,) * d
     mc, mc_se = dirichlet_mc(D, phi, center, MC_SAMPLES, seed)

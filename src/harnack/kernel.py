@@ -54,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import FiniteDomain, Point, as_point
+from .lattice import FiniteDomain, as_point
 from .report import AuditReport
 
 __all__ = [
@@ -64,10 +64,11 @@ __all__ = [
     "n_step",
     "walk_pmf",
     "exit_steps",
-    "identity_minus",
     "Memo",
     "killed_matrix",
     "killed_lu",
+    "killed_solve",
+    "SolverError",
     "parity_classes",
     "iter_killed_vectors",
     "lazy_distribution",
@@ -77,6 +78,11 @@ __all__ = [
 ]
 
 PROJECTION_TOL = 1e-12  # the projection gate on the max marginal deviation
+RESIDUAL_TOL = 1e-10  # every killed solve's certificate on max |u - P u - rhs|
+
+
+class SolverError(RuntimeError):
+    """A linear solve failed its residual certification."""
 
 
 def _binomial(n: int, k: int) -> int:
@@ -210,11 +216,6 @@ class Memo:
             return self._values.get(key, value)
 
 
-def _ball_key(B: FiniteDomain) -> tuple[Point, int] | None:
-    """A ball's memo key; ``None`` (not stored) for any other domain."""
-    return None if B.radius is None else B.key()
-
-
 # --- free fields -------------------------------------------------------------
 
 _FREE = Memo()  # (d, n) -> p_n(0, .) on the orthant {0..n}^d
@@ -323,48 +324,56 @@ def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
     return out // steps, flat[out] - len(D), 1.0 / steps
 
 
-def identity_minus(D: FiniteDomain) -> sp.csc_matrix:
-    """``I - P`` of the walk killed outside ``D``, the matrix of the Green and Dirichlet solves.
-
-    Canonical CSC straight from ``D.neighbor_index``: column j holds 1 at row
-    j and ``-1/(2d)`` at each neighbour of j inside D (the matrix is symmetric).
-    """
-    m, steps = D.neighbor_index.shape
-    rows = np.concatenate([D.neighbor_index, np.arange(m)[:, None]], axis=1)
-    rows = np.sort(np.minimum(rows, m), axis=1)  # steps out of D sort last, as m
-    keep = rows < m
-    counts = keep.sum(axis=1)
-    indices = rows[keep]
-    data = np.where(indices == np.repeat(np.arange(m), counts), 1.0, -1.0 / steps)
-    return sp.csc_matrix((data, indices, np.concatenate([[0], np.cumsum(counts)])), shape=(m, m))
-
-
 def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
     """The substochastic one-step matrix ``P^B`` of the walk killed outside ``B`` (read-only).
 
-    A ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``);
-    any other domain's is built afresh.
+    Canonical CSR straight from ``B.neighbor_index``: row i holds ``1/(2d)``
+    at each neighbour of i inside B, in ascending column order.  A ball's is
+    kept in the bounded memo (``Memo``, within ``MEMO_BYTES``); any other
+    domain's is built afresh.
     """
 
     def build() -> sp.csr_matrix:
         m, steps = B.neighbor_index.shape
-        flat = B.neighbor_index.ravel()
-        inside = np.flatnonzero(flat < m)
-        return sp.csr_matrix(
-            (np.full(len(inside), 1.0 / steps), (inside // steps, flat[inside])), shape=(m, m)
-        )
+        cols = np.sort(B.neighbor_index, axis=1)  # steps out of B, indices >= m, sort last
+        keep = cols < m
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return sp.csr_matrix((np.full(indptr[-1], 1.0 / steps), cols[keep], indptr), shape=(m, m))
 
-    return _KILLED.get(_ball_key(B), build)
+    return _KILLED.get(B.key(), build)
+
+
+def _factor(D: FiniteDomain, P: sp.csr_matrix) -> spla.SuperLU:
+    """The LU factor of ``I - P`` (a ball's memoized); ``P`` is symmetric, so ``(I - P)^T`` is its CSC."""
+    return _LU.get(D.key(), lambda: spla.splu((sp.identity(len(D), format="csr") - P).T))
 
 
 def killed_lu(B: FiniteDomain) -> spla.SuperLU:
-    """The sparse LU factor of a domain's ``I - P^B``.
+    """The sparse LU factor of a domain's ``I - P^B``, derived from ``killed_matrix(B)``.
 
     A ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``),
-    so Green tables, Dirichlet solves and harmonic measures on the same
-    ball share one factorization; any other domain's is factored afresh.
+    so Green tables, Dirichlet solves, harmonic measures and balayage on the
+    same ball share one factorization; any other domain's is factored afresh.
     """
-    return _LU.get(_ball_key(B), lambda: spla.splu(identity_minus(B)))
+    return _factor(B, killed_matrix(B))
+
+
+def killed_solve(D: FiniteDomain, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(I - P^D) u = rhs`` for a vector or a block of columns, certified.
+
+    The one solve of the package: it uses ``killed_lu``'s factor, builds a
+    domain's ``P^D`` once (a ball's comes from the memo), and raises
+    ``SolverError`` unless ``max |u - P^D u - rhs| < RESIDUAL_TOL``.
+    """
+    P = killed_matrix(D)
+    u = _factor(D, P).solve(rhs)
+    residual = P @ u  # -(u - P u - rhs), in the one temporary
+    residual -= u
+    residual += rhs
+    worst = float(np.abs(residual, out=residual).max())
+    if not worst < RESIDUAL_TOL:
+        raise SolverError(f"killed solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} on {len(D)} points")
+    return u
 
 
 def parity_classes(B: FiniteDomain, points: np.ndarray | None = None) -> list[np.ndarray]:

@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -218,11 +218,9 @@ class FiniteDomain:
         out.setflags(write=False)
         return out
 
-    def key(self) -> tuple[Point, int]:
-        """Hashable identity of a ball, used for module-level caches."""
-        if self.radius is None:
-            raise ValueError("only balls built by make_ball have a cache key")
-        return (self.center, self.radius)
+    def key(self) -> tuple[Point, int] | None:
+        """Hashable identity of a ball, the memos' key; ``None`` (never stored) for any other domain."""
+        return None if self.radius is None else (self.center, self.radius)
 
 
 def make_ball(center: Iterable[int], radius: int) -> FiniteDomain:

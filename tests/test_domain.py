@@ -2,8 +2,8 @@
 
 The loop constructions over :func:`neighbors` below are the reference: the
 vectorized index, both boundaries, the killed one-step matrix, the ``I - P``
-system and the boundary coupling must equal them exactly (same sparse
-``indices`` and ``data``, same exit order).
+system that ``kernel`` factors from it and the boundary coupling must equal
+them exactly (same sparse ``indices`` and ``data``, same exit order).
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harnack.harmonic import LatticeField, laplacian
-from harnack.kernel import exit_steps, identity_minus, killed_matrix
+from harnack.kernel import exit_steps, killed_matrix
 from harnack.lattice import FiniteDomain, make_ball, neighbors
 
 
@@ -97,8 +97,9 @@ def check_domain(D, points):
     rows_new, cols_new, w = exit_steps(D)
     assert w == 1.0 / (2 * D.dimension)
     assert_same_sparse(P_new, P)
-    assert_same_sparse(identity_minus(D), system)
-    assert_same_sparse(identity_minus(D), green_system)
+    factored = (sp.identity(len(D), format="csc") - P_new).tocsc()  # what killed_lu factors
+    assert_same_sparse(factored, system)
+    assert_same_sparse(factored, green_system)
     assert np.array_equal(rows_new, rows_b) and np.array_equal(cols_new, cols_b)
     position = {p: i for i, p in enumerate(interior + outer)}
     assert all(D.closure_index(p) == i for p, i in position.items())

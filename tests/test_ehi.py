@@ -51,7 +51,7 @@ def test_hitting_kernels_are_nonnegative_harmonic_partitions():
 
 
 def test_small_r_bound_audit_passes():
-    assert small_r_bound_audit(1).passed
+    assert small_r_bound_audit(1, range(1, 33)).passed
     assert small_r_bound_audit(2, (1, 2, 4, 8)).passed
 
 

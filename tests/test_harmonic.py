@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from harnack.green import green_solve
 from harnack.harmonic import (
-    BalayageError,
     LatticeField,
     _random_subset,
     balayage,
@@ -21,7 +20,7 @@ from harnack.harmonic import (
     laplacian,
     random_harmonic,
 )
-from harnack.kernel import killed_matrix
+from harnack.kernel import SolverError, killed_matrix
 from harnack.lattice import FiniteDomain, graph_distance, make_ball
 from harnack.rng import philox
 
@@ -124,14 +123,15 @@ def test_harmonic_measure_matrix_matches_single_rows():
 
 @pytest.mark.parametrize("d,R", [(1, 6), (2, 5), (3, 3)])
 def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     from harnack import kernel
-    from harnack.kernel import exit_steps, identity_minus, killed_lu
+    from harnack.kernel import exit_steps, killed_lu
 
     B = make_ball((0,) * d, R)
     rows_b, cols_b, w = exit_steps(B)
-    fresh = splu(identity_minus(B))
+    fresh = splu((sp.identity(len(B), format="csc") - killed_matrix(B)).tocsc())
     phi = np.linspace(0.0, 1.0, len(B.outer_boundary))
     rhs = np.zeros(len(B))
     np.add.at(rhs, rows_b, w * phi[cols_b])
@@ -162,13 +162,42 @@ def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("a sparse matrix is assembled for a factored ball")
 
-    for module, name in ((kernel, "identity_minus"), (sp, "csr_matrix"), (sp, "csc_matrix")):
-        monkeypatch.setattr(module, name, no_assembly)
+    for name in ("csr_matrix", "csc_matrix"):
+        monkeypatch.setattr(sp, name, no_assembly)
     h = random_harmonic(B, seed=3)
     dirichlet_solve(B, np.linspace(0.0, 1.0, len(B.outer_boundary)))
     harmonic_measure(B, (1, 0))
     harmonic_measure_matrix(B)
     laplacian(h, B)
+
+
+def test_every_factor_solve_is_certified(monkeypatch):
+    # A factor whose solve is off by 1e-6 must fail each entry point's certificate.
+    from harnack import kernel
+
+    splu = kernel.spla.splu
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) + 1e-6
+
+    monkeypatch.setattr(kernel.spla, "splu", lambda A: Perturbed(splu(A)))
+    monkeypatch.setattr(kernel, "_LU", kernel.Memo())  # keeps the perturbed factors from other tests
+    B = make_ball((37, -23), 4)  # a ball whose Green table no other test memoizes
+    h = LatticeField(B, np.ones(len(B) + len(B.outer_coords)))  # harmonic without a solve
+    solves = [
+        lambda: green_solve(B),
+        lambda: dirichlet_solve(B, np.ones(len(B.outer_coords))),
+        lambda: harmonic_measure(B, B.center),
+        lambda: harmonic_measure_matrix(B),
+        lambda: balayage(B, B.within(1), h),
+    ]
+    for solve in solves:
+        with pytest.raises(SolverError):
+            solve()
 
 
 def reference_subset(B, rng):

@@ -53,6 +53,7 @@ def test_threads_building_one_factor_all_get_the_first_stored(monkeypatch):
     monkeypatch.setattr(kernel.spla, "splu", racing_splu)
     center, R = (17, -5), 5  # a ball no other test factors
     results = [None] * threads
+    kernel.killed_matrix(make_ball(center, R))  # the factor's P, stored before the count
     held = kernel.Memo.held
 
     def ask(i):

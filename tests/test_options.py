@@ -14,7 +14,6 @@ import harnack
 
 KEPT = {  # (module.function, parameter): why it keeps a default
     ("cli.main", "argv"): "None reads sys.argv; tests pass their own lists",
-    ("ehi.small_r_bound_audit", "r_values"): "the CLI passes a list at d = 1 and None otherwise",
     ("green.green_table_series", "max_steps"):
         "tests cap it to reach the truncated series the equivalence gate fails",
     ("green.green_solve", "columns"): "cli and equivalence_audit solve full tables, ugi_audit some columns",

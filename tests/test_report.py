@@ -1,7 +1,6 @@
 """Report containers: JSON safety, CSV rows, atomic writes."""
 
 import json
-import os
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from harnack import kernel
 from harnack.cache import KernelCache
-from harnack.lattice import make_ball
+from harnack.lattice import FiniteDomain, make_ball
 from harnack.report import AuditReport
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -54,6 +54,14 @@ def test_the_killed_memo_answers_membership_by_ball_key():
     assert B.key() not in kernel._KILLED
     kernel.killed_matrix(B)
     assert B.key() in kernel._KILLED
+
+
+def test_a_domain_that_is_not_a_ball_is_never_in_the_killed_memo():
+    # The tracer counts a call as a build when args[0].key() is not in the memo.
+    D = FiniteDomain.from_points([(x, 0) for x in range(4)] + [(0, 1)])
+    assert D.key() is None
+    kernel.killed_matrix(D)
+    assert D.key() not in kernel._KILLED
 
 
 def test_the_benchmark_workloads_reach_the_free_field_names(monkeypatch, tmp_path):
