@@ -151,9 +151,6 @@ class KernelCache:
         name = f"green-d{len(center)}-r{radius}-c{_coord_tag(center)}.zdk"
         return self._write(name, encode_green(center, radius, values))
 
-    def read(self, name: str) -> CacheRecord:
-        return self._decode(self.directory / name)
-
     def _decode(self, path: Path) -> CacheRecord:
         try:
             return decode(path.read_bytes())

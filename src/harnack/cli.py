@@ -365,7 +365,7 @@ def _add_audit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None, help="relative tolerance for oracle agreement")
     parser.add_argument("--seed", type=int, default=None, help="root seed for all random draws")
     parser.add_argument("--format", choices=("json", "csv"), default=None, help="report format")
-    parser.add_argument("--cache-dir", default=None, help="populate/read the binary kernel cache here")
+    parser.add_argument("--cache-dir", default=None, help="write the binary kernel cache here; audits never read it")
     parser.add_argument("--threads", type=int, default=None, help="thread pool width (results are identical for any value)")
     parser.add_argument("--out", default=None, help="report path (json) or directory (csv)")
 

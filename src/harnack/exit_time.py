@@ -200,8 +200,11 @@ def exit_walks(
     Walkers run in blocks of at most 65,536, block ``b`` drawing from the
     substream ``(stream << 32) | b``; draw ``k`` moves a walker to its k-th
     neighbour in ``D.neighbor_index``.  Each block yields every walker's exit
-    step and the outer-boundary index it stepped onto; a walker still inside
-    after ``step_cap`` steps gets exit step ``step_cap + 1`` and index -1.
+    step and the outer-boundary index it stepped onto, as int32 arrays; a
+    walker still inside after ``step_cap`` steps gets exit step
+    ``step_cap + 1`` and index -1.  The walker state is int32 too, advanced
+    in place and compacted as walkers leave; a block's arrays are dropped
+    before the next block is walked.
     """
     x = as_point(x)
     if x not in D:
@@ -217,21 +220,24 @@ def exit_walks(
         count = min(_MC_BLOCK, samples - done)
         rng = philox(seed, stream=(stream << 32) | block_index)
         pos = np.full(count, start, dtype=np.int32)  # row offset of each walker still inside
-        active = np.arange(count)
-        exit_step = np.full(count, step_cap + 1, dtype=np.int64)
-        exit_index = np.full(count, -1, dtype=np.int64)
+        active = np.arange(count, dtype=np.int32)
+        exit_step = np.full(count, step_cap + 1, dtype=np.int32)
+        exit_index = np.full(count, -1, dtype=np.int32)
         for n in range(1, step_cap + 1):
             if active.size == 0:
                 break
             # int32 draws equal the int64 ones: one 32-bit bounded draw per value either way
-            pos = table.take(pos + rng.integers(0, steps, size=active.size, dtype=np.int32))
+            pos += rng.integers(0, steps, size=active.size, dtype=np.int32)
+            pos = table.take(pos)  # bounds-checked gather
             hit = pos >= m * steps
             if hit.any():
                 exit_step[active[hit]] = n
                 exit_index[active[hit]] = pos[hit] // steps - m
-                pos = pos[~hit]
-                active = active[~hit]
+                keep = ~hit
+                pos = pos[keep]
+                active = active[keep]
         yield exit_step, exit_index
+        del exit_step, exit_index  # released before the next block is walked
         done += count
         block_index += 1
 
@@ -246,8 +252,9 @@ def mc_exit_sample(
     and ``samples`` (merging is order-independent).
     """
     exited_by = np.zeros(n_max + 1, dtype=np.int64)
-    for exit_step, _ in exit_walks(B, x, samples, seed, _MC_STREAM, n_max):
+    for exit_step, exit_index in exit_walks(B, x, samples, seed, _MC_STREAM, n_max):
         exited_by += np.cumsum(np.bincount(exit_step, minlength=n_max + 2))[: n_max + 1]
+        del exit_step, exit_index  # released before the next block is walked
     p_hat = exited_by / samples
     if samples == 1:
         return p_hat, np.zeros(n_max + 1)

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
-from .kernel import Memo, iter_killed_vectors, killed_solve, parity_classes
+from .kernel import Memo, iter_killed_vectors, killed_matrix, killed_solve, parity_classes
 from .lattice import FiniteDomain, make_ball
 from .report import AuditReport
 
@@ -94,11 +94,13 @@ def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) ->
     index order, as a full-interior column sum does.  Each representative
     certifies its own tail (staircase columns reach their drop steps at
     different times); iteration ends when every representative's certified
-    tail bound is below ``tol``.  Steps are certified ``_WINDOW`` at a time; a window that holds
-    the stopping step is accumulated again, from its start, up to that step
-    only.  Every other column is then gathered as an image of its
-    representative's, ``G[:, j] = G[h x, r]`` for a map h taking j to r.
-    Without symmetry every start is a representative.
+    tail bound is below ``tol``.  Steps are certified ``_WINDOW`` at a time,
+    holding only the window's first block and the totals before it; a window
+    that holds the stopping step restores those totals and is re-walked from
+    that block with ``killed_matrix(B)`` (the same products in the same
+    order) up to that step only.  Every other column is then gathered as an
+    image of its representative's, ``G[:, j] = G[h x, r]`` for a map h taking
+    j to r.  Without symmetry every start is a representative.
     """
     maps = B.symmetries()
     rep = maps.min(axis=0)  # each point's orbit representative
@@ -118,10 +120,10 @@ def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) ->
     totals[0] += block  # step 0 is accumulated, not certified
     n = 0  # the last accumulated step
     while np.isinf(tail_bounds).any():
-        before, window, sums = [total.copy() for total in totals], [], []
+        before, opening, sums = [total.copy() for total in totals], None, []
         for t, block in itertools.islice(steps, _WINDOW):
             totals[t % 2] += block  # accumulated and summed while the block is in cache
-            window.append(block)
+            opening = block if opening is None else opening  # the window's first block
             # each start's mass, on its live class: class c + t for starts of class c
             mass = class_sums @ block
             sums.append(np.concatenate([mass[(c + t) % 2, : len(reps[c])] for c in (0, 1)]))
@@ -142,9 +144,10 @@ def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) ->
         newly = below.any(axis=0)
         tail_bounds[newly] = tails[first[newly], np.flatnonzero(newly)]
         stop = first[newly].max() + 1 if np.isfinite(tail_bounds).all() else len(sums)
-        if stop < len(sums):  # accumulate the window again, up to the stopping step only
-            totals = before
-            for t, block in enumerate(window[:stop], start=n + 1):
+        if stop < len(sums):  # re-walk the window from its first block, up to the stopping step only
+            totals, block, step = before, opening, killed_matrix(B)
+            for t in range(n + 1, n + stop + 1):
+                block = block if t == n + 1 else step @ block  # the walk's own product
                 totals[t % 2] += block
         n += stop
     table = np.zeros((len(B), len(B)))

@@ -134,6 +134,7 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[floa
         out = bdata[exit_index]
         total += float(out.sum())
         total_sq += float((out * out).sum())
+        del exit_step, exit_index, out  # released before the next block is walked
     mean = total / samples
     if samples > 1:
         var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)

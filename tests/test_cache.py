@@ -14,7 +14,7 @@ def test_free_record_roundtrip(tmp_path):
     field = free_field(2, 7)
     path = cache.put_free(2, 7, field)
     assert path.name == "free-d2-n7.zdk"
-    rec = cache.read(path.name)
+    rec = decode(path.read_bytes())
     assert rec.kind == 0 and rec.dimension == 2 and rec.n == 7
     assert np.array_equal(rec.values, field)
 
@@ -25,11 +25,11 @@ def test_killed_and_green_roundtrips(tmp_path):
     *_, (_, block) = iter_killed_vectors(B, [B.index_of((1, 0))], 3)
     vec = block[:, 0]
     kp = cache.put_killed(B.center, B.radius, (1, 0), 3, vec)
-    krec = cache.read(kp.name)
+    krec = decode(kp.read_bytes())
     assert krec.kind == 1 and np.array_equal(krec.values, vec)
     table = green_solve(B).values
     gp = cache.put_green(B.center, B.radius, table)
-    grec = cache.read(gp.name)
+    grec = decode(gp.read_bytes())
     assert grec.kind == 2 and np.array_equal(grec.values, table)
 
 
@@ -122,9 +122,9 @@ def test_green_payload_must_be_the_square_table_of_its_ball(tmp_path):
     for bad in (blob[:-8], blob + bytes(8), blob[: len(blob) - 8 * table.size]):
         path.write_bytes(bad)
         with pytest.raises(ValueError, match=path.name):
-            cache.read(path.name)
+            cache.list_entries()  # the one file, named in the error
     # a square payload of the wrong ball size is rejected too
     other = green_solve(make_ball((0,), 1)).values
     path.write_bytes(blob[: len(blob) - 8 * table.size] + other.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="does not hold"):
-        cache.read(path.name)
+        cache.list_entries()

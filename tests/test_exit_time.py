@@ -1,11 +1,13 @@
 """Exit-time distributions: exact DP, tail bounds, Monte Carlo replay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from harnack.exit_time import (
+    _MC_BLOCK,
     _MC_STREAM,
     chernoff_audit,
     exit_walks,
@@ -15,6 +17,7 @@ from harnack.exit_time import (
     mc_consistency_audit,
     mc_exit_sample,
 )
+from harnack.harmonic import dirichlet_mc
 from harnack.kernel import iter_killed_vectors
 from harnack.lattice import as_point, make_ball
 from harnack.rng import philox
@@ -137,7 +140,7 @@ def test_mc_consistency_audit_passes():
 
 
 def exit_walks_reference(D, x, samples, seed, stream, step_cap):
-    """The walker indexing ``D.neighbor_index[pos, k]`` with int64 draws, block by block."""
+    """The walker indexing ``D.neighbor_index[pos, k]`` with int64 draws, block by block; int32 results."""
     m, steps = D.neighbor_index.shape
     start = D.index_of(as_point(x))
     done = 0
@@ -147,8 +150,8 @@ def exit_walks_reference(D, x, samples, seed, stream, step_cap):
         rng = philox(seed, stream=(stream << 32) | block_index)
         pos = np.full(count, start)
         active = np.arange(count)
-        exit_step = np.full(count, step_cap + 1, dtype=np.int64)
-        exit_index = np.full(count, -1, dtype=np.int64)
+        exit_step = np.full(count, step_cap + 1, dtype=np.int32)
+        exit_index = np.full(count, -1, dtype=np.int32)
         for n in range(1, step_cap + 1):
             if active.size == 0:
                 break
@@ -175,3 +178,26 @@ def test_exit_walks_match_the_reference_walker(d, R, x, step_cap):
         assert step.dtype == ref_step.dtype and index.dtype == ref_index.dtype
     capped = np.concatenate([index for _, index in blocks]) < 0
     assert 0 < capped.sum() < len(capped)  # some walkers outlast the cap, most exit
+
+
+@pytest.mark.parametrize("walk", ["exit", "dirichlet"])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_a_walker_block_holds_a_few_int32_arrays(walk, blocks):
+    # one block of 65,536 walkers holds four int32 arrays (position, walker
+    # index, exit step and exit index) and one step's temporaries; a second
+    # block starts after the first block's arrays are released
+    B = make_ball((0,), 4)
+    if walk == "exit":
+        run = lambda: mc_exit_sample(B, (0,), 64, blocks * _MC_BLOCK, 0)
+    else:
+        run = lambda: dirichlet_mc(B, np.arange(2.0), (0,), blocks * _MC_BLOCK, 0)
+    run()  # first-call allocations (the ball's arrays) out of the trace
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 29 bytes per walker measured, at one block and at two; int64 walker
+    # state (45) or a block kept while the next is walked (61) exceeds it
+    assert peak / _MC_BLOCK < 36

@@ -1,6 +1,7 @@
 """Green tables: dual-route agreement, identities, interior comparisons."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,26 @@ def test_windowed_certification_stops_where_one_step_certification_does():
         assert assert_orbit_series(make_ball(center, R))[0].meta["terms"] <= _WINDOW
     assert len(parity_classes(make_ball((0, 0, 0), 1))[0]) == 1
     assert assert_orbit_series(make_ball((0,), 16))[0].meta["terms"] > 10 * _WINDOW
+
+
+def test_series_holds_a_few_blocks_not_its_window():
+    # d=2 R=8: 145 points, 15 columns of blocks of 17.4 kB; the walk holds the
+    # current block and the next, the window's first block, the two totals and
+    # their copies, and the window's (step, start) certification arrays, about
+    # a block each here: 17 blocks beyond the table measured, where holding
+    # the window's 64 blocks would exceed 64
+    B = make_ball((0, 0), 8)
+    green_table_series(B, tol=1e-10)  # symmetries and killed matrix out of the trace
+    tracemalloc.start()
+    try:
+        series = green_table_series(B, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reps = [c[B.symmetries().min(axis=0)[c] == c] for c in parity_classes(B)]
+    block = len(B) * max(map(len, reps)) * 8
+    assert block == 17_400
+    assert peak - series.values.nbytes < 24 * block
 
 
 def test_series_matches_reference_at_every_stopping_position_in_a_window():
