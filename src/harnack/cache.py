@@ -18,11 +18,13 @@ kind 2       ``i64`` radius, d×``i64`` centre; payload is the
 
 Payloads are raw little-endian binary64, so a write/read round trip is
 bit-exact, and ``verify`` can re-derive any file from scratch and compare
-bytes.  There is no checksum: reading checks only the magic, the header and
-that the payload length matches the declared shape (``(2n+1)^d`` cells, or
-``|B|`` / ``|B|^2`` for the ball of the header's radius).  All computations
-feeding the cache are deterministic (fixed floating-point operation order,
-single-threaded sparse solves).
+bytes.  There is no checksum.  ``_int_count`` and ``_shape`` state the rule
+once, for ``decode`` and every writer: a known kind, a dimension in 1..64, no
+negative step count or radius, a killed start inside its ball, and a payload
+of ``(2n+1)^d`` cells, or ``|B|`` / ``|B|^2`` for the header's ball; writers
+raise ``ValueError`` on anything else before a file is touched.  All
+computations feeding the cache are deterministic (fixed floating-point
+operation order, single-threaded sparse solves).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from .lattice import Point, as_point, ball_count, make_ball
+from .lattice import Point, as_point, ball_count, graph_distance, make_ball
 from .report import write_atomic
 from .rng import philox
 
@@ -43,9 +45,9 @@ MAGIC = b"ZDK1"
 KIND_FREE = 0
 KIND_KILLED = 1
 KIND_GREEN = 2
+_KIND_NAMES = ("free", "killed", "green")
 
 _HEAD = struct.Struct("<4sIIq")
-_I64 = struct.Struct("<q")
 
 
 @dataclass
@@ -61,35 +63,55 @@ class CacheRecord:
     start: Point | None = None
 
 
-def _pack_points(*points: Point) -> bytes:
-    return b"".join(_I64.pack(c) for p in points for c in p)
+def _int_count(kind: int, d: int) -> int:
+    """How many ``i64`` follow ``_HEAD``: none (free), radius and centre (green), then the start (killed)."""
+    if kind not in (KIND_FREE, KIND_KILLED, KIND_GREEN):
+        raise ValueError(f"unknown cache kind {kind}")
+    if not 1 <= d <= 64:
+        raise ValueError(f"bad header: dimension {d}")
+    return (0, 1 + 2 * d, 1 + d)[kind]
+
+
+def _shape(kind: int, d: int, n: int, ints: Sequence[int]) -> tuple[int, ...]:
+    """Payload shape of a record; ``ValueError`` for any header the reader rejects."""
+    count = _int_count(kind, d)
+    if len(ints) != count:
+        raise ValueError(f"a {_KIND_NAMES[kind]} header in dimension {d} holds {count} integers, not {len(ints)}")
+    if n < 0:
+        raise ValueError(f"bad header: step count {n}")
+    if kind == KIND_FREE:
+        return (2 * n + 1,) * d
+    radius, center, start = ints[0], ints[1 : d + 1], ints[d + 1 :]
+    if radius < 0:
+        raise ValueError(f"bad header: radius {radius}")
+    if kind == KIND_KILLED and graph_distance(start, center) > radius:
+        raise ValueError(f"bad header: start {start} lies outside the ball B({center}, {radius})")
+    size = ball_count(d, radius)
+    return (size,) if kind == KIND_KILLED else (size, size)
+
+
+def _encode(kind: int, d: int, n: int, ints: tuple[int, ...], values: np.ndarray) -> bytes:
+    shape = _shape(kind, d, n, ints)
+    payload = np.ascontiguousarray(values, dtype="<f8")
+    if payload.shape != shape:
+        raise ValueError(f"{_KIND_NAMES[kind]} payload of shape {payload.shape} is not the {shape} of its header")
+    try:
+        head = struct.pack(f"<4sIIq{len(ints)}q", MAGIC, d, kind, n, *ints)
+    except struct.error as exc:
+        raise ValueError(f"header does not fit the ZDK1 layout: {exc}") from None
+    return head + payload.tobytes()
 
 
 def encode_free(d: int, n: int, values: np.ndarray) -> bytes:
-    box = np.ascontiguousarray(values, dtype="<f8")
-    if box.shape != (2 * n + 1,) * d:
-        raise ValueError("free-field payload has the wrong shape")
-    return _HEAD.pack(MAGIC, d, KIND_FREE, n) + box.tobytes()
+    return _encode(KIND_FREE, d, n, (), values)
 
 
 def encode_killed(center: Point, radius: int, start: Point, n: int, values: np.ndarray) -> bytes:
-    d = len(center)
-    vec = np.ascontiguousarray(values, dtype="<f8")
-    head = _HEAD.pack(MAGIC, d, KIND_KILLED, n) + _I64.pack(radius)
-    return head + _pack_points(center, start) + vec.tobytes()
+    return _encode(KIND_KILLED, len(center), n, (radius, *center, *start), values)
 
 
 def encode_green(center: Point, radius: int, values: np.ndarray) -> bytes:
-    d = len(center)
-    table = np.ascontiguousarray(values, dtype="<f8")
-    head = _HEAD.pack(MAGIC, d, KIND_GREEN, 0) + _I64.pack(radius)
-    return head + _pack_points(center) + table.tobytes()
-
-
-def _header_ints(blob: bytes, offset: int, count: int) -> tuple[int, ...]:
-    if len(blob) < offset + count * _I64.size:
-        raise ValueError(f"{len(blob)} bytes is shorter than the file header")
-    return struct.unpack_from(f"<{count}q", blob, offset)
+    return _encode(KIND_GREEN, len(center), 0, (radius, *center), values)
 
 
 def decode(blob: bytes) -> CacheRecord:
@@ -99,28 +121,18 @@ def decode(blob: bytes) -> CacheRecord:
     magic, d, kind, n = _HEAD.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ValueError("not a ZDK1 cache file")
-    if not 1 <= d <= 64 or n < 0:
-        raise ValueError(f"bad header: dimension {d}, step count {n}")
-    offset = _HEAD.size
-    rec = CacheRecord(kind=kind, dimension=d, n=n, values=np.empty(0))
-    if kind == KIND_FREE:
-        shape = (2 * n + 1,) * d
-    elif kind in (KIND_KILLED, KIND_GREEN):
-        ints = _header_ints(blob, offset, 1 + d * (2 if kind == KIND_KILLED else 1))
-        offset += len(ints) * _I64.size
-        rec.radius, rec.center = ints[0], ints[1 : d + 1]
-        if kind == KIND_KILLED:
-            rec.start = ints[d + 1 :]
-        if rec.radius < 0:
-            raise ValueError(f"bad header: radius {rec.radius}")
-        size = ball_count(d, rec.radius)
-        shape = (size,) if kind == KIND_KILLED else (size, size)
-    else:
-        raise ValueError(f"unknown cache kind {kind}")
+    count = _int_count(kind, d)
+    offset = _HEAD.size + 8 * count
+    if len(blob) < offset:
+        raise ValueError(f"{len(blob)} bytes is shorter than the file header")
+    ints = struct.unpack_from(f"<{count}q", blob, _HEAD.size)
+    shape = _shape(kind, d, n, ints)
     if len(blob) - offset != 8 * np.prod(shape, dtype=object):
         raise ValueError(f"payload of {len(blob) - offset} bytes does not hold a {shape} table")
-    rec.values = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(shape)
-    return rec
+    values = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(shape)
+    if not count:
+        return CacheRecord(kind, d, n, values)
+    return CacheRecord(kind, d, n, values, center=ints[1 : d + 1], radius=ints[0], start=ints[d + 1 :] or None)
 
 
 def _coord_tag(p: Point) -> str:
@@ -134,9 +146,8 @@ class KernelCache:
         self.directory = Path(directory)
 
     def _write(self, name: str, blob: bytes) -> Path:
-        path = self.directory / name
-        write_atomic(path, blob)
-        return path
+        write_atomic(self.directory / name, blob)
+        return self.directory / name
 
     def put_free(self, d: int, n: int, values: np.ndarray) -> Path:
         return self._write(f"free-d{d}-n{n}.zdk", encode_free(d, n, values))
@@ -157,49 +168,36 @@ class KernelCache:
         except ValueError as exc:
             raise ValueError(f"corrupt cache file {path.name}: {exc}") from None
 
+    def _files(self) -> list[Path]:
+        return sorted(self.directory.glob("*.zdk")) if self.directory.is_dir() else []
+
     def list_entries(self) -> list[dict[str, Any]]:
         """Names, kinds and payload shapes of every cache file, sorted."""
         entries = []
-        if not self.directory.is_dir():
-            return entries
-        for path in sorted(self.directory.glob("*.zdk")):
+        for path in self._files():
             rec = self._decode(path)
-            entries.append(
-                {
-                    "file": path.name,
-                    "kind": {0: "free", 1: "killed", 2: "green"}[rec.kind],
-                    "dimension": rec.dimension,
-                    "n": rec.n,
-                    "values": int(rec.values.size),
-                }
-            )
+            entries.append({"file": path.name, "kind": _KIND_NAMES[rec.kind], "dimension": rec.dimension,
+                            "n": rec.n, "values": int(rec.values.size)})
         return entries
 
     def clear(self) -> int:
         """Delete every cache file; returns the number removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in sorted(self.directory.glob("*.zdk")):
-                path.unlink()
-                removed += 1
-        return removed
+        files = self._files()
+        for path in files:
+            path.unlink()
+        return len(files)
 
     def _rederive(self, rec: CacheRecord) -> bytes:
         from . import kernel
         from .green import green_solve
         if rec.kind == KIND_FREE:
             return encode_free(rec.dimension, rec.n, kernel.free_field(rec.dimension, rec.n))
-        if rec.kind == KIND_KILLED:
-            assert rec.center is not None and rec.radius is not None and rec.start is not None
-            ball = make_ball(rec.center, rec.radius)
-            for _, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
-                pass
-            return encode_killed(rec.center, rec.radius, rec.start, rec.n, block[:, 0])
+        ball = make_ball(rec.center, rec.radius)
         if rec.kind == KIND_GREEN:
-            assert rec.center is not None and rec.radius is not None
-            table = green_solve(make_ball(rec.center, rec.radius))
-            return encode_green(rec.center, rec.radius, table.values)
-        raise ValueError(f"unknown cache kind {rec.kind}")
+            return encode_green(rec.center, rec.radius, green_solve(ball).values)
+        for _, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
+            pass
+        return encode_killed(rec.center, rec.radius, rec.start, rec.n, block[:, 0])
 
     def verify(self, fraction: float, seed: int) -> dict[str, Any]:
         """Re-derive a sampled fraction of files (at least one) bit-exactly.
@@ -212,7 +210,7 @@ class KernelCache:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
         gen = philox(seed, stream=0xCAC4E)
-        files = sorted(self.directory.glob("*.zdk")) if self.directory.is_dir() else []
+        files = self._files()
         if not files:
             return {"ok": True, "checked": 0, "total": 0, "mismatches": []}
         count = max(1, int(round(fraction * len(files))))

@@ -169,7 +169,7 @@ AuditTask = Callable[[], AuditReport]
 def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
     """The selected families' audits, their grids worked out once from ``cfg``.
 
-    The audit modules are imported here, so the cache commands load no SciPy.
+    The audit modules are imported here, so ``cache list`` and ``cache clear`` load no SciPy.
     """
     from . import bounds, ehi, exit_time, green, harmonic, kernel
 

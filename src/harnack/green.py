@@ -164,7 +164,6 @@ def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) ->
     meta = {
         "terms": n,
         "tail_bound": float(tail_bounds.max()),  # inf if any start is uncertified
-        "tol": tol,
         "truncated": bool(np.isinf(tail_bounds).any()),
     }
     return GreenTable(values=table, meta=meta)

@@ -1,5 +1,7 @@
 """Binary kernel cache: roundtrips, listing, bit-exact verification."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,93 @@ def test_green_payload_must_be_the_square_table_of_its_ball(tmp_path):
     path.write_bytes(blob[: len(blob) - 8 * table.size] + other.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="does not hold"):
         cache.list_entries()
+
+
+# --- one layout rule: what the writers refuse, the reader rejects ----------
+
+BAD_WRITES = {
+    "free-payload-shape": (encode_free, "put_free", (1, 2, np.zeros(4))),
+    "free-payload-2d": (encode_free, "put_free", (1, 2, np.zeros((5, 1)))),
+    "free-dimension-0": (encode_free, "put_free", (0, 2, np.zeros(()))),
+    "free-dimension-65": (encode_free, "put_free", (65, 0, np.zeros(1))),
+    "free-negative-steps": (encode_free, "put_free", (1, -1, np.zeros(0))),
+    "killed-payload-shape": (encode_killed, "put_killed", ((0, 0), 2, (1, 0), 1, np.zeros(12))),
+    "killed-start-dimension": (encode_killed, "put_killed", ((0, 0), 2, (0, 0, 0), 1, np.zeros(13))),
+    "killed-start-outside": (encode_killed, "put_killed", ((0, 0), 2, (2, 1), 1, np.zeros(13))),
+    "killed-negative-radius": (encode_killed, "put_killed", ((0,), -1, (0,), 1, np.zeros(0))),
+    "killed-negative-steps": (encode_killed, "put_killed", ((0, 0), 2, (1, 0), -1, np.zeros(13))),
+    "killed-coordinate-beyond-i64": (encode_killed, "put_killed", ((2**63,), 0, (2**63,), 0, np.zeros(1))),
+    "green-payload-shape": (encode_green, "put_green", ((0,), 2, np.zeros((3, 3)))),
+    "green-payload-flat": (encode_green, "put_green", ((0, 0), 1, np.zeros(25))),
+    "green-dimension-0": (encode_green, "put_green", ((), 1, np.zeros((1, 1)))),
+    "green-negative-radius": (encode_green, "put_green", ((0,), -1, np.zeros((0, 0)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WRITES))
+def test_writers_refuse_what_the_reader_rejects(case, tmp_path):
+    encode, put, args = BAD_WRITES[case]
+    with pytest.raises(ValueError):
+        encode(*args)
+    cache = KernelCache(tmp_path / "cache")
+    with pytest.raises(ValueError):
+        getattr(cache, put)(*args)
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+def test_every_valid_kind_round_trips_bytes_and_arrays(tmp_path):
+    B = make_ball((1, -1), 2)
+    *_, (_, block) = iter_killed_vectors(B, [B.index_of((2, -1))], 3)
+    records = [
+        (encode_free, "put_free", (1, 2, np.zeros(5))),
+        (encode_free, "put_free", (3, 2, free_field(3, 2))),
+        (encode_killed, "put_killed", ((0, 0), 2, (1, 0), 1, np.zeros(13))),
+        (encode_killed, "put_killed", (B.center, 2, (2, -1), 3, block[:, 0])),
+        (encode_killed, "put_killed", ((5,), 0, (5,), 0, np.ones(1))),
+        (encode_green, "put_green", ((0, 0), 1, np.zeros((5, 5)))),
+        (encode_green, "put_green", (B.center, 2, green_solve(B).values)),
+    ]
+    cache = KernelCache(tmp_path)
+    for encode, put, args in records:
+        blob = encode(*args)
+        assert getattr(cache, put)(*args).read_bytes() == blob
+        rec = decode(blob)
+        assert np.array_equal(rec.values, args[-1]) and rec.values.shape == np.shape(args[-1])
+        if rec.kind == 0:
+            again = encode_free(rec.dimension, rec.n, rec.values)
+        elif rec.kind == 1:
+            again = encode_killed(rec.center, rec.radius, rec.start, rec.n, rec.values)
+        else:
+            again = encode_green(rec.center, rec.radius, rec.values)
+        assert again == blob
+    assert [e["kind"] for e in cache.list_entries()] == ["free", "free", "green", "green", "killed", "killed", "killed"]
+
+
+def _raw(d: int, kind: int, n: int, ints=(), values: int = 0) -> bytes:
+    """A ZDK1 file packed by hand, past the writers' checks."""
+    return struct.pack(f"<4sIIq{len(ints)}q", b"ZDK1", d, kind, n, *ints) + bytes(8 * values)
+
+
+BAD_READS = {
+    "unknown-kind": _raw(1, 3, 0, (0, 0), 1),
+    "dimension-0": _raw(0, 0, 0, (), 1),
+    "dimension-65": _raw(65, 0, 0, (), 1),
+    "negative-steps": _raw(1, 0, -1, (), 0),
+    "negative-radius": _raw(1, 2, 0, (-1, 0), 0),
+    "header-shorter-than-its-integers": _raw(2, 2, 0, (1, 0)),
+    "killed-start-outside-its-ball": _raw(1, 1, 0, (1, 0, 2), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_READS))
+def test_decode_rejects_each_malformed_header(case, tmp_path, capsys):
+    from harnack.cli import EXIT_AUDIT_FAILURE, main
+
+    with pytest.raises(ValueError):
+        decode(BAD_READS[case])
+    KernelCache(tmp_path).put_free(1, 1, free_field(1, 1))
+    (tmp_path / f"{case}.zdk").write_bytes(BAD_READS[case])
+    assert main(["cache", "list", "--cache-dir", str(tmp_path)]) == EXIT_AUDIT_FAILURE
+    captured = capsys.readouterr()
+    assert f"{case}.zdk" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
