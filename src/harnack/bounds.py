@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -312,16 +312,33 @@ class ChainCertificate:
         )
 
 
+def _least_mass(pmf, sources: np.ndarray, targets: np.ndarray, steps) -> float:
+    """Least mass, over ``sources``, that ``sum_{t in steps} p_t`` puts on ``targets``.
+
+    ``pmf(t, sites)`` is the 1-d walk pmf of step t (see :func:`_free_prob`).
+    Each source's mass is a row sum over the targets, added step by step.
+    """
+    diff = (targets[None, :, :] - sources[:, None, :]).reshape(-1, sources.shape[1])
+    mass = 0.0
+    for t in steps:
+        mass = mass + _free_prob(partial(pmf, t), diff).reshape(len(sources), len(targets)).sum(axis=1)
+    return float(mass.min())
+
+
 def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
     """Build the ball-chaining lower bound for ``p_n + p_{n+1}`` at (x, y).
 
     Requires the long-range window ``(2^6 / L^2) dist <= n <= dist^2 / L^2``.
-    The path is split into m legs (``2^5 dist^2/(L^2 n) <= m <= twice that``)
-    with waypoints on a geodesic, segment lengths r/r+1 and leg times s/s+1;
-    the product of leg probabilities — into a ball of radius r for the first
-    m-1 legs, onto the exact endpoint (parity-paired) for the last — is a
-    sub-event bound, so it can never exceed the direct paired probability.
-    Longer segments and longer leg times are assigned to the earliest legs.
+    The path is split into m legs (``2^5 dist^2/(L^2 n) <= m <= twice that``,
+    so ``n L^2 <= dist^2`` forces m >= 32) with waypoints on a geodesic,
+    segment lengths r/r+1 and leg times s/s+1.  One leg rule gives every
+    value: the least mass, over a source set, that the leg's steps put on a
+    target set.  The direct value is ``{x}`` onto ``{y}`` at n and n + 1; the
+    first leg is ``{x}`` into the radius-r ball about the next waypoint, each
+    middle leg ball into ball, and the last leg ball onto ``{y}`` at s and
+    s + 1.  The product of the legs is a sub-event bound, so it can never
+    exceed the direct paired probability.  Longer segments and longer leg
+    times are assigned to the earliest legs.
     """
     x = as_point(x)
     y = as_point(y)
@@ -356,48 +373,27 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
     waypoints = tuple(path[c] for c in cuts)
     times = tuple([s + 1] * time_rem + [s] * (m - time_rem))
 
-    offset = np.array(y, dtype=np.int64) - np.array(x, dtype=np.int64)
-    direct = float(_free_prob(partial(walk_pmf, n), offset[None, :]).sum()) + float(
-        _free_prob(partial(walk_pmf, n + 1), offset[None, :]).sum()
-    )
+    point = np.zeros((1, d), dtype=np.int64)
+    direct = _least_mass(walk_pmf, point, point + np.subtract(y, x), (n, n + 1))
+    # One exact pmf sweep per leg step count, over every site a leg can
+    # reach: consecutive waypoints are at most r + 1 apart and the balls
+    # have radius r, so no leg offset is longer than 3r + 1.
+    span = 3 * r + 1
+    sweeps = {t: walk_pmf(t, np.arange(-span, span + 1)) for t in {*times, times[-1] + 1}}
+    ball = make_ball((0,) * d, r).coords
+
+    # A leg runs from the set about its waypoint to the set ``step`` away, both
+    # taken relative to the waypoint, so it depends only on its kind, step and
+    # time: each distinct leg is computed once.
+    @cache
+    def leg_log(first: bool, last: bool, step: tuple[int, ...], t: int) -> float:
+        mass = _least_mass(lambda k, sites: sweeps[k][sites + span], point if first else ball,
+                           (point if last else ball) + step, (t, t + 1) if last else (t,))
+        return math.log(mass) if mass > 0 else -math.inf
+
     log_product = 0.0
-    if m == 1:
-        # Single leg: the chain event is the direct paired event itself.
-        log_product = math.log(direct) if direct > 0 else -math.inf
-    else:
-        origin_ball = make_ball((0,) * d, r).coords
-        balls = [origin_ball + np.array(waypoints[i]) for i in range(1, m)]
-        # One exact pmf sweep per leg step count, over every site a leg can
-        # reach: consecutive waypoints are at most r + 1 apart and the balls
-        # have radius r, so no leg offset is longer than 3r + 1.
-        span = 3 * r + 1
-        sweeps = {t: walk_pmf(t, np.arange(-span, span + 1)) for t in {*times, times[-1] + 1}}
-
-        def leg_prob(t: int, offsets: np.ndarray) -> np.ndarray:
-            return _free_prob(lambda sites: sweeps[t][sites + span], offsets)
-
-        # First leg: from x into the first ball.
-        first = float(leg_prob(times[0], balls[0] - np.array(x)).sum())
-        log_product += math.log(first) if first > 0 else -math.inf
-        # Middle legs: worst start in the current ball into the next ball.  A
-        # leg's value depends only on its waypoint step and its time, so each
-        # distinct pair is computed once.
-        legs: dict[tuple[tuple[int, ...], int], float] = {}
-        for i in range(1, m - 1):
-            key = (tuple(np.subtract(waypoints[i + 1], waypoints[i]).tolist()), times[i])
-            if key not in legs:
-                src, dst = balls[i - 1], balls[i]
-                diff = dst[None, :, :] - src[:, None, :]
-                probs = leg_prob(times[i], diff.reshape(-1, d)).reshape(len(src), len(dst))
-                legs[key] = float(probs.sum(axis=1).min())
-            worst = legs[key]
-            log_product += math.log(worst) if worst > 0 else -math.inf
-        # Final leg: worst start in the last ball onto y, parity-paired.
-        src = balls[-1]
-        offs = np.array(y) - src
-        paired = leg_prob(times[-1], offs) + leg_prob(times[-1] + 1, offs)
-        worst = float(paired.min())
-        log_product += math.log(worst) if worst > 0 else -math.inf
+    for i, step in enumerate(np.diff(waypoints, axis=0).tolist()):
+        log_product += leg_log(i == 0, i == m - 1, tuple(step), times[i])
 
     return ChainCertificate(
         x=x,
@@ -410,7 +406,7 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
         waypoints=waypoints,
         times=times,
         log_product=log_product,
-        product=math.exp(log_product) if math.isfinite(log_product) else 0.0,
+        product=math.exp(log_product),  # 0.0 when a leg is 0
         direct_value=direct,
         side_lower_ok=side_lower_ok,
         side_upper_ok=side_upper_ok,

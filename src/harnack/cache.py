@@ -29,6 +29,7 @@ operation order, single-threaded sparse solves).
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 from dataclasses import dataclass
@@ -169,7 +170,10 @@ class KernelCache:
             raise ValueError(f"corrupt cache file {path.name}: {exc}") from None
 
     def _files(self) -> list[Path]:
-        return sorted(self.directory.glob("*.zdk")) if self.directory.is_dir() else []
+        """The sorted ``*.zdk`` files: none for a missing directory, ``NotADirectoryError`` for a non-directory."""
+        if self.directory.exists() and not self.directory.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(self.directory))
+        return sorted(self.directory.glob("*.zdk"))
 
     def list_entries(self) -> list[dict[str, Any]]:
         """Names, kinds and payload shapes of every cache file, sorted."""

@@ -323,29 +323,23 @@ def _cache_command(args: argparse.Namespace) -> int:
     if not cache_dir:
         raise UsageError("cache commands need --cache-dir or HARNACK_CACHE_DIR")
     cache = KernelCache(cache_dir)
-    if args.action != "verify":
-        try:
-            if args.action == "list":
-                message = json.dumps(cache.list_entries(), indent=2)
-            else:
-                message = f"removed {cache.clear()} cache file(s)"
-        except OSError as exc:
-            verb = "read" if args.action == "list" else "remove"
-            raise FileError(f"cannot {verb} {exc.filename}: {exc.strerror or exc}") from None
-        except ValueError as exc:  # a listed entry that does not decode
-            raise FileError(str(exc)) from None
-        print(message)
-        return EXIT_OK
-    # verify
     try:
-        summary = cache.verify(fraction=args.fraction, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    print(
-        f"checked {summary['checked']} of {summary['total']} cache file(s): "
-        + ("ok" if summary["ok"] else "MISMATCH")
-    )
-    if not summary["ok"]:
+        if args.action == "list":
+            message = json.dumps(cache.list_entries(), indent=2)
+        elif args.action == "clear":
+            message = f"removed {cache.clear()} cache file(s)"
+        else:
+            summary = cache.verify(fraction=args.fraction, seed=args.seed)
+            message = f"checked {summary['checked']} of {summary['total']} cache file(s): " + (
+                "ok" if summary["ok"] else "MISMATCH"
+            )
+    except OSError as exc:
+        verb = "remove" if args.action == "clear" else "read"
+        raise FileError(f"cannot {verb} {exc.filename}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a bad verify option, or a listed entry that does not decode
+        raise (UsageError if args.action == "verify" else FileError)(str(exc)) from None
+    print(message)
+    if args.action == "verify" and not summary["ok"]:
         for name in summary["mismatches"]:
             print(f"corrupt cache entry: {name}", file=sys.stderr)
         return EXIT_AUDIT_FAILURE

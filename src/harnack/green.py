@@ -51,6 +51,7 @@ from .lattice import FiniteDomain, make_ball
 from .report import AuditReport
 
 _WINDOW = 64  # series steps pulled and certified together
+SERIES_MAX_STEPS = 200_000  # the series stops here, truncated, if a tail is still uncertified
 UGI_RATIO_CAP = 10.0  # the interior comparison's gate on G2 / G1 at each R
 STABILITY_CAP = 3.0  # the pole-ratio gate on max / min ratio across R
 
@@ -80,7 +81,7 @@ class GreenTable:
 _TABLES = Memo()  # B.key() -> full solved GreenTable
 
 
-def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) -> GreenTable:
+def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     """Full Green table by series accumulation over one start per symmetry orbit.
 
     The domain's lattice symmetries (:meth:`FiniteDomain.symmetries`) satisfy
@@ -110,7 +111,7 @@ def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) ->
     class_sums = sp.csr_matrix(
         (np.ones(len(B)), np.concatenate(classes), [0, len(classes[0]), len(B)]), shape=(2, len(B))
     )
-    steps = iter_killed_vectors(B, np.concatenate(reps), max_steps)
+    steps = iter_killed_vectors(B, np.concatenate(reps), SERIES_MAX_STEPS)
     width = max(map(len, reps))  # column j walks even representative j and odd one j
     totals = [np.zeros((len(B), width)) for _ in (0, 1)]  # sums over the even and the odd steps
     count = sum(map(len, reps))  # per-start arrays run class by class
@@ -128,7 +129,7 @@ def green_table_series(B: FiniteDomain, tol: float, max_steps: int = 200_000) ->
             mass = class_sums @ block
             sums.append(np.concatenate([mass[(c + t) % 2, : len(reps[c])] for c in (0, 1)]))
         if not sums:
-            break  # max_steps reached
+            break  # SERIES_MAX_STEPS reached
         # certify every step of the window at once: the same elementwise
         # arithmetic as one step at a time, on (steps, starts) arrays
         history = np.vstack([history[-2:], *sums])

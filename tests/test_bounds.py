@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from harnack import bounds
 from harnack.bounds import (
     LAG,
     _EnvelopeFit,
@@ -220,6 +221,24 @@ def test_chain_certificate_equals_per_leg_reference(d):
         x, y, n, L = random_chain_instance(d, rng)
         cert = chain_certificate(x, y, n, L)
         assert (cert.direct_value, cert.log_product) == chain_reference(cert)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chain_certificate_evaluates_each_distinct_leg_once(d, monkeypatch):
+    # One kernel evaluation per step count of each evaluated value: the direct
+    # value (n, n + 1), the first leg, each distinct middle (waypoint step,
+    # time) and the paired last leg (s, s + 1).
+    calls = []
+    free_prob = bounds._free_prob
+    monkeypatch.setattr(bounds, "_free_prob", lambda *args: calls.append(1) or free_prob(*args))
+    rng = philox(5, stream=0xC4A1)
+    for _ in range(4):
+        calls.clear()
+        cert = chain_certificate(*random_chain_instance(d, rng))
+        steps = np.diff(cert.waypoints, axis=0).tolist()
+        middles = {(tuple(step), t) for step, t in zip(steps[1:-1], cert.times[1:-1])}
+        assert len(middles) < cert.blocks - 2  # legs repeat, so a dropped memo shows
+        assert len(calls) == 2 + 1 + len(middles) + 2
 
 
 @pytest.mark.parametrize("d", [1, 2])

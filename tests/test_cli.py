@@ -270,6 +270,27 @@ def test_unreadable_cache_entry_is_an_error_not_a_traceback(action, tmp_path, ca
     assert (cache_dir / "bad.zdk").is_dir()
 
 
+@pytest.mark.parametrize("action", ["list", "verify", "clear"])
+def test_cache_dir_naming_a_regular_file_is_an_error(action, tmp_path, capsys):
+    blocker = tmp_path / "blocker.zdk"
+    blocker.write_text("not a directory")
+    assert run_cli(["cache", action, "--cache-dir", str(blocker)]) == EXIT_AUDIT_FAILURE
+    captured = capsys.readouterr()
+    verb = "remove" if action == "clear" else "read"
+    assert captured.err == f"error: cannot {verb} {blocker}: Not a directory\n"
+    assert captured.out == ""
+    assert blocker.read_text() == "not a directory"
+
+
+def test_missing_cache_dir_is_an_empty_cache(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run_cli(["cache", "verify", "--cache-dir", str(missing)]) == EXIT_OK
+    assert capsys.readouterr().out == "checked 0 of 0 cache file(s): ok\n"
+    assert run_cli(["cache", "list", "--cache-dir", str(missing)]) == EXIT_OK
+    assert capsys.readouterr().out == "[]\n"
+    assert not missing.exists()
+
+
 def test_cache_without_directory_is_usage_error(capsys, monkeypatch):
     monkeypatch.delenv("HARNACK_CACHE_DIR", raising=False)
     assert run_cli(["cache", "list"]) == EXIT_USAGE

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack import green
 from harnack.green import (
     _WINDOW,
     comparability_audit,
@@ -89,7 +90,7 @@ def test_row_series_matches_table_column():
     assert series.meta["terms"] > 0
 
 
-def series_reference(B, tol, max_steps=200_000):
+def series_reference(B, tol):
     """The series over full-interior blocks, every start walked: (table, terms, tail bound per start).
 
     One step at a time, certifying after each step, as the series did before
@@ -103,7 +104,7 @@ def series_reference(B, tol, max_steps=200_000):
     certified = np.zeros(size, dtype=bool)
     tail_bounds = np.full(size, np.inf)
     n = 0
-    while not certified.all() and n < max_steps:
+    while not certified.all() and n < green.SERIES_MAX_STEPS:
         n += 1
         current = P @ current
         table += current
@@ -121,7 +122,7 @@ def series_reference(B, tol, max_steps=200_000):
     return table, n, tail_bounds
 
 
-def assert_orbit_series(D, max_steps=200_000, tol=1e-12):
+def assert_orbit_series(D, tol=1e-12):
     """Walked columns are the all-starts series bit for bit; the rest are their exact images.
 
     Column j is the image of its representative r under the first map h with
@@ -130,8 +131,8 @@ def assert_orbit_series(D, max_steps=200_000, tol=1e-12):
     walked (representative) starts, so it is compared with the reference's
     per-start bounds over those starts.
     """
-    series = green_table_series(D, tol=tol, max_steps=max_steps)
-    table, terms, tail_bounds = series_reference(D, tol, max_steps)
+    series = green_table_series(D, tol=tol)
+    table, terms, tail_bounds = series_reference(D, tol)
     maps = D.symmetries()
     rep = maps.min(axis=0)
     walked = np.flatnonzero(rep == np.arange(len(D)))
@@ -207,9 +208,10 @@ def test_series_matches_reference_at_every_stopping_position_in_a_window():
 
 
 @pytest.mark.parametrize("center,R,max_steps", [((0,), 16, 5), ((0,), 16, 150), ((0, 0), 6, 3), ((0, 0), 6, 130)])
-def test_truncated_series_matches_reference(center, R, max_steps):
+def test_truncated_series_matches_reference(center, R, max_steps, monkeypatch):
     # max_steps inside the first window, and spanning several windows
-    series, _ = assert_orbit_series(make_ball(center, R), max_steps)
+    monkeypatch.setattr(green, "SERIES_MAX_STEPS", max_steps)
+    series, _ = assert_orbit_series(make_ball(center, R))
     assert series.meta["truncated"]
     assert series.meta["terms"] == max_steps
     assert series.meta["tail_bound"] == math.inf

@@ -14,8 +14,6 @@ import harnack
 
 KEPT = {  # (module.function, parameter): why it keeps a default
     ("cli.main", "argv"): "None reads sys.argv; tests pass their own lists",
-    ("green.green_table_series", "max_steps"):
-        "tests cap it to reach the truncated series the equivalence gate fails",
     ("green.green_solve", "columns"): "cli and equivalence_audit solve full tables, ugi_audit some columns",
     ("kernel.parity_classes", "points"): "the series splits the domain, iter_killed_vectors a start set",
     ("lattice.l1_path", "anchor"): "chain_certificate walks unanchored, build_ball_chain anchored",
