@@ -28,6 +28,7 @@ DELTA_MIN = 0.05  # the oscillation gate: 1 - max Osc(half)/Osc(ball) >= DELTA_M
 MIXTURES = 16  # random nonnegative kernel mixtures per radius
 STABILITY_RATIO_CAP = 1.5  # the scale-stability gate on max / min C(R)
 CLOSED_FORM_TOL = 1e-12  # the 1-d gate on |exact - closed form|
+CLOSED_FORM_CAP = 3.0  # the 1-d gate on the largest exact constant, which must stay below it
 
 _HITTING = Memo()  # (d, R) -> (B(0, R), its hitting matrix)
 
@@ -264,7 +265,8 @@ def d1_closed_form_audit(r_max: int) -> AuditReport:
 
     In one dimension harmonic functions are affine, so the constant is the
     explicit ratio ``(R+1+floor(R/2)) / (R+1-floor(R/2))``, strictly below 3;
-    the gap must stay within ``CLOSED_FORM_TOL``.
+    the gap must stay within ``CLOSED_FORM_TOL`` and every constant below
+    ``CLOSED_FORM_CAP``.
     """
     worst_gap = -1.0
     worst = None
@@ -279,13 +281,13 @@ def d1_closed_form_audit(r_max: int) -> AuditReport:
             worst_gap = gap
             worst = {"R": R, "gap": gap}
         rows.append({"R": R, "exact": exact, "closed_form": formula, "gap": gap})
-    passed = worst_gap <= CLOSED_FORM_TOL and max_const < 3.0
+    passed = worst_gap <= CLOSED_FORM_TOL and max_const < CLOSED_FORM_CAP
     return AuditReport(
         audit_id="ehi.closed_form.d1",
         grid={"d": 1, "r_max": r_max},
         constants={"max_gap": worst_gap, "max_constant": max_const, "tol": CLOSED_FORM_TOL},
         worst=worst,
         passed=passed,
-        notes=["also gates max constant < 3"],
+        notes=[f"also gates max constant < {CLOSED_FORM_CAP:g}"],
         rows=rows,
     )

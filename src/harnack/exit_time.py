@@ -26,6 +26,7 @@ N_MAX_FACTOR = 4  # the Chernoff audit checks 1 <= n <= N_MAX_FACTOR * R^2
 SLACK = 1e-12  # the Chernoff chain's round-off allowance
 TAIL_TARGET = 1e-6  # the crude-tail search runs until survival falls below it,
 TAIL_MAX_N = 1 << 22  # or reaches this step
+TAIL_SLACK = 1e-15  # the crude-tail gate's round-off allowance: survival <= envelope + TAIL_SLACK
 MC_SAMPLES = 100_000  # walkers of the Monte Carlo cross-check
 Z_CAP = 4.0  # the Monte Carlo gate: max |mc - exact| / se over all n
 
@@ -146,25 +147,24 @@ def crude_tail_audit(d: int, R: int) -> AuditReport:
     while limit < TAIL_MAX_N:
         limit *= 2
     walk = iter_killed_vectors(B, [B.index_of((0,) * d)], limit)
-    cdf = {}
+    survivals = {}
     for n, block in walk:
         if n in n_values:
-            cdf[n] = 1.0 - float(block[:, 0].sum())
+            survivals[n] = float(block[:, 0].sum())
         if n == n_max:
             break
     p = (2.0 * d) ** (-3.0 * R)
     rows = []
     all_pass = True
     for n in n_values:
-        survival = 1.0 - cdf[n]
         envelope = (1.0 - p) ** (n // (3 * R))
-        ok = survival <= envelope + 1e-15
+        ok = survivals[n] <= envelope + TAIL_SLACK
         all_pass &= ok
-        rows.append({"n": n, "survival": survival, "envelope": envelope, "ok": ok})
+        rows.append({"n": n, "survival": survivals[n], "envelope": envelope, "ok": ok})
     # Doubling search: survival is monotone, the same walk continues from the
     # grid maximum.
     search_n = n_max
-    survival = 1.0 - cdf[n_max]
+    survival = survivals[n_max]
     while survival > TAIL_TARGET and search_n < TAIL_MAX_N:
         search_n *= 2
         for n, block in walk:

@@ -20,13 +20,15 @@ mandatory, independent computations are provided and cross-audited:
 
 ``solve``
     solves the defining linear system ``(I - P^B) G = I`` with
-    ``kernel.killed_solve``, the package's one certified solve: a sparse LU
-    factorisation (deterministic, single-threaded, memoized per ball and
-    shared with the Dirichlet solves, harmonic measures and balayage on that
-    ball) whose result must satisfy ``max |G - P^B G - I| <
-    kernel.RESIDUAL_TOL``.  The factors of this M-matrix are sign
-    structured, so back-substitution adds nonnegative terms only and even the
-    exponentially small entries come out componentwise accurate.
+    ``kernel.killed_solve``, the package's one factorization and certified
+    solve: a sparse LU factorisation (deterministic, single-threaded,
+    memoized per ball and shared with the Dirichlet solves, harmonic
+    measures and balayage on that ball) whose result must satisfy
+    ``max |G - P^B G - I| < kernel.RESIDUAL_TOL``.  SuperLU factors the
+    M-matrix ``I - P^B`` without pivoting, in a symmetric order, so every
+    pivot is positive and every off-diagonal factor entry nonpositive:
+    back-substitution adds nonnegative terms only and even the exponentially
+    small entries come out componentwise accurate.
 
 Audits on top of the tables: interior two-sided comparisons of ``g`` against
 ``r^{2-d}`` (or ``log(R/r)`` in d=2), a killed near-diagonal Gaussian lower

@@ -42,7 +42,7 @@ INSTANCES = 100  # balayage instances per radius
 
 
 class BalayageError(RuntimeError):
-    """The sweep's structural or reconstruction guarantees failed."""
+    """The sweep's charge leaked off the inner boundary or went negative."""
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,10 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     with h on A, vanishes on the outer boundary of B, and is harmonic in
     between (one Dirichlet solve on B minus A).  Its negative Laplacian is
     the charge f: nonnegative, and supported on the inner boundary of A
-    after structural-noise verification.  The reconstruction ``G_B f`` is
-    one ``kernel.killed_solve`` with the ball's memoized factor, and must
-    match h on A within 1e-8.
+    after structural-noise verification (``BalayageError`` otherwise).  The
+    reconstruction ``G_B f`` is one ``kernel.killed_solve`` with the ball's
+    memoized factor; its worst relative error against h on A is reported,
+    and ``balayage_batch_audit`` gates it.
     """
     a_idx = np.unique(np.asarray(A, dtype=np.int64))
     if not a_idx.size:
@@ -242,20 +243,14 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     if f.min() < -NONNEGATIVE_TOL:
         raise BalayageError(f"charge has a negative value {f.min():.3e}")
 
-    # Reconstruction: G_B f by one certified solve with the ball's factor, checked on A.
+    # Reconstruction: G_B f by one certified solve with the ball's factor, measured on A.
     u = killed_solve(B, f)
     rel = np.abs(u[a_idx] - target) / np.maximum(np.abs(target), 1e-300)
-    worst = float(rel.max())
-    if worst > 1e-8:
-        witness = B.interior[a_idx[int(rel.argmax())]]
-        raise BalayageError(
-            f"reconstruction off by {worst:.3e} (relative) at {witness}"
-        )
     return BalayageResult(
         charge=LatticeField(B, f),
         sweep=LatticeField(B, sweep_vals),
         reconstruction=LatticeField(B, u),
-        max_reconstruction_rel_error=worst,
+        max_reconstruction_rel_error=float(rel.max()),
     )
 
 

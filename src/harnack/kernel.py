@@ -66,7 +66,6 @@ __all__ = [
     "exit_steps",
     "Memo",
     "killed_matrix",
-    "killed_lu",
     "killed_solve",
     "SolverError",
     "parity_classes",
@@ -309,6 +308,8 @@ def n_step(x, y, n: int) -> float:
 
 _KILLED = Memo()  # B.key() -> P^B
 _LU = Memo()  # B.key() -> SuperLU factor of I - P^B
+# SuperLU's symmetric mode: a minimum-degree ordering of A^T + A and diagonal pivots only
+_SPD = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 
 def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
@@ -343,30 +344,20 @@ def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
     return _KILLED.get(B.key(), build)
 
 
-def _factor(D: FiniteDomain, P: sp.csr_matrix) -> spla.SuperLU:
-    """The LU factor of ``I - P`` (a ball's memoized); ``P`` is symmetric, so ``(I - P)^T`` is its CSC."""
-    return _LU.get(D.key(), lambda: spla.splu((sp.identity(len(D), format="csr") - P).T))
-
-
-def killed_lu(B: FiniteDomain) -> spla.SuperLU:
-    """The sparse LU factor of a domain's ``I - P^B``, derived from ``killed_matrix(B)``.
-
-    A ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``),
-    so Green tables, Dirichlet solves, harmonic measures and balayage on the
-    same ball share one factorization; any other domain's is factored afresh.
-    """
-    return _factor(B, killed_matrix(B))
-
-
 def killed_solve(D: FiniteDomain, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(I - P^D) u = rhs`` for a vector or a block of columns, certified.
 
-    The one solve of the package: it uses ``killed_lu``'s factor, builds a
-    domain's ``P^D`` once (a ball's comes from the memo), and raises
-    ``SolverError`` unless ``max |u - P^D u - rhs| < RESIDUAL_TOL``.
+    The one factorization and the one solve of the package.  ``I - P^D`` is
+    a symmetric, diagonally dominant M-matrix, so SuperLU factors its CSC,
+    ``(I - P^D)^T``, in symmetric mode (``_SPD``): no pivoting, which keeps
+    the factors sign structured.  A ball's ``P^D`` and factor are built once
+    and kept in the bounded memo (``Memo``), so Green tables, Dirichlet
+    solves, harmonic measures and balayage on the same ball share them; any
+    other domain's are built afresh.  Raises ``SolverError`` unless
+    ``max |u - P^D u - rhs| < RESIDUAL_TOL``.
     """
     P = killed_matrix(D)
-    u = _factor(D, P).solve(rhs)
+    u = _LU.get(D.key(), lambda: spla.splu((sp.identity(len(D), format="csr") - P).T, **_SPD)).solve(rhs)
     residual = P @ u  # -(u - P u - rhs), in the one temporary
     residual -= u
     residual += rhs

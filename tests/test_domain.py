@@ -97,7 +97,7 @@ def check_domain(D, points):
     rows_new, cols_new, w = exit_steps(D)
     assert w == 1.0 / (2 * D.dimension)
     assert_same_sparse(P_new, P)
-    factored = (sp.identity(len(D), format="csc") - P_new).tocsc()  # what killed_lu factors
+    factored = (sp.identity(len(D), format="csc") - P_new).tocsc()  # what killed_solve factors
     assert_same_sparse(factored, system)
     assert_same_sparse(factored, green_system)
     assert np.array_equal(rows_new, rows_b) and np.array_equal(cols_new, cols_b)

@@ -121,27 +121,33 @@ def test_harmonic_measure_matrix_matches_single_rows():
         assert np.abs(M[D.index_of(x)] - row).max() <= 1e-13
 
 
+SPD_POLICY = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
 @pytest.mark.parametrize("d,R", [(1, 6), (2, 5), (3, 3)])
 def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     from harnack import kernel
-    from harnack.kernel import exit_steps, killed_lu
+    from harnack.kernel import exit_steps
 
     B = make_ball((0,) * d, R)
     rows_b, cols_b, w = exit_steps(B)
-    fresh = splu((sp.identity(len(B), format="csc") - killed_matrix(B)).tocsc())
+    fresh = splu((sp.identity(len(B), format="csc") - killed_matrix(B)).tocsc(), **SPD_POLICY)
     phi = np.linspace(0.0, 1.0, len(B.outer_boundary))
     rhs = np.zeros(len(B))
     np.add.at(rhs, rows_b, w * phi[cols_b])
     coupling = np.zeros((len(B), len(B.outer_boundary)))
     coupling[rows_b, cols_b] = w
-    assert killed_lu(B) is killed_lu(make_ball((0,) * d, R))
 
-    def no_factorization(*args):
+    def no_factorization(*args, **kwargs):
         raise AssertionError("a ball's factor is refactorized")
 
+    kernel.killed_solve(B, rhs)
+    factor = kernel._LU.get(B.key(), no_factorization)
+    kernel.killed_solve(make_ball((0,) * d, R), rhs)
+    assert kernel._LU.get(B.key(), no_factorization) is factor  # one factor per ball
     monkeypatch.setattr(kernel.spla, "splu", no_factorization)
     assert np.array_equal(dirichlet_solve(B, phi).values[: len(B)], fresh.solve(rhs))
     assert np.array_equal(harmonic_measure_matrix(B), fresh.solve(coupling))
@@ -151,13 +157,34 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     assert np.array_equal(harmonic_measure(B, (0,) * d), row)
 
 
+@pytest.mark.parametrize("d,R", [(1, 6), (2, 5), (3, 3)])
+def test_every_factorization_uses_the_spd_policy(d, R, monkeypatch):
+    # Ball solves and balayage complements alike: symmetric mode, MMD on A^T + A, no pivoting.
+    from harnack import kernel
+
+    splu = kernel.spla.splu
+    calls = []
+
+    def recording_splu(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(kernel.spla, "splu", recording_splu)
+    monkeypatch.setattr(kernel, "_LU", kernel.Memo())  # every ball factors afresh
+    B = make_ball((0,) * d, R)
+    h = random_harmonic(B, seed=5)
+    balayage(B, B.within(R // 2), h)
+    assert len(calls) == 2  # the ball, then the complement of the sub-ball
+    assert all(kwargs == SPD_POLICY for kwargs in calls)
+
+
 def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
     import scipy.sparse as sp
 
     from harnack import kernel
 
     B = make_ball((0, 0), 6)
-    kernel.killed_lu(B)
+    kernel.killed_solve(B, np.zeros(len(B)))
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("a sparse matrix is assembled for a factored ball")
@@ -184,7 +211,7 @@ def test_every_factor_solve_is_certified(monkeypatch):
         def solve(self, rhs):
             return self.lu.solve(rhs) + 1e-6
 
-    monkeypatch.setattr(kernel.spla, "splu", lambda A: Perturbed(splu(A)))
+    monkeypatch.setattr(kernel.spla, "splu", lambda A, **kwargs: Perturbed(splu(A, **kwargs)))
     monkeypatch.setattr(kernel, "_LU", kernel.Memo())  # keeps the perturbed factors from other tests
     B = make_ball((37, -23), 4)  # a ball whose Green table no other test memoizes
     h = LatticeField(B, np.ones(len(B) + len(B.outer_coords)))  # harmonic without a solve
@@ -322,6 +349,31 @@ def test_balayage_rejects_bad_inputs():
     lumpy = LatticeField(B, np.arange(len(B) + len(B.outer_coords), dtype=float) ** 2)
     with pytest.raises(ValueError):
         balayage(B, center, lumpy)  # not harmonic
+
+
+def test_balayage_reports_the_reconstruction_and_the_batch_gates_it(monkeypatch):
+    # A reconstruction off by 1e-7 relative is reported by balayage; only recon_tol (--tol) gates it.
+    from harnack import harmonic
+
+    solve, sweep = harmonic.killed_solve, harmonic.balayage
+
+    def off_by_1e7(D, rhs):
+        u = solve(D, rhs)
+        return u * (1.0 + 1e-7) if D.key() is not None else u  # the ball's reconstruction only
+
+    def perturbed(B, A, h):
+        with monkeypatch.context() as m:
+            m.setattr(harmonic, "killed_solve", off_by_1e7)
+            return sweep(B, A, h)
+
+    B = make_ball((0, 0), 4)
+    h = random_harmonic(B, seed=1)
+    assert 5e-8 < perturbed(B, B.within(2), h).max_reconstruction_rel_error < 2e-7
+    monkeypatch.setattr(harmonic, "balayage", perturbed)
+    loose = balayage_batch_audit(2, (4,), seed=3, recon_tol=1e-6)
+    tight = balayage_batch_audit(2, (4,), seed=3, recon_tol=1e-8)
+    assert loose.passed and not tight.passed
+    assert loose.constants["failures"] == tight.constants["failures"] == 0
 
 
 def test_module_audits_pass():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "harnack").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "harnack").glob("*.py"), *(ROOT / "tests").glob("**/*.py")])
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

@@ -43,6 +43,7 @@ def test_threads_building_one_factor_all_get_the_first_stored(monkeypatch):
     barrier = threading.Barrier(threads, timeout=30)
     splu = kernel.spla.splu
     built = []
+    used = {}  # thread -> the factor its solve read from the memo
 
     def racing_splu(*args, **kwargs):
         barrier.wait()  # every thread has missed the memo before any inserts
@@ -50,16 +51,24 @@ def test_threads_building_one_factor_all_get_the_first_stored(monkeypatch):
         built.append(factor)
         return factor
 
+    class Watched(kernel.Memo):
+        def get(self, key, compute):
+            value = super().get(key, compute)
+            used[threading.get_ident()] = value
+            return value
+
     monkeypatch.setattr(kernel.spla, "splu", racing_splu)
-    center, R = (17, -5), 5  # a ball no other test factors
-    results = [None] * threads
-    kernel.killed_matrix(make_ball(center, R))  # the factor's P, stored before the count
+    monkeypatch.setattr(kernel, "_LU", Watched())
+    center, R = (17, -5), 5
+    B = make_ball(center, R)
+    kernel.killed_matrix(B)  # the factor's P, stored before the count
     held = kernel.Memo.held
+    rhs = np.ones(len(B))
 
-    def ask(i):
-        results[i] = kernel.killed_lu(make_ball(center, R))
+    def ask():
+        kernel.killed_solve(make_ball(center, R), rhs)
 
-    workers = [threading.Thread(target=ask, args=(i,)) for i in range(threads)]
+    workers = [threading.Thread(target=ask) for _ in range(threads)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -70,10 +79,11 @@ def test_threads_building_one_factor_all_get_the_first_stored(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
-    assert len(built) == threads
-    stored = kernel.killed_lu(make_ball(center, R))
+    assert len(built) == threads and len(used) == threads
+    answers = list(used.values())
+    stored = kernel._LU.get(B.key(), lambda: None)
     assert stored in built
-    assert all(result is stored for result in results)
+    assert all(factor is stored for factor in answers)
     assert kernel.Memo.held == held + 12 * stored.nnz  # counted once
 
 
