@@ -49,6 +49,7 @@ KIND_GREEN = 2
 _KIND_NAMES = ("free", "killed", "green")
 
 _HEAD = struct.Struct("<4sIIq")
+_VERIFY_STREAM = 0xCAC4E  # stream tag for the files ``verify`` samples
 
 
 @dataclass
@@ -213,7 +214,7 @@ class KernelCache:
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
-        gen = philox(seed, stream=0xCAC4E)
+        gen = philox(seed, stream=_VERIFY_STREAM)
         files = self._files()
         if not files:
             return {"ok": True, "checked": 0, "total": 0, "mismatches": []}

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .kernel import iter_killed_vectors, lazy_exit_survival_curve
+from .kernel import iter_killed_vectors, lazy_walk
 from .lattice import FiniteDomain, as_point, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -52,9 +52,8 @@ def lazy_reduction_cdf(d: int, R: int, n_max: int) -> np.ndarray:
     coordinate beyond R/d, and integer positions make the real threshold
     R/d equivalent to the integer interval of radius floor(R/d).
     """
-    S = R // d
-    surv = lazy_exit_survival_curve(S, n_max, d)
-    return d * (1.0 - surv)
+    survival = np.array([law.sum() for _, law in lazy_walk(d, R // d, n_max)])
+    return d * (1.0 - survival)
 
 
 def chernoff_audit(d: int, r_values: Iterable[int]) -> AuditReport:
@@ -143,10 +142,8 @@ def crude_tail_audit(d: int, R: int) -> AuditReport:
     n_values = sorted({R, 3 * R, R * R, 3 * R * R, 9 * R * R})
     n_max = n_values[-1]
     B = make_ball((0,) * d, R)
-    limit = n_max  # the largest step the doubling search can reach
-    while limit < TAIL_MAX_N:
-        limit *= 2
-    walk = iter_killed_vectors(B, [B.index_of((0,) * d)], limit)
+    # the search doubles only steps below TAIL_MAX_N, so it stops before 2 * TAIL_MAX_N
+    walk = iter_killed_vectors(B, [B.index_of((0,) * d)], max(n_max, 2 * TAIL_MAX_N))
     survivals = {}
     for n, block in walk:
         if n in n_values:

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
-from .kernel import Memo, iter_killed_vectors, killed_matrix, killed_solve, parity_classes
+from .kernel import iter_killed_vectors, killed_matrix, killed_solve, parity_classes
 from .lattice import FiniteDomain, make_ball
 from .report import AuditReport
 
@@ -78,9 +78,6 @@ class GreenTable:
 
     values: np.ndarray
     meta: dict = field(default_factory=dict)
-
-
-_TABLES = Memo()  # B.key() -> full solved GreenTable
 
 
 def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
@@ -176,22 +173,17 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
     """Green table by solving ``(I - P^B) G = I`` (``kernel.killed_solve``, certified).
 
     ``columns`` restricts the solve to the given point indices (the returned
-    ``values`` then has one column per requested index, in order).  Full
-    tables are read-only, and a ball's is kept in the bounded memo
-    (``kernel.Memo``, within ``kernel.MEMO_BYTES``).
+    ``values`` then has one column per requested index, in order).  Every
+    call solves afresh; a ball's factor is the one kept in the bounded memo,
+    so repeated solves on a ball return the same values.
     """
-    if columns is not None:
-        columns = tuple(int(c) for c in columns)
-
-    def solve() -> GreenTable:
-        if columns is None:
-            rhs = np.eye(len(B))
-        else:
-            rhs = np.zeros((len(B), len(columns)))
-            rhs[list(columns), np.arange(len(columns))] = 1.0
-        return GreenTable(values=killed_solve(B, rhs))
-
-    return solve() if columns is not None else _TABLES.get(B.key(), solve)
+    if columns is None:
+        rhs = np.eye(len(B))
+    else:
+        columns = [int(c) for c in columns]
+        rhs = np.zeros((len(B), len(columns)))
+        rhs[columns, np.arange(len(columns))] = 1.0
+    return GreenTable(values=killed_solve(B, rhs))
 
 
 def _pair_distances(coords: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .rng import philox
 
 _MC_STREAM = 0xD187  # stream tag for Dirichlet Monte Carlo draws
 _BOUNDARY_STREAM = 0x4A12  # stream tag for random boundary data
+_BALAYAGE_STREAM = 0xBA1A  # stream tag for balayage instances, one substream per radius
 _MC_STEP_CAP = 1 << 22  # safety cap; exit is a.s. finite and far faster
 ITERATE_TOL = 1e-13  # the fixed-point iteration stops once a sweep moves no value more
 MAX_SWEEPS = 10_000_000  # safety cap on fixed-point sweeps; a contraction settles far sooner
@@ -321,7 +322,7 @@ def balayage_batch_audit(
     failures = 0
     for R in r_values:
         B = make_ball((0,) * d, int(R))
-        rng = philox(seed, stream=(0xBA1A << 32) | int(R))
+        rng = philox(seed, stream=(_BALAYAGE_STREAM << 32) | int(R))
         for i in range(INSTANCES):
             h_seed = int(rng.integers(1 << 31))
             subset = _random_subset(B, rng)

@@ -40,7 +40,8 @@ correctly rounded division per site, which lets the chain certificates of
 ``bounds`` reach step counts far beyond the dense-DP window.
 
 A lazy 1-d comparison walk (hold probability (d-1)/d, steps 1/(2d) each way)
-mirrors the law of a single coordinate of the d-dimensional walk.
+mirrors the law of a single coordinate of the d-dimensional walk; one walk,
+killed outside an interval, serves both its free law and its exit survival.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ __all__ = [
     "SolverError",
     "parity_classes",
     "iter_killed_vectors",
-    "lazy_distribution",
-    "lazy_exit_survival_curve",
+    "lazy_walk",
     "exactness_audit",
     "projection_audit",
 ]
@@ -165,8 +165,8 @@ def _sealed(value) -> int:
     """Make a memoized value's arrays read-only; return the bytes they hold.
 
     A SuperLU factor counts the binary64 values and int32 indices of its
-    L + U nonzeros, a sparse matrix its three arrays, a ``GreenTable`` its
-    ``values`` and a tuple its members; anything else (a domain) counts 0.
+    L + U nonzeros, a sparse matrix its three arrays and a tuple its
+    members; anything else (a domain) counts 0.
     """
     if isinstance(value, spla.SuperLU):
         return 12 * value.nnz
@@ -174,11 +174,10 @@ def _sealed(value) -> int:
         return sum(map(_sealed, value))
     if sp.issparse(value):
         return sum(map(_sealed, (value.data, value.indices, value.indptr)))
-    arr = getattr(value, "values", value)
-    if not isinstance(arr, np.ndarray):
+    if not isinstance(value, np.ndarray):
         return 0
-    _frozen(arr)
-    return arr.nbytes
+    _frozen(value)
+    return value.nbytes
 
 
 class Memo:
@@ -422,34 +421,26 @@ def _lazy_step(vec: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def lazy_distribution(n: int, d: int) -> np.ndarray:
-    """Law of the lazy walk at step ``n`` started at 0, over sites -n..n.
+def lazy_walk(d: int, S: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(n, law)`` of the lazy walk from 0, killed outside [-S, S], for n = 0..n_max.
 
     The lazy walk holds with probability (d-1)/d and moves one unit each way
-    with probability 1/(2d); this is exactly the law of a single coordinate
-    of the d-dimensional simple walk.
+    with probability 1/(2d): the law of one coordinate of the d-dimensional
+    simple walk.  ``law[S + k]`` is ``P(X_n = k, n < exit time)``: mass
+    stepping past -S or S is dropped, so ``law.sum()`` is the survival.
+    Until step S nothing can leave, and ``law[S - n : S + n + 1]`` is the
+    free law over -n..n, bit for bit: each step is elementwise and the cells
+    beyond reach stay exact zeros.  The yielded arrays are fresh each step
+    and may be kept.
     """
-    if d < 1 or n < 0:
-        raise ValueError("need d >= 1 and n >= 0")
-    vec = np.zeros(2 * n + 1)
-    vec[n] = 1.0
-    for _ in range(n):
-        vec = _lazy_step(vec, d)
-    return vec
-
-
-def lazy_exit_survival_curve(S: int, n_max: int, d: int) -> np.ndarray:
-    """``P(exit time of [-S, S] > n)`` for n = 0..n_max, exact DP."""
-    if S < 0 or n_max < 0 or d < 1:
-        raise ValueError("need S >= 0, n_max >= 0, d >= 1")
-    vec = np.zeros(2 * S + 1)
-    vec[S] = 1.0
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
+    if d < 1 or S < 0 or n_max < 0:
+        raise ValueError("need d >= 1, S >= 0 and n_max >= 0")
+    law = np.zeros(2 * S + 1)
+    law[S] = 1.0
+    yield 0, law
     for n in range(1, n_max + 1):
-        vec = _lazy_step(vec, d)
-        out[n] = vec.sum()
-    return out
+        law = _lazy_step(law, d)
+        yield n, law
 
 
 def exactness_audit(d: int, n_max: int) -> AuditReport:
@@ -508,9 +499,10 @@ def projection_audit(n_max: int) -> AuditReport:
     worst = 0.0
     worst_n = 0
     rows = []
-    for n, field in iter_free_fields(2, n_max):
+    # the lazy walk on [-n_max, n_max] has lost no mass by step n_max
+    for (n, field), (_, law) in zip(iter_free_fields(2, n_max), lazy_walk(2, n_max, n_max)):
         marginal = field.sum(axis=1)
-        dev = float(np.abs(marginal - lazy_distribution(n, 2)).max())
+        dev = float(np.abs(marginal - law[n_max - n : n_max + n + 1]).max())
         if dev > worst:
             worst, worst_n = dev, n
         rows.append({"n": n, "max_marginal_deviation": dev})

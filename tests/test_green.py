@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack import green
+from harnack import green, kernel
 from harnack.green import (
     _WINDOW,
     comparability_audit,
@@ -236,10 +236,18 @@ def test_solve_on_a_domain_that_is_not_a_ball():
     solved = green_solve(L)
     P = killed_matrix(L)
     assert np.abs(solved.values - P @ solved.values - np.eye(len(L))).max() < RESIDUAL_TOL
-    assert not solved.values.flags.writeable
-    assert green_solve(L) is not solved  # only balls are memoized
+    assert np.array_equal(green_solve(L).values, solved.values)
     series = green_table_series(L, tol=1e-12)
     assert np.abs(series.values - solved.values).max() <= 1e-9
+
+
+def test_full_tables_are_solved_afresh_with_the_balls_one_factor():
+    B = make_ball((0, 0), 3)
+    first = green_solve(B)
+    factor = kernel._LU.get(B.key(), lambda: None)
+    second = green_solve(B)
+    assert second.values is not first.values and np.array_equal(second.values, first.values)
+    assert kernel._LU.get(B.key(), lambda: None) is factor is not None
 
 
 def test_column_restricted_solve_matches_full():

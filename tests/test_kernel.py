@@ -20,8 +20,7 @@ from harnack.kernel import (
     iter_free_fields,
     iter_killed_vectors,
     killed_matrix,
-    lazy_distribution,
-    lazy_exit_survival_curve,
+    lazy_walk,
     n_step,
     orthant_fields,
     parity_classes,
@@ -345,26 +344,41 @@ def test_survival_is_nonincreasing(d, R, n):
     assert 1 - cdf[n] >= 1 - cdf[n + 1] - 1e-15
 
 
+def laws(d, S, n_max):
+    return [law for _, law in lazy_walk(d, S, n_max)]
+
+
 def test_lazy_distribution_mass_and_degenerate_case():
     for d in (1, 2, 3):
+        walked = laws(d, 20, 20)
         for n in (0, 1, 7, 20):
-            vec = lazy_distribution(n, d)
-            assert abs(vec.sum() - 1.0) <= 1e-13
+            assert abs(walked[n].sum() - 1.0) <= 1e-13
     # d=1: hold probability zero, so the lazy walk *is* the simple walk.
-    assert np.array_equal(lazy_distribution(9, 1), free_field(1, 9))
+    assert np.array_equal(laws(1, 9, 9)[9], free_field(1, 9))
+    assert np.array_equal(laws(1, 12, 9)[9][3:-3], free_field(1, 9))  # the padding adds nothing
 
 
 def test_projection_of_planar_kernel_is_lazy_walk():
+    walked = laws(2, 16, 16)
     for n in (1, 2, 9, 16):
         marginal = free_field(2, n).sum(axis=1)
-        assert np.abs(marginal - lazy_distribution(n, 2)).max() <= 1e-15
+        assert np.abs(marginal - walked[n][16 - n : 16 + n + 1]).max() <= 1e-15
 
 
 def test_lazy_exit_cdf_monotone_and_bounded():
-    values = list(1.0 - lazy_exit_survival_curve(3, 36, 2)[::4])
+    values = [1.0 - law.sum() for law in laws(2, 3, 36)[::4]]
     assert values[0] == 0.0
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] <= 1.0
+
+
+def test_the_lazy_walk_kills_outside_its_interval_and_checks_its_input():
+    walked = laws(1, 2, 3)
+    assert [len(law) for law in walked] == [5] * 4
+    assert walked[3].sum() == 0.75  # of the 8 paths, only RRR and LLL leave [-2, 2]
+    for args in ((0, 2, 3), (1, -1, 3), (1, 2, -1)):
+        with pytest.raises(ValueError):
+            next(lazy_walk(*args))
 
 
 def test_audits_pass():
@@ -380,7 +394,6 @@ def test_exactness_audit_rejects_tiny_ranges():
 
 def test_memoized_arrays_are_read_only():
     from harnack.ehi import hitting_kernels
-    from harnack.green import green_solve
 
     before = n_step((0, 0), (0, 1), 3)
     with pytest.raises(ValueError):
@@ -391,8 +404,6 @@ def test_memoized_arrays_are_read_only():
     assert n_step((0, 0), (0, 1), 3) == before == 0.140625
     with pytest.raises(ValueError):
         free_field(3, 2)[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        green_solve(make_ball((0, 0), 2)).values[0, 0] = 0.0
     with pytest.raises(ValueError):
         hitting_kernels(2, 2)[1][0, 0] = 0.0
     with pytest.raises(ValueError):

@@ -49,3 +49,35 @@ def test_gate_table_matches_the_module_constants():
     for audit_id, value, module, name in rows:
         constant = getattr(importlib.import_module("harnack." + module), name)
         assert ast.literal_eval(value) == constant, f"{audit_id}: README {value}, {module}.{name} = {constant}"
+
+
+SRC = README.parent / "src" / "harnack"
+PAPER_STEPS = ("LCLT", "Gaussian bounds", "exit-time tail", "uniform Green inequality", "balayage", "EHI")
+
+
+def _task_families() -> set[str]:
+    """The audit-id family (``kernel.exactness``) of every task in ``cli._tasks_for``, read from the source."""
+    cli = ast.parse((SRC / "cli.py").read_text())
+    tasks = next(n for n in ast.walk(cli) if isinstance(n, ast.FunctionDef) and n.name == "_tasks_for")
+    audits = set()
+    for node in ast.walk(tasks):
+        if isinstance(node, ast.Lambda) and isinstance(node.body, ast.Call):
+            audits.add((node.body.func.value.id, node.body.func.attr))
+    assert len(audits) >= 20
+    families = set()
+    for module, name in audits:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+        ids = [k.value for n in ast.walk(fn) if isinstance(n, ast.Call) for k in n.keywords if k.arg == "audit_id"]
+        text = ids[0].values[0].value if isinstance(ids[0], ast.JoinedStr) else ids[0].value
+        families.add(re.match(r"([a-z_]+\.[a-z_]+)\.d", text).group(1))
+    return families
+
+
+def test_the_audit_map_has_one_row_per_task_family():
+    # Each audit of the task table has one row: its paper step, what it computes and its gate.
+    text = README.read_text()
+    section = text[text.index("## What it computes"):text.index("## Install")]
+    rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \| (.*?) \| .+ \| .+ \|$", section, re.M)
+    assert sorted(family for family, _ in rows) == sorted(_task_families())
+    assert {step for _, step in rows} == set(PAPER_STEPS)
