@@ -178,6 +178,7 @@ def crude_tail_audit(d: int, R: int) -> AuditReport:
             "window": 3 * R,
             "search_n": search_n,
             "search_survival": survival,
+            "slack": TAIL_SLACK,
         },
         worst=max(rows, key=lambda row: row["survival"] / max(row["envelope"], 1e-300)),
         passed=bool(all_pass),
@@ -191,17 +192,18 @@ def crude_tail_audit(d: int, R: int) -> AuditReport:
 
 def exit_walks(
     D: FiniteDomain, x, samples: int, seed: int, stream: int, step_cap: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Seeded walks from ``x`` until they leave ``D``, block by block.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Seeded walks from ``x`` until they leave ``D``, reported exit by exit.
 
     Walkers run in blocks of at most 65,536, block ``b`` drawing from the
     substream ``(stream << 32) | b``; draw ``k`` moves a walker to its k-th
-    neighbour in ``D.neighbor_index``.  Each block yields every walker's exit
-    step and the outer-boundary index it stepped onto, as int32 arrays; a
-    walker still inside after ``step_cap`` steps gets exit step
-    ``step_cap + 1`` and index -1.  The walker state is int32 too, advanced
-    in place and compacted as walkers leave; a block's arrays are dropped
-    before the next block is walked.
+    neighbour in ``D.neighbor_index``.  At each step ``n <= step_cap`` where
+    some walkers leave, yields ``(n, exits)``: the outer-boundary indices
+    they stepped onto, an int32 array in walker order.  A walker still
+    inside after ``step_cap`` steps is never reported.  A block holds one
+    int32 array, the row offsets of the walkers still inside, advanced in
+    place and compacted as walkers leave; the next block starts after it
+    is released.
     """
     x = as_point(x)
     if x not in D:
@@ -211,32 +213,20 @@ def exit_walks(
     m, steps = D.neighbor_index.shape
     table = (D.neighbor_index * steps).astype(np.int32).ravel()  # row offsets of the neighbours
     start = D.index_of(x) * steps
-    done = 0
-    block_index = 0
-    while done < samples:
-        count = min(_MC_BLOCK, samples - done)
+    for block_index, done in enumerate(range(0, samples, _MC_BLOCK)):
         rng = philox(seed, stream=(stream << 32) | block_index)
-        pos = np.full(count, start, dtype=np.int32)  # row offset of each walker still inside
-        active = np.arange(count, dtype=np.int32)
-        exit_step = np.full(count, step_cap + 1, dtype=np.int32)
-        exit_index = np.full(count, -1, dtype=np.int32)
+        pos = np.full(min(_MC_BLOCK, samples - done), start, dtype=np.int32)
         for n in range(1, step_cap + 1):
-            if active.size == 0:
+            if pos.size == 0:
                 break
             # int32 draws equal the int64 ones: one 32-bit bounded draw per value either way
-            pos += rng.integers(0, steps, size=active.size, dtype=np.int32)
+            pos += rng.integers(0, steps, size=pos.size, dtype=np.int32)
             pos = table.take(pos)  # bounds-checked gather
             hit = pos >= m * steps
             if hit.any():
-                exit_step[active[hit]] = n
-                exit_index[active[hit]] = pos[hit] // steps - m
-                keep = ~hit
-                pos = pos[keep]
-                active = active[keep]
-        yield exit_step, exit_index
-        del exit_step, exit_index  # released before the next block is walked
-        done += count
-        block_index += 1
+                yield n, pos[hit] // steps - m
+                pos = pos[~hit]
+        del pos  # released before the next block is walked
 
 
 def mc_exit_sample(
@@ -246,12 +236,14 @@ def mc_exit_sample(
 
     Paths are simulated in independent blocks with per-block substreams of
     the counter-based generator, so the estimates depend only on ``seed``
-    and ``samples`` (merging is order-independent).
+    and ``samples``.  The walkers that exit at each step are counted as
+    integers, so merging the blocks is order-independent: ``exited_by[n]``
+    is the exact number of walkers out by step n.
     """
-    exited_by = np.zeros(n_max + 1, dtype=np.int64)
-    for exit_step, exit_index in exit_walks(B, x, samples, seed, _MC_STREAM, n_max):
-        exited_by += np.cumsum(np.bincount(exit_step, minlength=n_max + 2))[: n_max + 1]
-        del exit_step, exit_index  # released before the next block is walked
+    exits_at = np.zeros(n_max + 1, dtype=np.int64)
+    for n, exits in exit_walks(B, x, samples, seed, _MC_STREAM, n_max):
+        exits_at[n] += exits.size
+    exited_by = np.cumsum(exits_at)
     p_hat = exited_by / samples
     if samples == 1:
         return p_hat, np.zeros(n_max + 1)

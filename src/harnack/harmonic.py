@@ -125,20 +125,23 @@ def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
 
 
 def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo path: the mean of ``phi`` at the exit point of walks from x, and its standard error."""
+    """Monte Carlo path: the mean of ``phi`` at the exit point of walks from x, and its standard error.
+
+    The walkers are reduced to ``hits``, the exact integer count of exits at
+    each point of ``D.outer_coords``; the mean and the sample SE are read
+    off ``hits @ phi`` and ``hits @ phi**2``.  Walkers that outlast
+    ``_MC_STEP_CAP`` steps are missing from ``hits`` and raise
+    :class:`SolverError`.
+    """
     bdata, _ = _boundary_field(D, phi)
-    total = 0.0
-    total_sq = 0.0
-    for exit_step, exit_index in exit_walks(D, x, samples, seed, _MC_STREAM, _MC_STEP_CAP):
-        if (exit_index < 0).any():
-            raise SolverError("Monte Carlo step cap exceeded before exit")
-        out = bdata[exit_index]
-        total += float(out.sum())
-        total_sq += float((out * out).sum())
-        del exit_step, exit_index, out  # released before the next block is walked
-    mean = total / samples
+    hits = np.zeros(len(bdata), dtype=np.int64)
+    for _, exits in exit_walks(D, x, samples, seed, _MC_STREAM, _MC_STEP_CAP):
+        hits += np.bincount(exits, minlength=len(bdata))
+    if hits.sum() < samples:
+        raise SolverError("Monte Carlo step cap exceeded before exit")
+    mean = float(hits @ bdata) / samples
     if samples > 1:
-        var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+        var = max(float(hits @ (bdata * bdata)) / samples - mean * mean, 0.0) * samples / (samples - 1)
         se = math.sqrt(var / samples)
     else:
         se = 0.0

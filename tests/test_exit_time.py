@@ -17,6 +17,7 @@ from harnack.exit_time import (
     mc_consistency_audit,
     mc_exit_sample,
 )
+from harnack import harmonic
 from harnack.harmonic import dirichlet_mc
 from harnack.kernel import iter_killed_vectors
 from harnack.lattice import as_point, make_ball
@@ -120,9 +121,9 @@ def test_mc_arrays_equal_the_per_step_arithmetic(d, R, n_max, samples):
     B = make_ball((0,) * d, R)
     estimates, standard_errors = mc_exit_sample(B, (0,) * d, n_max, samples, seed=5)
     exited_by = np.zeros(n_max + 1, dtype=np.int64)
-    for exit_step, _ in exit_walks(B, (0,) * d, samples, 5, _MC_STREAM, n_max):
-        for n in range(n_max + 1):
-            exited_by[n] += int((exit_step <= n).sum())
+    for step, exits in exit_walks(B, (0,) * d, samples, 5, _MC_STREAM, n_max):
+        for n in range(step, n_max + 1):
+            exited_by[n] += len(exits)
     for n in range(n_max + 1):
         p_hat = exited_by[n] / samples
         se = (
@@ -167,25 +168,55 @@ def exit_walks_reference(D, x, samples, seed, stream, step_cap):
         block_index += 1
 
 
+def reference_events(blocks, step_cap):
+    """``(n, exit indices)`` for each step of each reference block where some walker leaves."""
+    for exit_step, exit_index in blocks:
+        for n in range(1, step_cap + 1):
+            if (exit_step == n).any():
+                yield n, exit_index[exit_step == n]
+
+
 @pytest.mark.parametrize("d,R,x,step_cap", [(1, 5, (2,), 30), (2, 4, (1, -1), 20), (3, 3, (0, 1, 0), 12)])
 def test_exit_walks_match_the_reference_walker(d, R, x, step_cap):
     B = make_ball((0,) * d, R)
-    blocks = list(exit_walks(B, x, 70_000, 5, 0xE417, step_cap))
+    events = list(exit_walks(B, x, 70_000, 5, 0xE417, step_cap))
     reference = list(exit_walks_reference(B, x, 70_000, 5, 0xE417, step_cap))
-    assert len(blocks) == len(reference) == 2
-    for (step, index), (ref_step, ref_index) in zip(blocks, reference):
-        assert np.array_equal(step, ref_step) and np.array_equal(index, ref_index)
-        assert step.dtype == ref_step.dtype and index.dtype == ref_index.dtype
-    capped = np.concatenate([index for _, index in blocks]) < 0
-    assert 0 < capped.sum() < len(capped)  # some walkers outlast the cap, most exit
+    assert len(reference) == 2
+    expected = list(reference_events(reference, step_cap))
+    assert len(events) == len(expected)
+    for (n, exits), (ref_n, ref_exits) in zip(events, expected):
+        assert n == ref_n and np.array_equal(exits, ref_exits)
+        assert exits.dtype == ref_exits.dtype == np.int32
+    capped = sum(int((index < 0).sum()) for _, index in reference)
+    assert 70_000 - sum(len(exits) for _, exits in events) == capped
+    assert 0 < capped < 70_000  # some walkers outlast the cap, most exit
+
+
+def test_dirichlet_mc_equals_the_per_walker_sums():
+    # The reference reads phi at each walker's exit, sums with math.fsum
+    # (exactly rounded) and takes the variance by two passes.  Bounds set
+    # beforehand: binary64 rounding of a 10^5-term sum (mean) and the
+    # cancellation in E[phi^2] - mean^2 (SE).
+    B = make_ball((0, 0), 4)
+    phi = philox(3, stream=1).random(len(B.outer_coords))
+    samples = 100_000
+    mean, se = dirichlet_mc(B, phi, (1, 0), samples, seed=11)
+    walks = exit_walks_reference(B, (1, 0), samples, 11, harmonic._MC_STREAM, 10_000)
+    exits = np.concatenate([index for _, index in walks])
+    assert (exits >= 0).all()  # every reference walker left within its cap
+    values = phi[exits]
+    ref_mean = math.fsum(values) / samples
+    ref_se = math.sqrt(math.fsum((values - ref_mean) ** 2) / (samples - 1) / samples)
+    assert abs(mean - ref_mean) <= 1e-14 * abs(ref_mean)
+    assert abs(se - ref_se) <= 1e-13 * ref_se
 
 
 @pytest.mark.parametrize("walk", ["exit", "dirichlet"])
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_a_walker_block_holds_a_few_int32_arrays(walk, blocks):
-    # one block of 65,536 walkers holds four int32 arrays (position, walker
-    # index, exit step and exit index) and one step's temporaries; a second
-    # block starts after the first block's arrays are released
+    # one block of 65,536 walkers holds one int32 array (the positions of
+    # the walkers still inside) and one step's temporaries; a second block
+    # starts after the first block's array is released
     B = make_ball((0,), 4)
     if walk == "exit":
         run = lambda: mc_exit_sample(B, (0,), 64, blocks * _MC_BLOCK, 0)
@@ -198,6 +229,6 @@ def test_a_walker_block_holds_a_few_int32_arrays(walk, blocks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 29 bytes per walker measured, at one block and at two; int64 walker
-    # state (45) or a block kept while the next is walked (61) exceeds it
-    assert peak / _MC_BLOCK < 36
+    # 17 bytes per walker measured, at one block and at two; per-walker
+    # result buffers beside the positions (29) exceed it
+    assert peak / _MC_BLOCK < 20

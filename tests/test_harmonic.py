@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack import harmonic
+from harnack.exit_time import exit_walks
 from harnack.green import green_solve
 from harnack.harmonic import (
     LatticeField,
@@ -99,6 +101,20 @@ def test_mc_replay_and_accuracy():
     estimate, standard_error = a
     exact = dirichlet_solve(D, phi).value_at((0,))
     assert abs(estimate - exact) <= 4.0 * standard_error + 1e-12
+
+
+@pytest.mark.parametrize("cap", [3, 5])
+def test_mc_walkers_that_outlast_the_step_cap_are_an_error(cap, monkeypatch):
+    # From the centre of the R = 4 interval the walk needs 5 steps to leave:
+    # with a cap of 3 no walker exits, with a cap of 5 some do and most do not.
+    D = interval_domain(4)
+    monkeypatch.setattr(harmonic, "_MC_STEP_CAP", cap)
+    exited = sum(len(exits) for _, exits in exit_walks(D, (0,), 2_000, 9, harmonic._MC_STREAM, cap))
+    assert (exited == 0) if cap == 3 else (0 < exited < 2_000)
+    with pytest.raises(SolverError, match="step cap exceeded"):
+        dirichlet_mc(D, ruin_data(D), (0,), samples=2_000, seed=9)
+    monkeypatch.setattr(harmonic, "_MC_STEP_CAP", 2_000)
+    dirichlet_mc(D, ruin_data(D), (0,), samples=2_000, seed=9)
 
 
 def test_harmonic_measure_row_properties():
