@@ -33,6 +33,7 @@ LAG = 0.7  # the near-diagonal lag L: n is admissible once n >= max(1, dist^2) /
 R_RANGE = (64, 96)  # random chain instances: distance range,
 L_RANGE = (0.6, 0.95)  # lag range
 N_CAP = 20_000  # and step-count cap
+CHAIN_INSTANCES = 50  # random chain certificates per batch
 
 
 class InfeasibleCertificateError(RuntimeError):
@@ -433,14 +434,14 @@ def random_chain_instance(d: int, rng) -> tuple[Point, Point, int, float]:
         return (0,) * d, y, n, L
 
 
-def chain_certificate_batch(d: int, count: int, seed: int) -> AuditReport:
-    """Build many random admissible chain certificates and audit validity."""
+def chain_certificate_batch(d: int, seed: int) -> AuditReport:
+    """Build ``CHAIN_INSTANCES`` random admissible chain certificates and audit validity."""
     rng = philox(seed, stream=_BATCH_STREAM)
     rows = []
     infeasible = 0
     all_valid = True
     worst = None
-    for _ in range(count):
+    for _ in range(CHAIN_INSTANCES):
         x, y, n, L = random_chain_instance(d, rng)
         try:
             cert = chain_certificate(x, y, n, L)
@@ -468,7 +469,7 @@ def chain_certificate_batch(d: int, count: int, seed: int) -> AuditReport:
         audit_id=f"bounds.chain.d{d}",
         grid={
             "d": d,
-            "count": count,
+            "count": CHAIN_INSTANCES,
             "seed": seed,
             "R": list(R_RANGE),
             "L": list(L_RANGE),

@@ -210,7 +210,7 @@ def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
         ("bounds", True, lambda: bounds.gaussian_upper_audit(d, n_cap)),
         ("bounds", True, lambda: bounds.lclt_error_scan(d, (lo, n_cap))),
         # long-range certificates need the closed-form kernel (d <= 2)
-        ("bounds", d <= 2, lambda: bounds.chain_certificate_batch(d, 50, seed)),
+        ("bounds", d <= 2, lambda: bounds.chain_certificate_batch(d, seed)),
         ("exit", True, lambda: exit_time.chernoff_audit(d, radii)),
         ("exit", True, lambda: exit_time.crude_tail_audit(d, r0)),
         ("exit", True, lambda: exit_time.mc_consistency_audit(

@@ -172,15 +172,15 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
 def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenTable:
     """Green table by solving ``(I - P^B) G = I`` (``kernel.killed_solve``, certified).
 
-    ``columns`` restricts the solve to the given point indices (the returned
-    ``values`` then has one column per requested index, in order).  Every
+    ``columns`` restricts the solve to the given interior indices (the
+    returned ``values`` then has one column per requested index, in order).  Every
     call solves afresh; a ball's factor is the one kept in the bounded memo,
     so repeated solves on a ball return the same values.
     """
     if columns is None:
         rhs = np.eye(len(B))
     else:
-        columns = [int(c) for c in columns]
+        columns = B.interior_indices(columns)
         rhs = np.zeros((len(B), len(columns)))
         rhs[columns, np.arange(len(columns))] = 1.0
     return GreenTable(values=killed_solve(B, rhs))

@@ -4,16 +4,17 @@ The Laplacian here is the averaging operator minus the identity, so a
 function is harmonic exactly when it equals its neighbor average.  A field
 is a :class:`LatticeField`: a domain and its values in the domain's closure
 order (or over the interior prefix of it); boundary data are arrays over
-``D.outer_coords``, and harmonic measures are such arrays too.  The
-Dirichlet problem is solved three independent ways (sparse LU, clamped
-fixed-point iteration, Monte Carlo) and harmonic measure by one adjoint
-solve.  Every LU solve here is ``kernel.killed_solve``, certified by
-``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it reuses the
-memoized factor and one-step matrix and assembles no matrix.  Balayage
-sweeps a nonnegative harmonic h on a ball B onto the inner boundary of a
-subset A (interior indices of B): the sweep is one Dirichlet solve on the
-complement of A, and the reconstruction ``G_B f`` of h on A is one solve
-with the ball's factor.
+``D.outer_coords``.  The Dirichlet problem is solved three independent
+ways (sparse LU, clamped fixed-point iteration, Monte Carlo) and harmonic
+measure by one solve with |∂D| right-hand sides; the triple audit checks
+``h(x) = sum_y G_D(x, y) c(y)``, c the data's share of each neighbour
+average, on one Green column.  Every LU solve is ``kernel.killed_solve``,
+certified by ``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it
+reuses the memoized factor and one-step matrix and assembles no matrix.
+Balayage sweeps a nonnegative harmonic h on a ball B onto the inner
+boundary of a subset A (interior indices of B): the sweep is one Dirichlet
+solve on the complement of A, and the reconstruction ``G_B f`` of h on A
+is one solve with the ball's factor.
 """
 
 from __future__ import annotations
@@ -80,11 +81,17 @@ def laplacian(h: LatticeField, D: FiniteDomain) -> np.ndarray:
     return vals[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - vals[: len(D)]
 
 
-def _boundary_field(D: FiniteDomain, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary data as a float array over ``D.outer_coords``, and their share of each neighbour average."""
+def _boundary_data(D: FiniteDomain, phi) -> np.ndarray:
+    """Boundary data as a float array over ``D.outer_coords`` (``ValueError`` otherwise)."""
     vals = np.asarray(phi, dtype=float)
     if vals.shape != (len(D.outer_coords),):
         raise ValueError("boundary data must align with D.outer_coords")
+    return vals
+
+
+def _boundary_field(D: FiniteDomain, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary data as a float array over ``D.outer_coords``, and their share of each neighbour average."""
+    vals = _boundary_data(D, phi)
     rows_b, cols_b, w = exit_steps(D)
     coupling = np.zeros(len(D))
     np.add.at(coupling, rows_b, w * vals[cols_b])
@@ -133,7 +140,7 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[floa
     ``_MC_STEP_CAP`` steps are missing from ``hits`` and raise
     :class:`SolverError`.
     """
-    bdata, _ = _boundary_field(D, phi)
+    bdata = _boundary_data(D, phi)
     hits = np.zeros(len(bdata), dtype=np.int64)
     for _, exits in exit_walks(D, x, samples, seed, _MC_STREAM, _MC_STEP_CAP):
         hits += np.bincount(exits, minlength=len(bdata))
@@ -148,30 +155,12 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[floa
     return mean, se
 
 
-def harmonic_measure(D: FiniteDomain, x) -> np.ndarray:
-    """Exit-position distribution from x over ``D.outer_coords``, via one adjoint solve.
-
-    The interior system is symmetric, so the row of hitting probabilities is
-    ``(boundary coupling)^T (I - P)^{-1} delta_x`` — a single certified solve.
-    """
-    x = as_point(x)
-    if x not in D:
-        raise ValueError(f"start {x} is not in the domain interior")
-    rows_b, cols_b, w = exit_steps(D)
-    delta = np.zeros(len(D))
-    delta[D.index_of(x)] = 1.0
-    u = killed_solve(D, delta)
-    out = np.zeros(len(D.outer_coords))
-    np.add.at(out, cols_b, w * u[rows_b])
-    return out
-
-
 def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
-    """All exit-position rows at once: shape (interior, boundary).
+    """Harmonic measure of D, every exit-position row at once: shape (interior, boundary).
 
-    Row x is ``harmonic_measure(D, x)`` over ``D.outer_coords`` order; rows sum
-    to one.  One certified solve (a ball's factor is memoized) with |∂D|
-    right-hand sides.
+    Row x is the walk's exit law from x over ``D.outer_coords``; rows sum to
+    one, and column z solves the Dirichlet problem with data ``1_z``.  One
+    certified solve (a ball's factor is memoized) with |∂D| right-hand sides.
     """
     rows_b, cols_b, w = exit_steps(D)
     rhs = np.zeros((len(D), len(D.outer_coords)))
@@ -207,11 +196,9 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     memoized factor; its worst relative error against h on A is reported,
     and ``balayage_batch_audit`` gates it.
     """
-    a_idx = np.unique(np.asarray(A, dtype=np.int64))
+    a_idx = np.unique(B.interior_indices(A))
     if not a_idx.size:
         raise ValueError("A must be nonempty")
-    if a_idx[0] < 0 or a_idx[-1] >= len(B):
-        raise ValueError("A must hold interior indices of the ball")
     if a_idx.size == len(B):
         raise ValueError("A must be a strict subset of the ball")
     # Validate the input: nonnegative on the closure, harmonic inside.
@@ -265,9 +252,9 @@ def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> Audit
     Monte Carlo exit average are computed for the same uniform boundary
     data; solve vs iterate must match within ``agree_tol`` everywhere, the
     MC value of ``MC_SAMPLES`` walks from the centre within ``Z_CAP``
-    standard errors, and the solve
-    value must equal the harmonic-measure average of the data exactly up to
-    solver tolerance.
+    standard errors, and the solve value at the centre must equal the
+    harmonic-measure average of the data, read off the centre's Green column
+    as ``sum_y G_D(0, y) c(y)``, within ``RESIDUAL_TOL``.
     """
     D = make_ball((0,) * d, R)
     solved = random_harmonic(D, seed)
@@ -275,10 +262,13 @@ def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> Audit
     iterated = dirichlet_iterate(D, phi)
     center = (0,) * d
     mc, mc_se = dirichlet_mc(D, phi, center, MC_SAMPLES, seed)
-    hm = harmonic_measure(D, center)
+    _, coupling = _boundary_field(D, phi)
+    e_center = np.zeros(len(D))
+    e_center[D.index_of(center)] = 1.0
+    green_center = killed_solve(D, e_center)  # G_D(., 0) = G_D(0, .): the walk is symmetric
     gap = float(np.abs(solved.values - iterated.values).max())
     z = abs(mc - solved.value_at(center)) / max(mc_se, 1e-12)
-    measure_gap = abs(float(hm @ phi) - solved.value_at(center))
+    measure_gap = abs(float(green_center @ coupling) - solved.value_at(center))
     rows = [
         {"check": "solve_vs_iterate", "value": gap, "limit": agree_tol},
         {"check": "mc_z_score", "value": z, "limit": Z_CAP},

@@ -375,7 +375,7 @@ def parity_classes(B: FiniteDomain, points: np.ndarray | None = None) -> list[np
     """
     parity = B.coords.sum(axis=1) % 2
     if points is not None:
-        parity = parity[points]
+        parity = parity[B.interior_indices(points)]
     return [np.flatnonzero(parity == c) for c in (0, 1)]
 
 
@@ -385,7 +385,7 @@ def iter_killed_vectors(
     """Yield ``(n, block)`` for n = 0..n_max, one sparse x dense product per step.
 
     ``starts`` are interior indices of either parity class or of both
-    (``ValueError`` when empty).  The block's rows are the interior index.
+    (``ValueError`` when empty or out of range).  The block's rows are the interior index.
     Column j carries the j-th even and the j-th odd start, each class in the
     order given, with ``p_n^B(start, .)`` of the even start on the rows of
     class ``n (mod 2)`` and of the odd start on the other class; the

@@ -173,6 +173,14 @@ class FiniteDomain:
             raise ValueError(f"{p} is not an interior point of the domain")
         return i
 
+    def interior_indices(self, indices) -> np.ndarray:
+        """``indices`` as an int64 array; ``ValueError`` names the first outside 0..len-1 (-1 too)."""
+        idx = np.asarray(indices, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= len(self))]
+        if bad.size:
+            raise ValueError(f"{int(bad[0])} is not an interior index (0 to {len(self) - 1})")
+        return idx
+
     def inner_mask(self, subset: np.ndarray | None = None) -> np.ndarray:
         """Interior mask of the inner boundary of ``subset`` (default: the interior).
 
@@ -180,7 +188,7 @@ class FiniteDomain:
         when it lies in the subset and one of its neighbours does not.
         """
         member = np.zeros(len(self) + len(self.outer_coords), dtype=bool)
-        member[slice(len(self)) if subset is None else subset] = True
+        member[slice(len(self)) if subset is None else self.interior_indices(subset)] = True
         return member[: len(self)] & ~member[self.neighbor_index].all(axis=1)
 
     def within(self, r: int, center: Point | None = None) -> np.ndarray:

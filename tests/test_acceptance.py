@@ -104,13 +104,14 @@ def test_acceptance_09_planar_constant_stability(capsys):
     _verdict(capsys, 9, "planar-constant-stability", ok)
 
 
-def test_acceptance_10_gaussian_fit_and_chain(capsys):
+def test_acceptance_10_gaussian_fit_and_chain(capsys, monkeypatch):
     lower = bounds.gaussian_lower_audit(2, 64)
     upper = bounds.gaussian_upper_audit(2, 64)
     ok = lower.passed and upper.passed
     ok = ok and lower.constants["L1"] > 0.0 and lower.constants["L2"] > 0.0
     ok = ok and upper.constants["U1"] > 0.0 and upper.constants["U2"] > 0.0
-    batch = bounds.chain_certificate_batch(2, count=200, seed=0)
+    monkeypatch.setattr(bounds, "CHAIN_INSTANCES", 200)
+    batch = bounds.chain_certificate_batch(2, seed=0)
     ok = ok and batch.passed and batch.constants["infeasible"] == 0
     ok = ok and len(batch.rows) == 200
     ok = ok and all(row["valid"] for row in batch.rows)

@@ -242,8 +242,9 @@ def test_chain_certificate_evaluates_each_distinct_leg_once(d, monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_chain_batch_all_valid(d):
-    report = chain_certificate_batch(d, 25, seed=3)
+def test_chain_batch_all_valid(d, monkeypatch):
+    monkeypatch.setattr(bounds, "CHAIN_INSTANCES", 25)
+    report = chain_certificate_batch(d, seed=3)
     assert report.passed
     assert report.constants["infeasible"] == 0
     assert len(report.rows) == 25

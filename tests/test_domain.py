@@ -14,8 +14,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack.harmonic import LatticeField, laplacian
-from harnack.kernel import exit_steps, killed_matrix
+from harnack.green import green_solve
+from harnack.harmonic import LatticeField, balayage, laplacian, random_harmonic
+from harnack.kernel import exit_steps, iter_killed_vectors, killed_matrix, parity_classes
 from harnack.lattice import FiniteDomain, make_ball, neighbors
 
 
@@ -155,3 +156,24 @@ def test_domain_arrays_are_read_only():
         B.neighbor_index[0, 0] = 0
     with pytest.raises(ValueError):
         B.coords[0, 0] = 0
+
+
+# Each public entry point that takes interior indices, called with one index i.
+INDEX_ENTRY_POINTS = {
+    "green_solve": lambda B, i: green_solve(B, columns=[i]),
+    "iter_killed_vectors": lambda B, i: next(iter_killed_vectors(B, [i], 3)),
+    "inner_mask": lambda B, i: B.inner_mask(np.array([i])),
+    "parity_classes": lambda B, i: parity_classes(B, np.array([i])),
+    "balayage": lambda B, i: balayage(B, [i], random_harmonic(B, seed=0)),
+}
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus_one", "len"])
+@pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
+def test_interior_index_entry_points_reject_outside_indices(entry, past_end):
+    # A negative index must not wrap to the end, and len(B) is no bare IndexError.
+    B = make_ball((0, 0), 3)
+    i = len(B) if past_end else -1
+    with pytest.raises(ValueError, match=rf"^{i} is not an interior index \(0 to {len(B) - 1}\)$"):
+        INDEX_ENTRY_POINTS[entry](B, i)
+    INDEX_ENTRY_POINTS[entry](B, len(B) - 1)  # the last interior index is fine

@@ -17,7 +17,6 @@ from harnack.harmonic import (
     dirichlet_mc,
     dirichlet_solve,
     dirichlet_triple_audit,
-    harmonic_measure,
     harmonic_measure_matrix,
     laplacian,
     random_harmonic,
@@ -117,9 +116,23 @@ def test_mc_walkers_that_outlast_the_step_cap_are_an_error(cap, monkeypatch):
     dirichlet_mc(D, ruin_data(D), (0,), samples=2_000, seed=9)
 
 
+def test_mc_route_builds_no_boundary_coupling(monkeypatch):
+    D = make_ball((0, 0), 3)
+    phi = np.linspace(0.0, 1.0, len(D.outer_coords))
+    expected = dirichlet_mc(D, phi, (0, 0), samples=2_000, seed=4)
+
+    def no_coupling(*args, **kwargs):
+        raise AssertionError("the Monte Carlo route builds the boundary coupling")
+
+    monkeypatch.setattr(harmonic, "exit_steps", no_coupling)
+    assert dirichlet_mc(D, phi, (0, 0), samples=2_000, seed=4) == expected
+    with pytest.raises(ValueError, match="align with D.outer_coords"):
+        dirichlet_mc(D, phi[:-1], (0, 0), samples=2_000, seed=4)
+
+
 def test_harmonic_measure_row_properties():
     D = make_ball((0, 0), 4)
-    hm = harmonic_measure(D, (1, -1))
+    hm = harmonic_measure_matrix(D)[D.index_of((1, -1))]
     assert hm.shape == (len(D.outer_coords),)
     assert hm.min() >= 0.0
     assert hm.sum() == pytest.approx(1.0, abs=1e-12)
@@ -130,11 +143,34 @@ def test_harmonic_measure_row_properties():
 
 
 def test_harmonic_measure_matrix_matches_single_rows():
+    # Row x is the exit law from x; column z must be the Dirichlet solution
+    # with data 1_z, solved here one boundary point at a time.
     D = make_ball((0, 0), 3)
     M = harmonic_measure_matrix(D)
-    for x in ((0, 0), (2, 0), (-1, -1)):
-        row = harmonic_measure(D, x)
-        assert np.abs(M[D.index_of(x)] - row).max() <= 1e-13
+    for z in (0, 5, len(D.outer_coords) // 2, len(D.outer_coords) - 1):
+        e_z = np.zeros(len(D.outer_coords))
+        e_z[z] = 1.0
+        forward = dirichlet_solve(D, e_z).values[: len(D)]
+        assert np.abs(M[:, z] - forward).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d,R,seed", [(1, 6, 2), (2, 5, 0), (3, 3, 1)])
+def test_triple_measure_gap_is_the_green_column_against_the_coupling(d, R, seed):
+    # Recomputed outside the audit: the centre's Green column dotted with the
+    # coupling c(y) = sum over y's exit steps z of phi(z) / 2d, against h(0).
+    from harnack.kernel import RESIDUAL_TOL, exit_steps, killed_solve
+
+    report = dirichlet_triple_audit(d, R, seed=seed, agree_tol=1e-8)
+    B = make_ball((0,) * d, R)
+    h = random_harmonic(B, seed)
+    rows_b, cols_b, w = exit_steps(B)
+    coupling = np.zeros(len(B))
+    np.add.at(coupling, rows_b, w * h.values[len(B) + cols_b])
+    e_center = np.zeros(len(B))
+    e_center[B.index_of((0,) * d)] = 1.0
+    gap = abs(float(killed_solve(B, e_center) @ coupling) - h.value_at((0,) * d))
+    assert report.constants["measure_average_gap"] == gap <= RESIDUAL_TOL
+    assert {"check": "measure_average", "value": gap, "limit": RESIDUAL_TOL} in report.rows
 
 
 SPD_POLICY = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
@@ -167,10 +203,6 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     monkeypatch.setattr(kernel.spla, "splu", no_factorization)
     assert np.array_equal(dirichlet_solve(B, phi).values[: len(B)], fresh.solve(rhs))
     assert np.array_equal(harmonic_measure_matrix(B), fresh.solve(coupling))
-    u = fresh.solve(np.eye(len(B))[B.index_of((0,) * d)])
-    row = np.zeros(len(B.outer_boundary))
-    np.add.at(row, cols_b, w * u[rows_b])
-    assert np.array_equal(harmonic_measure(B, (0,) * d), row)
 
 
 @pytest.mark.parametrize("d,R", [(1, 6), (2, 5), (3, 3)])
@@ -209,7 +241,6 @@ def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
         monkeypatch.setattr(sp, name, no_assembly)
     h = random_harmonic(B, seed=3)
     dirichlet_solve(B, np.linspace(0.0, 1.0, len(B.outer_boundary)))
-    harmonic_measure(B, (1, 0))
     harmonic_measure_matrix(B)
     laplacian(h, B)
 
@@ -234,7 +265,6 @@ def test_every_factor_solve_is_certified(monkeypatch):
     solves = [
         lambda: green_solve(B),
         lambda: dirichlet_solve(B, np.ones(len(B.outer_coords))),
-        lambda: harmonic_measure(B, B.center),
         lambda: harmonic_measure_matrix(B),
         lambda: balayage(B, B.within(1), h),
     ]
