@@ -9,8 +9,8 @@ against provable envelopes.
 Modules
 -------
 lattice
-    Points, the graph metric, one finite-domain type (balls and arbitrary
-    point sets) with a neighbour-index array, chains.
+    Points (one check of integer input), the graph metric, one finite-domain
+    type (balls and arbitrary point sets) with a neighbour-index array, chains.
 kernel
     Exact n-step kernels by dense dynamic programming and closed forms.
 exit_time

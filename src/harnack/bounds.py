@@ -271,13 +271,12 @@ def gaussian_upper_audit(d: int, n_max: int) -> AuditReport:
 
 
 def _free_prob(pmf, offsets: np.ndarray) -> np.ndarray:
-    """p_n(0, z) for an array of offsets from ``pmf``, the 1-d walk pmf of step n.
+    """p_n(0, z) for an (m, d) integer array of offsets from ``pmf``, the 1-d walk pmf of step n.
 
     d = 2 uses the diagonal rotation into two independent 1-d walks:
     ``p_n(0,(a,b)) = q_n(a+b) * q_n(a-b)`` with q the 1-d walk pmf, both
     factors from one ``pmf`` call.
     """
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
     if offsets.shape[1] == 1:
         return pmf(offsets[:, 0])
     both = pmf(np.concatenate([offsets[:, 0] + offsets[:, 1], offsets[:, 0] - offsets[:, 1]]))
@@ -341,8 +340,7 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
     exceed the direct paired probability.  Longer segments and longer leg
     times are assigned to the earliest legs.
     """
-    x = as_point(x)
-    y = as_point(y)
+    x, y = as_point(x), as_point(y)
     d = len(x)
     if d not in (1, 2):
         raise ValueError("chain certificates are desk-scale; d in {1, 2} only")

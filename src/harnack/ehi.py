@@ -19,7 +19,7 @@ import numpy as np
 from .green import comparability_ratio
 from .harmonic import harmonic_measure_matrix
 from .kernel import Memo, SolverError
-from .lattice import FiniteDomain, Point, build_ball_chain, make_ball
+from .lattice import FiniteDomain, Point, build_ball_chain, make_ball, radii
 from .report import AuditReport
 from .rng import philox
 
@@ -111,7 +111,7 @@ def small_r_bound_audit(d: int, r_values: Sequence[int]) -> AuditReport:
     The combinatorial bound chains one-step inequalities ``h(x) >= h(y)/(2d)``
     along paths of length at most 2R <= 64, giving (2d)^32 after pairing.
     """
-    r_values = sorted(int(R) for R in r_values)
+    r_values = radii(r_values)
     if max(r_values) > 32:
         raise ValueError("the combinatorial bound is audited for R <= 32 only")
     cap = float(2 * d) ** 32
@@ -144,7 +144,7 @@ def chained_harnack_audit(d: int, r_values: Sequence[int]) -> AuditReport:
     half-ball pair is joined by N overlapping sub-balls, so the proof's own
     bound C(R) <= kappa^N must dominate the exact constant.
     """
-    r_values = sorted(int(R) for R in r_values)
+    r_values = radii(r_values)
     if min(r_values) <= 32:
         raise ValueError("the chained certificate targets R > 32")
     rows = []
@@ -195,7 +195,7 @@ def oscillation_audit(d: int, r_values: Sequence[int], seed: int) -> AuditReport
     mixtures), the ratio Osc(half ball) / Osc(ball) is below
     ``1 - DELTA_MIN``; constant inputs (zero oscillation) are excluded.
     """
-    r_values = sorted(int(R) for R in r_values)
+    r_values = radii(r_values)
     rng = philox(seed, stream=_MIXTURE_STREAM)
     rows = []
     worst = None
@@ -238,7 +238,7 @@ def stability_audit(d: int, r_values: Sequence[int]) -> AuditReport:
     The constant is expected to converge as the radius grows; the audit
     gates the max/min ratio over the grid by ``STABILITY_RATIO_CAP``.
     """
-    records = [harnack_constant_exact(d, int(R)) for R in sorted(r_values)]
+    records = [harnack_constant_exact(d, R) for R in radii(r_values)]
     consts = [rec.constant for rec in records]
     ratio = max(consts) / min(consts)
     rows = [

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .kernel import iter_killed_vectors, lazy_walk
-from .lattice import FiniteDomain, as_point, make_ball
+from .lattice import FiniteDomain, make_ball, radii
 from .report import AuditReport
 from .rng import philox
 
@@ -33,9 +33,6 @@ Z_CAP = 4.0  # the Monte Carlo gate: max |mc - exact| / se over all n
 
 def exact_exit_cdf(B: FiniteDomain, x, n_max: int) -> np.ndarray:
     """Exact P^x(tau_B <= n) for n = 0..n_max via killed-kernel iteration."""
-    x = as_point(x)
-    if x not in B:
-        raise ValueError(f"start {x} is not inside B({B.center}, {B.radius})")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     values = np.empty(n_max + 1)
@@ -65,7 +62,7 @@ def chernoff_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     (they carry no information), but the lazy-walk reduction inequality is
     still required there.
     """
-    r_values = sorted(int(R) for R in r_values)
+    r_values = radii(r_values)
     rows = []
     worst = None
     all_pass = True
@@ -205,9 +202,6 @@ def exit_walks(
     place and compacted as walkers leave; the next block starts after it
     is released.
     """
-    x = as_point(x)
-    if x not in D:
-        raise ValueError(f"start {x} is not in the domain interior")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     m, steps = D.neighbor_index.shape

@@ -49,7 +49,7 @@ import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
 from .kernel import iter_killed_vectors, killed_matrix, killed_solve, parity_classes
-from .lattice import FiniteDomain, make_ball
+from .lattice import FiniteDomain, make_ball, radii
 from .report import AuditReport
 
 _WINDOW = 64  # series steps pulled and certified together
@@ -177,12 +177,9 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenT
     call solves afresh; a ball's factor is the one kept in the bounded memo,
     so repeated solves on a ball return the same values.
     """
-    if columns is None:
-        rhs = np.eye(len(B))
-    else:
-        columns = B.interior_indices(columns)
-        rhs = np.zeros((len(B), len(columns)))
-        rhs[columns, np.arange(len(columns))] = 1.0
+    columns = B.interior_indices(np.arange(len(B)) if columns is None else columns)
+    rhs = np.zeros((len(B), len(columns)))
+    rhs[columns, np.arange(len(columns))] = 1.0
     return GreenTable(values=killed_solve(B, rhs))
 
 
@@ -202,14 +199,14 @@ def ugi_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     """
     if d < 2:
         raise ValueError("the interior Green comparison is defined for d >= 2")
-    r_values = sorted(int(r) for r in r_values)
+    r_values = radii(r_values)
     rows = []
     worst = None
     all_pass = True
     for R in r_values:
         B = make_ball((0,) * d, R)
         half = B.within(R // 2)
-        table = green_solve(B, columns=half.tolist())
+        table = green_solve(B, columns=half)
         g = table.values[half, :]
         dist = _pair_distances(B.coords[half])
         r = np.maximum(dist, 1)
@@ -278,7 +275,7 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     (start, target) in half-ball order.
     """
     grid = _DECAY_GRID
-    r_values = sorted(int(r) for r in r_values)
+    r_values = radii(r_values)
     rows = []
     all_pass = True
     worst = None
@@ -352,12 +349,10 @@ def comparability_ratio(d: int, R: int) -> float:
 
 def comparability_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     """Measure the pole-ratio constant per R and check cross-R stability (``STABILITY_CAP``)."""
-    r_values = sorted(int(r) for r in r_values)
-    rows = []
-    for R in r_values:
-        rows.append({"R": R, "ratio": comparability_ratio(d, R)})
+    r_values = radii(r_values)
+    rows = [{"R": R, "ratio": comparability_ratio(d, R)} for R in r_values]
     ratios = [row["ratio"] for row in rows]
-    stable = max(ratios) / min(ratios) <= STABILITY_CAP if ratios else False
+    stable = max(ratios) / min(ratios) <= STABILITY_CAP
     ok = all(math.isfinite(r) and r >= 1.0 for r in ratios) and stable
     return AuditReport(
         audit_id=f"green.comparability.d{d}",
@@ -380,14 +375,13 @@ def equivalence_audit(d: int, r_values: Sequence[int], rel_tol: float) -> AuditR
     The series stopping tolerance is self-scaled to the smallest solve entry
     so the relative gate is meaningful across the whole table.
     """
-    if d < 1 or not r_values:
-        raise ValueError("need d >= 1 and a nonempty radius grid")
+    r_values = radii(r_values)
     rows = []
     worst = None
     worst_rel = -1.0
     all_ok = True
     for R in r_values:
-        B = make_ball((0,) * d, int(R))
+        B = make_ball((0,) * d, R)
         solved = green_solve(B)
         min_entry = float(solved.values.min())
         series = green_table_series(B, tol=0.01 * rel_tol * min_entry)
@@ -405,10 +399,10 @@ def equivalence_audit(d: int, r_values: Sequence[int], rel_tol: float) -> AuditR
         all_ok = all_ok and ok
         if rel_entry > worst_rel:
             worst_rel = rel_entry
-            worst = {"R": int(R), "rel_error": rel_entry}
+            worst = {"R": R, "rel_error": rel_entry}
         rows.append(
             {
-                "R": int(R),
+                "R": R,
                 "max_rel_error": rel_entry,
                 "max_rel_error_vs_min": rel,
                 "asymmetry": asym,
@@ -419,7 +413,7 @@ def equivalence_audit(d: int, r_values: Sequence[int], rel_tol: float) -> AuditR
         )
     return AuditReport(
         audit_id=f"green.equivalence.d{d}",
-        grid={"d": d, "radii": [int(R) for R in r_values]},
+        grid={"d": d, "radii": r_values},
         constants={"max_rel_error": worst_rel, "rel_tol": rel_tol},
         worst=worst,
         passed=all_ok,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exit_time import exit_walks
 from .kernel import RESIDUAL_TOL, SolverError, exit_steps, killed_matrix, killed_solve
-from .lattice import FiniteDomain, as_point, make_ball
+from .lattice import FiniteDomain, make_ball, radii
 from .report import AuditReport
 from .rng import philox
 
@@ -55,7 +55,7 @@ class LatticeField:
     values: np.ndarray
 
     def value_at(self, point) -> float:
-        i = self.domain.closure_index(as_point(point))
+        i = self.domain.closure_index(point)
         if not 0 <= i < len(self.values):
             raise KeyError(point)
         return float(self.values[i])
@@ -197,8 +197,6 @@ def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) ->
     and ``balayage_batch_audit`` gates it.
     """
     a_idx = np.unique(B.interior_indices(A))
-    if not a_idx.size:
-        raise ValueError("A must be nonempty")
     if a_idx.size == len(B):
         raise ValueError("A must be a strict subset of the ball")
     # Validate the input: nonnegative on the closure, harmonic inside.
@@ -308,14 +306,15 @@ def balayage_batch_audit(
     inner boundary structurally, and must reconstruct the function on the
     subset within ``recon_tol`` relative.
     """
+    r_values = radii(r_values)
     rows = []
     worst_recon = -1.0
     worst = None
     min_charge = math.inf
     failures = 0
     for R in r_values:
-        B = make_ball((0,) * d, int(R))
-        rng = philox(seed, stream=(_BALAYAGE_STREAM << 32) | int(R))
+        B = make_ball((0,) * d, R)
+        rng = philox(seed, stream=(_BALAYAGE_STREAM << 32) | R)
         for i in range(INSTANCES):
             h_seed = int(rng.integers(1 << 31))
             subset = _random_subset(B, rng)
@@ -324,40 +323,20 @@ def balayage_batch_audit(
                 result = balayage(B, subset, h)
             except (BalayageError, ValueError) as exc:
                 failures += 1
-                rows.append(
-                    {"R": int(R), "instance": i, "h_seed": h_seed, "error": str(exc)}
-                )
+                rows.append({"R": R, "instance": i, "h_seed": h_seed, "error": str(exc)})
                 continue
             err = result.max_reconstruction_rel_error
             mc = float(result.charge.values.min())
             min_charge = min(min_charge, mc)
             if err > worst_recon:
                 worst_recon = err
-                worst = {
-                    "R": int(R),
-                    "instance": i,
-                    "h_seed": h_seed,
-                    "rel_error": err,
-                }
-            rows.append(
-                {
-                    "R": int(R),
-                    "instance": i,
-                    "h_seed": h_seed,
-                    "subset_size": len(subset),
-                    "rel_error": err,
-                    "min_charge": mc,
-                }
-            )
+                worst = {"R": R, "instance": i, "h_seed": h_seed, "rel_error": err}
+            rows.append({"R": R, "instance": i, "h_seed": h_seed, "subset_size": len(subset),
+                         "rel_error": err, "min_charge": mc})
     passed = failures == 0 and worst_recon <= recon_tol and min_charge >= -NONNEGATIVE_TOL
     return AuditReport(
         audit_id=f"balayage.batch.d{d}",
-        grid={
-            "d": d,
-            "radii": [int(R) for R in r_values],
-            "instances": INSTANCES,
-            "seed": seed,
-        },
+        grid={"d": d, "radii": r_values, "instances": INSTANCES, "seed": seed},
         constants={
             "max_reconstruction_rel_error": worst_recon,
             "min_charge_value": min_charge,

@@ -55,7 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import FiniteDomain, as_point
+from .lattice import FiniteDomain, _integer_array, as_point, graph_distance
 from .report import AuditReport
 
 __all__ = [
@@ -120,7 +120,7 @@ def _binomial(n: int, k: int) -> int:
 
 
 def walk_pmf(n: int, sites) -> np.ndarray:
-    """``P(S_n = site)`` of the 1-d simple walk for an array of sites.
+    """``P(S_n = site)`` of the 1-d simple walk for a nonempty integer array of sites.
 
     Each value is the exact rational ``comb(n, k) / 2**n`` correctly rounded
     to binary64: one prime-power binomial per call (``_binomial``), the ratio
@@ -130,7 +130,7 @@ def walk_pmf(n: int, sites) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    sites = np.asarray(sites, dtype=np.int64)
+    sites = _integer_array(sites, "sites")
     out = np.zeros(sites.shape)
     ok = (np.abs(sites) <= n) & ((sites + n) % 2 == 0)
     if not ok.any():
@@ -291,13 +291,11 @@ def iter_free_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
 def n_step(x, y, n: int) -> float:
     """Exact ``p_n(x, y)`` via the memoized orthant progression (translation invariance)."""
     x, y = as_point(x), as_point(y)
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
     if n < 0:
         raise ValueError("n must be >= 0")
-    offset = tuple(abs(b - a) for a, b in zip(x, y))
-    if sum(offset) > n:
+    if graph_distance(x, y) > n:
         return 0.0
+    offset = tuple(abs(b - a) for a, b in zip(x, y))
     for _, arr in orthant_fields(len(x), n):
         pass
     return float(arr[offset])
@@ -385,7 +383,7 @@ def iter_killed_vectors(
     """Yield ``(n, block)`` for n = 0..n_max, one sparse x dense product per step.
 
     ``starts`` are interior indices of either parity class or of both
-    (``ValueError`` when empty or out of range).  The block's rows are the interior index.
+    (``FiniteDomain.interior_indices``).  The block's rows are the interior index.
     Column j carries the j-th even and the j-th odd start, each class in the
     order given, with ``p_n^B(start, .)`` of the even start on the rows of
     class ``n (mod 2)`` and of the odd start on the other class; the
@@ -395,9 +393,7 @@ def iter_killed_vectors(
     iteration itself: its mass is ``block[:, 0].sum()``.  The yielded
     arrays are fresh each step and may be kept.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    if len(starts) == 0:
-        raise ValueError("starts must be a nonempty set of interior indices")
+    starts = B.interior_indices(starts)
     per_class = [starts[g] for g in parity_classes(B, starts)]
     block = np.zeros((len(B), max(map(len, per_class))))
     for members in per_class:

@@ -3,6 +3,9 @@
 Conventions used throughout the package:
 
 * a *point* is a plain tuple of Python ints, one entry per coordinate;
+* coordinates, radii and indices are integers, checked here once per call
+  (:func:`as_point`, :func:`radii`, :meth:`FiniteDomain.interior_indices`): a float
+  or a bool mask raises ``TypeError``, an empty, out-of-range or off-domain input ``ValueError``;
 * ``graph_distance(x, y) = sum(|x_i - y_i|)`` — the path metric of the
   nearest-neighbour graph;
 * the *ball* ``B(x0, R)`` is the set of points at distance <= R from ``x0``;
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -41,11 +45,29 @@ CHAIN_LENGTH_CAP = 12
 
 
 def as_point(p: Iterable[int]) -> Point:
-    """Coerce an iterable of integers to a canonical point tuple."""
-    out = tuple(int(c) for c in p)
+    """An iterable of integers as a canonical point tuple (``TypeError`` for a non-integer)."""
+    out = tuple(map(operator.index, p))
     if not out:
         raise ValueError("points must have at least one coordinate")
     return out
+
+
+def radii(values: Iterable[int]) -> list[int]:
+    """A radius grid as sorted ints; ``ValueError`` when it is empty or has a negative radius."""
+    out = sorted(map(operator.index, values))
+    if not out or out[0] < 0:
+        raise ValueError(f"a radius grid must be nonempty and nonnegative, not {out}")
+    return out
+
+
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` as an array, nonempty (else ``ValueError``) and of an integer dtype (else ``TypeError``)."""
+    arr = np.asarray(values)
+    if not arr.size:
+        raise ValueError(f"{what} must be nonempty")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"{what} must be integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _require_same_dimension(x: Point, y: Point) -> None:
@@ -104,14 +126,11 @@ class FiniteDomain:
 
     @classmethod
     def from_points(cls, points: Iterable | np.ndarray) -> "FiniteDomain":
-        """The domain whose interior is the given points (or ``(m, d)`` integer array)."""
-        if not isinstance(points, np.ndarray):
-            points = [as_point(p) for p in points]
-            if len({len(p) for p in points}) > 1:
-                raise ValueError("points must share one dimension")
-        if not len(points):
-            raise ValueError("domain must contain at least one point")
-        return cls._from_cells(np.asarray(points, dtype=np.int64))
+        """The domain whose interior is ``points``, a nonempty (m, d) integer array or list of points."""
+        cells = _integer_array(points if isinstance(points, np.ndarray) else list(points), "a domain's points")
+        if cells.ndim != 2:
+            raise ValueError("points must form an (m, d) array: m points of one dimension")
+        return cls._from_cells(cells)
 
     @classmethod
     def _from_cells(
@@ -156,7 +175,8 @@ class FiniteDomain:
         return len(self.coords)
 
     def closure_index(self, p: Point) -> int:
-        """Closure index of ``p``, or -1 when ``p`` is off the closure."""
+        """Closure index of the point ``p`` (:func:`as_point`), or -1 when it is off the closure."""
+        p = as_point(p)
         cell = [c - o for c, o in zip(p, self.corner)]
         if len(p) != len(self.corner) or not all(0 <= c < s for c, s in zip(cell, self.box.shape)):
             return -1
@@ -174,8 +194,11 @@ class FiniteDomain:
         return i
 
     def interior_indices(self, indices) -> np.ndarray:
-        """``indices`` as an int64 array; ``ValueError`` names the first outside 0..len-1 (-1 too)."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """``indices``, a nonempty integer set (not a float or a bool mask), as an int64 array.
+
+        ``ValueError`` names the first index outside 0..len-1 (-1 too).
+        """
+        idx = _integer_array(indices, "interior indices")
         bad = idx[(idx < 0) | (idx >= len(self))]
         if bad.size:
             raise ValueError(f"{int(bad[0])} is not an interior index (0 to {len(self) - 1})")
@@ -192,8 +215,9 @@ class FiniteDomain:
         return member[: len(self)] & ~member[self.neighbor_index].all(axis=1)
 
     def within(self, r: int, center: Point | None = None) -> np.ndarray:
-        """Interior indices at graph distance <= r from ``center`` (default: the ball's)."""
-        center = self.center if center is None else center
+        """Interior indices at graph distance <= r from the point ``center`` (default: the ball's)."""
+        center = self.center if center is None else as_point(center)
+        _require_same_dimension(center, self.corner)
         return np.flatnonzero(np.abs(self.coords - np.array(center)).sum(axis=1) <= r)
 
     def symmetries(self) -> np.ndarray:
@@ -237,7 +261,7 @@ def make_ball(center: Iterable[int], radius: int) -> FiniteDomain:
     The outer boundary of a ball sits at distance radius+1 and its inner
     boundary at distance radius.
     """
-    center = as_point(center)
+    center, radius = as_point(center), operator.index(radius)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     d = len(center)
@@ -310,8 +334,6 @@ def build_ball_chain(x0: Iterable[int], R: int, u: Iterable[int], v: Iterable[in
     * the number of balls never exceeds :data:`CHAIN_LENGTH_CAP`.
     """
     x0, u, v = as_point(x0), as_point(u), as_point(v)
-    _require_same_dimension(x0, u)
-    _require_same_dimension(x0, v)
     if R <= 32:
         raise ValueError("ball chains require R > 32")
     half = R // 2

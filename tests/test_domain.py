@@ -14,9 +14,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack import ehi, exit_time, green
+from harnack.bounds import chain_certificate
+from harnack.exit_time import exact_exit_cdf
 from harnack.green import green_solve
-from harnack.harmonic import LatticeField, balayage, laplacian, random_harmonic
-from harnack.kernel import exit_steps, iter_killed_vectors, killed_matrix, parity_classes
+from harnack.harmonic import LatticeField, balayage, balayage_batch_audit, dirichlet_mc, laplacian, random_harmonic
+from harnack.kernel import exit_steps, iter_killed_vectors, killed_matrix, n_step, parity_classes
 from harnack.lattice import FiniteDomain, make_ball, neighbors
 
 
@@ -158,13 +161,13 @@ def test_domain_arrays_are_read_only():
         B.coords[0, 0] = 0
 
 
-# Each public entry point that takes interior indices, called with one index i.
+# Each public entry point that takes interior indices, called with an index set.
 INDEX_ENTRY_POINTS = {
-    "green_solve": lambda B, i: green_solve(B, columns=[i]),
-    "iter_killed_vectors": lambda B, i: next(iter_killed_vectors(B, [i], 3)),
-    "inner_mask": lambda B, i: B.inner_mask(np.array([i])),
-    "parity_classes": lambda B, i: parity_classes(B, np.array([i])),
-    "balayage": lambda B, i: balayage(B, [i], random_harmonic(B, seed=0)),
+    "green_solve": lambda B, idx: green_solve(B, columns=idx),
+    "iter_killed_vectors": lambda B, idx: next(iter_killed_vectors(B, idx, 3)),
+    "inner_mask": lambda B, idx: B.inner_mask(np.asarray(idx)),
+    "parity_classes": lambda B, idx: parity_classes(B, np.asarray(idx)),
+    "balayage": lambda B, idx: balayage(B, idx, random_harmonic(B, seed=0)),
 }
 
 
@@ -175,5 +178,74 @@ def test_interior_index_entry_points_reject_outside_indices(entry, past_end):
     B = make_ball((0, 0), 3)
     i = len(B) if past_end else -1
     with pytest.raises(ValueError, match=rf"^{i} is not an interior index \(0 to {len(B) - 1}\)$"):
-        INDEX_ENTRY_POINTS[entry](B, i)
-    INDEX_ENTRY_POINTS[entry](B, len(B) - 1)  # the last interior index is fine
+        INDEX_ENTRY_POINTS[entry](B, [i])
+    INDEX_ENTRY_POINTS[entry](B, [len(B) - 1])  # the last interior index is fine
+
+
+# Index sets that are not sets of interior indices: each is refused, never truncated or read as indices.
+NON_INDEX_SETS = {
+    "fraction": ([1.7], TypeError, "^interior indices must be integers, not float64$"),
+    "mask": ([True, False], TypeError, "^interior indices must be integers, not bool$"),
+    "empty": ([], ValueError, "^interior indices must be nonempty$"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INDEX_SETS))
+@pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
+def test_interior_index_entry_points_reject_non_index_sets(entry, case):
+    indices, error, message = NON_INDEX_SETS[case]
+    with pytest.raises(error, match=message):
+        INDEX_ENTRY_POINTS[entry](make_ball((0, 0), 3), indices)
+
+
+# Entry points that take a lattice point or a radius, each called with a non-integer or a
+# point of the wrong dimension: (call on B(0, 3) in d=2, the error it must raise).
+POINT_CASES = {
+    "make_ball_fractional_centre": (lambda B: make_ball((0.5, 0), 2), TypeError),
+    "make_ball_fractional_radius": (lambda B: make_ball((0, 0), 2.5), TypeError),
+    "from_points_float_array": (lambda B: FiniteDomain.from_points(np.array([[0.0, 0.0], [1.0, 0.0]])), TypeError),
+    "index_of": (lambda B: B.index_of((0.9, 0)), TypeError),
+    "in": (lambda B: (0.9, 0) in B, TypeError),
+    "within_one_dimensional_centre": (lambda B: B.within(1, (2,)), ValueError),
+    "within_fractional_centre": (lambda B: B.within(1, (0.6, 1.4)), TypeError),
+    "n_step": (lambda B: n_step((0.6, 0), (0, 0), 2), TypeError),
+    "exact_exit_cdf": (lambda B: exact_exit_cdf(B, (0.5, 0), 4), TypeError),
+    "dirichlet_mc": (lambda B: dirichlet_mc(B, np.zeros(len(B.outer_coords)), (0.5, 0), 10, 0), TypeError),
+    "chain_certificate": (lambda B: chain_certificate((0.5, 0), (40, -40), 9000, 0.8), TypeError),
+}
+
+
+@pytest.mark.parametrize("case", list(POINT_CASES))
+def test_point_entry_points_reject_non_lattice_points(case):
+    # (0.5, 0) is not the point (0, 0), and a 1-d centre is not broadcast over d=2.
+    call, error = POINT_CASES[case]
+    with pytest.raises(error):
+        call(make_ball((0, 0), 3))
+
+
+# Every audit that takes a radius grid, in d=2.
+RADIUS_GRID_AUDITS = {
+    "chernoff": lambda grid: exit_time.chernoff_audit(2, grid),
+    "equivalence": lambda grid: green.equivalence_audit(2, grid, rel_tol=1e-8),
+    "killed_lower": lambda grid: green.killed_lower_audit(2, grid),
+    "comparability": lambda grid: green.comparability_audit(2, grid),
+    "ugi": lambda grid: green.ugi_audit(2, grid),
+    "balayage_batch": lambda grid: balayage_batch_audit(2, grid, seed=0, recon_tol=1e-8),
+    "small_r": lambda grid: ehi.small_r_bound_audit(2, grid),
+    "chained": lambda grid: ehi.chained_harnack_audit(2, grid),
+    "oscillation": lambda grid: ehi.oscillation_audit(2, grid, seed=0),
+    "stability": lambda grid: ehi.stability_audit(2, grid),
+}
+BAD_GRIDS = {
+    "empty": ([], ValueError, "^a radius grid must be nonempty and nonnegative"),
+    "fractional": ([4.5], TypeError, "cannot be interpreted as an integer"),
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS))
+@pytest.mark.parametrize("audit", list(RADIUS_GRID_AUDITS))
+def test_radius_grid_audits_reject_empty_and_fractional_grids(audit, grid):
+    # An empty grid is no pass, and R = 4.5 is not audited as R = 4.
+    radii, error, message = BAD_GRIDS[grid]
+    with pytest.raises(error, match=message):
+        RADIUS_GRID_AUDITS[audit](radii)

@@ -1,26 +1,35 @@
 """Golden report bodies: refactors keep every verdict, witness and constant.
 
 ``tests/golden/`` holds the report bodies (no ``timings``, no echoed ``out``)
-of three ``harnack all`` configurations.  This test reruns them in-process and
-requires identical configs, verdicts, grids, notes and witnesses; floats are
-compared within the per-audit tolerance below.  Tolerances may be tightened,
-never loosened.
+of the ``harnack`` configurations below, run with ``--seed 0 --threads 1``.
+This test reruns them in-process and requires identical configs, verdicts,
+grids, notes and witnesses; floats are compared within the per-audit
+tolerance below.  Tolerances may be tightened, never loosened.  Every audit
+id the CLI can run in d = 1, 2 and 3 is in some golden.
 """
 
+import inspect
+import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
+from harnack import cli
 from harnack.cli import RunConfig, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
 CONFIGS = {
-    "all-d1.json": dict(dim=1),
-    "all-d2-r8.json": dict(dim=2, r_max=8),
-    "all-d3-r4-n16.json": dict(dim=3, r_max=4, n_max=16),
+    "all-d1.json": dict(command="all", dim=1),
+    "all-d2-r8.json": dict(command="all", dim=2, r_max=8),
+    "all-d3-r4-n16.json": dict(command="all", dim=3, r_max=4, n_max=16),
+    # the shipped radii: d=2 up to R = 16, d=3 up to R = 8, and ehi.chained.d2
+    "all-d2.json": dict(command="all", dim=2),
+    "all-d3-r8.json": dict(command="all", dim=3, r_max=8),
+    "ehi-d2-r64.json": dict(command="ehi", dim=2, r_max=64),
 }
 
 # audit id prefix -> (relative, absolute) tolerance; the first matching prefix
@@ -79,7 +88,7 @@ def _compare(got, want, tol, where):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_body_matches_golden(name):
     want = json.loads((GOLDEN / name).read_text())
-    cfg = RunConfig(command="all", seed=0, threads=1, **CONFIGS[name])
+    cfg = RunConfig(seed=0, threads=1, **CONFIGS[name])
     got = json.loads(json.dumps(run(cfg).body_without_timings()))
     got["config"].pop("out")
     assert got["config"] == want["config"]
@@ -93,3 +102,29 @@ def test_report_body_matches_golden(name):
         tol = _tolerance(aid)
         _compare(g["constants"], w["constants"], tol, aid + ".constants")
         _compare(g["worst"], w["worst"], tol, aid + ".worst")
+
+
+def _runnable_audit_ids(monkeypatch):
+    """Every audit id ``cli._tasks_for`` can produce in d = 1, 2, 3, found without running an audit.
+
+    Each task is one call ``module.audit(dim, ...)``: the call is replaced by a
+    stub that returns its arguments, and the id is the audit's ``audit_id``
+    template with ``{d}`` set to the first of them.
+    """
+    ids = set()
+    for d, r_max in itertools.product((1, 2, 3), (4, 8, 16, 32, 64)):
+        for task in cli._tasks_for(RunConfig(command="all", dim=d, r_max=r_max)):
+            module = next(c.cell_contents for c in task.__closure__ if inspect.ismodule(c.cell_contents))
+            name = task.__code__.co_names[0]
+            template = re.search(r'audit_id=f?"(.+?)"', inspect.getsource(getattr(module, name))).group(1)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, lambda *args, **kwargs: args)
+                ids.add(template.replace("{d}", str(task()[0])))
+    return ids
+
+
+def test_every_runnable_audit_has_a_golden(monkeypatch):
+    golden = {a["audit_id"] for name in CONFIGS for a in json.loads((GOLDEN / name).read_text())["audits"]}
+    runnable = _runnable_audit_ids(monkeypatch)
+    assert "ehi.chained.d2" in runnable and "kernel.projection.d2" in runnable
+    assert runnable - golden == set()
