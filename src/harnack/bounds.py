@@ -15,6 +15,7 @@ step to one extreme per distance shell and folds those in log space
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 
@@ -107,7 +108,7 @@ def lclt_error_scan(d: int, n_range: tuple[int, int]) -> AuditReport:
     the first scanned n (the sequence may creep toward its asymptote, so
     the cap tests boundedness, not monotonicity).
     """
-    lo, hi = int(n_range[0]), int(n_range[1])
+    lo, hi = operator.index(n_range[0]), operator.index(n_range[1])
     if lo < 2 or hi > 128 or lo > hi:
         raise ValueError("supported scan window is 2 <= n_lo <= n_hi <= 128")
     amplitude, decay = lclt_form(d)

@@ -199,7 +199,7 @@ class KernelCache:
             return encode_free(rec.dimension, rec.n, kernel.free_field(rec.dimension, rec.n))
         ball = make_ball(rec.center, rec.radius)
         if rec.kind == KIND_GREEN:
-            return encode_green(rec.center, rec.radius, green_solve(ball).values)
+            return encode_green(rec.center, rec.radius, green_solve(ball))
         for _, block in kernel.iter_killed_vectors(ball, [ball.index_of(rec.start)], rec.n):
             pass
         return encode_killed(rec.center, rec.radius, rec.start, rec.n, block[:, 0])

@@ -244,8 +244,7 @@ def _populate_cache(cfg: RunConfig) -> int:
                 written += 1
         if cfg.command in ("green", "all"):
             for radius in cfg.radius_grid():
-                table = green.green_solve(make_ball((0,) * cfg.dim, radius))
-                cache.put_green((0,) * cfg.dim, radius, table.values)
+                cache.put_green((0,) * cfg.dim, radius, green.green_solve(make_ball((0,) * cfg.dim, radius)))
                 written += 1
     except OSError as exc:
         raise FileError(f"cannot write {cfg.cache_dir}: {exc.strerror or exc}") from None

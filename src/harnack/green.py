@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,14 +70,13 @@ __all__ = [
 
 @dataclass
 class GreenTable:
-    """Green values over a domain's interior index.
+    """The series' Green values over a domain's interior index, and how the series stopped.
 
-    ``values[i, j] = g_B(interior[i], interior[j])`` for a full table; a
-    column-restricted solve holds one column per requested index, in order.
+    ``values[i, j] = g_B(interior[i], interior[j])``.
     """
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
@@ -169,18 +168,18 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     return GreenTable(values=table, meta=meta)
 
 
-def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> GreenTable:
+def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> np.ndarray:
     """Green table by solving ``(I - P^B) G = I`` (``kernel.killed_solve``, certified).
 
-    ``columns`` restricts the solve to the given interior indices (the
-    returned ``values`` then has one column per requested index, in order).  Every
+    Returns ``G[i, k] = g_B(interior[i], interior[columns[k]])``, of shape
+    ``(|B|, k)``; ``columns`` defaults to every interior index.  Every
     call solves afresh; a ball's factor is the one kept in the bounded memo,
     so repeated solves on a ball return the same values.
     """
     columns = B.interior_indices(np.arange(len(B)) if columns is None else columns)
     rhs = np.zeros((len(B), len(columns)))
     rhs[columns, np.arange(len(columns))] = 1.0
-    return GreenTable(values=killed_solve(B, rhs))
+    return killed_solve(B, rhs)
 
 
 def _pair_distances(coords: np.ndarray) -> np.ndarray:
@@ -206,8 +205,7 @@ def ugi_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     for R in r_values:
         B = make_ball((0,) * d, R)
         half = B.within(R // 2)
-        table = green_solve(B, columns=half)
-        g = table.values[half, :]
+        g = green_solve(B, columns=half)[half, :]
         dist = _pair_distances(B.coords[half])
         r = np.maximum(dist, 1)
         mask = r <= R / 2
@@ -342,8 +340,7 @@ def comparability_ratio(d: int, R: int) -> float:
     B = make_ball((0,) * d, R)
     quarter = B.within(R // 4)
     poles = np.flatnonzero(B.inner_mask(B.within(R // 2)))
-    table = green_solve(B, columns=poles)
-    g = table.values[quarter, :]
+    g = green_solve(B, columns=poles)[quarter, :]
     return float((g.max(axis=0) / g.min(axis=0)).max())
 
 
@@ -383,14 +380,12 @@ def equivalence_audit(d: int, r_values: Sequence[int], rel_tol: float) -> AuditR
     for R in r_values:
         B = make_ball((0,) * d, R)
         solved = green_solve(B)
-        min_entry = float(solved.values.min())
+        min_entry = float(solved.min())
         series = green_table_series(B, tol=0.01 * rel_tol * min_entry)
-        gap = np.abs(series.values - solved.values)
+        gap = np.abs(series.values - solved)
         rel = float(gap.max() / min_entry)
-        rel_entry = float((gap / solved.values).max())
-        asym = float(
-            np.abs(solved.values - solved.values.T).max() / min_entry
-        )
+        rel_entry = float((gap / solved).max())
+        asym = float(np.abs(solved - solved.T).max() / min_entry)
         ok = (
             rel_entry <= rel_tol
             and asym <= rel_tol

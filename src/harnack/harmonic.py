@@ -3,12 +3,13 @@
 The Laplacian here is the averaging operator minus the identity, so a
 function is harmonic exactly when it equals its neighbor average.  A field
 is a :class:`LatticeField`: a domain and its values in the domain's closure
-order (or over the interior prefix of it); boundary data are arrays over
-``D.outer_coords``.  The Dirichlet problem is solved three independent
-ways (sparse LU, clamped fixed-point iteration, Monte Carlo) and harmonic
-measure by one solve with |∂D| right-hand sides; the triple audit checks
-``h(x) = sum_y G_D(x, y) c(y)``, c the data's share of each neighbour
-average, on one Green column.  Every LU solve is ``kernel.killed_solve``,
+order (or over the interior prefix of it), so an operator on a field takes
+its domain from the field; boundary data are arrays over ``D.outer_coords``.
+The Dirichlet problem is solved three independent ways (sparse LU, clamped
+fixed-point iteration, Monte Carlo) and harmonic measure by one solve with
+|∂D| right-hand sides; the triple audit checks ``h(x) = sum_y G_D(x, y)
+c(y)``, c the data's share of each neighbour average, on the centre's column
+of ``green.green_solve``.  Every LU solve is ``kernel.killed_solve``,
 certified by ``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it
 reuses the memoized factor and one-step matrix and assembles no matrix.
 Balayage sweeps a nonnegative harmonic h on a ball B onto the inner
@@ -26,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .exit_time import exit_walks
+from .green import green_solve
 from .kernel import RESIDUAL_TOL, SolverError, exit_steps, killed_matrix, killed_solve
 from .lattice import FiniteDomain, make_ball, radii
 from .report import AuditReport
@@ -61,23 +63,20 @@ class LatticeField:
         return float(self.values[i])
 
 
-def _on_closure(h: LatticeField, D: FiniteDomain) -> np.ndarray:
-    """``h``'s values, which must cover D's closure index."""
-    if h.domain is not D:
-        raise ValueError("h is a field over another domain")
-    if len(h.values) != len(D) + len(D.outer_coords):
+def _on_closure(h: LatticeField) -> np.ndarray:
+    """``h``'s values, which must cover its domain's closure index."""
+    if len(h.values) != len(h.domain) + len(h.domain.outer_coords):
         raise ValueError("h has no values on the outer boundary")
     return h.values
 
 
-def laplacian(h: LatticeField, D: FiniteDomain) -> np.ndarray:
-    """Neighbour average minus centre, ``(1/2d) sum_{y~x} h(y) - h(x)``, over D.
+def laplacian(h: LatticeField) -> np.ndarray:
+    """Neighbour average minus centre, ``(1/2d) sum_{y~x} h(y) - h(x)``, over ``h.domain``.
 
-    ``h`` must be a field over D's closure; returns the vector over D's
-    interior index.  Raises ``ValueError`` for a field over another domain
-    (even an equal one) or over D's interior only.
+    ``h`` must be a field over its domain's closure; returns the vector over
+    the interior index.  Raises ``ValueError`` for a field over the interior only.
     """
-    vals = _on_closure(h, D)
+    D, vals = h.domain, _on_closure(h)
     return vals[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - vals[: len(D)]
 
 
@@ -184,26 +183,27 @@ class BalayageResult:
     max_reconstruction_rel_error: float
 
 
-def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
+def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
     """Sweep a nonnegative harmonic h onto the inner boundary of A.
 
-    ``A`` holds interior indices of the ball B.  The sweep ``h_A`` agrees
-    with h on A, vanishes on the outer boundary of B, and is harmonic in
-    between (one Dirichlet solve on B minus A).  Its negative Laplacian is
-    the charge f: nonnegative, and supported on the inner boundary of A
-    after structural-noise verification (``BalayageError`` otherwise).  The
+    ``A`` holds interior indices of the ball B that h is a field over.  The
+    sweep ``h_A`` agrees with h on A, vanishes on the outer boundary of B, and
+    is harmonic in between (one Dirichlet solve on B minus A).  Its negative
+    Laplacian is the charge f: nonnegative, and supported on the inner
+    boundary of A after structural-noise verification (``BalayageError`` otherwise).  The
     reconstruction ``G_B f`` is one ``kernel.killed_solve`` with the ball's
     memoized factor; its worst relative error against h on A is reported,
     and ``balayage_batch_audit`` gates it.
     """
+    B = h.domain
     a_idx = np.unique(B.interior_indices(A))
     if a_idx.size == len(B):
         raise ValueError("A must be a strict subset of the ball")
     # Validate the input: nonnegative on the closure, harmonic inside.
-    vals = _on_closure(h, B)
+    vals = _on_closure(h)
     if vals.min() < -NONNEGATIVE_TOL:
         raise ValueError("h must be nonnegative on the ball closure")
-    bad = np.flatnonzero(np.abs(laplacian(h, B)) > RESIDUAL_TOL)
+    bad = np.flatnonzero(np.abs(laplacian(h)) > RESIDUAL_TOL)
     if bad.size:
         raise ValueError(f"h is not harmonic at {B.interior[bad[0]]}")
 
@@ -261,9 +261,7 @@ def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> Audit
     center = (0,) * d
     mc, mc_se = dirichlet_mc(D, phi, center, MC_SAMPLES, seed)
     _, coupling = _boundary_field(D, phi)
-    e_center = np.zeros(len(D))
-    e_center[D.index_of(center)] = 1.0
-    green_center = killed_solve(D, e_center)  # G_D(., 0) = G_D(0, .): the walk is symmetric
+    green_center = green_solve(D, [D.index_of(center)])[:, 0]  # G_D(., 0) = G_D(0, .): the walk is symmetric
     gap = float(np.abs(solved.values - iterated.values).max())
     z = abs(mc - solved.value_at(center)) / max(mc_se, 1e-12)
     measure_gap = abs(float(green_center @ coupling) - solved.value_at(center))
@@ -320,7 +318,7 @@ def balayage_batch_audit(
             subset = _random_subset(B, rng)
             h = random_harmonic(B, h_seed)
             try:
-                result = balayage(B, subset, h)
+                result = balayage(subset, h)
             except (BalayageError, ValueError) as exc:
                 failures += 1
                 rows.append({"R": R, "instance": i, "h_seed": h_seed, "error": str(exc)})

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * a *point* is a plain tuple of Python ints, one entry per coordinate;
 * coordinates, radii and indices are integers, checked here once per call
   (:func:`as_point`, :func:`radii`, :meth:`FiniteDomain.interior_indices`): a float
-  or a bool mask raises ``TypeError``, an empty, out-of-range or off-domain input ``ValueError``;
+  or a bool mask raises ``TypeError``, an empty, out-of-range or off-domain input ``ValueError``,
+  and so does a radius grid holding a radius below 1 (a one-point ball has nothing to audit);
 * ``graph_distance(x, y) = sum(|x_i - y_i|)`` — the path metric of the
   nearest-neighbour graph;
 * the *ball* ``B(x0, R)`` is the set of points at distance <= R from ``x0``;
@@ -53,10 +54,10 @@ def as_point(p: Iterable[int]) -> Point:
 
 
 def radii(values: Iterable[int]) -> list[int]:
-    """A radius grid as sorted ints; ``ValueError`` when it is empty or has a negative radius."""
+    """A radius grid as sorted ints; ``ValueError`` when it is empty or has a radius below 1."""
     out = sorted(map(operator.index, values))
-    if not out or out[0] < 0:
-        raise ValueError(f"a radius grid must be nonempty and nonnegative, not {out}")
+    if not out or out[0] < 1:
+        raise ValueError(f"a radius grid must be nonempty with every radius at least 1, not {out}")
     return out
 
 

@@ -29,7 +29,7 @@ def test_killed_and_green_roundtrips(tmp_path):
     kp = cache.put_killed(B.center, B.radius, (1, 0), 3, vec)
     krec = decode(kp.read_bytes())
     assert krec.kind == 1 and np.array_equal(krec.values, vec)
-    table = green_solve(B).values
+    table = green_solve(B)
     gp = cache.put_green(B.center, B.radius, table)
     grec = decode(gp.read_bytes())
     assert grec.kind == 2 and np.array_equal(grec.values, table)
@@ -44,8 +44,8 @@ def test_encode_decode_inverse():
     vec = block[:, 0]
     rec = decode(encode_killed((0,), 2, (0,), 2, vec))
     assert np.array_equal(rec.values, vec)
-    rec = decode(encode_green((0,), 2, green_solve(B).values))
-    assert np.array_equal(rec.values, green_solve(B).values)
+    rec = decode(encode_green((0,), 2, green_solve(B)))
+    assert np.array_equal(rec.values, green_solve(B))
 
 
 def test_decode_rejects_bad_magic_and_truncation():
@@ -60,7 +60,7 @@ def test_list_entries_is_sorted_and_typed(tmp_path):
     cache = KernelCache(tmp_path)
     for n in (3, 1, 2):
         cache.put_free(1, n, free_field(1, n))
-    cache.put_green((0,), 1, green_solve(make_ball((0,), 1)).values)
+    cache.put_green((0,), 1, green_solve(make_ball((0,), 1)))
     entries = cache.list_entries()
     assert [e["file"] for e in entries] == sorted(e["file"] for e in entries)
     assert {e["kind"] for e in entries} == {"free", "green"}
@@ -118,7 +118,7 @@ def test_truncated_file_is_a_named_error(tmp_path, capsys):
 
 def test_green_payload_must_be_the_square_table_of_its_ball(tmp_path):
     cache = KernelCache(tmp_path)
-    table = green_solve(make_ball((0,), 2)).values
+    table = green_solve(make_ball((0,), 2))
     path = cache.put_green((0,), 2, table)
     blob = path.read_bytes()
     for bad in (blob[:-8], blob + bytes(8), blob[: len(blob) - 8 * table.size]):
@@ -126,7 +126,7 @@ def test_green_payload_must_be_the_square_table_of_its_ball(tmp_path):
         with pytest.raises(ValueError, match=path.name):
             cache.list_entries()  # the one file, named in the error
     # a square payload of the wrong ball size is rejected too
-    other = green_solve(make_ball((0,), 1)).values
+    other = green_solve(make_ball((0,), 1))
     path.write_bytes(blob[: len(blob) - 8 * table.size] + other.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="does not hold"):
         cache.list_entries()
@@ -174,7 +174,7 @@ def test_every_valid_kind_round_trips_bytes_and_arrays(tmp_path):
         (encode_killed, "put_killed", (B.center, 2, (2, -1), 3, block[:, 0])),
         (encode_killed, "put_killed", ((5,), 0, (5,), 0, np.ones(1))),
         (encode_green, "put_green", ((0, 0), 1, np.zeros((5, 5)))),
-        (encode_green, "put_green", (B.center, 2, green_solve(B).values)),
+        (encode_green, "put_green", (B.center, 2, green_solve(B))),
     ]
     cache = KernelCache(tmp_path)
     for encode, put, args in records:

@@ -14,13 +14,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack import ehi, exit_time, green
+from harnack import bounds, ehi, exit_time, green
 from harnack.bounds import chain_certificate
 from harnack.exit_time import exact_exit_cdf
 from harnack.green import green_solve
 from harnack.harmonic import LatticeField, balayage, balayage_batch_audit, dirichlet_mc, laplacian, random_harmonic
-from harnack.kernel import exit_steps, iter_killed_vectors, killed_matrix, n_step, parity_classes
-from harnack.lattice import FiniteDomain, make_ball, neighbors
+from harnack.kernel import exactness_audit, exit_steps, iter_killed_vectors, killed_matrix, n_step, parity_classes
+from harnack.lattice import FiniteDomain, build_ball_chain, make_ball, neighbors
 
 
 def reference_domain(points):
@@ -143,7 +143,7 @@ def test_laplacian_vector_matches_pointwise_loop(points, seed):
     values = np.random.default_rng(seed).uniform(0.0, 1.0, len(D) + len(D.outer_coords))
     h = LatticeField(D, values)
     ref = [reference_laplacian(h, p) for p in D.interior]
-    assert np.array_equal(laplacian(h, D), np.array(ref))
+    assert np.array_equal(laplacian(h), np.array(ref))
 
 
 def test_from_points_rejects_empty_and_mixed_dimensions():
@@ -167,7 +167,7 @@ INDEX_ENTRY_POINTS = {
     "iter_killed_vectors": lambda B, idx: next(iter_killed_vectors(B, idx, 3)),
     "inner_mask": lambda B, idx: B.inner_mask(np.asarray(idx)),
     "parity_classes": lambda B, idx: parity_classes(B, np.asarray(idx)),
-    "balayage": lambda B, idx: balayage(B, idx, random_harmonic(B, seed=0)),
+    "balayage": lambda B, idx: balayage(idx, random_harmonic(B, seed=0)),
 }
 
 
@@ -198,7 +198,7 @@ def test_interior_index_entry_points_reject_non_index_sets(entry, case):
         INDEX_ENTRY_POINTS[entry](make_ball((0, 0), 3), indices)
 
 
-# Entry points that take a lattice point or a radius, each called with a non-integer or a
+# Entry points that take a lattice point, a radius or a step count, each called with a non-integer or a
 # point of the wrong dimension: (call on B(0, 3) in d=2, the error it must raise).
 POINT_CASES = {
     "make_ball_fractional_centre": (lambda B: make_ball((0.5, 0), 2), TypeError),
@@ -212,6 +212,11 @@ POINT_CASES = {
     "exact_exit_cdf": (lambda B: exact_exit_cdf(B, (0.5, 0), 4), TypeError),
     "dirichlet_mc": (lambda B: dirichlet_mc(B, np.zeros(len(B.outer_coords)), (0.5, 0), 10, 0), TypeError),
     "chain_certificate": (lambda B: chain_certificate((0.5, 0), (40, -40), 9000, 0.8), TypeError),
+    "lclt_error_scan_fractional_window": (lambda B: bounds.lclt_error_scan(1, (2.5, 8.9)), TypeError),
+    "exactness_audit_fractional_n": (lambda B: exactness_audit(1, 6.5), TypeError),
+    "near_diagonal_audit_fractional_n": (lambda B: bounds.near_diagonal_audit(1, 16.5), TypeError),
+    "crude_tail_audit_fractional_radius": (lambda B: exit_time.crude_tail_audit(1, 4.5), TypeError),
+    "build_ball_chain_fractional_radius": (lambda B: build_ball_chain((0, 0), 40.5, (-20, 0), (20, 0)), TypeError),
 }
 
 
@@ -237,15 +242,16 @@ RADIUS_GRID_AUDITS = {
     "stability": lambda grid: ehi.stability_audit(2, grid),
 }
 BAD_GRIDS = {
-    "empty": ([], ValueError, "^a radius grid must be nonempty and nonnegative"),
+    "empty": ([], ValueError, r"^a radius grid must be nonempty with every radius at least 1, not \[\]$"),
     "fractional": ([4.5], TypeError, "cannot be interpreted as an integer"),
+    "zero": ([0], ValueError, r"^a radius grid must be nonempty with every radius at least 1, not \[0\]$"),
 }
 
 
 @pytest.mark.parametrize("grid", list(BAD_GRIDS))
 @pytest.mark.parametrize("audit", list(RADIUS_GRID_AUDITS))
 def test_radius_grid_audits_reject_empty_and_fractional_grids(audit, grid):
-    # An empty grid is no pass, and R = 4.5 is not audited as R = 4.
+    # An empty grid is no pass, R = 4.5 is not audited as R = 4, and R = 0 leaves nothing to audit.
     radii, error, message = BAD_GRIDS[grid]
     with pytest.raises(error, match=message):
         RADIUS_GRID_AUDITS[audit](radii)

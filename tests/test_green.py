@@ -29,7 +29,7 @@ INTERVAL_TABLE = [[1.5, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 1.5]]
 
 def test_interval_table_matches_hand_inverse():
     table = green_solve(make_ball((0,), 1))
-    assert np.abs(table.values - INTERVAL_TABLE).max() <= 1e-12
+    assert np.abs(table - INTERVAL_TABLE).max() <= 1e-12
     series = green_table_series(make_ball((0,), 1), tol=1e-14)
     assert np.abs(series.values - INTERVAL_TABLE).max() <= 1e-12
 
@@ -44,13 +44,13 @@ def test_series_equals_solve_on_shifted_balls(d, R, center):
     B = make_ball(center[:d], R)
     solved = green_solve(B)
     series = green_table_series(B, tol=1e-12)
-    assert np.abs(series.values - solved.values).max() <= 1e-9
+    assert np.abs(series.values - solved).max() <= 1e-9
     assert not series.meta["truncated"]
 
 
 def test_solve_satisfies_defining_identity():
     B = make_ball((0, 0), 4)
-    G = green_solve(B).values
+    G = green_solve(B)
     P = killed_matrix(B).toarray()
     residual = np.abs((np.eye(len(B)) - P) @ G - np.eye(len(B))).max()
     assert residual <= 1e-10
@@ -58,7 +58,7 @@ def test_solve_satisfies_defining_identity():
 
 def test_table_symmetry_positivity_and_diagonal_dominance():
     B = make_ball((0, 0), 4)
-    G = green_solve(B).values
+    G = green_solve(B)
     assert (G > 0.0).all()
     assert np.abs(G - G.T).max() <= 1e-12
     # Visits to y are maximised from y itself (strong maximum principle).
@@ -77,7 +77,7 @@ def green_value_floor(d, R):
 @pytest.mark.parametrize("d,R", [(1, 4), (1, 8), (2, 4), (2, 8)])
 def test_floor_really_is_a_lower_bound(d, R):
     B = make_ball((0,) * d, R)
-    assert green_solve(B).values.min() >= green_value_floor(d, R)
+    assert green_solve(B).min() >= green_value_floor(d, R)
 
 
 def test_row_series_matches_table_column():
@@ -85,7 +85,7 @@ def test_row_series_matches_table_column():
     series = green_table_series(B, tol=1e-12)
     column = series.values[:, B.index_of((1, 1))]
     table = green_solve(B)
-    assert np.abs(column - table.values[:, B.index_of((1, 1))]).max() <= 1e-9
+    assert np.abs(column - table[:, B.index_of((1, 1))]).max() <= 1e-9
     assert not series.meta["truncated"]
     assert series.meta["terms"] > 0
 
@@ -235,10 +235,10 @@ def test_solve_on_a_domain_that_is_not_a_ball():
     L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
     solved = green_solve(L)
     P = killed_matrix(L)
-    assert np.abs(solved.values - P @ solved.values - np.eye(len(L))).max() < RESIDUAL_TOL
-    assert np.array_equal(green_solve(L).values, solved.values)
+    assert np.abs(solved - P @ solved - np.eye(len(L))).max() < RESIDUAL_TOL
+    assert np.array_equal(green_solve(L), solved)
     series = green_table_series(L, tol=1e-12)
-    assert np.abs(series.values - solved.values).max() <= 1e-9
+    assert np.abs(series.values - solved).max() <= 1e-9
 
 
 def test_full_tables_are_solved_afresh_with_the_balls_one_factor():
@@ -246,15 +246,15 @@ def test_full_tables_are_solved_afresh_with_the_balls_one_factor():
     first = green_solve(B)
     factor = kernel._LU.get(B.key(), lambda: None)
     second = green_solve(B)
-    assert second.values is not first.values and np.array_equal(second.values, first.values)
+    assert second is not first and np.array_equal(second, first)
     assert kernel._LU.get(B.key(), lambda: None) is factor is not None
 
 
 def test_column_restricted_solve_matches_full():
     B = make_ball((0, 0), 3)
-    full = green_solve(B).values
+    full = green_solve(B)
     idx = [0, 5, len(B) - 1]
-    partial = green_solve(B, columns=idx).values
+    partial = green_solve(B, columns=idx)
     assert np.array_equal(partial, full[:, idx])
 
 
