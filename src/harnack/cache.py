@@ -19,9 +19,10 @@ kind 2       ``i64`` radius, d×``i64`` centre; payload is the
 Payloads are raw little-endian binary64, so a write/read round trip is
 bit-exact, and ``verify`` can re-derive any file from scratch and compare
 bytes.  There is no checksum.  ``_int_count`` and ``_shape`` state the rule
-once, for ``decode`` and every writer: a known kind, a dimension in 1..64, no
-negative step count or radius, a killed start inside its ball, and a payload
-of ``(2n+1)^d`` cells, or ``|B|`` / ``|B|^2`` for the header's ball; writers
+once, for ``decode`` and every writer: a known kind, a dimension in 1..3
+(``MAX_DIMENSION``, also the CLI's largest ``--dim``), no negative step
+count or radius, a killed start inside its ball, and a payload of
+``(2n+1)^d`` cells, or ``|B|`` / ``|B|^2`` for the header's ball; writers
 raise ``ValueError`` on anything else before a file is touched.  All
 computations feeding the cache are deterministic (fixed floating-point
 operation order, single-threaded sparse solves).
@@ -48,6 +49,7 @@ KIND_KILLED = 1
 KIND_GREEN = 2
 _KIND_NAMES = ("free", "killed", "green")
 
+MAX_DIMENSION = 3  # desk scale: a larger d makes re-deriving a ball's table allocate (2R + 3)^d cells
 _HEAD = struct.Struct("<4sIIq")
 _VERIFY_STREAM = 0xCAC4E  # stream tag for the files ``verify`` samples
 
@@ -69,7 +71,7 @@ def _int_count(kind: int, d: int) -> int:
     """How many ``i64`` follow ``_HEAD``: none (free), radius and centre (green), then the start (killed)."""
     if kind not in (KIND_FREE, KIND_KILLED, KIND_GREEN):
         raise ValueError(f"unknown cache kind {kind}")
-    if not 1 <= d <= 64:
+    if not 1 <= d <= MAX_DIMENSION:
         raise ValueError(f"bad header: dimension {d}")
     return (0, 1 + 2 * d, 1 + d)[kind]
 

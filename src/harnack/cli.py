@@ -37,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence, get_type_hints
 
-from .cache import KernelCache
+from .cache import MAX_DIMENSION, KernelCache
 from .lattice import make_ball
 from .report import AuditReport, ReportEnvelope, write_json_atomic
 
@@ -88,8 +88,8 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.dim < 1:
             raise UsageError("--dim must be a positive integer")
-        if self.dim > 3:
-            raise UsageError("--dim above 3 is not supported by the audit grids")
+        if self.dim > MAX_DIMENSION:
+            raise UsageError(f"--dim above {MAX_DIMENSION} is not supported by the audit grids")
         if self.r_min < 1:
             raise UsageError("--r-min must be >= 1")
         if self.r_max < self.r_min:

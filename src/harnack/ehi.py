@@ -272,7 +272,7 @@ def d1_closed_form_audit(r_max: int) -> AuditReport:
     worst = None
     max_const = -math.inf
     rows = []
-    for R in range(1, r_max + 1):
+    for R in radii(range(1, r_max + 1)):
         exact = harnack_constant_exact(1, R).constant
         formula = d1_harnack_constant(R)
         gap = abs(exact - formula)

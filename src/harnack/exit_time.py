@@ -139,14 +139,19 @@ def crude_tail_audit(d: int, R: int) -> AuditReport:
     n_values = sorted({R, 3 * R, R * R, 3 * R * R, 9 * R * R})
     n_max = n_values[-1]
     B = make_ball((0,) * d, R)
-    # the search doubles only steps below TAIL_MAX_N, so it stops before 2 * TAIL_MAX_N
-    walk = iter_killed_vectors(B, [B.index_of((0,) * d)], max(n_max, 2 * TAIL_MAX_N))
+    # One walk from the centre: the grid steps, then a doubling search from
+    # the grid maximum (survival is monotone).  The search doubles only steps
+    # below TAIL_MAX_N, so it stops before 2 * TAIL_MAX_N.
     survivals = {}
-    for n, block in walk:
-        if n in n_values:
+    search_n = n_max
+    for n, block in iter_killed_vectors(B, [B.index_of((0,) * d)], max(n_max, 2 * TAIL_MAX_N)):
+        if n in n_values or n == search_n:
             survivals[n] = float(block[:, 0].sum())
-        if n == n_max:
-            break
+        if n == search_n:
+            if survivals[n] <= TAIL_TARGET or search_n >= TAIL_MAX_N:
+                break
+            search_n *= 2
+    survival = survivals[search_n]
     p = (2.0 * d) ** (-3.0 * R)
     rows = []
     all_pass = True
@@ -155,16 +160,6 @@ def crude_tail_audit(d: int, R: int) -> AuditReport:
         ok = survivals[n] <= envelope + TAIL_SLACK
         all_pass &= ok
         rows.append({"n": n, "survival": survivals[n], "envelope": envelope, "ok": ok})
-    # Doubling search: survival is monotone, the same walk continues from the
-    # grid maximum.
-    search_n = n_max
-    survival = survivals[n_max]
-    while survival > TAIL_TARGET and search_n < TAIL_MAX_N:
-        search_n *= 2
-        for n, block in walk:
-            if n == search_n:
-                break
-        survival = float(block[:, 0].sum())
     found = survival <= TAIL_TARGET
     all_pass &= found
     return AuditReport(
@@ -251,8 +246,11 @@ def mc_consistency_audit(d: int, R: int, n_max: int, seed: int) -> AuditReport:
     One simulation run of ``MC_SAMPLES`` walkers yields estimates for every
     n <= n_max; each must lie within ``Z_CAP`` standard errors of the exact
     value (a tiny absolute floor covers the SE = 0 endpoints where the
-    estimate is 0 or 1).
+    estimate is 0 or 1).  ``n_max`` must be at least 1: at n = 0 both sides
+    are 0 by definition, so that row alone checks nothing.
     """
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, not {n_max}")
     B = make_ball((0,) * d, R)
     exact = exact_exit_cdf(B, (0,) * d, n_max)
     mc, se = mc_exit_sample(B, (0,) * d, n_max, MC_SAMPLES, seed)

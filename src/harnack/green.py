@@ -317,7 +317,7 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
         a_hat, c_hat = float(amp[best]), float(grid[best])
         all_pass &= a_hat > 0
         rows.append({"R": R, "A": a_hat, "C": c_hat})
-        if worst is None or a_hat < worst.get("A", math.inf):
+        if worst is None or a_hat < worst["A"]:
             worst = {"A": a_hat, "C": c_hat, **(fit.witness[best] or {})}
     return AuditReport(
         audit_id=f"green.killed_lower.d{d}",
@@ -355,7 +355,7 @@ def comparability_audit(d: int, r_values: Iterable[int]) -> AuditReport:
         audit_id=f"green.comparability.d{d}",
         grid={"d": d, "R": r_values, "stability_cap": STABILITY_CAP},
         constants={"ratios": {str(row["R"]): row["ratio"] for row in rows}},
-        worst={"max_ratio": max(ratios)} if ratios else None,
+        worst={"max_ratio": max(ratios)},
         passed=bool(ok),
         notes=["measured constant reported; no symbolic form asserted"],
         rows=rows,

@@ -118,7 +118,7 @@ def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
     """
     bdata, coupling = _boundary_field(D, phi)
     P = killed_matrix(D)
-    interior = np.full(len(D), float(bdata.mean()) if len(bdata) else 0.0)
+    interior = np.full(len(D), float(bdata.mean()))
     for _ in range(MAX_SWEEPS):
         nxt = P @ interior + coupling
         delta = float(np.abs(nxt - interior).max())
@@ -223,7 +223,7 @@ def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
     P = killed_matrix(B)
     f = inside - P @ inside
     off_support = ~B.inner_mask(a_idx)
-    noise = float(np.abs(f[off_support]).max()) if off_support.any() else 0.0
+    noise = float(np.abs(f[off_support]).max())
     if noise > RESIDUAL_TOL:
         raise BalayageError(
             f"charge leaks {noise:.3e} off the inner boundary of A"

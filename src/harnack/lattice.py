@@ -218,6 +218,8 @@ class FiniteDomain:
     def within(self, r: int, center: Point | None = None) -> np.ndarray:
         """Interior indices at graph distance <= r from the point ``center`` (default: the ball's)."""
         center = self.center if center is None else as_point(center)
+        if center is None:
+            raise ValueError("a domain that is not a ball has no centre; pass one to within")
         _require_same_dimension(center, self.corner)
         return np.flatnonzero(np.abs(self.coords - np.array(center)).sum(axis=1) <= r)
 

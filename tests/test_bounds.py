@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from harnack import bounds
 from harnack.bounds import (
@@ -246,7 +248,24 @@ def test_chain_batch_all_valid(d, monkeypatch):
     monkeypatch.setattr(bounds, "CHAIN_INSTANCES", 25)
     report = chain_certificate_batch(d, seed=3)
     assert report.passed
-    assert report.constants["infeasible"] == 0
     assert len(report.rows) == 25
     for row in report.rows:
         assert row["log_margin"] >= 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    R=st.integers(*bounds.R_RANGE),
+    L=st.floats(*bounds.L_RANGE),
+    where=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_chain_block_count_fits_the_window_up_to_its_edges(d, R, L, where):
+    # Anywhere in 64 R <= n L^2 <= R^2, ends included (where = 0 and 1), the
+    # block count m = ceil(32 R^2/(L^2 n)) lies in [32 R^2/(L^2 n), 64 R^2/(L^2 n)].
+    lo, hi = math.ceil(64.0 * R / (L * L)), math.floor(R * R / (L * L))
+    assume(lo <= hi)
+    n = lo + round(where * (hi - lo))
+    y = (R,) if d == 1 else (R // 2, R - R // 2)
+    cert = chain_certificate((0,) * d, y, n, L)
+    assert 32.0 * R * R / (L * L * n) <= cert.blocks <= 64.0 * R * R / (L * L * n)

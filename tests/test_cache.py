@@ -139,6 +139,7 @@ BAD_WRITES = {
     "free-payload-2d": (encode_free, "put_free", (1, 2, np.zeros((5, 1)))),
     "free-dimension-0": (encode_free, "put_free", (0, 2, np.zeros(()))),
     "free-dimension-65": (encode_free, "put_free", (65, 0, np.zeros(1))),
+    "green-dimension-4": (encode_green, "put_green", ((0, 0, 0, 0), 1, np.zeros((9, 9)))),
     "free-negative-steps": (encode_free, "put_free", (1, -1, np.zeros(0))),
     "killed-payload-shape": (encode_killed, "put_killed", ((0, 0), 2, (1, 0), 1, np.zeros(12))),
     "killed-start-dimension": (encode_killed, "put_killed", ((0, 0), 2, (0, 0, 0), 1, np.zeros(13))),
@@ -201,6 +202,7 @@ BAD_READS = {
     "unknown-kind": _raw(1, 3, 0, (0, 0), 1),
     "dimension-0": _raw(0, 0, 0, (), 1),
     "dimension-65": _raw(65, 0, 0, (), 1),
+    "dimension-4": _raw(4, 2, 0, (1, 0, 0, 0, 0), 81),  # B((0, 0, 0, 0), 1): 9 points
     "negative-steps": _raw(1, 0, -1, (), 0),
     "negative-radius": _raw(1, 2, 0, (-1, 0), 0),
     "header-shorter-than-its-integers": _raw(2, 2, 0, (1, 0)),

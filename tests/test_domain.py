@@ -208,6 +208,7 @@ POINT_CASES = {
     "in": (lambda B: (0.9, 0) in B, TypeError),
     "within_one_dimensional_centre": (lambda B: B.within(1, (2,)), ValueError),
     "within_fractional_centre": (lambda B: B.within(1, (0.6, 1.4)), TypeError),
+    "within_no_centre_off_a_ball": (lambda B: FiniteDomain.from_points([(0, 0), (1, 0)]).within(1), ValueError),
     "n_step": (lambda B: n_step((0.6, 0), (0, 0), 2), TypeError),
     "exact_exit_cdf": (lambda B: exact_exit_cdf(B, (0.5, 0), 4), TypeError),
     "dirichlet_mc": (lambda B: dirichlet_mc(B, np.zeros(len(B.outer_coords)), (0.5, 0), 10, 0), TypeError),
@@ -255,3 +256,10 @@ def test_radius_grid_audits_reject_empty_and_fractional_grids(audit, grid):
     radii, error, message = BAD_GRIDS[grid]
     with pytest.raises(error, match=message):
         RADIUS_GRID_AUDITS[audit](radii)
+
+
+@pytest.mark.parametrize("r_max", [0, -3])
+def test_the_closed_form_audit_rejects_an_empty_radius_range(r_max):
+    # R = 1..r_max is the audit's grid, so r_max <= 0 leaves nothing to check.
+    with pytest.raises(ValueError, match=BAD_GRIDS["empty"][2]):
+        ehi.d1_closed_form_audit(r_max)

@@ -140,6 +140,13 @@ def test_mc_consistency_audit_passes():
     assert report.constants["max_z"] <= 4.0
 
 
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_mc_consistency_audit_needs_a_step(n_max):
+    # n = 0 alone compares 0 with 0, which checks nothing.
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        mc_consistency_audit(2, 4, n_max, seed=0)
+
+
 def exit_walks_reference(D, x, samples, seed, stream, step_cap):
     """The walker indexing ``D.neighbor_index[pos, k]`` with int64 draws, block by block; int32 results."""
     m, steps = D.neighbor_index.shape
