@@ -406,7 +406,11 @@ def chain_certificate(x, y, n: int, L: float) -> ChainCertificate:
 
 
 def random_chain_instance(d: int, rng) -> tuple[Point, Point, int, float]:
-    """Draw one admissible (x, y, n, L): R in ``R_RANGE``, L in ``L_RANGE``, n <= ``N_CAP``."""
+    """Draw one admissible (x, y, n, L): R in ``R_RANGE``, L in ``L_RANGE``, n <= ``N_CAP``.
+
+    R = 64 is never drawn: its window ``64 R <= n L^2 <= R^2`` is the one real
+    point ``n = 4096 / L^2``, an integer for no L met in practice.
+    """
     while True:
         R = int(rng.integers(R_RANGE[0], R_RANGE[1] + 1))
         L = float(rng.uniform(L_RANGE[0], L_RANGE[1]))

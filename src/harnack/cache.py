@@ -21,11 +21,12 @@ bit-exact, and ``verify`` can re-derive any file from scratch and compare
 bytes.  There is no checksum.  ``_int_count`` and ``_shape`` state the rule
 once, for ``decode`` and every writer: a known kind, a dimension in 1..3
 (``MAX_DIMENSION``, also the CLI's largest ``--dim``), no negative step
-count or radius, a killed start inside its ball, and a payload of
-``(2n+1)^d`` cells, or ``|B|`` / ``|B|^2`` for the header's ball; writers
-raise ``ValueError`` on anything else before a file is touched.  All
-computations feeding the cache are deterministic (fixed floating-point
-operation order, single-threaded sparse solves).
+count or radius, a killed step count of at most ``MAX_KILLED_STEPS``, a
+killed start inside its ball, and a payload of ``(2n+1)^d`` cells, or
+``|B|`` / ``|B|^2`` for the header's ball; writers raise ``ValueError`` on
+anything else before a file is touched.  All computations feeding the
+cache are deterministic (fixed floating-point operation order,
+single-threaded sparse solves).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ KIND_GREEN = 2
 _KIND_NAMES = ("free", "killed", "green")
 
 MAX_DIMENSION = 3  # desk scale: a larger d makes re-deriving a ball's table allocate (2R + 3)^d cells
+MAX_KILLED_STEPS = 1 << 16  # a killed payload is |B| cells for any n, so only this caps what verify walks
 _HEAD = struct.Struct("<4sIIq")
 _VERIFY_STREAM = 0xCAC4E  # stream tag for the files ``verify`` samples
 
@@ -81,7 +83,7 @@ def _shape(kind: int, d: int, n: int, ints: Sequence[int]) -> tuple[int, ...]:
     count = _int_count(kind, d)
     if len(ints) != count:
         raise ValueError(f"a {_KIND_NAMES[kind]} header in dimension {d} holds {count} integers, not {len(ints)}")
-    if n < 0:
+    if n < 0 or (kind == KIND_KILLED and n > MAX_KILLED_STEPS):
         raise ValueError(f"bad header: step count {n}")
     if kind == KIND_FREE:
         return (2 * n + 1,) * d

@@ -12,11 +12,13 @@ mandatory, independent computations are provided and cross-audited:
     whose masses live on opposite parity classes: the walk is bipartite),
     with an adaptive truncation per start: once the per-step survival ratio
     stabilises below one, the remaining tail is bounded geometrically by
-    ``s_N * lam/(1 - lam)`` and iteration stops when every walked start's
-    certified bound is below ``tol``.  Because the chain is bipartite,
-    survival ratios oscillate with period two; the estimator takes the max
-    of the last two consecutive ratios, which dominates both phases.  Every
-    other column is gathered as the exact image of its representative's.
+    ``s_N * lam/(1 - lam)``.  Because the chain is bipartite, survival
+    ratios oscillate with period two; the estimator takes the max of the
+    last two consecutive ratios, which dominates both phases.  It is
+    checked on each window end's last two steps, one of each phase, and
+    iteration stops at the first window end (``_WINDOW`` steps) where every
+    walked start's bound is below ``tol``.  Every other column is gathered
+    as the exact image of its representative's.
 
 ``solve``
     solves the defining linear system ``(I - P^B) G = I`` with
@@ -39,8 +41,8 @@ chained Harnack certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,12 +50,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
-from .kernel import iter_killed_vectors, killed_matrix, killed_solve, parity_classes
+from .kernel import iter_killed_vectors, killed_solve, parity_classes
 from .lattice import FiniteDomain, make_ball, radii
 from .report import AuditReport
 
-_WINDOW = 64  # series steps pulled and certified together
-SERIES_MAX_STEPS = 200_000  # the series stops here, truncated, if a tail is still uncertified
+_WINDOW = 64  # the series is certified, and stops, only every this many steps
+SERIES_MAX_STEPS = 200_000  # 3125 windows: the series stops here, truncated, if a tail is still uncertified
 UGI_RATIO_CAP = 10.0  # the interior comparison's gate on G2 / G1 at each R
 STABILITY_CAP = 3.0  # the pole-ratio gate on max / min ratio across R
 
@@ -92,15 +94,18 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     product with a 2 x |B| class-sum matrix, which adds its live class in
     index order, as a full-interior column sum does.  Each representative
     certifies its own tail (staircase columns reach their drop steps at
-    different times); iteration ends when every representative's certified
-    tail bound is below ``tol``.  Steps are certified ``_WINDOW`` at a time,
-    holding only the window's first block and the totals before it; a window
-    that holds the stopping step restores those totals and is re-walked from
-    that block with ``killed_matrix(B)`` (the same products in the same
-    order) up to that step only.  Every other column is then gathered as an
-    image of its representative's, ``G[:, j] = G[h x, r]`` for a map h taking
-    j to r.  Without symmetry every start is a representative.
+    different times).  Masses are read on each ``_WINDOW``-step window's
+    last four steps only; at its end a start not yet certified takes the
+    first of the last two steps whose tail bound is below ``tol``, and
+    iteration ends at the first window end where every representative is
+    certified, so an untruncated series sums a multiple of ``_WINDOW``
+    steps.  Every other column is then gathered as an image of its
+    representative's, ``G[:, j] = G[h x, r]`` for a map h taking j to r.
+    Without symmetry every start is a representative.  ``ValueError``
+    unless ``tol`` is positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     maps = B.symmetries()
     rep = maps.min(axis=0)  # each point's orbit representative
     classes = parity_classes(B)
@@ -109,32 +114,25 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     class_sums = sp.csr_matrix(
         (np.ones(len(B)), np.concatenate(classes), [0, len(classes[0]), len(B)]), shape=(2, len(B))
     )
-    steps = iter_killed_vectors(B, np.concatenate(reps), SERIES_MAX_STEPS)
     width = max(map(len, reps))  # column j walks even representative j and odd one j
     totals = [np.zeros((len(B), width)) for _ in (0, 1)]  # sums over the even and the odd steps
-    count = sum(map(len, reps))  # per-start arrays run class by class
-    history = np.stack([np.full(count, np.inf), np.ones(count)])  # sums of steps n-2, n-1
-    tail_bounds = np.full(count, np.inf)  # finite once a start is certified
-    _, block = next(steps)
-    totals[0] += block  # step 0 is accumulated, not certified
-    n = 0  # the last accumulated step
-    while np.isinf(tail_bounds).any():
-        before, opening, sums = [total.copy() for total in totals], None, []
-        for t, block in itertools.islice(steps, _WINDOW):
-            totals[t % 2] += block  # accumulated and summed while the block is in cache
-            opening = block if opening is None else opening  # the window's first block
-            # each start's mass, on its live class: class c + t for starts of class c
-            mass = class_sums @ block
-            sums.append(np.concatenate([mass[(c + t) % 2, : len(reps[c])] for c in (0, 1)]))
-        if not sums:
-            break  # SERIES_MAX_STEPS reached
-        # certify every step of the window at once: the same elementwise
-        # arithmetic as one step at a time, on (steps, starts) arrays
-        history = np.vstack([history[-2:], *sums])
+    tail_bounds = np.full(sum(map(len, reps)), np.inf)  # per start, class by class; finite once certified
+    masses = deque(maxlen=4)  # each start's mass on steps n - 3..n at a window end n
+    for n, block in iter_killed_vectors(B, np.concatenate(reps), SERIES_MAX_STEPS):
+        totals[n % 2] += block
+        if n == 0 or -n % _WINDOW > 3:
+            continue  # step 0 is accumulated, not certified; masses are read on a window's last four steps
+        # each start's mass, on its live class: class c + n for starts of class c
+        mass = class_sums @ block
+        masses.append(np.concatenate([mass[(c + n) % 2, : len(reps[c])] for c in (0, 1)]))
+        if n % _WINDOW:
+            continue
+        # certify the window's last two steps, n - 1 and n, on (step, start) arrays
+        history = np.array(masses)
         s, s_prev, s_prev2 = history[2:], history[1:-1], history[:-2]
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(s_prev > 0, s / s_prev, 0.0)
-            rho = np.where(np.isfinite(s_prev2) & (s_prev2 > 0), s / s_prev2, np.inf)
+            rho = np.where(s_prev2 > 0, s / s_prev2, np.inf)
             one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
             two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
         tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
@@ -142,13 +140,8 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
         first = np.argmax(below, axis=0)  # each start's first certified step
         newly = below.any(axis=0)
         tail_bounds[newly] = tails[first[newly], np.flatnonzero(newly)]
-        stop = first[newly].max() + 1 if np.isfinite(tail_bounds).all() else len(sums)
-        if stop < len(sums):  # re-walk the window from its first block, up to the stopping step only
-            totals, block, step = before, opening, killed_matrix(B)
-            for t in range(n + 1, n + stop + 1):
-                block = block if t == n + 1 else step @ block  # the walk's own product
-                totals[t % 2] += block
-        n += stop
+        if np.isfinite(tail_bounds).all():
+            break
     table = np.zeros((len(B), len(B)))
     for p, total in enumerate(totals):  # starts of class c hold class c + p after p-parity steps
         for c in (0, 1):

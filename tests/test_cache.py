@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from harnack.cache import KernelCache, decode, encode_free, encode_green, encode_killed
+from harnack.cache import MAX_KILLED_STEPS, KernelCache, decode, encode_free, encode_green, encode_killed
 from harnack.green import green_solve
 from harnack.kernel import free_field, iter_killed_vectors
 from harnack.lattice import make_ball
@@ -146,6 +146,7 @@ BAD_WRITES = {
     "killed-start-outside": (encode_killed, "put_killed", ((0, 0), 2, (2, 1), 1, np.zeros(13))),
     "killed-negative-radius": (encode_killed, "put_killed", ((0,), -1, (0,), 1, np.zeros(0))),
     "killed-negative-steps": (encode_killed, "put_killed", ((0, 0), 2, (1, 0), -1, np.zeros(13))),
+    "killed-steps-beyond-cap": (encode_killed, "put_killed", ((0,), 1, (0,), MAX_KILLED_STEPS + 1, np.zeros(3))),
     "killed-coordinate-beyond-i64": (encode_killed, "put_killed", ((2**63,), 0, (2**63,), 0, np.zeros(1))),
     "green-payload-shape": (encode_green, "put_green", ((0,), 2, np.zeros((3, 3)))),
     "green-payload-flat": (encode_green, "put_green", ((0, 0), 1, np.zeros(25))),
@@ -193,6 +194,11 @@ def test_every_valid_kind_round_trips_bytes_and_arrays(tmp_path):
     assert [e["kind"] for e in cache.list_entries()] == ["free", "free", "green", "green", "killed", "killed", "killed"]
 
 
+def test_killed_step_cap_is_itself_a_valid_step_count():
+    blob = encode_killed((0,), 1, (0,), MAX_KILLED_STEPS, np.zeros(3))
+    assert len(blob) == 68 and decode(blob).n == MAX_KILLED_STEPS
+
+
 def _raw(d: int, kind: int, n: int, ints=(), values: int = 0) -> bytes:
     """A ZDK1 file packed by hand, past the writers' checks."""
     return struct.pack(f"<4sIIq{len(ints)}q", b"ZDK1", d, kind, n, *ints) + bytes(8 * values)
@@ -207,6 +213,7 @@ BAD_READS = {
     "negative-radius": _raw(1, 2, 0, (-1, 0), 0),
     "header-shorter-than-its-integers": _raw(2, 2, 0, (1, 0)),
     "killed-start-outside-its-ball": _raw(1, 1, 0, (1, 0, 2), 3),
+    "killed-steps-2^40": _raw(1, 1, 1 << 40, (1, 0, 0), 3),  # 68 bytes naming a walk of 2^40 steps
 }
 
 

@@ -46,6 +46,13 @@ def test_series_equals_solve_on_shifted_balls(d, R, center):
     series = green_table_series(B, tol=1e-12)
     assert np.abs(series.values - solved).max() <= 1e-9
     assert not series.meta["truncated"]
+    assert series.meta["terms"] % _WINDOW == 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_series_refuses_a_tolerance_no_certificate_meets(tol):
+    with pytest.raises(ValueError, match="positive finite"):
+        green_table_series(make_ball((0, 0), 4), tol)
 
 
 def test_solve_satisfies_defining_identity():
@@ -93,32 +100,36 @@ def test_row_series_matches_table_column():
 def series_reference(B, tol):
     """The series over full-interior blocks, every start walked: (table, terms, tail bound per start).
 
-    One step at a time, certifying after each step, as the series did before
-    it certified a window of steps at a time.
+    One step at a time, with each start's mass the column sum of every step;
+    a start is certified only on a window's last two steps (n = -1, 0 mod
+    ``_WINDOW``), and the walk stops at the first window end where every
+    start is certified.
     """
     size = len(B)
     P = killed_matrix(B)
     current = np.eye(size)
     table = current.copy()
-    s_prev2, s_prev = np.full(size, np.inf), np.ones(size)
+    masses = [current.sum(axis=0)]
     certified = np.zeros(size, dtype=bool)
     tail_bounds = np.full(size, np.inf)
-    n = 0
-    while not certified.all() and n < green.SERIES_MAX_STEPS:
-        n += 1
+    for n in range(1, green.SERIES_MAX_STEPS + 1):
         current = P @ current
         table += current
-        s = current.sum(axis=0)
+        masses.append(current.sum(axis=0))
+        if (n + 1) % _WINDOW > 1:
+            continue
+        s_prev2, s_prev, s = masses[-3:]
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(s_prev > 0, s / s_prev, 0.0)
-            rho = np.where(np.isfinite(s_prev2) & (s_prev2 > 0), s / s_prev2, np.inf)
+            rho = np.where(s_prev2 > 0, s / s_prev2, np.inf)
             one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
             two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
         tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
         newly = ~certified & (tails < tol)
         tail_bounds[newly] = tails[newly]
         certified |= newly
-        s_prev2, s_prev = s_prev, s
+        if n % _WINDOW == 0 and certified.all():
+            break
     return table, n, tail_bounds
 
 
@@ -154,9 +165,9 @@ def test_parity_split_series_equals_full_block_series(center, radii):
 
 
 SERIES_TERMS = {  # green_table_series(B(0, R), tol=1e-12).meta["terms"] for R = 0..8
-    1: [1, 84, 207, 384, 615, 902, 1243, 1640, 2095],
-    2: [1, 42, 103, 190, 303, 444, 613, 808, 1033],
-    3: [1, 32, 67, 120, 191, 278, 383, 504, 645],
+    1: [64, 128, 256, 384, 640, 960, 1280, 1664, 2112],
+    2: [64, 64, 128, 192, 320, 448, 640, 832, 1088],
+    3: [64, 64, 128, 128, 192, 320, 384, 512, 704],
 }
 
 
@@ -166,21 +177,21 @@ def test_series_terms_are_pinned(d):
     assert terms == SERIES_TERMS[d]
 
 
-def test_windowed_certification_stops_where_one_step_certification_does():
-    # tiny balls certify inside the first window, d=1 R=16 after many windows;
-    # the d=3 R=1 ball's even class is a single row (the centre)
+def test_series_stops_at_the_first_window_end_where_every_start_is_certified():
+    # tiny balls certify in the first window and stop at its end, d=1 R=16
+    # after many windows; the d=3 R=1 ball's even class is a single row (the centre)
     for center, R in (((0,), 0), ((0, 0), 1), ((0, 0, 0), 1)):
-        assert assert_orbit_series(make_ball(center, R))[0].meta["terms"] <= _WINDOW
+        assert assert_orbit_series(make_ball(center, R))[0].meta["terms"] == _WINDOW
     assert len(parity_classes(make_ball((0, 0, 0), 1))[0]) == 1
-    assert assert_orbit_series(make_ball((0,), 16))[0].meta["terms"] > 10 * _WINDOW
+    terms = assert_orbit_series(make_ball((0,), 16))[0].meta["terms"]
+    assert terms > 10 * _WINDOW and terms % _WINDOW == 0 and type(terms) is int
 
 
 def test_series_holds_a_few_blocks_not_its_window():
     # d=2 R=8: 145 points, 15 columns of blocks of 17.4 kB; the walk holds the
-    # current block and the next, the window's first block, the two totals and
-    # their copies, and the window's (step, start) certification arrays, about
-    # a block each here: 17 blocks beyond the table measured, where holding
-    # the window's 64 blocks would exceed 64
+    # current block and the next and the two totals, and the table's gathers
+    # take a few blocks more: 9.6 blocks beyond the table measured, where
+    # holding the window's 64 blocks would exceed 64
     B = make_ball((0, 0), 8)
     green_table_series(B, tol=1e-10)  # symmetries and killed matrix out of the trace
     tracemalloc.start()
@@ -192,19 +203,7 @@ def test_series_holds_a_few_blocks_not_its_window():
     reps = [c[B.symmetries().min(axis=0)[c] == c] for c in parity_classes(B)]
     block = len(B) * max(map(len, reps)) * 8
     assert block == 17_400
-    assert peak - series.values.nbytes < 24 * block
-
-
-def test_series_matches_reference_at_every_stopping_position_in_a_window():
-    # 56 tolerances stop these balls at every step position 0..63 of a window;
-    # the d=3 R=2 ball's odd class is one orbit, walked in one column, and its
-    # mass on the 19-point even class must be the reference's in-order sum
-    positions = set()
-    for center, R in (((0,), 3), ((0, 0), 2), ((0, 0, 0), 2)):
-        for k in range(8, 64):
-            series, _ = assert_orbit_series(make_ball(center, R), tol=10 ** (-k / 4))
-            positions.add((series.meta["terms"] - 1) % _WINDOW)
-    assert positions == set(range(_WINDOW))
+    assert peak - series.values.nbytes < 12 * block
 
 
 @pytest.mark.parametrize("center,R,max_steps", [((0,), 16, 5), ((0,), 16, 150), ((0, 0), 6, 3), ((0, 0), 6, 130)])
