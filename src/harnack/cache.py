@@ -22,11 +22,11 @@ bytes.  There is no checksum.  ``_int_count`` and ``_shape`` state the rule
 once, for ``decode`` and every writer: a known kind, a dimension in 1..3
 (``MAX_DIMENSION``, also the CLI's largest ``--dim``), no negative step
 count or radius, a killed step count of at most ``MAX_KILLED_STEPS``, a
-killed start inside its ball, and a payload of ``(2n+1)^d`` cells, or
-``|B|`` / ``|B|^2`` for the header's ball; writers raise ``ValueError`` on
-anything else before a file is touched.  All computations feeding the
-cache are deterministic (fixed floating-point operation order,
-single-threaded sparse solves).
+green step count of 0, a killed start inside its ball, and a payload of
+``(2n+1)^d`` cells, or ``|B|`` / ``|B|^2`` for the header's ball; writers
+raise ``ValueError`` on anything else before a file is touched.  All
+computations feeding the cache are deterministic (fixed floating-point
+operation order, single-threaded sparse solves).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _shape(kind: int, d: int, n: int, ints: Sequence[int]) -> tuple[int, ...]:
     count = _int_count(kind, d)
     if len(ints) != count:
         raise ValueError(f"a {_KIND_NAMES[kind]} header in dimension {d} holds {count} integers, not {len(ints)}")
-    if n < 0 or (kind == KIND_KILLED and n > MAX_KILLED_STEPS):
+    if n < 0 or (kind == KIND_KILLED and n > MAX_KILLED_STEPS) or (kind == KIND_GREEN and n != 0):
         raise ValueError(f"bad header: step count {n}")
     if kind == KIND_FREE:
         return (2 * n + 1,) * d

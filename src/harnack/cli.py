@@ -13,9 +13,11 @@ CSV) report.  Subcommands select which family of audits to run::
     all        everything above, in that order
     cache      binary kernel cache maintenance (list / clear / verify)
 
-Every flag can also be supplied through an environment variable with the
-``HARNACK_`` prefix (``HARNACK_SEED=7`` is ``--seed 7``); explicit flags win
-over the environment, which wins over built-in defaults.
+Every audit flag, and ``cache``'s ``--cache-dir``, can also be supplied
+through an environment variable with the ``HARNACK_`` prefix (for an audit,
+``HARNACK_SEED=7`` is ``--seed 7``); explicit flags win over the environment,
+which wins over built-in defaults.  ``cache verify`` reads its ``--fraction``
+and ``--seed`` from the command line only.
 
 Exit status: 0 when every selected audit passes, 1 when any audit fails
 (failing audit ids are printed to stderr) or the report or cache cannot be

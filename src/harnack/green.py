@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
-from .kernel import iter_killed_vectors, killed_solve, parity_classes
+from .kernel import iter_killed_vectors, killed_solve, walk_columns
 from .lattice import FiniteDomain, make_ball, radii
 from .report import AuditReport
 
@@ -88,43 +88,40 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     ``g_B(gx, gy) = g_B(x, y)`` exactly, so only each orbit's representative,
     its smallest interior index, is walked.  The representatives advance in
     one ``iter_killed_vectors`` walk, one sparse product per step, even and
-    odd ones paired in its columns, and each step's block is added to the
-    accumulator of its step parity; each walked column holds the same sums
-    as when every start is walked.  Each start's mass is read off one
-    product with a 2 x |B| class-sum matrix, which adds its live class in
-    index order, as a full-interior column sum does.  Each representative
-    certifies its own tail (staircase columns reach their drop steps at
-    different times).  Masses are read on each ``_WINDOW``-step window's
-    last four steps only; at its end a start not yet certified takes the
-    first of the last two steps whose tail bound is below ``tol``, and
-    iteration ends at the first window end where every representative is
-    certified, so an untruncated series sums a multiple of ``_WINDOW``
-    steps.  Every other column is then gathered as an image of its
-    representative's, ``G[:, j] = G[h x, r]`` for a map h taking j to r.
-    Without symmetry every start is a representative.  ``ValueError``
-    unless ``tol`` is positive and finite.
+    odd ones paired in its columns (``walk_columns``), and each step's block
+    is added to the accumulator of its step parity; each walked column holds
+    the same sums as when every start is walked.  Each start's mass is read
+    off one product with a 2 x |B| class-sum matrix, which adds its live
+    class in index order, as a full-interior column sum does.  Each
+    representative certifies its own tail (staircase columns reach their
+    drop steps at different times).  Masses are read on each
+    ``_WINDOW``-step window's last four steps only; at its end a start not
+    yet certified takes the first of the last two steps whose tail bound is
+    below ``tol``, and iteration ends at the first window end where every
+    representative is certified, so an untruncated series sums a multiple
+    of ``_WINDOW`` steps.  Every other column is then gathered as an image
+    of its representative's, ``G[:, j] = G[h x, r]`` for a map h taking j
+    to r.  Without symmetry every start is a representative.
+    ``ValueError`` unless ``tol`` is positive and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     maps = B.symmetries()
     rep = maps.min(axis=0)  # each point's orbit representative
-    classes = parity_classes(B)
-    reps = [c[rep[c] == c] for c in classes]
+    reps = np.flatnonzero(rep == np.arange(len(B)))
+    column = walk_columns(B, reps)  # the walk's column of each representative
+    parity = B.coords.sum(axis=1) % 2
     # row c adds class c's rows in ascending order, one term at a time
-    class_sums = sp.csr_matrix(
-        (np.ones(len(B)), np.concatenate(classes), [0, len(classes[0]), len(B)]), shape=(2, len(B))
-    )
-    width = max(map(len, reps))  # column j walks even representative j and odd one j
-    totals = [np.zeros((len(B), width)) for _ in (0, 1)]  # sums over the even and the odd steps
-    tail_bounds = np.full(sum(map(len, reps)), np.inf)  # per start, class by class; finite once certified
+    class_sums = sp.csr_matrix((np.ones(len(B)), (parity, np.arange(len(B)))), shape=(2, len(B)))
+    totals = [np.zeros((len(B), column.max() + 1)) for _ in (0, 1)]  # sums over the even and the odd steps
+    tail_bounds = np.full(len(reps), np.inf)  # per representative; finite once certified
     masses = deque(maxlen=4)  # each start's mass on steps n - 3..n at a window end n
-    for n, block in iter_killed_vectors(B, np.concatenate(reps), SERIES_MAX_STEPS):
+    for n, block in iter_killed_vectors(B, reps, SERIES_MAX_STEPS):
         totals[n % 2] += block
         if n == 0 or -n % _WINDOW > 3:
             continue  # step 0 is accumulated, not certified; masses are read on a window's last four steps
         # each start's mass, on its live class: class c + n for starts of class c
-        mass = class_sums @ block
-        masses.append(np.concatenate([mass[(c + n) % 2, : len(reps[c])] for c in (0, 1)]))
+        masses.append((class_sums @ block)[(parity[reps] + n) % 2, column])
         if n % _WINDOW:
             continue
         # certify the window's last two steps, n - 1 and n, on (step, start) arrays
@@ -145,8 +142,9 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     table = np.zeros((len(B), len(B)))
     for p, total in enumerate(totals):  # starts of class c hold class c + p after p-parity steps
         for c in (0, 1):
-            live = classes[(c + p) % 2]
-            table[np.ix_(live, reps[c])] = total[live, : len(reps[c])]
+            own = parity[reps] == c
+            live = np.flatnonzero(parity == (c + p) % 2)
+            table[np.ix_(live, reps[own])] = total[np.ix_(live, column[own])]
     # map h takes column j to its representative; the identity (row 0) keeps
     # the representatives, every other map fills its columns by one gather
     image_of = np.argmax(maps == rep, axis=0)
@@ -276,18 +274,14 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
         dist = _pair_distances(B.coords[half])
         shell_count = int(dist.max()) + 1
         # the walk's block holds half-ball target t and start s at entry
-        # (half[t], column[s]); after n steps the live (start, target) pairs
-        # are those whose parities differ by n, taken in (start, target)
-        # order, and read off the block by flat index
-        column = np.empty(len(half), dtype=np.int64)
-        groups = parity_classes(B, half)
-        for g in groups:
-            column[g] = np.arange(len(g))
-        width = max(map(len, groups))
-        parity = B.coords[half].sum(axis=1) % 2
+        # (half[t], column[s]), column by walk_columns; after n steps the
+        # live (start, target) pairs are those at a distance of n's parity,
+        # taken in (start, target) order, and read off the block by flat index
+        column = walk_columns(B, half)
+        width = column.max() + 1
         layouts = []  # per parity of n: flat block indices, starts, targets, distances
         for p in (0, 1):
-            s, t = np.nonzero(parity[None, :] == (parity[:, None] + p) % 2)
+            s, t = np.nonzero(dist % 2 == p)
             layouts.append((half[t] * width + column[s], s, t, dist[s, t]))
         fit = _EnvelopeFit(d, grid, lower=True)
         for n, block in iter_killed_vectors(B, half, R * R + 1):

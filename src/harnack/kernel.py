@@ -27,9 +27,9 @@ walk is bipartite: every step flips the parity of ``sum(coords)``, so the
 killed matrix maps the even interior points to the odd ones and back, and
 after n steps from a start of parity c the mass lives on class
 ``c + n (mod 2)`` only.  Each column therefore carries one even and one odd
-start: their masses always sit on opposite classes, so one product advances
-both parity walks at once, every entry the same row sum in the same order as
-a single-start step.
+start (``walk_columns`` states which): their masses always sit on opposite
+classes, so one product advances both parity walks at once, every entry the
+same row sum in the same order as a single-start step.
 
 For d <= 2 there is an independent closed-form route: in d=1 the kernel is
 the binomial pmf ``b_n``, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns
@@ -69,7 +69,7 @@ __all__ = [
     "killed_matrix",
     "killed_solve",
     "SolverError",
-    "parity_classes",
+    "walk_columns",
     "iter_killed_vectors",
     "lazy_walk",
     "exactness_audit",
@@ -364,17 +364,16 @@ def killed_solve(D: FiniteDomain, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
-def parity_classes(B: FiniteDomain, points: np.ndarray | None = None) -> list[np.ndarray]:
-    """The even and the odd interior points of ``B``, as index arrays.
+def walk_columns(B: FiniteDomain, starts: Sequence[int]) -> np.ndarray:
+    """Each start's ``iter_killed_vectors`` column: its rank among ``starts`` of its parity class.
 
-    Given ``points`` (interior indices), the positions within ``points`` of
-    its even and odd members instead.  A point is even when the sum of its
-    coordinates is; each walk step moves between the two classes.
+    ``starts`` are interior indices (``FiniteDomain.interior_indices``).  A
+    point is even when the sum of its coordinates is; each walk step moves
+    between the two classes, so the j-th even and the j-th odd start, each
+    class in the order given, share column j.
     """
-    parity = B.coords.sum(axis=1) % 2
-    if points is not None:
-        parity = parity[B.interior_indices(points)]
-    return [np.flatnonzero(parity == c) for c in (0, 1)]
+    odd = B.coords[B.interior_indices(starts)].sum(axis=1) % 2 == 1
+    return np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
 
 
 def iter_killed_vectors(
@@ -383,21 +382,20 @@ def iter_killed_vectors(
     """Yield ``(n, block)`` for n = 0..n_max, one sparse x dense product per step.
 
     ``starts`` are interior indices of either parity class or of both
-    (``FiniteDomain.interior_indices``).  The block's rows are the interior index.
-    Column j carries the j-th even and the j-th odd start, each class in the
-    order given, with ``p_n^B(start, .)`` of the even start on the rows of
-    class ``n (mod 2)`` and of the odd start on the other class; the
-    narrower class's missing starts are exact-zero columns.  The two masses
-    never share a class, so each step multiplies the whole block by
-    ``killed_matrix(B)``, and a block of one start is the single-start
-    iteration itself: its mass is ``block[:, 0].sum()``.  The yielded
-    arrays are fresh each step and may be kept.
+    (``FiniteDomain.interior_indices``).  The block's rows are the interior
+    index, and start i walks in column ``walk_columns(B, starts)[i]``: the
+    j-th even and the j-th odd start share column j, with
+    ``p_n^B(start, .)`` of the even start on the rows of class ``n (mod 2)``
+    and of the odd start on the other class; the narrower class's missing
+    starts are exact-zero columns.  The two masses never share a class, so
+    each step multiplies the whole block by ``killed_matrix(B)``, and a
+    block of one start is the single-start iteration itself: its mass is
+    ``block[:, 0].sum()``.  The yielded arrays are fresh each step and may
+    be kept.
     """
-    starts = B.interior_indices(starts)
-    per_class = [starts[g] for g in parity_classes(B, starts)]
-    block = np.zeros((len(B), max(map(len, per_class))))
-    for members in per_class:
-        block[members, np.arange(len(members))] = 1.0
+    column = walk_columns(B, starts)
+    block = np.zeros((len(B), column.max() + 1))
+    block[B.interior_indices(starts), column] = 1.0
     step = killed_matrix(B)
     yield 0, block
     for n in range(1, n_max + 1):

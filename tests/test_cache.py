@@ -5,7 +5,16 @@ import struct
 import numpy as np
 import pytest
 
-from harnack.cache import MAX_KILLED_STEPS, KernelCache, decode, encode_free, encode_green, encode_killed
+from harnack.cache import (
+    KIND_GREEN,
+    MAX_KILLED_STEPS,
+    KernelCache,
+    _encode,
+    decode,
+    encode_free,
+    encode_green,
+    encode_killed,
+)
 from harnack.green import green_solve
 from harnack.kernel import free_field, iter_killed_vectors
 from harnack.lattice import make_ball
@@ -199,6 +208,14 @@ def test_killed_step_cap_is_itself_a_valid_step_count():
     assert len(blob) == 68 and decode(blob).n == MAX_KILLED_STEPS
 
 
+def test_the_green_layout_rule_refuses_a_nonzero_step_count():
+    # encode_green has no step count; the one rule its writer shares refuses any but 0
+    table = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="step count 7"):
+        _encode(KIND_GREEN, 1, 7, (1, 0), table)
+    assert _encode(KIND_GREEN, 1, 0, (1, 0), table) == encode_green((0,), 1, table)
+
+
 def _raw(d: int, kind: int, n: int, ints=(), values: int = 0) -> bytes:
     """A ZDK1 file packed by hand, past the writers' checks."""
     return struct.pack(f"<4sIIq{len(ints)}q", b"ZDK1", d, kind, n, *ints) + bytes(8 * values)
@@ -214,6 +231,7 @@ BAD_READS = {
     "header-shorter-than-its-integers": _raw(2, 2, 0, (1, 0)),
     "killed-start-outside-its-ball": _raw(1, 1, 0, (1, 0, 2), 3),
     "killed-steps-2^40": _raw(1, 1, 1 << 40, (1, 0, 0), 3),  # 68 bytes naming a walk of 2^40 steps
+    "green-steps-7": _raw(1, 2, 7, (1, 0), 9),  # B((0,), 1)'s 3 x 3 table under a nonzero step count
 }
 
 

@@ -195,7 +195,7 @@ def test_audit_failure_exits_1_and_names_the_audit(tmp_path, capsys):
     assert json.loads(out.read_text())["passed"] is False
 
 
-def test_cache_populate_verify_corrupt_and_clear(tmp_path, capsys):
+def test_cache_populate_verify_corrupt_and_clear(tmp_path, capsys, monkeypatch):
     cache_dir = tmp_path / "cache"
     out = tmp_path / "k.json"
     assert run_cli(["kernel", "--dim", "1", "--n-max", "8",
@@ -207,6 +207,12 @@ def test_cache_populate_verify_corrupt_and_clear(tmp_path, capsys):
     assert run_cli(["cache", "verify", "--cache-dir", str(cache_dir),
                     "--fraction", "1.0"]) == EXIT_OK
     capsys.readouterr()
+    # verify's --fraction and --seed have no environment fallback: the
+    # default fraction samples one file, and the bad seed is never read
+    monkeypatch.setenv("HARNACK_FRACTION", "1.0")
+    monkeypatch.setenv("HARNACK_SEED", "-1")
+    assert run_cli(["cache", "verify", "--cache-dir", str(cache_dir)]) == EXIT_OK
+    assert capsys.readouterr().out == "checked 1 of 9 cache file(s): ok\n"
     victim = sorted(cache_dir.glob("*.zdk"))[0]
     victim.write_bytes(victim.read_bytes()[:-2])
     assert run_cli(["cache", "verify", "--cache-dir", str(cache_dir),

@@ -19,7 +19,7 @@ from harnack.bounds import chain_certificate
 from harnack.exit_time import exact_exit_cdf
 from harnack.green import green_solve
 from harnack.harmonic import LatticeField, balayage, balayage_batch_audit, dirichlet_mc, laplacian, random_harmonic
-from harnack.kernel import exactness_audit, exit_steps, iter_killed_vectors, killed_matrix, n_step, parity_classes
+from harnack.kernel import exactness_audit, exit_steps, iter_killed_vectors, killed_matrix, n_step, walk_columns
 from harnack.lattice import FiniteDomain, build_ball_chain, make_ball, neighbors
 
 
@@ -166,7 +166,7 @@ INDEX_ENTRY_POINTS = {
     "green_solve": lambda B, idx: green_solve(B, columns=idx),
     "iter_killed_vectors": lambda B, idx: next(iter_killed_vectors(B, idx, 3)),
     "inner_mask": lambda B, idx: B.inner_mask(np.asarray(idx)),
-    "parity_classes": lambda B, idx: parity_classes(B, np.asarray(idx)),
+    "walk_columns": walk_columns,
     "balayage": lambda B, idx: balayage(idx, random_harmonic(B, seed=0)),
 }
 

@@ -23,8 +23,8 @@ from harnack.kernel import (
     lazy_walk,
     n_step,
     orthant_fields,
-    parity_classes,
     projection_audit,
+    walk_columns,
     walk_pmf,
 )
 from harnack.exit_time import exact_exit_cdf
@@ -177,7 +177,9 @@ def test_killed_chain_matches_hand_dp():
 def test_killed_block_columns_match_single_start_iteration(d, R):
     B = make_ball((0,) * d, R)
     P = killed_matrix(B)
-    for members in parity_classes(B):
+    parity = B.coords.sum(axis=1) % 2
+    for c in (0, 1):
+        members = np.flatnonzero(parity == c)
         starts = [members[0], members[len(members) // 2], members[-1]]
         vecs = np.eye(len(B))[:, starts].T.copy()
         for n, block in iter_killed_vectors(B, starts, 12):
@@ -227,7 +229,7 @@ def assert_stacked_iterates_equal_the_full_block(D, starts, n_max):
 def test_live_class_iterates_equal_the_full_block(d):
     for R in range(9):
         B = make_ball((0,) * d, R)
-        even, odd = parity_classes(B)
+        even, odd = (np.flatnonzero(B.coords.sum(axis=1) % 2 == c) for c in (0, 1))
         # one class alone, and both classes in interior order with unequal counts
         cases = [members[:: max(1, len(members) // 4)] for members in (even, odd) if len(members)]
         if len(odd):
@@ -247,7 +249,8 @@ def test_stacked_iterates_on_domains_that_are_not_balls():
 
 def test_empty_starts_are_rejected_and_mixed_starts_pair_up():
     B = make_ball((0, 0), 3)
-    even, odd = parity_classes(B)
+    parity = B.coords.sum(axis=1) % 2
+    even, odd = (np.flatnonzero(parity == c) for c in (0, 1))
     with pytest.raises(ValueError):
         next(iter_killed_vectors(B, [], 4))
     # an odd and an even start share column 0: it is the sum of their own
@@ -257,6 +260,17 @@ def test_empty_starts_are_rejected_and_mixed_starts_pair_up():
     for (_, block), ((_, from_even), (_, from_odd)) in zip(mixed, alone):
         assert block.shape == (len(B), 1)
         assert np.array_equal(block, from_even + from_odd)
+    # in mixed order, three even starts and two odd: each start's column is
+    # its rank among the given starts of its class, and walks that start
+    starts = [odd[5], even[3], even[0], odd[1], even[7]]
+    column = walk_columns(B, starts)
+    assert column.tolist() == [0, 0, 1, 1, 2]
+    solo = [iter_killed_vectors(B, [start], 4) for start in starts]
+    for n, block in iter_killed_vectors(B, starts, 4):
+        assert block.shape == (len(B), 3)
+        for start, j, own_walk in zip(starts, column, solo):
+            live = parity == (parity[start] + n) % 2
+            assert np.array_equal(block[live, j], next(own_walk)[1][live, 0])
 
 
 def test_walk_pmf_is_the_correctly_rounded_binomial():

@@ -16,7 +16,6 @@ KEPT = {  # (module.function, parameter): why it keeps a default
     ("cli.main", "argv"): "None reads sys.argv; tests pass their own lists",
     ("green.green_solve", "columns"):
         "cli and equivalence_audit solve full tables, ugi_audit and comparability_ratio some columns",
-    ("kernel.parity_classes", "points"): "the series splits the domain, iter_killed_vectors a start set",
     ("lattice.l1_path", "anchor"): "chain_certificate walks unanchored, build_ball_chain anchored",
     ("lattice.FiniteDomain.inner_mask", "subset"):
         "the domain's own inner boundary (tests), or a subset's (green, harmonic)",
