@@ -1,11 +1,11 @@
 """Scale-invariant Harnack constants for harmonic functions on lattice balls.
 
 The exact constant ``C(R)`` is the worst half-ball ratio over the extreme
-rays of the nonnegative-harmonic cone — the boundary hitting kernels — so
-one hitting-matrix solve per ball gives the supremum over all nonnegative
-harmonic functions.  Audits cover the small-radius combinatorial bound, the
-chained amplification certificate for large radii, and the oscillation
-decay that the constant implies.
+rays of the nonnegative-harmonic cone — the boundary hitting kernels — and
+one solve per ball, of one kernel per symmetry orbit of the boundary, gives
+the supremum over all nonnegative harmonic functions.  Audits cover the
+small-radius combinatorial bound, the chained amplification certificate for
+large radii, and the oscillation decay that the constant implies.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .green import comparability_ratio
-from .harmonic import harmonic_measure_matrix
-from .kernel import Memo, SolverError
+from .harmonic import dirichlet_solve, harmonic_measure_matrix
+from .kernel import SolverError
 from .lattice import FiniteDomain, Point, build_ball_chain, make_ball, radii
 from .report import AuditReport
 from .rng import philox
@@ -30,8 +30,6 @@ STABILITY_RATIO_CAP = 1.5  # the scale-stability gate on max / min C(R)
 CLOSED_FORM_TOL = 1e-12  # the 1-d gate on |exact - closed form|
 CLOSED_FORM_CAP = 3.0  # the 1-d gate on the largest exact constant, which must stay below it
 
-_HITTING = Memo()  # (d, R) -> (B(0, R), its hitting matrix)
-
 
 @dataclass(frozen=True)
 class HarnackRecord:
@@ -40,24 +38,23 @@ class HarnackRecord:
     d: int
     R: int
     constant: float
-    witness_boundary: Point
+    witness_boundary: Point  # the least point of its symmetry orbit
     witness_max: Point
     witness_min: Point
     branch: str  # "small_R" (R <= 32) or "chained" (R > 32)
 
 
-def hitting_kernels(d: int, R: int) -> tuple[FiniteDomain, np.ndarray]:
-    """Exit-position kernel matrix of B(0,R): rows interior, columns boundary.
+def hitting_kernels(d: int, R: int) -> tuple[FiniteDomain, np.ndarray, np.ndarray]:
+    """B(0, R), one outer-boundary index per symmetry orbit, and their hitting kernels (rows interior).
 
-    Kept per (d, R) in the bounded memo (``kernel.Memo``, within
-    ``kernel.MEMO_BYTES``); the matrix is read-only.
+    Each index is the least of its orbit under :meth:`FiniteDomain.symmetries`,
+    so it names the orbit's lexicographically least point; a symmetry moves
+    its kernel onto the kernel of any other point of the orbit.
     """
-
-    def build() -> tuple[FiniteDomain, np.ndarray]:
-        D = make_ball((0,) * d, R)
-        return D, harmonic_measure_matrix(D)
-
-    return _HITTING.get((d, R), build)
+    D = make_ball((0,) * d, R)
+    rep = D.symmetries()[:, len(D) :].min(axis=0) - len(D)  # each boundary point's orbit representative
+    reps = np.flatnonzero(rep == np.arange(len(rep)))
+    return D, reps, harmonic_measure_matrix(D, reps)
 
 
 def harnack_constant_exact(d: int, R: int) -> HarnackRecord:
@@ -66,16 +63,17 @@ def harnack_constant_exact(d: int, R: int) -> HarnackRecord:
     Every nonnegative harmonic function on the ball is a nonnegative
     combination of the kernels, and a ratio of positive linear functionals
     is maximized on an extreme ray, so the kernel maximum is the supremum
-    over the whole cone.
+    over the whole cone.  A symmetry maps the half ball onto itself, so one
+    kernel per orbit (:func:`hitting_kernels`) carries every ratio.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-    D, M = hitting_kernels(d, R)
+    D, reps, K = hitting_kernels(d, R)
     half = D.within(R // 2)
-    sub = M[half, :]
+    sub = K[half, :]
     mins = sub.min(axis=0)
     if mins.min() <= 0.0:
-        z = int(mins.argmin())
+        z = reps[int(mins.argmin())]
         raise SolverError(
             f"hitting kernel for boundary point {D.outer_boundary[z]} vanishes on "
             "the half ball; the solve is broken"
@@ -87,7 +85,7 @@ def harnack_constant_exact(d: int, R: int) -> HarnackRecord:
         d=d,
         R=R,
         constant=float(ratios[z]),
-        witness_boundary=D.outer_boundary[z],
+        witness_boundary=D.outer_boundary[reps[z]],
         witness_max=D.interior[half[int(sub[:, z].argmax())]],
         witness_min=D.interior[half[int(sub[:, z].argmin())]],
         branch="small_R" if R <= 32 else "chained",
@@ -193,7 +191,8 @@ def oscillation_audit(d: int, r_values: Sequence[int], seed: int) -> AuditReport
 
     For every hitting kernel (and ``MIXTURES`` seeded random nonnegative
     mixtures), the ratio Osc(half ball) / Osc(ball) is below
-    ``1 - DELTA_MIN``; constant inputs (zero oscillation) are excluded.
+    ``1 - DELTA_MIN``; constant inputs (zero oscillation) are excluded.  One
+    kernel per orbit carries every ratio, as in :func:`harnack_constant_exact`.
     """
     r_values = radii(r_values)
     rng = philox(seed, stream=_MIXTURE_STREAM)
@@ -201,20 +200,14 @@ def oscillation_audit(d: int, r_values: Sequence[int], seed: int) -> AuditReport
     worst = None
     all_pass = True
     for R in r_values:
-        D, M = hitting_kernels(d, R)
+        D, _, K = hitting_kernels(d, R)
         half = D.within(R // 2)
-        fields = [M]
-        mix = rng.uniform(0.0, 1.0, size=(M.shape[1], MIXTURES))
-        fields.append(M @ mix)
-        worst_ratio = 0.0
-        for values in fields:
-            osc_full = values.max(axis=0) - values.min(axis=0)
-            osc_half = values[half, :].max(axis=0) - values[half, :].min(axis=0)
-            keep = osc_full > 0
-            if keep.any():
-                worst_ratio = max(
-                    worst_ratio, float((osc_half[keep] / osc_full[keep]).max())
-                )
+        mix = rng.uniform(0.0, 1.0, size=(len(D.outer_coords), MIXTURES))
+        values = np.hstack([K, dirichlet_solve(D, mix).values[: len(D)]])
+        osc_full = values.max(axis=0) - values.min(axis=0)
+        osc_half = values[half, :].max(axis=0) - values[half, :].min(axis=0)
+        keep = osc_full > 0
+        worst_ratio = float((osc_half[keep] / osc_full[keep]).max(initial=0.0))
         delta = 1.0 - worst_ratio
         ok = delta >= DELTA_MIN
         all_pass &= ok

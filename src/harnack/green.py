@@ -106,7 +106,7 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    maps = B.symmetries()
+    maps = B.symmetries()[:, : len(B)]  # the interior block
     rep = maps.min(axis=0)  # each point's orbit representative
     reps = np.flatnonzero(rep == np.arange(len(B)))
     column = walk_columns(B, reps)  # the walk's column of each representative

@@ -6,8 +6,8 @@ is a :class:`LatticeField`: a domain and its values in the domain's closure
 order (or over the interior prefix of it), so an operator on a field takes
 its domain from the field; boundary data are arrays over ``D.outer_coords``.
 The Dirichlet problem is solved three independent ways (sparse LU, clamped
-fixed-point iteration, Monte Carlo) and harmonic measure by one solve with
-|∂D| right-hand sides; the triple audit checks ``h(x) = sum_y G_D(x, y)
+fixed-point iteration, Monte Carlo); harmonic measure is the solve of unit
+data columns; the triple audit checks ``h(x) = sum_y G_D(x, y)
 c(y)``, c the data's share of each neighbour average, on the centre's column
 of ``green.green_solve``.  Every LU solve is ``kernel.killed_solve``,
 certified by ``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it
@@ -29,7 +29,7 @@ import numpy as np
 from .exit_time import exit_walks
 from .green import green_solve
 from .kernel import RESIDUAL_TOL, SolverError, exit_steps, killed_matrix, killed_solve
-from .lattice import FiniteDomain, make_ball, radii
+from .lattice import FiniteDomain, _integer_array, make_ball, radii
 from .report import AuditReport
 from .rng import philox
 
@@ -51,7 +51,7 @@ class BalayageError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeField:
-    """Real values over a domain's closure index, or over its interior prefix."""
+    """Real values over a domain's closure index, or over its interior prefix; a block of fields is one column each."""
 
     domain: FiniteDomain
     values: np.ndarray
@@ -81,9 +81,9 @@ def laplacian(h: LatticeField) -> np.ndarray:
 
 
 def _boundary_data(D: FiniteDomain, phi) -> np.ndarray:
-    """Boundary data as a float array over ``D.outer_coords`` (``ValueError`` otherwise)."""
+    """Boundary data as a float array over ``D.outer_coords``, a vector or one column per datum (``ValueError`` otherwise)."""
     vals = np.asarray(phi, dtype=float)
-    if vals.shape != (len(D.outer_coords),):
+    if vals.ndim not in (1, 2) or len(vals) != len(D.outer_coords):
         raise ValueError("boundary data must align with D.outer_coords")
     return vals
 
@@ -92,7 +92,7 @@ def _boundary_field(D: FiniteDomain, phi) -> tuple[np.ndarray, np.ndarray]:
     """Boundary data as a float array over ``D.outer_coords``, and their share of each neighbour average."""
     vals = _boundary_data(D, phi)
     rows_b, cols_b, w = exit_steps(D)
-    coupling = np.zeros(len(D))
+    coupling = np.zeros((len(D),) + vals.shape[1:])
     np.add.at(coupling, rows_b, w * vals[cols_b])
     return vals, coupling
 
@@ -103,7 +103,8 @@ def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     Sparse-LU path, ``kernel.killed_solve`` with the boundary coupling as
     right-hand side (a ball's factor is memoized); the killed one-step
     matrix is strictly substochastic on the inner boundary, so the system is
-    nonsingular.  The result carries the boundary data exactly.
+    nonsingular.  The result carries the boundary data exactly.  Data of
+    shape (|∂D|, k) are k problems in one solve, one column each.
     """
     bdata, coupling = _boundary_field(D, phi)
     return LatticeField(D, np.concatenate([killed_solve(D, coupling), bdata]))
@@ -118,7 +119,7 @@ def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
     """
     bdata, coupling = _boundary_field(D, phi)
     P = killed_matrix(D)
-    interior = np.full(len(D), float(bdata.mean()))
+    interior = np.full(coupling.shape, bdata.mean(axis=0))
     for _ in range(MAX_SWEEPS):
         nxt = P @ interior + coupling
         delta = float(np.abs(nxt - interior).max())
@@ -140,6 +141,8 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[floa
     :class:`SolverError`.
     """
     bdata = _boundary_data(D, phi)
+    if bdata.ndim != 1:
+        raise ValueError("the Monte Carlo route takes one boundary vector")
     hits = np.zeros(len(bdata), dtype=np.int64)
     for _, exits in exit_walks(D, x, samples, seed, _MC_STREAM, _MC_STEP_CAP):
         hits += np.bincount(exits, minlength=len(bdata))
@@ -154,17 +157,19 @@ def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[floa
     return mean, se
 
 
-def harmonic_measure_matrix(D: FiniteDomain) -> np.ndarray:
-    """Harmonic measure of D, every exit-position row at once: shape (interior, boundary).
+def harmonic_measure_matrix(D: FiniteDomain, boundary: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Harmonic measure of D at the outer-boundary indices ``boundary``: shape (interior, len(boundary)).
 
-    Row x is the walk's exit law from x over ``D.outer_coords``; rows sum to
-    one, and column z solves the Dirichlet problem with data ``1_z``.  One
-    certified solve (a ball's factor is memoized) with |∂D| right-hand sides.
+    Column k is each start's chance to exit at ``D.outer_coords[boundary[k]]``,
+    one :func:`dirichlet_solve` of unit data; over every index, rows sum to one.
+    Bad index sets raise as in ``FiniteDomain.interior_indices`` (0 to |∂D| - 1 here).
     """
-    rows_b, cols_b, w = exit_steps(D)
-    rhs = np.zeros((len(D), len(D.outer_coords)))
-    rhs[rows_b, cols_b] = w
-    return killed_solve(D, rhs)
+    boundary = _integer_array(boundary, "boundary indices")
+    if boundary.min() < 0 or boundary.max() >= len(D.outer_coords):
+        raise ValueError(f"boundary indices run from 0 to {len(D.outer_coords) - 1}")
+    unit = np.zeros((len(D.outer_coords), len(boundary)))
+    unit[boundary, np.arange(len(boundary))] = 1.0
+    return dirichlet_solve(D, unit).values[: len(D)]
 
 
 def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:

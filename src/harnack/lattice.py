@@ -23,8 +23,8 @@ index of the package: the domain keeps it as a dense box over its bounding
 box (point to position) and as the closure indices of every interior point's
 2d neighbours, so that every other module addresses fields as flat numpy
 vectors and builds lattice operators from one array.  It also finds the
-domain's lattice symmetries as index maps, so that walk quantities invariant
-under them need only be computed once per orbit.
+domain's lattice symmetries as closure-index maps, so that walk quantities
+invariant under them need only be computed once per orbit.
 """
 
 from __future__ import annotations
@@ -224,19 +224,20 @@ class FiniteDomain:
         return np.flatnonzero(np.abs(self.coords - np.array(center)).sum(axis=1) <= r)
 
     def symmetries(self) -> np.ndarray:
-        """Index images of the domain's lattice symmetries, one row per map.
+        """Closure-index images of the domain's lattice symmetries, one row per map.
 
         The maps are the signed coordinate permutations about the centre of
         the interior's bounding box (any such map of the interior onto
         itself fixes that centre) that carry the interior onto itself:
-        ``out[k, i]`` is the interior index of the image of point i under
-        map k.  Row 0 is the identity; an asymmetric domain has no other
-        row.  Coordinates are doubled about the centre, so half-integer
-        centres need no special case.  The maps preserve the nearest-neighbour
-        graph, so every walk quantity of the domain is invariant under them.
+        ``out[k, i]`` is the closure index of the image of point i under
+        map k: the interior block ``out[:, :len(D)]`` permutes the interior,
+        the rest the outer boundary.  Row 0 is the identity; an asymmetric
+        domain has no other row.  Coordinates are doubled about the centre,
+        so half-integer centres need no special case.  The maps preserve the
+        nearest-neighbour graph, so every walk quantity is invariant under them.
         """
         lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
-        doubled = 2 * self.coords - (lo + hi)
+        doubled = 2 * np.concatenate([self.coords, self.outer_coords]) - (lo + hi)
         maps = []
         for perm in itertools.permutations(range(self.dimension)):
             for signs in itertools.product((1, -1), repeat=self.dimension):
@@ -247,7 +248,7 @@ class FiniteDomain:
                 if (cells < 0).any() or (cells >= self.box.shape).any():
                     continue
                 index = self.box[tuple(cells.T)]
-                if ((index >= 0) & (index < len(self))).all():
+                if ((index[: len(self)] >= 0) & (index[: len(self)] < len(self))).all():
                     maps.append(index)
         out = np.stack(maps)
         out.setflags(write=False)

@@ -116,6 +116,8 @@ def test_thread_pool_width_does_not_change_audits(tmp_path, monkeypatch):
     for base in (
         ["green", "--dim", "1", "--r-min", "2", "--r-max", "4", "--seed", "3"],
         ["bounds", "--dim", "2", "--n-max", "40", "--seed", "3"],
+        # small_r, stability and oscillation solve the same balls side by side
+        ["ehi", "--dim", "2", "--r-max", "8", "--seed", "3"],
     ):
         for threads, out in (("1", out_a), ("3", out_b)):
             # an empty free-field memo, so three bounds audits walk the one progression at once

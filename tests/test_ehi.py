@@ -13,7 +13,7 @@ from harnack.ehi import (
     small_r_bound_audit,
     stability_audit,
 )
-from harnack.harmonic import laplacian, LatticeField
+from harnack.harmonic import harmonic_measure_matrix, laplacian, LatticeField
 from harnack.lattice import graph_distance
 
 
@@ -40,14 +40,42 @@ def test_record_metadata_and_monotone_growth():
 
 
 def test_hitting_kernels_are_nonnegative_harmonic_partitions():
-    D, M = hitting_kernels(2, 4)
-    assert M.shape == (len(D), len(D.outer_boundary))
+    D, reps, K = hitting_kernels(2, 4)
+    M = harmonic_measure_matrix(D, np.arange(len(D.outer_coords)))
+    assert K.shape == (len(D), len(reps)) and M.shape == (len(D), len(D.outer_boundary))
     assert (M >= 0.0).all()
-    assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12  # rows are exit laws over the whole boundary
+    assert np.abs(K - M[:, reps]).max() <= 1e-15
     # each column is harmonic in the interior as a function of the start
-    for j in (0, len(D.outer_boundary) // 2):
-        h = LatticeField(D, np.concatenate([M[:, j], np.eye(len(D.outer_boundary))[j]]))
+    for k in (0, len(reps) // 2):
+        h = LatticeField(D, np.concatenate([K[:, k], np.eye(len(D.outer_boundary))[reps[k]]]))
         assert np.abs(laplacian(h)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,R", [(2, 6), (3, 3)])
+def test_one_kernel_per_orbit_gives_every_ratio(d, R):
+    # a boundary point's orbit under the signed coordinate permutations is
+    # every boundary point with the same sorted absolute coordinates
+    D, reps, _ = hitting_kernels(d, R)
+    half = D.within(R // 2)
+    M = harmonic_measure_matrix(D, np.arange(len(D.outer_coords)))[half]
+    ratios = M.max(axis=0) / M.min(axis=0)
+    orbit_of = [tuple(sorted(map(abs, z))) for z in D.outer_boundary]
+    least = {}
+    for j, key in enumerate(orbit_of):
+        least.setdefault(key, j)  # outer_boundary is lexicographic
+    assert reps.tolist() == sorted(least.values())
+    for j, key in enumerate(orbit_of):
+        assert ratios[j] == pytest.approx(ratios[least[key]], rel=1e-12, abs=0.0)
+    rec = harnack_constant_exact(d, R)
+    w = rec.witness_boundary
+    assert D.outer_boundary.index(w) == least[tuple(sorted(map(abs, w)))]
+    assert rec.constant == pytest.approx(ratios.max(), rel=1e-12, abs=0.0)
+
+
+def test_the_planar_witness_is_the_least_point_of_its_orbit():
+    # the four axis points of the boundary tie; (-33, 0) is the least of them
+    assert harnack_constant_exact(2, 32).witness_boundary == (-33, 0)
 
 
 def test_small_r_bound_audit_passes():

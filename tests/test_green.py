@@ -144,7 +144,7 @@ def assert_orbit_series(D, tol=1e-12):
     """
     series = green_table_series(D, tol=tol)
     table, terms, tail_bounds = series_reference(D, tol)
-    maps = D.symmetries()
+    maps = D.symmetries()[:, : len(D)]
     rep = maps.min(axis=0)
     walked = np.flatnonzero(rep == np.arange(len(D)))
     assert np.array_equal(series.values[:, walked], table[:, walked])
@@ -200,7 +200,7 @@ def test_series_holds_a_few_blocks_not_its_window():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    reps = np.flatnonzero(B.symmetries().min(axis=0) == np.arange(len(B)))
+    reps = np.flatnonzero(B.symmetries()[:, : len(B)].min(axis=0) == np.arange(len(B)))
     block = len(B) * (walk_columns(B, reps).max() + 1) * 8
     assert block == 17_400
     assert peak - series.values.nbytes < 12 * block
@@ -226,7 +226,7 @@ def test_asymmetric_domain_walks_every_start():
 def test_half_integer_centred_domain_walks_one_start_per_orbit():
     # centre (1/2, 1): the x reflection swaps the parity classes
     D = FiniteDomain.from_points([(x, y) for x in range(2) for y in range(3)])
-    assert len(np.unique(D.symmetries().min(axis=0))) == 2
+    assert len(np.unique(D.symmetries()[:, : len(D)].min(axis=0))) == 2
     assert_orbit_series(D)
 
 

@@ -129,7 +129,7 @@ def test_mc_route_builds_no_boundary_coupling(monkeypatch):
 
 def test_harmonic_measure_row_properties():
     D = make_ball((0, 0), 4)
-    hm = harmonic_measure_matrix(D)[D.index_of((1, -1))]
+    hm = harmonic_measure_matrix(D, np.arange(len(D.outer_coords)))[D.index_of((1, -1))]
     assert hm.shape == (len(D.outer_coords),)
     assert hm.min() >= 0.0
     assert hm.sum() == pytest.approx(1.0, abs=1e-12)
@@ -143,12 +143,35 @@ def test_harmonic_measure_matrix_matches_single_rows():
     # Row x is the exit law from x; column z must be the Dirichlet solution
     # with data 1_z, solved here one boundary point at a time.
     D = make_ball((0, 0), 3)
-    M = harmonic_measure_matrix(D)
+    M = harmonic_measure_matrix(D, np.arange(len(D.outer_coords)))
     for z in (0, 5, len(D.outer_coords) // 2, len(D.outer_coords) - 1):
         e_z = np.zeros(len(D.outer_coords))
         e_z[z] = 1.0
         forward = dirichlet_solve(D, e_z).values[: len(D)]
         assert np.abs(M[:, z] - forward).max() <= 1e-13
+
+
+def test_harmonic_measure_refuses_what_is_not_a_boundary_index_set():
+    D = make_ball((0, 0), 3)
+    for bad, error in (([-1], ValueError), ([len(D.outer_coords)], ValueError), ([], ValueError),
+                       ([1.0], TypeError), ([True, False], TypeError)):
+        with pytest.raises(error):
+            harmonic_measure_matrix(D, bad)
+
+
+def test_a_block_of_boundary_data_is_one_problem_per_column():
+    # the oscillation audit's mixtures are one solve of a (|∂D|, k) block
+    D = make_ball((0, 0), 3)
+    data = np.random.default_rng(5).uniform(size=(len(D.outer_coords), 3))
+    block = dirichlet_solve(D, data).values
+    assert block.shape == (len(D) + len(D.outer_coords), 3)
+    for k in range(3):
+        assert np.abs(block[:, k] - dirichlet_solve(D, data[:, k]).values).max() <= 1e-13
+    assert np.abs(dirichlet_iterate(D, data).values - block).max() <= 1e-8
+    with pytest.raises(ValueError, match="one boundary vector"):
+        dirichlet_mc(D, data, (0, 0), samples=10, seed=0)
+    with pytest.raises(ValueError, match="align with D.outer_coords"):
+        dirichlet_solve(D, data[None])
 
 
 @pytest.mark.parametrize("d,R,seed", [(1, 6, 2), (2, 5, 0), (3, 3, 1)])
@@ -199,7 +222,7 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     assert kernel._LU.get(B.key(), no_factorization) is factor  # one factor per ball
     monkeypatch.setattr(kernel.spla, "splu", no_factorization)
     assert np.array_equal(dirichlet_solve(B, phi).values[: len(B)], fresh.solve(rhs))
-    assert np.array_equal(harmonic_measure_matrix(B), fresh.solve(coupling))
+    assert np.array_equal(harmonic_measure_matrix(B, np.arange(len(B.outer_coords))), fresh.solve(coupling))
 
 
 @pytest.mark.parametrize("d,R", [(1, 6), (2, 5), (3, 3)])
@@ -238,7 +261,7 @@ def test_ball_solves_build_no_sparse_matrix_once_factored(monkeypatch):
         monkeypatch.setattr(sp, name, no_assembly)
     h = random_harmonic(B, seed=3)
     dirichlet_solve(B, np.linspace(0.0, 1.0, len(B.outer_boundary)))
-    harmonic_measure_matrix(B)
+    harmonic_measure_matrix(B, np.arange(len(B.outer_coords)))
     laplacian(h)
 
 
@@ -262,7 +285,7 @@ def test_every_factor_solve_is_certified(monkeypatch):
     solves = [
         lambda: green_solve(B),
         lambda: dirichlet_solve(B, np.ones(len(B.outer_coords))),
-        lambda: harmonic_measure_matrix(B),
+        lambda: harmonic_measure_matrix(B, np.arange(len(B.outer_coords))),
         lambda: balayage(B.within(1), h),
     ]
     for solve in solves:

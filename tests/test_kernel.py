@@ -407,8 +407,6 @@ def test_exactness_audit_rejects_tiny_ranges():
 
 
 def test_memoized_arrays_are_read_only():
-    from harnack.ehi import hitting_kernels
-
     before = n_step((0, 0), (0, 1), 3)
     with pytest.raises(ValueError):
         free_field(2, 3)[3, 4] = 99.0
@@ -418,7 +416,5 @@ def test_memoized_arrays_are_read_only():
     assert n_step((0, 0), (0, 1), 3) == before == 0.140625
     with pytest.raises(ValueError):
         free_field(3, 2)[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        hitting_kernels(2, 2)[1][0, 0] = 0.0
     with pytest.raises(ValueError):
         killed_matrix(make_ball((0, 0), 2)).data[0] = 1.0

@@ -140,14 +140,18 @@ def test_volume_audit_passes():
 
 
 def assert_symmetries(D):
-    """Row 0 is the identity, every row permutes the interior and keeps P^D."""
+    """Row 0 is the identity; every row permutes the interior and the outer boundary, keeps P^D and the neighbour graph."""
     maps = D.symmetries()
-    assert np.array_equal(maps[0], np.arange(len(D)))
+    m, closure = len(D), len(D) + len(D.outer_coords)
+    assert np.array_equal(maps[0], np.arange(closure))
     assert len({tuple(row) for row in maps.tolist()}) == len(maps)
     P = killed_matrix(D).toarray()
     for row in maps:
-        assert np.array_equal(np.sort(row), np.arange(len(D)))
-        assert np.array_equal(P[np.ix_(row, row)], P)
+        assert np.array_equal(np.sort(row[:m]), np.arange(m))
+        assert np.array_equal(np.sort(row[m:]), np.arange(m, closure))
+        assert np.array_equal(P[np.ix_(row[:m], row[:m])], P)
+        # the image of each neighbour is a neighbour of the image
+        assert np.array_equal(np.sort(row[D.neighbor_index], axis=1), np.sort(D.neighbor_index[row[:m]], axis=1))
     return maps
 
 
@@ -157,9 +161,9 @@ def test_origin_ball_has_the_full_group_and_one_orbit_per_sorted_abs(d, R):
     maps = assert_symmetries(B)
     assert len(maps) == 2**d * math.factorial(d)
     rep = maps.min(axis=0)
-    keys = [tuple(sorted(abs(c) for c in x)) for x in B.interior]
+    keys = [tuple(sorted(abs(c) for c in x)) for x in B.interior + B.outer_boundary]
     assert len(set(rep.tolist())) == len(set(keys))
-    for i, j in itertools.combinations(range(len(B)), 2):
+    for i, j in itertools.combinations(range(len(keys)), 2):
         assert (rep[i] == rep[j]) == (keys[i] == keys[j])
 
 
@@ -176,8 +180,9 @@ def test_shifted_ball_finds_its_group_about_its_center(d, R, center):
     want = set()
     for perm in itertools.permutations(range(d)):
         for signs in itertools.product((1, -1), repeat=d):
-            image = (B.coords - c)[:, perm] * np.array(signs) + c
-            want.add(tuple(B.index_of(tuple(p)) for p in image.tolist()))
+            closure = np.concatenate([B.coords, B.outer_coords])
+            image = (closure - c)[:, perm] * np.array(signs) + c
+            want.add(tuple(B.closure_index(tuple(p)) for p in image.tolist()))
     assert {tuple(row) for row in maps.tolist()} == want
 
 
@@ -191,7 +196,7 @@ def test_shifted_ball_finds_its_group_about_its_center(d, R, center):
 )
 def test_half_integer_centres_find_their_reflections(points, images):
     D = FiniteDomain.from_points(points)
-    maps = assert_symmetries(D)
+    maps = assert_symmetries(D)[:, : len(D)]
     if images is None:
         assert len(maps) == 8
         assert (maps.min(axis=0) == 0).all()
@@ -201,4 +206,4 @@ def test_half_integer_centres_find_their_reflections(points, images):
 
 def test_asymmetric_domain_has_the_identity_alone():
     L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
-    assert np.array_equal(assert_symmetries(L), [np.arange(len(L))])
+    assert np.array_equal(assert_symmetries(L), [np.arange(len(L) + len(L.outer_coords))])
