@@ -47,12 +47,12 @@ class HarnackRecord:
 def hitting_kernels(d: int, R: int) -> tuple[FiniteDomain, np.ndarray, np.ndarray]:
     """B(0, R), one outer-boundary index per symmetry orbit, and their hitting kernels (rows interior).
 
-    Each index is the least of its orbit under :meth:`FiniteDomain.symmetries`,
-    so it names the orbit's lexicographically least point; a symmetry moves
-    its kernel onto the kernel of any other point of the orbit.
+    Each index is its orbit's representative (:meth:`FiniteDomain.representatives`),
+    the orbit's lexicographically least point; a symmetry moves its kernel
+    onto the kernel of any other point of the orbit.
     """
     D = make_ball((0,) * d, R)
-    rep = D.symmetries()[:, len(D) :].min(axis=0) - len(D)  # each boundary point's orbit representative
+    rep = D.representatives()[len(D) :] - len(D)  # each boundary point's orbit representative
     reps = np.flatnonzero(rep == np.arange(len(rep)))
     return D, reps, harmonic_measure_matrix(D, reps)
 

@@ -36,7 +36,9 @@ Audits on top of the tables: interior two-sided comparisons of ``g`` against
 ``r^{2-d}`` (or ``log(R/r)`` in d=2), a killed near-diagonal Gaussian lower
 fit (the log-space envelope routine of ``bounds``, fed each step's live
 parity block), and the pole-ratio comparability measurement used by the
-chained Harnack certificate.
+chained Harnack certificate.  Each takes one column, start or pole per
+symmetry orbit; a witness is the canonical pair, its least image over the
+maps and the swap (``g_B`` and ``p_n^B`` are symmetric).
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     maps = B.symmetries()[:, : len(B)]  # the interior block
-    rep = maps.min(axis=0)  # each point's orbit representative
+    rep = B.representatives()[: len(B)]
     reps = np.flatnonzero(rep == np.arange(len(B)))
     column = walk_columns(B, reps)  # the walk's column of each representative
     parity = B.coords.sum(axis=1) % 2
@@ -173,9 +175,14 @@ def green_solve(B: FiniteDomain, columns: Sequence[int] | None = None) -> np.nda
     return killed_solve(B, rhs)
 
 
-def _pair_distances(coords: np.ndarray) -> np.ndarray:
-    """(m, m) l1 distance matrix for an (m, d) coordinate array."""
-    return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) l1 distance matrix between two coordinate arrays."""
+    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+
+
+def _canonical_pair(B: FiniteDomain, i: int, j: int) -> list:
+    """The lesser canonical image of the interior pairs (i, j) and (j, i), as points."""
+    return [B.interior[k] for k in min(B.canonical((i, j)), B.canonical((j, i)))]
 
 
 def ugi_audit(d: int, r_values: Iterable[int]) -> AuditReport:
@@ -185,42 +192,32 @@ def ugi_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     restricted to ``r <= R/2``, the audit fits the extrema of
     ``g * r^{d-2}`` (d >= 3) or of ``g / log(R/r)`` (d = 2).  Pass requires
     ``0 < G1 <= G2``, ``G2/G1 <= UGI_RATIO_CAP`` at every R, and a common value
-    inside every fitted window across R.
+    inside every fitted window across R, with one ``y`` per orbit and pairs
+    reported canonical.  ``ValueError`` below R = 2, where no pair is compared.
     """
     if d < 2:
         raise ValueError("the interior Green comparison is defined for d >= 2")
     r_values = radii(r_values)
-    rows = []
-    worst = None
-    all_pass = True
+    if r_values[0] < 2:
+        raise ValueError(f"the interior Green comparison needs R >= 2, not R = {r_values[0]}")
+    rows, worst, all_pass = [], None, True
     for R in r_values:
         B = make_ball((0,) * d, R)
         half = B.within(R // 2)
-        g = green_solve(B, columns=half)[half, :]
-        dist = _pair_distances(B.coords[half])
-        r = np.maximum(dist, 1)
-        mask = r <= R / 2
-        scale = np.log(R / r) if d == 2 else r.astype(float) ** (d - 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(mask, g / scale if d == 2 else g * scale, np.nan)
-        g1 = float(np.nanmin(vals))
-        g2 = float(np.nanmax(vals))
-        imin = np.unravel_index(np.nanargmin(vals), vals.shape)
-        imax = np.unravel_index(np.nanargmax(vals), vals.shape)
+        reps = half[B.representatives()[half] == half]
+        r = np.maximum(_pair_distances(B.coords[half], B.coords[reps]), 1)
+        i, j = np.nonzero(r <= R / 2)  # the compared (half-ball point, column) pairs
+        g, r = green_solve(B, columns=reps)[half[i], j], r[i, j]
+        vals = g / np.log(R / r) if d == 2 else g * r.astype(float) ** (d - 2)
+        lo_k, hi_k = int(vals.argmin()), int(vals.argmax())
+        g1, g2 = float(vals[lo_k]), float(vals[hi_k])
         ratio = g2 / g1 if g1 > 0 else math.inf
-        ok = g1 > 0 and math.isfinite(g2) and ratio <= UGI_RATIO_CAP
-        all_pass &= ok
+        all_pass &= g1 > 0 and math.isfinite(g2) and ratio <= UGI_RATIO_CAP
         rows.append({"R": R, "G1": g1, "G2": g2, "ratio": ratio})
         if worst is None or ratio > worst["ratio"]:
-            pts = B.interior
-            worst = {
-                "R": R,
-                "ratio": ratio,
-                "min_pair": [pts[half[imin[0]]], pts[half[imin[1]]]],
-                "max_pair": [pts[half[imax[0]]], pts[half[imax[1]]]],
-            }
-    lo = max(row["G1"] for row in rows)
-    hi = min(row["G2"] for row in rows)
+            lo_pair, hi_pair = (_canonical_pair(B, half[i[k]], reps[j[k]]) for k in (lo_k, hi_k))
+            worst = {"R": R, "ratio": ratio, "min_pair": lo_pair, "max_pair": hi_pair}
+    lo, hi = max(row["G1"] for row in rows), min(row["G2"] for row in rows)
     overlap = lo <= hi
     return AuditReport(
         audit_id=f"green.ugi.d{d}",
@@ -232,11 +229,7 @@ def ugi_audit(d: int, r_values: Iterable[int]) -> AuditReport:
         },
         worst=worst,
         passed=bool(all_pass and overlap),
-        notes=[
-            "scale function: "
-            + ("g/log(R/r)" if d == 2 else "g*r^(d-2)")
-            + ", pairs restricted to r <= R/2"
-        ],
+        notes=[f"scale function: {'g/log(R/r)' if d == 2 else 'g*r^(d-2)'}, pairs restricted to r <= R/2"],
         rows=rows,
     )
 
@@ -253,49 +246,47 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
     minimum-implied amplitude; the reported pair maximises the amplitude
     margin.  Pass iff ``A > 0``.
 
-    All half-ball starts advance in one walk, one sparse product per step,
-    even and odd starts paired in its columns, and the fit runs in log space
-    through the envelope routine of ``bounds``.
-    The walk is bipartite, so each pair has one live term and one exact
-    zero: distance shell r of pair m is the shell of step m when r + m is
-    even and of step m + 1 otherwise, so each step's live block, restricted
-    to half-ball targets, is reduced once to one minimum per shell.  Ties go
-    to the smallest m, then distance, then kernel value, then the first
-    (start, target) in half-ball order.
+    One start per symmetry orbit of the half ball advances in one walk, even
+    and odd starts paired in its columns, and the log-space fit is the envelope
+    routine of ``bounds``.  The walk is bipartite, so each pair has one live
+    term and one exact zero: shell r of pair m is step m's when r + m is even
+    and step m + 1's otherwise, so each step's live half-ball block is reduced
+    once to one minimum per shell.  Ties go to the smallest m, then distance,
+    then kernel value, then the first (start, target) in half-ball order, and
+    the witness is that pair's canonical image.
     """
     grid = _DECAY_GRID
     r_values = radii(r_values)
-    rows = []
-    all_pass = True
-    worst = None
+    rows, worst, all_pass = [], None, True
     for R in r_values:
         B = make_ball((0,) * d, R)
         half = B.within(R // 2)
-        dist = _pair_distances(B.coords[half])
+        starts = half[B.representatives()[half] == half]
+        dist = _pair_distances(B.coords[starts], B.coords[half])
         shell_count = int(dist.max()) + 1
-        # the walk's block holds half-ball target t and start s at entry
+        # the walk's block holds half-ball target t and orbit start s at entry
         # (half[t], column[s]), column by walk_columns; after n steps the
         # live (start, target) pairs are those at a distance of n's parity,
         # taken in (start, target) order, and read off the block by flat index
-        column = walk_columns(B, half)
+        column = walk_columns(B, starts)
         width = column.max() + 1
         layouts = []  # per parity of n: flat block indices, starts, targets, distances
         for p in (0, 1):
             s, t = np.nonzero(dist % 2 == p)
             layouts.append((half[t] * width + column[s], s, t, dist[s, t]))
         fit = _EnvelopeFit(d, grid, lower=True)
-        for n, block in iter_killed_vectors(B, half, R * R + 1):
+        for n, block in iter_killed_vectors(B, starts, R * R + 1):
             flat, s, t, pair_dist = layouts[n % 2]
             vals = block.take(flat)
             now = (_shell_extremes(vals, pair_dist, shell_count, lower=True), vals, s, t, pair_dist)
             m = n - 1
             if m >= 1:
 
-                def witness(r: int) -> dict:
-                    _, v, starts, targets, rd = prev if (r + m) % 2 == 0 else now
+                def witness(r: int) -> tuple:
+                    _, v, si, ti, rd = prev if (r + m) % 2 == 0 else now
                     k = np.flatnonzero(rd == r)
                     k = k[int(np.argmin(v[k]))]
-                    return {"R": R, "x": B.interior[half[starts[k]]], "y": B.interior[half[targets[k]]], "n": m}
+                    return starts[si[k]], half[ti[k]], m
 
                 fit.fold(_pair_shells(prev[0], now[0], m), m, witness)
             prev = now
@@ -305,7 +296,9 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
         all_pass &= a_hat > 0
         rows.append({"R": R, "A": a_hat, "C": c_hat})
         if worst is None or a_hat < worst["A"]:
-            worst = {"A": a_hat, "C": c_hat, **(fit.witness[best] or {})}
+            *pair, n = fit.witness[best]
+            x, y = _canonical_pair(B, *pair)
+            worst = {"A": a_hat, "C": c_hat, "R": R, "x": x, "y": y, "n": n}
     return AuditReport(
         audit_id=f"green.killed_lower.d{d}",
         grid={"d": d, "R": r_values, "decay_grid": [float(grid[0]), float(grid[-1]), len(grid)]},
@@ -317,16 +310,18 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
 
 
 def comparability_ratio(d: int, R: int) -> float:
-    """Measured pole-ratio constant of ``B(0, R)``.
+    """Measured pole-ratio constant of ``B(0, R)``; ``ValueError`` below R = 4 (a one-point quarter ball).
 
-    The maximum over poles ``y`` on the inner boundary of the half ball and
-    points ``x1, x2`` in the quarter ball of ``g_B(x1, y) / g_B(x2, y)``.
-    This is the per-step constant the chained Harnack certificate raises to
-    the chain length.
+    The maximum, over one pole ``y`` per symmetry orbit of the half ball's inner boundary and
+    points ``x1, x2`` in the quarter ball, of ``g_B(x1, y) / g_B(x2, y)``: the per-step
+    constant the chained Harnack certificate raises to the chain length.
     """
+    if R < 4:
+        raise ValueError(f"the pole ratio needs R >= 4, not R = {R}")
     B = make_ball((0,) * d, R)
     quarter = B.within(R // 4)
     poles = np.flatnonzero(B.inner_mask(B.within(R // 2)))
+    poles = poles[B.representatives()[poles] == poles]
     g = green_solve(B, columns=poles)[quarter, :]
     return float((g.max(axis=0) / g.min(axis=0)).max())
 

@@ -24,7 +24,8 @@ box (point to position) and as the closure indices of every interior point's
 2d neighbours, so that every other module addresses fields as flat numpy
 vectors and builds lattice operators from one array.  It also finds the
 domain's lattice symmetries as closure-index maps, so that walk quantities
-invariant under them need only be computed once per orbit.
+invariant under them are computed for one column or start per orbit (its
+least point) and a witness is reported as the canonical (least) image.
 """
 
 from __future__ import annotations
@@ -234,8 +235,13 @@ class FiniteDomain:
         the rest the outer boundary.  Row 0 is the identity; an asymmetric
         domain has no other row.  Coordinates are doubled about the centre,
         so half-integer centres need no special case.  The maps preserve the
-        nearest-neighbour graph, so every walk quantity is invariant under them.
+        graph, so one column or start per orbit carries a walk quantity, and
+        a witness is its canonical image (:meth:`canonical`).
         """
+        return self._maps  # built on first use, once per domain
+
+    @cached_property
+    def _maps(self) -> np.ndarray:
         lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
         doubled = 2 * np.concatenate([self.coords, self.outer_coords]) - (lo + hi)
         maps = []
@@ -253,6 +259,15 @@ class FiniteDomain:
         out = np.stack(maps)
         out.setflags(write=False)
         return out
+
+    def representatives(self) -> np.ndarray:
+        """Each closure index's orbit representative: the least index, so the least point, of its orbit."""
+        return self.symmetries().min(axis=0)
+
+    def canonical(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """Canonical image of a tuple of closure indices: its least image under one map (so of points)."""
+        images = self.symmetries()[:, list(indices)]
+        return tuple(images[np.lexsort(images.T[::-1])[0]].tolist())
 
     def key(self) -> tuple[Point, int] | None:
         """Hashable identity of a ball, the memos' key; ``None`` (never stored) for any other domain."""

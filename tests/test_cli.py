@@ -115,6 +115,8 @@ def test_thread_pool_width_does_not_change_audits(tmp_path, monkeypatch):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     for base in (
         ["green", "--dim", "1", "--r-min", "2", "--r-max", "4", "--seed", "3"],
+        # the d=2 green audits: ugi and comparability solve columns, killed_lower walks starts
+        ["green", "--dim", "2", "--r-max", "8", "--seed", "3"],
         ["bounds", "--dim", "2", "--n-max", "40", "--seed", "3"],
         # small_r, stability and oscillation solve the same balls side by side
         ["ehi", "--dim", "2", "--r-max", "8", "--seed", "3"],

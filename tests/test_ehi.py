@@ -14,7 +14,7 @@ from harnack.ehi import (
     stability_audit,
 )
 from harnack.harmonic import harmonic_measure_matrix, laplacian, LatticeField
-from harnack.lattice import graph_distance
+from harnack.lattice import graph_distance, make_ball
 
 
 def test_d1_constant_closed_form_small_cases():
@@ -76,6 +76,15 @@ def test_one_kernel_per_orbit_gives_every_ratio(d, R):
 def test_the_planar_witness_is_the_least_point_of_its_orbit():
     # the four axis points of the boundary tie; (-33, 0) is the least of them
     assert harnack_constant_exact(2, 32).witness_boundary == (-33, 0)
+
+
+@pytest.mark.parametrize("d,R", [(2, 8), (3, 4)])
+def test_small_r_witness_is_canonical(d, R):
+    D = make_ball((0,) * d, R)
+    z = D.closure_index(small_r_bound_audit(d, [R]).worst["witness_z"])
+    assert D.representatives()[z] == z
+    for h in D.symmetries():
+        assert D.canonical((h[z],)) == (z,)
 
 
 def test_small_r_bound_audit_passes():

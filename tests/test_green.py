@@ -145,7 +145,7 @@ def assert_orbit_series(D, tol=1e-12):
     series = green_table_series(D, tol=tol)
     table, terms, tail_bounds = series_reference(D, tol)
     maps = D.symmetries()[:, : len(D)]
-    rep = maps.min(axis=0)
+    rep = D.representatives()[: len(D)]
     walked = np.flatnonzero(rep == np.arange(len(D)))
     assert np.array_equal(series.values[:, walked], table[:, walked])
     for j in np.flatnonzero(rep != np.arange(len(D))):
@@ -200,7 +200,7 @@ def test_series_holds_a_few_blocks_not_its_window():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    reps = np.flatnonzero(B.symmetries()[:, : len(B)].min(axis=0) == np.arange(len(B)))
+    reps = np.flatnonzero(B.representatives()[: len(B)] == np.arange(len(B)))
     block = len(B) * (walk_columns(B, reps).max() + 1) * 8
     assert block == 17_400
     assert peak - series.values.nbytes < 12 * block
@@ -226,7 +226,7 @@ def test_asymmetric_domain_walks_every_start():
 def test_half_integer_centred_domain_walks_one_start_per_orbit():
     # centre (1/2, 1): the x reflection swaps the parity classes
     D = FiniteDomain.from_points([(x, y) for x in range(2) for y in range(3)])
-    assert len(np.unique(D.symmetries()[:, : len(D)].min(axis=0))) == 2
+    assert len(np.unique(D.representatives()[: len(D)])) == 2
     assert_orbit_series(D)
 
 
@@ -272,17 +272,90 @@ def test_ugi_audit_passes_and_rejects_dimension_one():
         ugi_audit(1, [8, 16])
 
 
+@pytest.mark.parametrize(
+    "audit,d,r_values,bad",
+    [
+        (ugi_audit, 2, [1], 1),  # the half ball is the centre alone, and r = 1 > R/2
+        (ugi_audit, 3, [1, 4], 1),
+        (comparability_audit, 2, [1, 2, 3], 1),  # below R = 4 the quarter ball is one point
+        (comparability_audit, 3, [2, 3], 2),
+        (comparability_audit, 2, [3, 8], 3),
+    ],
+)
+def test_radii_that_compare_nothing_are_refused_by_name(audit, d, r_values, bad):
+    with pytest.raises(ValueError, match=f"R = {bad}$"):
+        audit(d, r_values)
+
+
+def test_the_smallest_radii_that_compare_something_run():
+    assert ugi_audit(2, [2, 3]).passed
+    assert comparability_ratio(2, 4) > 1.0 and comparability_ratio(3, 4) > 1.0
+    with pytest.raises(ValueError, match="R = 3$"):
+        comparability_ratio(2, 3)
+
+
+def ugi_full_reference(d, R):
+    """(G1, G2) of ``ugi_audit`` from every half-ball column and every half-ball pair."""
+    B = make_ball((0,) * d, R)
+    half = B.within(R // 2)
+    g = green_solve(B, columns=half)[half, :]
+    r = np.maximum(np.abs(B.coords[half][:, None, :] - B.coords[half][None, :, :]).sum(axis=2), 1)
+    keep = r <= R / 2
+    vals = g[keep] / np.log(R / r[keep]) if d == 2 else g[keep] * r[keep].astype(float) ** (d - 2)
+    return vals.min(), vals.max()
+
+
+def comparability_full_reference(d, R):
+    """``comparability_ratio`` over every pole of the half ball's inner boundary."""
+    B = make_ball((0,) * d, R)
+    poles = np.flatnonzero(B.inner_mask(B.within(R // 2)))
+    g = green_solve(B, columns=poles)[B.within(R // 4), :]
+    return (g.max(axis=0) / g.min(axis=0)).max()
+
+
+@pytest.mark.parametrize("d,R", [(2, 8), (2, 16), (3, 6)])
+def test_orbit_columns_give_the_full_computation(d, R, monkeypatch):
+    solved = []
+
+    def recording_solve(B, columns):
+        solved.append((B, np.asarray(columns)))
+        return green_solve(B, columns)
+
+    monkeypatch.setattr(green, "green_solve", recording_solve)
+    (row,) = ugi_audit(d, [R]).rows
+    ratio = comparability_ratio(d, R)
+    monkeypatch.undo()
+    g1, g2 = ugi_full_reference(d, R)
+    assert abs(row["G1"] - g1) <= 1e-13 * g1 and abs(row["G2"] - g2) <= 1e-13 * g2
+    want = comparability_full_reference(d, R)
+    assert abs(ratio - want) <= 1e-13 * want
+    # one column per orbit: the half ball's orbits, then the inner boundary's
+    (B, half_cols), (_, pole_cols) = solved
+    rep = B.representatives()
+    assert np.array_equal(half_cols, np.unique(rep[B.within(R // 2)]))
+    assert np.array_equal(pole_cols, np.unique(rep[np.flatnonzero(B.inner_mask(B.within(R // 2)))]))
+    assert len(half_cols) < len(B.within(R // 2))
+
+
 def test_killed_lower_audit_passes():
     assert killed_lower_audit(1, [4, 8]).passed
     assert killed_lower_audit(2, [4]).passed
 
 
+def canonical_pair(B, x, y):
+    """The least of the point pairs (h x, h y) and (h y, h x) over the maps h of ``B.symmetries()``."""
+    i, j = B.index_of(x), B.index_of(y)
+    images = [(B.interior[h[i]], B.interior[h[j]]) for h in B.symmetries()]
+    return min(images + [(b, a) for a, b in images])
+
+
 def killed_lower_reference(d, r_values, grid):
-    """Per start, per step and per decay in log space, with the audit's tie rule.
+    """Per start, per step and per decay in log space, every half-ball start walked.
 
     Every admissible (start, target, m) is a candidate
     ``log pair + (d/2) log m + c dist^2 / m``; among equal minima the
-    smallest (m, dist, pair, start, target) wins.
+    smallest (m, dist, pair, start, target) wins.  The audit walks one start
+    per orbit, so its witness is compared as a canonical pair.
     """
     rows, worst = [], None
     for R in sorted(r_values):
@@ -372,7 +445,8 @@ def test_batched_killed_lower_matches_per_start_loop(d, r_values):
     report = killed_lower_audit(d, r_values)
     rows, worst = killed_lower_reference(d, r_values, grid)
     assert report.rows == rows
-    assert report.worst == worst
+    x, y = canonical_pair(make_ball((0,) * d, worst["R"]), worst["x"], worst["y"])
+    assert report.worst == {**worst, "x": x, "y": y}
 
 
 @pytest.mark.parametrize("d,r_values", KILLED_GRIDS)
@@ -384,7 +458,21 @@ def test_log_space_killed_fit_is_the_linear_fit_to_round_off(d, r_values):
         assert (got["R"], got["C"]) == (want["R"], want["C"])
         assert abs(got["A"] - want["A"]) <= 1e-14 * want["A"]
     assert abs(report.worst["A"] - worst["A"]) <= 1e-14 * worst["A"]
-    assert {**report.worst, "A": worst["A"]} == worst
+    x, y = canonical_pair(make_ball((0,) * d, worst["R"]), worst["x"], worst["y"])
+    assert report.worst == {**worst, "A": report.worst["A"], "x": x, "y": y}
+
+
+@pytest.mark.parametrize("d,R", [(2, 8), (3, 4)])
+def test_green_witnesses_are_canonical(d, R):
+    # every image of a witness pair, either way round, canonicalizes back to it
+    B = make_ball((0,) * d, R)
+    ugi, killed = ugi_audit(d, [R]).worst, killed_lower_audit(d, [R]).worst
+    for x, y in (ugi["min_pair"], ugi["max_pair"], (killed["x"], killed["y"])):
+        pair = (B.index_of(x), B.index_of(y))
+        assert canonical_pair(B, x, y) == (x, y)
+        for h in B.symmetries():
+            a, b = h[pair[0]], h[pair[1]]
+            assert min(B.canonical((a, b)), B.canonical((b, a))) == pair
 
 
 def test_comparability_ratio_frozen_and_stable():

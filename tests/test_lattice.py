@@ -160,11 +160,33 @@ def test_origin_ball_has_the_full_group_and_one_orbit_per_sorted_abs(d, R):
     B = make_ball((0,) * d, R)
     maps = assert_symmetries(B)
     assert len(maps) == 2**d * math.factorial(d)
-    rep = maps.min(axis=0)
-    keys = [tuple(sorted(abs(c) for c in x)) for x in B.interior + B.outer_boundary]
+    rep = B.representatives()
+    points = B.interior + B.outer_boundary
+    keys = [tuple(sorted(abs(c) for c in x)) for x in points]
     assert len(set(rep.tolist())) == len(set(keys))
     for i, j in itertools.combinations(range(len(keys)), 2):
         assert (rep[i] == rep[j]) == (keys[i] == keys[j])
+    # the representative is the orbit's least point, and its own canonical image
+    for i, key in enumerate(keys):
+        block = range(len(B)) if i < len(B) else range(len(B), len(points))
+        assert points[rep[i]] == min(points[j] for j in block if keys[j] == key)
+        assert B.canonical((i,)) == (rep[i],)
+
+
+@pytest.mark.parametrize("d,R", [(2, 3), (3, 2)])
+def test_canonical_image_is_the_least_image_tuple_under_one_map(d, R):
+    B = make_ball((0,) * d, R)
+    maps = B.symmetries()
+    points = B.interior + B.outer_boundary
+    closure = len(points)
+    for pair in itertools.product(range(0, closure, 3), range(1, closure, 5)):
+        got = B.canonical(pair)
+        want = min((points[h[pair[0]]], points[h[pair[1]]]) for h in maps)
+        assert (points[got[0]], points[got[1]]) == want
+        assert any(tuple(h[list(pair)]) == got for h in maps)  # one map moves the whole pair
+    triple = (0, len(B) // 2, len(B))  # interior, centre and boundary indices at once
+    want = min(tuple(points[h[k]] for k in triple) for h in maps)
+    assert tuple(points[k] for k in B.canonical(triple)) == want
 
 
 @given(
@@ -206,4 +228,8 @@ def test_half_integer_centres_find_their_reflections(points, images):
 
 def test_asymmetric_domain_has_the_identity_alone():
     L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
-    assert np.array_equal(assert_symmetries(L), [np.arange(len(L) + len(L.outer_coords))])
+    closure = len(L) + len(L.outer_coords)
+    assert np.array_equal(assert_symmetries(L), [np.arange(closure)])
+    assert np.array_equal(L.representatives(), np.arange(closure))
+    for pair in itertools.product(range(closure), repeat=2):
+        assert L.canonical(pair) == pair
