@@ -9,7 +9,10 @@ dominated by the exact probability.
 
 Every graph-distance fit, and the killed fit in ``green``, reduces each
 step to one extreme per distance shell and folds those in log space
-(``_shell_extremes``, ``_EnvelopeFit``).
+(``_shell_extremes``, ``_EnvelopeFit``).  The lower fits take the paired
+kernel ``p_m + p_{m+1}`` as the exact sum that ``_paired`` streams: the walk
+is bipartite, so one term of every cell is an exact zero.  The free fits
+run the dense DP up to ``DP_WINDOW`` steps and refuse a longer one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .report import AuditReport
 from .rng import philox
 
 _DECAY_GRID = np.geomspace(1.0 / 64, 8.0, 32)
+DP_WINDOW = 128  # the desk-scale free DP: no free fit or scan runs past this step
 _BATCH_STREAM = 0xC4A1  # stream tag for random chain-certificate instances
 RADIUS_FACTOR = 4.0  # the LCLT scan's euclidean window, in units of sqrt(n)
 GROWTH_CAP = 2.0  # the LCLT gate: max scaled error <= GROWTH_CAP x the first
@@ -46,20 +50,37 @@ def lclt_form(d: int) -> tuple[float, float]:
     return 2.0 * (d / (2.0 * math.pi)) ** (d / 2.0), d / 2.0
 
 
-def _shell_extremes(values: np.ndarray, dist: np.ndarray, count: int, lower: bool) -> np.ndarray:
-    """Min (``lower``) or max of ``values`` per distance shell r = 0..count-1 (empty: +-inf)."""
-    out = np.full(count, np.inf if lower else -np.inf)
+def _shell_extremes(values: np.ndarray, dist: np.ndarray, lower: bool) -> np.ndarray:
+    """Min (``lower``) or max of ``values`` per distance shell r = 0..dist.max() (empty: +-inf)."""
+    out = np.full(int(dist.max()) + 1, np.inf if lower else -np.inf)
     (np.minimum if lower else np.maximum).at(out, dist.ravel(), values.ravel())
     return out
 
 
-def _pair_shells(prev: np.ndarray, now: np.ndarray, m: int) -> np.ndarray:
-    """Shells r <= m of the pair ``p_m + p_{m+1}``: step m's where r + m is even, else step m+1's.
+def _paired(kernels):
+    """Turn an iterator of ``(n, p_n)``, n = 0, 1, ..., into ``(m, p_m + p_{m+1})`` for m >= 1.
 
-    Shell r has the parity of r, so the other step's summand is an exact zero there.
+    Each pair adds ``p_m`` into the leading corner of a copy of ``p_{m+1}``:
+    a free orthant field grows by one cell per axis each step, a killed
+    (start, target) block keeps its shape.  The walk is bipartite, so one
+    term of every cell is an exact zero and each sum is its other term,
+    bit for bit: the free DP keeps wrong-parity cells exactly zero (audited
+    by ``kernel.exactness_audit``), and the killed fit in ``green`` reads a
+    start's mass only on targets at a distance of the step's parity.
     """
-    r = np.arange(min(m + 1, len(now)))
-    return np.where(r % 2 == m % 2, prev[: len(r)], now[: len(r)])
+    _, prev = next(kernels)
+    for n, now in kernels:
+        if n >= 2:
+            pair = now.copy()
+            pair[tuple(map(slice, prev.shape))] += prev
+            yield n - 1, pair
+        prev = now
+
+
+def _check_window(n_max: int) -> None:
+    """``ValueError`` when a free fit's ``n_max`` is past ``DP_WINDOW``."""
+    if n_max > DP_WINDOW:
+        raise ValueError(f"n_max above the supported desk-scale window ({DP_WINDOW})")
 
 
 class _EnvelopeFit:
@@ -105,8 +126,8 @@ def lclt_error_scan(d: int, n_range: tuple[int, int]) -> AuditReport:
     the cap tests boundedness, not monotonicity).
     """
     lo, hi = operator.index(n_range[0]), operator.index(n_range[1])
-    if lo < 2 or hi > 128 or lo > hi:
-        raise ValueError("supported scan window is 2 <= n_lo <= n_hi <= 128")
+    if lo < 2 or hi > DP_WINDOW or lo > hi:
+        raise ValueError(f"supported scan window is 2 <= n_lo <= n_hi <= {DP_WINDOW}")
     amplitude, decay = lclt_form(d)
     rows = []
     for n, field in orthant_fields(d, hi):
@@ -161,29 +182,25 @@ def near_diagonal_audit(d: int, n_max: int) -> AuditReport:
     grid; ``N2`` is the smallest value of ``(p_n + p_{n+1})(0,y) * n^{d/2}``
     over points admissible at lag L = ``LAG``, i.e. ``n >= max(1, dist^2) / L^2``.
     Pass requires N2 > 0 (the paired kernel never vanishes on-diagonal-scale).
-    ``ValueError`` when ``n_max * L^2 < 1``: then no time is admissible.
+    ``ValueError`` when ``n_max * L^2 < 1``, where no time is admissible, or
+    past ``DP_WINDOW``.
     """
-    if n_max > 128:
-        raise ValueError("n_max above the supported desk-scale window (128)")
+    _check_window(n_max)
     if (LAG * LAG) * n_max < 1:  # as the admissibility test below reads it
         raise ValueError("n_max must reach 1/L^2, the first admissible time")
-    n1, n1_witness, n2, n2_witness, prev = 0.0, None, math.inf, None, None
-    for n, field in orthant_fields(d, n_max + 1):
-        if n <= n_max:
-            cand = float(field.max()) * max(n, 1) ** (d / 2.0)
-            if cand > n1:
-                n1 = cand
-                n1_witness = {"n": n, "value": cand}
-        now = _shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=True)
-        m = n - 1
-        if 1 <= m <= n_max:
-            admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (LAG * LAG) * m
-            if admissible.any():
-                cand = float(_pair_shells(prev, now, m)[admissible].min()) * m ** (d / 2.0)
-                if cand < n2:
-                    n2 = cand
-                    n2_witness = {"n": m, "value": cand}
-        prev = now
+    n1, n1_witness = 0.0, None
+    for n, field in orthant_fields(d, n_max):
+        cand = float(field.max()) * max(n, 1) ** (d / 2.0)
+        if cand > n1:
+            n1, n1_witness = cand, {"n": n, "value": cand}
+    n2, n2_witness = math.inf, None
+    for m, pair in _paired(orthant_fields(d, n_max + 1)):
+        admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (LAG * LAG) * m
+        if admissible.any():
+            shells = _shell_extremes(pair, _orthant_graph(d, m + 1), lower=True)[: m + 1]
+            cand = float(shells[admissible].min()) * m ** (d / 2.0)
+            if cand < n2:
+                n2, n2_witness = cand, {"n": m, "value": cand}
     passed = bool(n2 > 0 and math.isfinite(n2))
     return AuditReport(
         audit_id=f"bounds.near_diagonal.d{d}",
@@ -206,16 +223,13 @@ def gaussian_lower_audit(d: int, n_max: int) -> AuditReport:
     ``L1(c) = min (p_n + p_{n+1}) * n^{d/2} * exp(+c dist^2 / n)`` is taken
     over ``1 <= n <= n_max`` and ``dist(0,y) <= n``; the reported pair
     maximizes the amplitude.  Pass requires a strictly positive fit.
+    ``ValueError`` past ``DP_WINDOW``.
     """
+    _check_window(n_max)
     grid = _DECAY_GRID
     fit = _EnvelopeFit(d, grid, lower=True)
-    prev = None
-    for n, field in orthant_fields(d, n_max + 1):
-        now = _shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=True)
-        m = n - 1
-        if m >= 1:
-            fit.fold(_pair_shells(prev, now, m), m, lambda r: m)
-        prev = now
+    for m, pair in _paired(orthant_fields(d, n_max + 1)):
+        fit.fold(_shell_extremes(pair, _orthant_graph(d, m + 1), lower=True)[: m + 1], m, lambda r: m)
     amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmax())
     passed = bool(amplitudes[best] > 0 and np.isfinite(amplitudes[best]))
@@ -241,12 +255,14 @@ def gaussian_upper_audit(d: int, n_max: int) -> AuditReport:
     amplitude ``U1(c) = max p_n * max(n,1)^{d/2} * exp(+c dist^2 / max(n,1))``
     is taken over ``0 <= n <= n_max`` (zero-kernel points impose nothing);
     the reported pair minimizes the amplitude.  Pass requires a finite fit
-    with ``U1 >= 1`` (forced by the n = 0 diagonal).
+    with ``U1 >= 1`` (forced by the n = 0 diagonal).  ``ValueError`` past
+    ``DP_WINDOW``.
     """
+    _check_window(n_max)
     grid = np.geomspace(1.0 / 64, 0.9 * math.log(2 * d), 32)
     fit = _EnvelopeFit(d, grid, lower=False)
     for n, field in orthant_fields(d, n_max):
-        fit.fold(_shell_extremes(field, _orthant_graph(d, n), d * n + 1, lower=False), max(n, 1), lambda r: n)
+        fit.fold(_shell_extremes(field, _orthant_graph(d, n), lower=False), max(n, 1), lambda r: n)
     amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmin())
     passed = bool(np.isfinite(amplitudes[best]) and amplitudes[best] >= 1.0)

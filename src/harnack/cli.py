@@ -180,7 +180,7 @@ def _tasks_for(cfg: RunConfig) -> list[AuditTask]:
     def in_range(grid: Sequence[int]) -> list[int]:
         return [R for R in grid if cfg.r_min <= R <= cfg.r_max]
 
-    n_cap = min(cfg.n_max, 64 if d >= 3 else 128)  # dense-DP boxes grow cubically in 3-d
+    n_cap = min(cfg.n_max, 64 if d >= 3 else bounds.DP_WINDOW)  # dense-DP boxes grow cubically in 3-d
     lo = 16 if n_cap >= 32 else max(2, n_cap // 2)
     # Dense-table and killed-kernel sweeps cost O(R^2) DP steps over O(R^d)
     # points per start; keep their grids at moderate radii.

@@ -34,9 +34,9 @@ mandatory, independent computations are provided and cross-audited:
 
 Audits on top of the tables: interior two-sided comparisons of ``g`` against
 ``r^{2-d}`` (or ``log(R/r)`` in d=2), a killed near-diagonal Gaussian lower
-fit (the log-space envelope routine of ``bounds``, fed each step's live
-parity block), and the pole-ratio comparability measurement used by the
-chained Harnack certificate.  Each takes one column, start or pole per
+fit (the log-space envelope routine of ``bounds``, fed the exact paired sums
+of ``bounds._paired``), and the pole-ratio comparability measurement used by
+the chained Harnack certificate.  Each takes one column, start or pole per
 symmetry orbit; a witness is the canonical pair, its least image over the
 maps and the swap (``g_B`` and ``p_n^B`` are symmetric).
 """
@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import _DECAY_GRID, _EnvelopeFit, _pair_shells, _shell_extremes
+from .bounds import _DECAY_GRID, _EnvelopeFit, _paired, _shell_extremes
 from .kernel import iter_killed_vectors, killed_solve, walk_columns
 from .lattice import FiniteDomain, make_ball, radii
 from .report import AuditReport
@@ -248,12 +248,14 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
 
     One start per symmetry orbit of the half ball advances in one walk, even
     and odd starts paired in its columns, and the log-space fit is the envelope
-    routine of ``bounds``.  The walk is bipartite, so each pair has one live
-    term and one exact zero: shell r of pair m is step m's when r + m is even
-    and step m + 1's otherwise, so each step's live half-ball block is reduced
-    once to one minimum per shell.  Ties go to the smallest m, then distance,
-    then kernel value, then the first (start, target) in half-ball order, and
-    the witness is that pair's canonical image.
+    routine of ``bounds``.  Each step's (start, target) block reads a start's
+    column only on targets at a distance of n's parity and holds an exact
+    zero elsewhere, where ``p_n^B`` is zero because the walk is bipartite (the
+    column's other entries carry its partner start).  So ``bounds._paired``
+    adds each pair exactly, one live term and one zero per entry, and each
+    pair is reduced once to one minimum per shell.  Ties go to the smallest
+    m, then distance, then kernel value, then the first (start, target) in
+    half-ball order, and the witness is that pair's canonical image.
     """
     grid = _DECAY_GRID
     r_values = radii(r_values)
@@ -263,41 +265,29 @@ def killed_lower_audit(d: int, r_values: Iterable[int]) -> AuditReport:
         half = B.within(R // 2)
         starts = half[B.representatives()[half] == half]
         dist = _pair_distances(B.coords[starts], B.coords[half])
-        shell_count = int(dist.max()) + 1
-        # the walk's block holds half-ball target t and orbit start s at entry
-        # (half[t], column[s]), column by walk_columns; after n steps the
-        # live (start, target) pairs are those at a distance of n's parity,
-        # taken in (start, target) order, and read off the block by flat index
+        shells = [np.flatnonzero(dist == r) for r in range(dist.max() + 1)]  # row-major (start, target)
         column = walk_columns(B, starts)
-        width = column.max() + 1
-        layouts = []  # per parity of n: flat block indices, starts, targets, distances
-        for p in (0, 1):
-            s, t = np.nonzero(dist % 2 == p)
-            layouts.append((half[t] * width + column[s], s, t, dist[s, t]))
+        live = [dist % 2 == p for p in (0, 1)]  # per parity of n: the pairs a start's column holds
+        kernels = (
+            (n, np.where(live[n % 2], block[half][:, column].T, 0.0))
+            for n, block in iter_killed_vectors(B, starts, R * R + 1)
+        )
         fit = _EnvelopeFit(d, grid, lower=True)
-        for n, block in iter_killed_vectors(B, starts, R * R + 1):
-            flat, s, t, pair_dist = layouts[n % 2]
-            vals = block.take(flat)
-            now = (_shell_extremes(vals, pair_dist, shell_count, lower=True), vals, s, t, pair_dist)
-            m = n - 1
-            if m >= 1:
+        for m, pair in _paired(kernels):
 
-                def witness(r: int) -> tuple:
-                    _, v, si, ti, rd = prev if (r + m) % 2 == 0 else now
-                    k = np.flatnonzero(rd == r)
-                    k = k[int(np.argmin(v[k]))]
-                    return starts[si[k]], half[ti[k]], m
+            def witness(r: int) -> tuple:
+                k = shells[r][int(np.argmin(pair.take(shells[r])))]
+                return starts[k // len(half)], half[k % len(half)], m
 
-                fit.fold(_pair_shells(prev[0], now[0], m), m, witness)
-            prev = now
+            fit.fold(_shell_extremes(pair, dist, lower=True)[: m + 1], m, witness)
         amp = np.exp(fit.log_amp)
         best = int(np.argmax(amp))
         a_hat, c_hat = float(amp[best]), float(grid[best])
         all_pass &= a_hat > 0
         rows.append({"R": R, "A": a_hat, "C": c_hat})
         if worst is None or a_hat < worst["A"]:
-            *pair, n = fit.witness[best]
-            x, y = _canonical_pair(B, *pair)
+            *ends, n = fit.witness[best]
+            x, y = _canonical_pair(B, *ends)
             worst = {"A": a_hat, "C": c_hat, "R": R, "x": x, "y": y, "n": n}
     return AuditReport(
         audit_id=f"green.killed_lower.d{d}",

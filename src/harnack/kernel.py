@@ -164,20 +164,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _sealed(value) -> int:
     """Make a memoized value's arrays read-only; return the bytes they hold.
 
-    A SuperLU factor counts the binary64 values and int32 indices of its
-    L + U nonzeros, a sparse matrix its three arrays and a tuple its
-    members; anything else (a domain) counts 0.
+    The memos hold orthant fields (ndarrays), ``killed_matrix``'s CSR
+    matrices (three arrays each) and SuperLU factors, which count the
+    binary64 values and int32 indices of their L + U nonzeros.
     """
-    if isinstance(value, spla.SuperLU):
-        return 12 * value.nnz
-    if isinstance(value, tuple):
-        return sum(map(_sealed, value))
+    if isinstance(value, np.ndarray):
+        return _frozen(value).nbytes
     if sp.issparse(value):
         return sum(map(_sealed, (value.data, value.indices, value.indptr)))
-    if not isinstance(value, np.ndarray):
-        return 0
-    _frozen(value)
-    return value.nbytes
+    return 12 * value.nnz  # a SuperLU factor
 
 
 class Memo:

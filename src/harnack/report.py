@@ -107,18 +107,15 @@ class ReportEnvelope:
         return all(a.passed for a in self.audits)
 
     def to_json_dict(self) -> dict[str, Any]:
+        return {**self.body_without_timings(), "timings": jsonable(self.timings)}
+
+    def body_without_timings(self) -> dict[str, Any]:
         return {
             "schema": self.schema,
             "config": jsonable(self.config),
             "passed": self.passed,
             "audits": [a.to_json_dict() for a in self.audits],
-            "timings": jsonable(self.timings),
         }
-
-    def body_without_timings(self) -> dict[str, Any]:
-        body = self.to_json_dict()
-        body.pop("timings", None)
-        return body
 
 
 def _csv_text(fieldnames: list[str], rows: Iterable[Mapping[str, Any]]) -> str:

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harnack import bounds
+from harnack import bounds, green
 from harnack.bounds import (
+    DP_WINDOW,
     LAG,
     _EnvelopeFit,
+    _paired,
     chain_certificate,
     chain_certificate_batch,
     gaussian_lower_audit,
@@ -20,7 +22,7 @@ from harnack.bounds import (
     near_diagonal_audit,
     random_chain_instance,
 )
-from harnack.kernel import iter_free_fields, walk_pmf
+from harnack.kernel import iter_free_fields, iter_killed_vectors, orthant_fields, walk_pmf
 from harnack.lattice import make_ball
 from harnack.rng import philox
 
@@ -55,6 +57,53 @@ def test_near_diagonal_audit_needs_an_admissible_time(d):
     with pytest.raises(ValueError):
         near_diagonal_audit(d, 2)
     assert near_diagonal_audit(d, 3).passed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_free_fits_refuse_steps_past_the_dp_window(d):
+    assert DP_WINDOW == 128
+    for fit in (near_diagonal_audit, gaussian_lower_audit, gaussian_upper_audit):
+        with pytest.raises(ValueError, match="desk-scale window"):
+            fit(d, DP_WINDOW + 1)
+    with pytest.raises(ValueError, match="scan window"):
+        lclt_error_scan(d, (2, DP_WINDOW + 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_free_pair_is_the_live_term_of_each_cell(d):
+    # p_m, padded by one cell per axis, and p_{m+1} never share a nonzero
+    # cell, so their sum is their elementwise maximum bit for bit
+    fields = dict(orthant_fields(d, 21))
+    ms = []
+    for m, pair in _paired(orthant_fields(d, 21)):
+        ms.append(m)
+        now = fields[m + 1]
+        prev = np.pad(fields[m], [(0, 1)] * d)
+        assert (np.count_nonzero(np.stack([prev, now]), axis=0) <= 1).all()
+        assert pair.tobytes() == np.maximum(prev, now).tobytes()
+    assert ms == list(range(1, 21))
+
+
+@pytest.mark.parametrize("d, R", [(2, 8), (3, 4)])
+def test_a_killed_pair_is_each_orbit_starts_own_walk(d, R, monkeypatch):
+    # the pairs killed_lower_audit fits, start by start, against one walk per start
+    pairs = []
+
+    def recorded(kernels):
+        for m, pair in _paired(kernels):
+            pairs.append(pair)
+            yield m, pair
+
+    monkeypatch.setattr(green, "_paired", recorded)
+    assert green.killed_lower_audit(d, [R]).passed
+    B = make_ball((0,) * d, R)
+    half = B.within(R // 2)
+    starts = half[B.representatives()[half] == half]
+    assert len(pairs) == R * R
+    for s, start in enumerate(starts):
+        walk = [block[half, 0] for _, block in iter_killed_vectors(B, [start], R * R + 1)]
+        for m, pair in enumerate(pairs, start=1):
+            assert pair[s].tobytes() == (walk[m] + walk[m + 1]).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
