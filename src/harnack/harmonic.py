@@ -14,8 +14,8 @@ certified by ``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it
 reuses the memoized factor and one-step matrix and assembles no matrix.
 Balayage sweeps a nonnegative harmonic h on a ball B onto the inner
 boundary of a subset A (interior indices of B): the sweep is one Dirichlet
-solve on the complement of A, and the reconstruction ``G_B f`` of h on A
-is one solve with the ball's factor.
+solve on the complement of A, cut from B's arrays (``FiniteDomain.restrict``),
+and the reconstruction ``G_B f`` of h on A is one solve with the ball's factor.
 """
 
 from __future__ import annotations
@@ -172,10 +172,11 @@ def harmonic_measure_matrix(D: FiniteDomain, boundary: Sequence[int] | np.ndarra
     return dirichlet_solve(D, unit).values[: len(D)]
 
 
-def random_harmonic(D: FiniteDomain, seed: int) -> LatticeField:
-    """A harmonic function from seeded uniform [0,1] boundary data."""
-    rng = philox(seed, stream=_BOUNDARY_STREAM)
-    return dirichlet_solve(D, rng.uniform(0.0, 1.0, size=len(D.outer_coords)))
+def random_harmonic(D: FiniteDomain, seed: int | Sequence[int]) -> LatticeField:
+    """A harmonic function from seeded uniform [0,1] boundary data; a list of seeds is one column each, one solve."""
+    seeds = np.atleast_1d(seed).tolist()
+    data = np.column_stack([philox(s, stream=_BOUNDARY_STREAM).uniform(0.0, 1.0, len(D.outer_coords)) for s in seeds])
+    return dirichlet_solve(D, data[:, 0] if np.ndim(seed) == 0 else data)
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,8 @@ def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
 
     ``A`` holds interior indices of the ball B that h is a field over.  The
     sweep ``h_A`` agrees with h on A, vanishes on the outer boundary of B, and
-    is harmonic in between (one Dirichlet solve on B minus A).  Its negative
+    is harmonic in between (one Dirichlet solve on B minus A, a domain
+    ``B.restrict`` cuts from B's arrays, with one ``I - P`` assembly).  Its negative
     Laplacian is the charge f: nonnegative, and supported on the inner
     boundary of A after structural-noise verification (``BalayageError`` otherwise).  The
     reconstruction ``G_B f`` is one ``kernel.killed_solve`` with the ball's
@@ -201,8 +203,9 @@ def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
     and ``balayage_batch_audit`` gates it.
     """
     B = h.domain
-    a_idx = np.unique(B.interior_indices(A))
-    if a_idx.size == len(B):
+    in_a = np.bincount(B.interior_indices(A), minlength=len(B)) > 0
+    a_idx, complement = np.flatnonzero(in_a), np.flatnonzero(~in_a)
+    if not complement.size:
         raise ValueError("A must be a strict subset of the ball")
     # Validate the input: nonnegative on the closure, harmonic inside.
     vals = _on_closure(h)
@@ -216,12 +219,9 @@ def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
     target = vals[a_idx]
     sweep_vals = np.zeros(len(B) + len(B.outer_coords))
     sweep_vals[a_idx] = target
-    complement = np.delete(np.arange(len(B)), a_idx)
-    Dc = FiniteDomain.from_points(B.coords[complement])
-    # Each step out of Dc lands in A or outside B: both neighbour arrays name it.
-    in_ball = np.empty(len(Dc) + len(Dc.outer_coords), dtype=np.int64)
-    in_ball[Dc.neighbor_index] = B.neighbor_index[complement]
-    sweep_vals[complement] = dirichlet_solve(Dc, sweep_vals[in_ball[len(Dc) :]]).values[: len(Dc)]
+    Dc = B.restrict(complement)
+    outer = B.box[tuple((Dc.outer_coords - B.corner).T)]  # each step out of Dc lands in A or outside B
+    sweep_vals[complement] = dirichlet_solve(Dc, sweep_vals[outer]).values[: len(Dc)]
 
     # Charge: identity minus killed one-step, applied to the sweep on B.
     inside = sweep_vals[: len(B)]
@@ -307,7 +307,8 @@ def balayage_batch_audit(
     (uniform boundary data) is swept onto a random sub-ball; the charge must
     be nonnegative within ``NONNEGATIVE_TOL``, supported on the subset's
     inner boundary structurally, and must reconstruct the function on the
-    subset within ``recon_tol`` relative.
+    subset within ``recon_tol`` relative.  A radius's ``(h_seed, subset)`` pairs are drawn first,
+    then its harmonics in one block solve (bit for bit the one-seed solves).
     """
     r_values = radii(r_values)
     rows = []
@@ -318,12 +319,11 @@ def balayage_batch_audit(
     for R in r_values:
         B = make_ball((0,) * d, R)
         rng = philox(seed, stream=(_BALAYAGE_STREAM << 32) | R)
-        for i in range(INSTANCES):
-            h_seed = int(rng.integers(1 << 31))
-            subset = _random_subset(B, rng)
-            h = random_harmonic(B, h_seed)
+        draws = [(int(rng.integers(1 << 31)), _random_subset(B, rng)) for _ in range(INSTANCES)]
+        harmonics = random_harmonic(B, [h_seed for h_seed, _ in draws]).values
+        for i, (h_seed, subset) in enumerate(draws):
             try:
-                result = balayage(subset, h)
+                result = balayage(subset, LatticeField(B, harmonics[:, i]))
             except (BalayageError, ValueError) as exc:
                 failures += 1
                 rows.append({"R": R, "instance": i, "h_seed": h_seed, "error": str(exc)})

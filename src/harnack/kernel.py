@@ -317,39 +317,42 @@ def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
     return out // steps, flat[out] - len(D), 1.0 / steps
 
 
+def _walk_operator(D: FiniteDomain, identity: bool) -> sp.csr_matrix | sp.csc_matrix:
+    """``P^D`` as CSR, or the symmetric ``I - P^D`` as CSC: row i holds its columns inside ``D`` in ascending order."""
+    m, w = len(D), 1.0 / (2 * D.dimension)
+    cols = np.sort(np.column_stack([D.neighbor_index, np.arange(m)]) if identity else D.neighbor_index, axis=1)
+    keep = cols < m  # steps out of D, indices >= m, sort last
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)  # SciPy's index dtype here
+    if not identity:
+        return sp.csr_matrix((np.full(indptr[-1], w), cols[keep].astype(np.int32), indptr), shape=(m, m))
+    values = np.where(cols == np.arange(m)[:, None], 1.0, -w)  # 1 on the diagonal
+    return sp.csc_matrix((values[keep], cols[keep].astype(np.int32), indptr), shape=(m, m))
+
+
 def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
     """The substochastic one-step matrix ``P^B`` of the walk killed outside ``B`` (read-only).
 
-    Canonical CSR straight from ``B.neighbor_index``: row i holds ``1/(2d)``
-    at each neighbour of i inside B, in ascending column order.  A ball's is
-    kept in the bounded memo (``Memo``, within ``MEMO_BYTES``); any other
-    domain's is built afresh.
+    Canonical CSR straight from ``B.neighbor_index`` (``_walk_operator``).  A
+    ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``); any
+    other domain's is built afresh.
     """
-
-    def build() -> sp.csr_matrix:
-        m, steps = B.neighbor_index.shape
-        cols = np.sort(B.neighbor_index, axis=1)  # steps out of B, indices >= m, sort last
-        keep = cols < m
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-        return sp.csr_matrix((np.full(indptr[-1], 1.0 / steps), cols[keep], indptr), shape=(m, m))
-
-    return _KILLED.get(B.key(), build)
+    return _KILLED.get(B.key(), lambda: _walk_operator(B, identity=False))
 
 
 def killed_solve(D: FiniteDomain, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(I - P^D) u = rhs`` for a vector or a block of columns, certified.
 
-    The one factorization and the one solve of the package.  ``I - P^D`` is
-    a symmetric, diagonally dominant M-matrix, so SuperLU factors its CSC,
-    ``(I - P^D)^T``, in symmetric mode (``_SPD``): no pivoting, which keeps
-    the factors sign structured.  A ball's ``P^D`` and factor are built once
-    and kept in the bounded memo (``Memo``), so Green tables, Dirichlet
-    solves, harmonic measures and balayage on the same ball share them; any
-    other domain's are built afresh.  Raises ``SolverError`` unless
-    ``max |u - P^D u - rhs| < RESIDUAL_TOL``.
+    The one factorization and the one solve of the package.  ``I - P^D``, a
+    symmetric, diagonally dominant M-matrix, is assembled once, straight into
+    CSC, and SuperLU factors it in symmetric mode (``_SPD``): no pivoting,
+    which keeps the factors sign structured.  A ball's ``P^D`` and factor
+    are built once and kept in the bounded memo (``Memo``), so Green tables,
+    Dirichlet solves, harmonic measures and balayage on the same ball share
+    them; any other domain's are built afresh.  A block of columns equals its
+    column solves bit for bit.  Raises ``SolverError`` unless ``max |u - P^D u - rhs| < RESIDUAL_TOL``.
     """
     P = killed_matrix(D)
-    u = _LU.get(D.key(), lambda: spla.splu((sp.identity(len(D), format="csr") - P).T, **_SPD)).solve(rhs)
+    u = _LU.get(D.key(), lambda: spla.splu(_walk_operator(D, identity=True), **_SPD)).solve(rhs)
     residual = P @ u  # -(u - P u - rhs), in the one temporary
     residual -= u
     residual += rhs

@@ -110,12 +110,14 @@ class FiniteDomain:
     lexicographic).  ``neighbor_index[i, k]`` is the closure index of the
     k-th neighbour of interior point i, in :func:`neighbors` order, so an
     index ``>= len(D)`` is a step out of the domain.  ``box`` holds the
-    closure index of every cell of the bounding box grown by one, the cell
-    ``p - corner`` for point ``p``, and -1 off the closure; it answers
+    closure index of every cell of a box around the closure (the bounding box
+    grown by one, or :meth:`restrict`'s parent's), the cell ``p - corner`` for
+    point ``p``, and -1 off the closure; it answers
     :meth:`closure_index`.  The point tuples (``interior``,
     ``outer_boundary``) are built on first use.  Build
     one with :func:`make_ball` (which also sets ``center``, ``radius`` and
-    :meth:`key`) or :meth:`from_points`.  Domains compare by identity.
+    :meth:`key`), :meth:`from_points` or, for a subset of a domain's
+    interior, :meth:`restrict`.  Domains compare by identity.
     """
 
     coords: np.ndarray = field(repr=False)
@@ -156,10 +158,29 @@ class FiniteDomain:
         box[tuple(steps[:, out])] = -2
         outer = np.argwhere(box == -2)
         box[tuple(outer.T)] = m + np.arange(len(outer))
-        arrays = (inner + lo, outer + lo, box[tuple(steps)], box)
-        for arr in arrays:
+        return cls(inner + lo, outer + lo, box[tuple(steps)], box, as_point(lo), center, radius)
+
+    def __post_init__(self) -> None:
+        for arr in (self.coords, self.outer_coords, self.neighbor_index, self.box):
             arr.setflags(write=False)
-        return cls(*arrays, corner=as_point(lo), center=center, radius=radius)
+
+    def restrict(self, indices) -> "FiniteDomain":
+        """The domain ``from_points(self.coords[indices])``, cut from this one's arrays.
+
+        A subset's neighbours all lie in this closure, so its neighbour array and box (this domain's box, not its
+        own bounding box) are remapped and only its outer boundary is sorted.  Bad index sets raise as in
+        :meth:`interior_indices`.
+        """
+        member = np.bincount(self.interior_indices(indices), minlength=len(self) + len(self.outer_coords)) > 0
+        idx = np.flatnonzero(member)
+        steps = self.neighbor_index[idx]
+        outer = np.flatnonzero((np.bincount(steps.ravel(), minlength=len(member)) > 0) & ~member)
+        split = np.searchsorted(outer, len(self))  # closure indices here: interior ones first
+        outer_cells = np.concatenate([self.coords[outer[:split]], self.outer_coords[outer[split:] - len(self)]])
+        order = np.lexsort(outer_cells.T[::-1])
+        remap = np.full(len(member) + 1, -1, dtype=np.int64)  # the last entry maps the box's -1, off the closure
+        remap[np.concatenate([idx, outer[order]])] = np.arange(len(idx) + len(outer))
+        return FiniteDomain(self.coords[idx], outer_cells[order], remap[steps], remap[self.box], self.corner)
 
     @cached_property
     def interior(self) -> tuple[Point, ...]:

@@ -14,11 +14,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack import bounds, ehi, exit_time, green
+from harnack import bounds, ehi, exit_time, green, kernel
 from harnack.bounds import chain_certificate
 from harnack.exit_time import exact_exit_cdf
 from harnack.green import green_solve
-from harnack.harmonic import LatticeField, balayage, balayage_batch_audit, dirichlet_mc, laplacian, random_harmonic
+from harnack.harmonic import (
+    LatticeField,
+    _random_subset,
+    balayage,
+    balayage_batch_audit,
+    dirichlet_mc,
+    laplacian,
+    random_harmonic,
+)
 from harnack.kernel import exactness_audit, exit_steps, iter_killed_vectors, killed_matrix, n_step, walk_columns
 from harnack.lattice import FiniteDomain, build_ball_chain, make_ball, neighbors
 
@@ -89,6 +97,19 @@ any_ball = st.integers(1, 3).flatmap(
 )
 
 
+def factored_matrix(D):
+    """The matrix ``killed_solve`` hands to SuperLU for ``D``, factored afresh and not kept."""
+    seen = []
+    splu = kernel.spla.splu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel.spla, "splu", lambda A, **kwargs: seen.append(A) or splu(A, **kwargs))
+        mp.setattr(kernel, "_LU", kernel.Memo())
+        mp.setattr(kernel.Memo, "held", kernel.Memo.held)
+        kernel.killed_solve(D, np.zeros(len(D)))
+    (A,) = seen
+    return A
+
+
 def check_domain(D, points):
     interior, outer, inner, nbr = reference_domain(points)
     assert D.interior == interior
@@ -101,7 +122,7 @@ def check_domain(D, points):
     rows_new, cols_new, w = exit_steps(D)
     assert w == 1.0 / (2 * D.dimension)
     assert_same_sparse(P_new, P)
-    factored = (sp.identity(len(D), format="csc") - P_new).tocsc()  # what killed_solve factors
+    factored = factored_matrix(D)
     assert_same_sparse(factored, system)
     assert_same_sparse(factored, green_system)
     assert np.array_equal(rows_new, rows_b) and np.array_equal(cols_new, cols_b)
@@ -153,6 +174,44 @@ def test_from_points_rejects_empty_and_mixed_dimensions():
         FiniteDomain.from_points([(0,), (0, 1)])
 
 
+def assert_restriction_is_from_points(D, indices):
+    """``D.restrict(indices)`` is the domain ``from_points`` builds on those points, with read-only arrays."""
+    R, F = D.restrict(indices), FiniteDomain.from_points(D.coords[indices])
+    for name in ("coords", "outer_coords", "neighbor_index"):
+        assert np.array_equal(getattr(R, name), getattr(F, name)), name
+        assert getattr(R, name).dtype == getattr(F, name).dtype, name
+    closure = F.interior + F.outer_boundary
+    assert [R.closure_index(p) for p in closure] == list(range(len(closure)))
+    assert all(R.closure_index(p) == -1 for p in D.interior + D.outer_boundary if p not in set(closure))
+    for arr in (R.coords, R.outer_coords, R.neighbor_index, R.box):
+        assert not arr.flags.writeable
+    assert R.key() is None
+
+
+@pytest.mark.parametrize("d,R", [(1, 9), (2, 6), (3, 4)])
+def test_restricting_to_a_sub_ball_complement_is_from_points(d, R):
+    B = make_ball((0,) * d, R)
+    for seed in range(12):
+        A = _random_subset(B, np.random.default_rng([d, seed]))
+        complement = np.setdiff1d(np.arange(len(B)), A)
+        assert_restriction_is_from_points(B, complement)
+        assert_restriction_is_from_points(B, A)
+    # any index set: unsorted, with repeats, is its set of points
+    shuffled = np.random.default_rng(d).permutation(np.concatenate([complement, complement[:3]]))
+    assert_restriction_is_from_points(B, shuffled)
+
+
+def test_restricting_to_a_complement_with_a_hole_and_to_part_of_an_l_shape():
+    B = make_ball((0, 0), 3)
+    annulus = np.setdiff1d(np.arange(len(B)), B.within(1))
+    assert_restriction_is_from_points(B, annulus)
+    Dc = B.restrict(annulus)
+    assert (0, 1) in Dc.outer_boundary and (0, 0) not in Dc.outer_boundary + Dc.interior
+    L = FiniteDomain.from_points([(x, 0) for x in range(5)] + [(0, 1), (0, 2)])
+    for subset in ([0, 1, 2], [0, 3, 6], [4], np.arange(len(L))):
+        assert_restriction_is_from_points(L, np.asarray(subset))
+
+
 def test_domain_arrays_are_read_only():
     B = make_ball((0, 0), 2)
     with pytest.raises(ValueError):
@@ -168,6 +227,7 @@ INDEX_ENTRY_POINTS = {
     "inner_mask": lambda B, idx: B.inner_mask(np.asarray(idx)),
     "walk_columns": walk_columns,
     "balayage": lambda B, idx: balayage(idx, random_harmonic(B, seed=0)),
+    "restrict": lambda B, idx: B.restrict(idx),
 }
 
 

@@ -26,9 +26,11 @@ CONFIGS = {
     "all-d1.json": dict(command="all", dim=1),
     "all-d2-r8.json": dict(command="all", dim=2, r_max=8),
     "all-d3-r4-n16.json": dict(command="all", dim=3, r_max=4, n_max=16),
-    # the shipped radii: d=2 up to R = 16, d=3 up to R = 8, and ehi.chained.d2
+    # the shipped radii: d=2 up to R = 16, d=3 up to R = 8 and up to R = 16 (the only balayage
+    # batch on the 6,017-point ball), and ehi.chained.d2
     "all-d2.json": dict(command="all", dim=2),
     "all-d3-r8.json": dict(command="all", dim=3, r_max=8),
+    "all-d3.json": dict(command="all", dim=3),
     "ehi-d2-r64.json": dict(command="ehi", dim=2, r_max=64),
 }
 

@@ -21,7 +21,7 @@ from harnack.harmonic import (
     laplacian,
     random_harmonic,
 )
-from harnack.kernel import SolverError, killed_matrix
+from harnack.kernel import SolverError, killed_matrix, killed_solve
 from harnack.lattice import FiniteDomain, graph_distance, make_ball
 from harnack.rng import philox
 
@@ -157,6 +157,28 @@ def test_harmonic_measure_refuses_what_is_not_a_boundary_index_set():
                        ([1.0], TypeError), ([True, False], TypeError)):
         with pytest.raises(error):
             harmonic_measure_matrix(D, bad)
+
+
+@pytest.mark.parametrize("d,R", [(1, 9), (2, 6), (3, 4)])
+def test_a_block_solve_is_its_column_solves_bit_for_bit(d, R):
+    # on a ball (its memoized factor) and on a complement restricted from it (factored afresh)
+    B = make_ball((0,) * d, R)
+    Dc = B.restrict(np.setdiff1d(np.arange(len(B)), B.within(R // 2, (1,) + (0,) * (d - 1))))
+    for D in (B, Dc):
+        block = np.random.default_rng(d).uniform(size=(len(D), 9))
+        solved = killed_solve(D, block)
+        for k in range(block.shape[1]):
+            assert np.array_equal(solved[:, k], killed_solve(D, block[:, k]))
+
+
+@pytest.mark.parametrize("d,R", [(1, 9), (2, 6), (3, 4)])
+def test_a_sequence_of_seeds_is_one_harmonic_per_column(d, R):
+    B = make_ball((0,) * d, R)
+    seeds = [7, 0, 7, 2**31 - 1]
+    block = random_harmonic(B, seeds)
+    assert block.domain is B and block.values.shape == (len(B) + len(B.outer_coords), len(seeds))
+    for k, seed in enumerate(seeds):
+        assert np.array_equal(block.values[:, k], random_harmonic(B, seed).values)
 
 
 def test_a_block_of_boundary_data_is_one_problem_per_column():
@@ -338,18 +360,21 @@ def test_index_balayage_matches_the_point_list_path(d, R):
 
 
 def test_balayage_complement_solves_build_no_point_tuples(monkeypatch):
-    from harnack import harmonic
-
+    # The complement is cut from the ball's arrays: no point list, no re-indexing from scratch.
     domains = []
-    from_points = FiniteDomain.from_points
+    restrict = FiniteDomain.restrict
 
-    def recording(points):
-        domains.append(from_points(points))
+    def recording(self, indices):
+        domains.append(restrict(self, indices))
         return domains[-1]
 
-    monkeypatch.setattr(harmonic.FiniteDomain, "from_points", recording)
+    def from_scratch(*args, **kwargs):
+        raise AssertionError("a complement is indexed from its points")
+
     B = make_ball((0, 0), 6)
     h = random_harmonic(B, seed=4)
+    monkeypatch.setattr(FiniteDomain, "restrict", recording)
+    monkeypatch.setattr(FiniteDomain, "_from_cells", from_scratch)
     result = balayage(B.within(2, (1, -1)), h)
     assert result.max_reconstruction_rel_error <= 1e-10
     (Dc,) = domains
@@ -358,6 +383,29 @@ def test_balayage_complement_solves_build_no_point_tuples(monkeypatch):
     # Built on first use, the tuples agree with the arrays and the closure index.
     assert Dc.interior == tuple(map(tuple, Dc.coords.tolist()))
     assert Dc.closure_index(Dc.outer_boundary[0]) == len(Dc)
+
+
+@pytest.mark.parametrize("d,r_values", [(1, [4, 8, 16]), (2, [4, 8]), (3, [4])])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batch_rows_are_the_point_list_path_one_instance_at_a_time(d, r_values, seed):
+    # The batch draws every instance first and solves a radius's harmonics in one block.
+    report = balayage_batch_audit(d, r_values, seed=seed, recon_tol=1e-8)
+    want = []
+    for R in r_values:
+        B = make_ball((0,) * d, R)
+        rng = philox(seed, stream=(harmonic._BALAYAGE_STREAM << 32) | R)
+        for i in range(harmonic.INSTANCES):
+            h_seed = int(rng.integers(1 << 31))
+            a_points = reference_subset(B, rng)
+            sweep, f, recon = reference_balayage(B, a_points, random_harmonic(B, h_seed))
+            a_idx = [B.index_of(p) for p in a_points]
+            u = killed_solve(B, f)[a_idx]  # the reconstruction the batch reports, by the ball's factor
+            assert (np.abs(u - recon) <= 1e-13 * np.abs(recon)).all()
+            rel = np.abs(u - sweep[a_idx]) / np.maximum(np.abs(sweep[a_idx]), 1e-300)
+            want.append({"R": R, "instance": i, "h_seed": h_seed, "subset_size": len(a_points),
+                         "rel_error": float(rel.max()), "min_charge": float(f.min())})
+    assert report.passed
+    assert report.rows == want
 
 
 def test_balayage_of_constant_onto_the_center():
