@@ -60,8 +60,9 @@ def _shell_extremes(values: np.ndarray, dist: np.ndarray, lower: bool) -> np.nda
 def _paired(kernels):
     """Turn an iterator of ``(n, p_n)``, n = 0, 1, ..., into ``(m, p_m + p_{m+1})`` for m >= 1.
 
-    Each pair adds ``p_m`` into the leading corner of a copy of ``p_{m+1}``:
-    a free orthant field grows by one cell per axis each step, a killed
+    Each pair adds ``p_m`` to the leading corner of ``p_{m+1}`` cut to its
+    shape: a free orthant field grows by one cell per axis each step, so a
+    free pair is ``{0..m}^d``, which holds every shell r <= m; a killed
     (start, target) block keeps its shape.  The walk is bipartite, so one
     term of every cell is an exact zero and each sum is its other term,
     bit for bit: the free DP keeps wrong-parity cells exactly zero (audited
@@ -71,9 +72,7 @@ def _paired(kernels):
     _, prev = next(kernels)
     for n, now in kernels:
         if n >= 2:
-            pair = now.copy()
-            pair[tuple(map(slice, prev.shape))] += prev
-            yield n - 1, pair
+            yield n - 1, now[tuple(map(slice, prev.shape))] + prev
         prev = now
 
 
@@ -197,7 +196,7 @@ def near_diagonal_audit(d: int, n_max: int) -> AuditReport:
     for m, pair in _paired(orthant_fields(d, n_max + 1)):
         admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (LAG * LAG) * m
         if admissible.any():
-            shells = _shell_extremes(pair, _orthant_graph(d, m + 1), lower=True)[: m + 1]
+            shells = _shell_extremes(pair, _orthant_graph(d, m), lower=True)[: m + 1]
             cand = float(shells[admissible].min()) * m ** (d / 2.0)
             if cand < n2:
                 n2, n2_witness = cand, {"n": m, "value": cand}
@@ -229,7 +228,7 @@ def gaussian_lower_audit(d: int, n_max: int) -> AuditReport:
     grid = _DECAY_GRID
     fit = _EnvelopeFit(d, grid, lower=True)
     for m, pair in _paired(orthant_fields(d, n_max + 1)):
-        fit.fold(_shell_extremes(pair, _orthant_graph(d, m + 1), lower=True)[: m + 1], m, lambda r: m)
+        fit.fold(_shell_extremes(pair, _orthant_graph(d, m), lower=True)[: m + 1], m, lambda r: m)
     amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmax())
     passed = bool(amplitudes[best] > 0 and np.isfinite(amplitudes[best]))

@@ -195,7 +195,7 @@ def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
     ``A`` holds interior indices of the ball B that h is a field over.  The
     sweep ``h_A`` agrees with h on A, vanishes on the outer boundary of B, and
     is harmonic in between (one Dirichlet solve on B minus A, a domain
-    ``B.restrict`` cuts from B's arrays, with one ``I - P`` assembly).  Its negative
+    ``B.restrict`` cuts from B's arrays, with one ``P`` assembly).  Its negative
     Laplacian is the charge f: nonnegative, and supported on the inner
     boundary of A after structural-noise verification (``BalayageError`` otherwise).  The
     reconstruction ``G_B f`` is one ``kernel.killed_solve`` with the ball's

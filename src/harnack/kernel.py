@@ -22,11 +22,12 @@ One progression per dimension, keyed ``(d, n)``, lives in the bounded memo
 Killed kernels restrict the same update to a ball ``B``: mass stepping out of
 ``B`` is dropped, giving ``p_n^B(x, y) = P^x(X_n = y, n < exit time)``, stored
 over the ball's interior index with one column per start, so a block of
-starts advances with one product with ``killed_matrix(B)`` per step.  The
-walk is bipartite: every step flips the parity of ``sum(coords)``, so the
-killed matrix maps the even interior points to the odd ones and back, and
-after n steps from a start of parity c the mass lives on class
-``c + n (mod 2)`` only.  Each column therefore carries one even and one odd
+starts advances with one product with ``killed_matrix(B)`` per step.  That
+CSR ``P^B`` is the domain's one walk matrix: ``killed_solve`` factors the
+``I - P^B`` it reads off it.  The walk is bipartite: every step flips the
+parity of ``sum(coords)``, so the killed matrix maps the even interior
+points to the odd ones and back, and after n steps from a start of parity c
+the mass lives on class ``c + n (mod 2)`` only.  Each column therefore carries one even and one odd
 start (``walk_columns`` states which): their masses always sit on opposite
 classes, so one product advances both parity walks at once, every entry the
 same row sum in the same order as a single-start step.
@@ -317,42 +318,41 @@ def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
     return out // steps, flat[out] - len(D), 1.0 / steps
 
 
-def _walk_operator(D: FiniteDomain, identity: bool) -> sp.csr_matrix | sp.csc_matrix:
-    """``P^D`` as CSR, or the symmetric ``I - P^D`` as CSC: row i holds its columns inside ``D`` in ascending order."""
+def _walk_operator(D: FiniteDomain) -> sp.csr_matrix:
+    """``P^D`` as canonical CSR, from one sort of ``D.neighbor_index``: row i holds its columns in ``D``, ascending."""
     m, w = len(D), 1.0 / (2 * D.dimension)
-    cols = np.sort(np.column_stack([D.neighbor_index, np.arange(m)]) if identity else D.neighbor_index, axis=1)
+    cols = np.sort(D.neighbor_index, axis=1)
     keep = cols < m  # steps out of D, indices >= m, sort last
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)  # SciPy's index dtype here
-    if not identity:
-        return sp.csr_matrix((np.full(indptr[-1], w), cols[keep].astype(np.int32), indptr), shape=(m, m))
-    values = np.where(cols == np.arange(m)[:, None], 1.0, -w)  # 1 on the diagonal
-    return sp.csc_matrix((values[keep], cols[keep].astype(np.int32), indptr), shape=(m, m))
+    return sp.csr_matrix((np.full(indptr[-1], w), cols[keep].astype(np.int32), indptr), shape=(m, m))
 
 
 def killed_matrix(B: FiniteDomain) -> sp.csr_matrix:
     """The substochastic one-step matrix ``P^B`` of the walk killed outside ``B`` (read-only).
 
-    Canonical CSR straight from ``B.neighbor_index`` (``_walk_operator``).  A
+    Canonical CSR straight from ``B.neighbor_index`` (``_walk_operator``), the
+    one walk matrix of a domain: ``killed_solve`` reads ``I - P^B`` off it.  A
     ball's is kept in the bounded memo (``Memo``, within ``MEMO_BYTES``); any
     other domain's is built afresh.
     """
-    return _KILLED.get(B.key(), lambda: _walk_operator(B, identity=False))
+    return _KILLED.get(B.key(), lambda: _walk_operator(B))
 
 
 def killed_solve(D: FiniteDomain, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(I - P^D) u = rhs`` for a vector or a block of columns, certified.
 
     The one factorization and the one solve of the package.  ``I - P^D``, a
-    symmetric, diagonally dominant M-matrix, is assembled once, straight into
-    CSC, and SuperLU factors it in symmetric mode (``_SPD``): no pivoting,
-    which keeps the factors sign structured.  A ball's ``P^D`` and factor
-    are built once and kept in the bounded memo (``Memo``), so Green tables,
-    Dirichlet solves, harmonic measures and balayage on the same ball share
-    them; any other domain's are built afresh.  A block of columns equals its
-    column solves bit for bit.  Raises ``SolverError`` unless ``max |u - P^D u - rhs| < RESIDUAL_TOL``.
+    symmetric, diagonally dominant M-matrix, is read off ``killed_matrix(D)``:
+    its CSR arrays read as CSC are the matrix SuperLU factors in symmetric
+    mode (``_SPD``), no pivoting, which keeps the factors sign structured.  A
+    ball's ``P^D`` and factor are kept in the bounded memo (``Memo``), shared
+    by Green tables, Dirichlet solves, harmonic measures and balayage; any
+    other domain's one ``P^D`` feeds both its factor and its certificate.  A
+    block of columns equals its column solves bit for bit.  Raises
+    ``SolverError`` unless ``max |u - P^D u - rhs| < RESIDUAL_TOL``.
     """
     P = killed_matrix(D)
-    u = _LU.get(D.key(), lambda: spla.splu(_walk_operator(D, identity=True), **_SPD)).solve(rhs)
+    u = _LU.get(D.key(), lambda: spla.splu((sp.identity(len(D), format="csr") - P).T, **_SPD)).solve(rhs)
     residual = P @ u  # -(u - P u - rhs), in the one temporary
     residual -= u
     residual += rhs

@@ -22,7 +22,7 @@ from harnack.bounds import (
     near_diagonal_audit,
     random_chain_instance,
 )
-from harnack.kernel import iter_free_fields, iter_killed_vectors, orthant_fields, walk_pmf
+from harnack.kernel import _orthant_graph, iter_free_fields, iter_killed_vectors, orthant_fields, walk_pmf
 from harnack.lattice import make_ball
 from harnack.rng import philox
 
@@ -71,16 +71,21 @@ def test_free_fits_refuse_steps_past_the_dp_window(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_a_free_pair_is_the_live_term_of_each_cell(d):
-    # p_m, padded by one cell per axis, and p_{m+1} never share a nonzero
-    # cell, so their sum is their elementwise maximum bit for bit
+    # the pair is p_m over {0..m}^d, the corner that holds every shell r <= m;
+    # p_m and p_{m+1} never share a nonzero cell there, so their sum is their
+    # elementwise maximum bit for bit
     fields = dict(orthant_fields(d, 21))
     ms = []
     for m, pair in _paired(orthant_fields(d, 21)):
         ms.append(m)
-        now = fields[m + 1]
-        prev = np.pad(fields[m], [(0, 1)] * d)
+        prev = fields[m]
+        now = fields[m + 1][(slice(m + 1),) * d]
+        assert pair.shape == prev.shape == (m + 1,) * d
         assert (np.count_nonzero(np.stack([prev, now]), axis=0) <= 1).all()
         assert pair.tobytes() == np.maximum(prev, now).tobytes()
+        cut = np.ones(fields[m + 1].shape, bool)
+        cut[(slice(m + 1),) * d] = False
+        assert (_orthant_graph(d, m + 1)[cut] > m).all()  # the cells cut off lie beyond shell m
     assert ms == list(range(1, 21))
 
 

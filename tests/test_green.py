@@ -1,7 +1,9 @@
 """Green tables: dual-route agreement, identities, interior comparisons."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from harnack.green import (
     ugi_audit,
 )
 from harnack.kernel import RESIDUAL_TOL, killed_matrix, walk_columns
-from harnack.lattice import FiniteDomain, make_ball
+from harnack.lattice import FiniteDomain, graph_distance, make_ball
 
 # Expected visit counts on the 3-point interval, from inverting the 3x3
 # system by hand: (I - P)^-1 with P the nearest-neighbour half matrix.
@@ -247,6 +249,53 @@ def test_full_tables_are_solved_afresh_with_the_balls_one_factor():
     second = green_solve(B)
     assert second is not first and np.array_equal(second, first)
     assert kernel._LU.get(B.key(), lambda: None) is factor is not None
+
+
+def exact_green_table(d, R):
+    """The ball's points and ``(I - P)^-1`` in exact rationals, by Gauss-Jordan elimination.
+
+    The points are the lattice points within graph distance R of the origin
+    in lexicographic order, and two points are neighbours when their graph
+    distance is 1.  ``I - P`` is a diagonally dominant M-matrix, so every
+    pivot in order is positive.
+    """
+    points = [p for p in itertools.product(range(-R, R + 1), repeat=d) if sum(map(abs, p)) <= R]
+    step = Fraction(1, 2 * d)
+    rows = [
+        [Fraction(i == j) - step * (graph_distance(p, q) == 1) for j, q in enumerate(points)]
+        + [Fraction(i == j) for j in range(len(points))]
+        for i, p in enumerate(points)
+    ]
+    for c, pivot_row in enumerate(rows):
+        pivot_row[:] = [v / pivot_row[c] for v in pivot_row]
+        for row in rows:
+            if row is not pivot_row and row[c]:
+                factor = row[c]
+                row[:] = [a - factor * b for a, b in zip(row, pivot_row)]
+    return points, [row[len(points):] for row in rows]
+
+
+def worst_ulps(got, exact):
+    """max |got - exact| in units of the last place of the correctly rounded exact value."""
+    return max(
+        abs(Fraction(float(g)) - e) / Fraction(math.ulp(float(e)))
+        for g, e in zip(got.ravel().tolist(), itertools.chain.from_iterable(exact))
+    )
+
+
+# measured 9.9 and 3.0 ulps with SuperLU's symmetric-mode factor
+@pytest.mark.parametrize("d, R, ulps", [(2, 3, 16), (3, 2, 16)])
+def test_solved_table_is_the_exact_rational_inverse(d, R, ulps, monkeypatch):
+    points, exact = exact_green_table(d, R)
+    B = make_ball((0,) * d, R)
+    assert [tuple(p) for p in B.interior] == points
+    assert worst_ulps(green_solve(B), exact) <= ulps
+    # a walk that leaks 1e-9 of its mass per step is millions of ulps off
+    build = kernel._walk_operator
+    monkeypatch.setattr(kernel, "_KILLED", kernel.Memo())
+    monkeypatch.setattr(kernel, "_LU", kernel.Memo())
+    monkeypatch.setattr(kernel, "_walk_operator", lambda D: build(D) * (1.0 - 1e-9))
+    assert worst_ulps(green_solve(B), exact) > 1e6
 
 
 def test_column_restricted_solve_matches_full():

@@ -20,6 +20,7 @@ from harnack.kernel import (
     iter_free_fields,
     iter_killed_vectors,
     killed_matrix,
+    killed_solve,
     lazy_walk,
     n_step,
     orthant_fields,
@@ -349,6 +350,28 @@ def test_killed_matrix_is_substochastic():
     assert (col_sums <= 1.0 + 1e-15).all()
     inner = [i for i, p in enumerate(B.interior) if graph_distance(p, B.center) < 3]
     assert np.allclose(col_sums[inner], 1.0)
+
+
+@pytest.mark.parametrize("d, R", [(1, 8), (2, 6), (3, 4)])
+def test_a_solve_assembles_its_walk_once(d, R, monkeypatch):
+    # a domain's one P^D feeds both its factor and its certificate
+    built = []
+    build = kernel._walk_operator
+
+    def counted(D):
+        built.append(len(D))
+        return build(D)
+
+    monkeypatch.setattr(kernel, "_KILLED", kernel.Memo())
+    monkeypatch.setattr(kernel, "_LU", kernel.Memo())
+    monkeypatch.setattr(kernel, "_walk_operator", counted)
+    B = make_ball((0,) * d, R)
+    complement = B.restrict(np.setdiff1d(np.arange(len(B)), B.within(R // 2)))
+    killed_solve(complement, np.ones(len(complement)))
+    assert built == [len(complement)]
+    P = killed_matrix(B)
+    killed_solve(B, np.ones((len(B), 2)))
+    assert built == [len(complement), len(B)] and killed_matrix(B) is P
 
 
 @given(st.integers(1, 2), st.integers(1, 4), st.integers(0, 12))
