@@ -5,13 +5,15 @@ function is harmonic exactly when it equals its neighbor average.  A field
 is a :class:`LatticeField`: a domain and its values in the domain's closure
 order (or over the interior prefix of it), so an operator on a field takes
 its domain from the field; boundary data are arrays over ``D.outer_coords``.
+Boundary data enter through the walk's exit block: ``c = P(., ∂D) phi``
+(``kernel.exit_coupling``) is the data's share of each neighbour average.
 The Dirichlet problem is solved three independent ways (sparse LU, clamped
-fixed-point iteration, Monte Carlo); harmonic measure is the solve of unit
-data columns; the triple audit checks ``h(x) = sum_y G_D(x, y)
-c(y)``, c the data's share of each neighbour average, on the centre's column
-of ``green.green_solve``.  Every LU solve is ``kernel.killed_solve``,
-certified by ``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it
-reuses the memoized factor and one-step matrix and assembles no matrix.
+fixed-point iteration, Monte Carlo); harmonic measure ``H_D = G_D P(., ∂D)``
+is one certified solve of the block's columns; the triple audit checks
+``h(x) = sum_y G_D(x, y) c(y)`` on the centre's column of
+``green.green_solve``.  Every LU solve is ``kernel.killed_solve``, certified
+by ``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it reuses the
+memoized factor and one-step matrix and assembles no matrix.
 Balayage sweeps a nonnegative harmonic h on a ball B onto the inner
 boundary of a subset A (interior indices of B): the sweep is one Dirichlet
 solve on the complement of A, cut from B's arrays (``FiniteDomain.restrict``),
@@ -28,7 +30,7 @@ import numpy as np
 
 from .exit_time import exit_walks
 from .green import green_solve
-from .kernel import RESIDUAL_TOL, SolverError, exit_steps, killed_matrix, killed_solve
+from .kernel import RESIDUAL_TOL, SolverError, exit_coupling, killed_matrix, killed_solve
 from .lattice import FiniteDomain, _integer_array, make_ball, radii
 from .report import AuditReport
 from .rng import philox
@@ -88,26 +90,17 @@ def _boundary_data(D: FiniteDomain, phi) -> np.ndarray:
     return vals
 
 
-def _boundary_field(D: FiniteDomain, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary data as a float array over ``D.outer_coords``, and their share of each neighbour average."""
-    vals = _boundary_data(D, phi)
-    rows_b, cols_b, w = exit_steps(D)
-    coupling = np.zeros((len(D),) + vals.shape[1:])
-    np.add.at(coupling, rows_b, w * vals[cols_b])
-    return vals, coupling
-
-
 def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
     """Solve the boundary-value problem: harmonic inside, ``phi`` on ∂D.
 
-    Sparse-LU path, ``kernel.killed_solve`` with the boundary coupling as
-    right-hand side (a ball's factor is memoized); the killed one-step
+    Sparse-LU path, ``kernel.killed_solve`` with the coupling ``P(., ∂D) phi``
+    as right-hand side (a ball's factor is memoized); the killed one-step
     matrix is strictly substochastic on the inner boundary, so the system is
     nonsingular.  The result carries the boundary data exactly.  Data of
     shape (|∂D|, k) are k problems in one solve, one column each.
     """
-    bdata, coupling = _boundary_field(D, phi)
-    return LatticeField(D, np.concatenate([killed_solve(D, coupling), bdata]))
+    bdata = _boundary_data(D, phi)
+    return LatticeField(D, np.concatenate([killed_solve(D, exit_coupling(D, bdata)), bdata]))
 
 
 def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
@@ -117,7 +110,8 @@ def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
     the iteration is a strict contraction on finite domains, so this
     terminates (``SolverError`` past ``MAX_SWEEPS`` sweeps).
     """
-    bdata, coupling = _boundary_field(D, phi)
+    bdata = _boundary_data(D, phi)
+    coupling = exit_coupling(D, bdata)
     P = killed_matrix(D)
     interior = np.full(coupling.shape, bdata.mean(axis=0))
     for _ in range(MAX_SWEEPS):
@@ -161,15 +155,16 @@ def harmonic_measure_matrix(D: FiniteDomain, boundary: Sequence[int] | np.ndarra
     """Harmonic measure of D at the outer-boundary indices ``boundary``: shape (interior, len(boundary)).
 
     Column k is each start's chance to exit at ``D.outer_coords[boundary[k]]``,
-    one :func:`dirichlet_solve` of unit data; over every index, rows sum to one.
-    Bad index sets raise as in ``FiniteDomain.interior_indices`` (0 to |∂D| - 1 here).
+    ``H_D(x, z) = sum_y G_D(x, y) P(y, z)``: one certified solve of the exit
+    block's columns; over every index, rows sum to one.  Bad index sets
+    raise as in ``FiniteDomain.interior_indices`` (0 to |∂D| - 1 here).
     """
     boundary = _integer_array(boundary, "boundary indices")
     if boundary.min() < 0 or boundary.max() >= len(D.outer_coords):
         raise ValueError(f"boundary indices run from 0 to {len(D.outer_coords) - 1}")
-    unit = np.zeros((len(D.outer_coords), len(boundary)))
-    unit[boundary, np.arange(len(boundary))] = 1.0
-    return dirichlet_solve(D, unit).values[: len(D)]
+    columns = np.zeros((len(D.outer_coords), len(boundary)))
+    columns[boundary, np.arange(len(boundary))] = 1.0
+    return killed_solve(D, exit_coupling(D, columns))
 
 
 def random_harmonic(D: FiniteDomain, seed: int | Sequence[int]) -> LatticeField:
@@ -265,7 +260,7 @@ def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> Audit
     iterated = dirichlet_iterate(D, phi)
     center = (0,) * d
     mc, mc_se = dirichlet_mc(D, phi, center, MC_SAMPLES, seed)
-    _, coupling = _boundary_field(D, phi)
+    coupling = exit_coupling(D, phi)
     green_center = green_solve(D, [D.index_of(center)])[:, 0]  # G_D(., 0) = G_D(0, .): the walk is symmetric
     gap = float(np.abs(solved.values - iterated.values).max())
     z = abs(mc - solved.value_at(center)) / max(mc_se, 1e-12)

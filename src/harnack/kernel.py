@@ -21,16 +21,18 @@ One progression per dimension, keyed ``(d, n)``, lives in the bounded memo
 
 Killed kernels restrict the same update to a ball ``B``: mass stepping out of
 ``B`` is dropped, giving ``p_n^B(x, y) = P^x(X_n = y, n < exit time)``, stored
-over the ball's interior index with one column per start, so a block of
-starts advances with one product with ``killed_matrix(B)`` per step.  That
-CSR ``P^B`` is the domain's one walk matrix: ``killed_solve`` factors the
-``I - P^B`` it reads off it.  The walk is bipartite: every step flips the
-parity of ``sum(coords)``, so the killed matrix maps the even interior
-points to the odd ones and back, and after n steps from a start of parity c
-the mass lives on class ``c + n (mod 2)`` only.  Each column therefore carries one even and one odd
-start (``walk_columns`` states which): their masses always sit on opposite
-classes, so one product advances both parity walks at once, every entry the
-same row sum in the same order as a single-start step.
+over the ball's interior index with one column per start, so a block of starts
+advances with one product with ``killed_matrix(B)`` per step.  That CSR
+``P^B`` is the domain's one walk matrix: ``killed_solve`` factors the
+``I - P^B`` it reads off it; its steps out of ``B``, the exit block ``P(., ∂B)``,
+carry boundary data into a solve (``exit_coupling``).  The walk is bipartite:
+every step flips the parity of ``sum(coords)``, so the killed matrix maps the
+even interior points to the odd ones and back, and after n steps from a start
+of parity c the mass lives on class ``c + n (mod 2)`` only.  Each column
+therefore carries one even and one odd start (``walk_columns`` states which):
+their masses always sit on opposite classes, so one product advances both
+parity walks at once, every entry the same row sum in the same order as a
+single-start step.
 
 For d <= 2 there is an independent closed-form route: in d=1 the kernel is
 the binomial pmf ``b_n``, and in d=2 the rotation ``(x1+x2, x1-x2)`` turns
@@ -65,7 +67,7 @@ __all__ = [
     "iter_free_fields",
     "n_step",
     "walk_pmf",
-    "exit_steps",
+    "exit_coupling",
     "Memo",
     "killed_matrix",
     "killed_solve",
@@ -305,17 +307,19 @@ _LU = Memo()  # B.key() -> SuperLU factor of I - P^B
 _SPD = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 
-def exit_steps(D: FiniteDomain) -> tuple[np.ndarray, np.ndarray, float]:
-    """Every step that leaves ``D``, read off ``D.neighbor_index``.
+def exit_coupling(D: FiniteDomain, phi: np.ndarray) -> np.ndarray:
+    """The exit block's product ``P(., ∂D) phi``, read off ``D.neighbor_index``: the one place the exit rule is built.
 
-    Returns ``(rows, cols, w)``: (interior index, boundary index) pairs in
-    neighbour order, each of weight ``w = 1/(2d)``.  Boundary right-hand
-    sides accumulate over those pairs in that order.
+    Boundary data over ``D.outer_coords`` (a column per problem) enter a
+    solve as this coupling, each point adding its exit steps' ``phi(z) / 2d``
+    one at a time in neighbour order, not sorted by ``z``: rounded terms can
+    sum differently in another order.  A SciPy matrix costs more to build.
     """
-    steps = D.neighbor_index.shape[1]
-    flat = D.neighbor_index.ravel()
-    out = np.flatnonzero(flat >= len(D))
-    return out // steps, flat[out] - len(D), 1.0 / steps
+    shares = np.concatenate([np.zeros((1,) + np.shape(phi)[1:]), 1.0 / (2 * D.dimension) * phi])  # row 0: a step inside D
+    out = np.zeros((len(D),) + np.shape(phi)[1:])
+    for step in np.maximum(D.neighbor_index - (len(D) - 1), 0).T:
+        out += shares[step]
+    return out
 
 
 def _walk_operator(D: FiniteDomain) -> sp.csr_matrix:

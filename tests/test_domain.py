@@ -2,8 +2,9 @@
 
 The loop constructions over :func:`neighbors` below are the reference: the
 vectorized index, both boundaries, the killed one-step matrix, the ``I - P``
-system that ``kernel`` factors from it and the boundary coupling must equal
-them exactly (same sparse ``indices`` and ``data``, same exit order).
+system that ``kernel`` factors from it and the exit block must equal them
+exactly (same sparse ``indices`` and ``data``; each point's exit steps
+added in the reference's neighbour order).
 """
 
 import itertools
@@ -27,7 +28,14 @@ from harnack.harmonic import (
     laplacian,
     random_harmonic,
 )
-from harnack.kernel import exactness_audit, exit_steps, iter_killed_vectors, killed_matrix, n_step, walk_columns
+from harnack.kernel import (
+    exactness_audit,
+    exit_coupling,
+    iter_killed_vectors,
+    killed_matrix,
+    n_step,
+    walk_columns,
+)
 from harnack.lattice import FiniteDomain, build_ball_chain, make_ball, neighbors
 
 
@@ -43,14 +51,14 @@ def reference_domain(points):
 
 
 def reference_operators(points):
-    """Killed matrix, both ``I - P`` assemblies and the exit steps, by loops."""
+    """Killed matrix, both ``I - P`` assemblies and each point's exit steps in neighbour order, by loops."""
     interior, outer, _, _ = reference_domain(points)
     m, d = len(interior), len(interior[0])
     w = 1.0 / (2 * d)
     index = {p: i for i, p in enumerate(interior + outer)}
     rows, cols = [], []
     rows_i, cols_i, vals_i = [], [], []
-    rows_b, cols_b = [], []
+    exits = [[] for _ in interior]
     for i, p in enumerate(interior):
         rows_i.append(i)
         cols_i.append(i)
@@ -64,12 +72,18 @@ def reference_operators(points):
                 cols_i.append(j)
                 vals_i.append(-w)
             else:
-                rows_b.append(i)
-                cols_b.append(j - m)
+                exits[i].append(j - m)
     P = sp.csr_matrix((np.full(len(rows), w), (rows, cols)), shape=(m, m))
     system = sp.csc_matrix((vals_i, (rows_i, cols_i)), shape=(m, m))
     green_system = (sp.identity(m, format="csc") - P).tocsc()
-    return P, system, green_system, np.array(rows_b), np.array(cols_b)
+    return P, system, green_system, exits
+
+
+def sum_in_order(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def reference_laplacian(h, point):
@@ -117,15 +131,20 @@ def check_domain(D, points):
     assert tuple(D.interior[i] for i in np.flatnonzero(D.inner_mask())) == inner
     assert np.array_equal(D.neighbor_index, nbr)
     assert np.array_equal(D.coords, np.array(interior, dtype=np.int64))
-    P, system, green_system, rows_b, cols_b = reference_operators(points)
+    P, system, green_system, exits = reference_operators(points)
     P_new = killed_matrix(D)
-    rows_new, cols_new, w = exit_steps(D)
-    assert w == 1.0 / (2 * D.dimension)
     assert_same_sparse(P_new, P)
     factored = factored_matrix(D)
     assert_same_sparse(factored, system)
     assert_same_sparse(factored, green_system)
-    assert np.array_equal(rows_new, rows_b) and np.array_equal(cols_new, cols_b)
+    w = 1.0 / (2 * D.dimension)
+    block = np.zeros((len(interior), len(outer)))
+    for i, zs in enumerate(exits):
+        block[i, zs] = w
+    assert np.array_equal(exit_coupling(D, np.identity(len(outer))), block)
+    rng = np.random.default_rng(len(outer))
+    phi = rng.standard_normal(len(outer)) * 10.0 ** rng.uniform(-8, 8, len(outer))  # a reordered sum would show
+    assert exit_coupling(D, phi).tolist() == [sum_in_order(w * phi[zs]) for zs in exits]
     position = {p: i for i, p in enumerate(interior + outer)}
     assert all(D.closure_index(p) == i for p, i in position.items())
     lo, hi = np.min(interior, axis=0) - 2, np.max(interior, axis=0) + 2

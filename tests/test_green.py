@@ -1,5 +1,6 @@
 """Green tables: dual-route agreement, identities, interior comparisons."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from harnack.green import (
     killed_lower_audit,
     ugi_audit,
 )
+from harnack.harmonic import harmonic_measure_matrix
 from harnack.kernel import RESIDUAL_TOL, killed_matrix, walk_columns
 from harnack.lattice import FiniteDomain, graph_distance, make_ball
 
@@ -251,6 +253,7 @@ def test_full_tables_are_solved_afresh_with_the_balls_one_factor():
     assert kernel._LU.get(B.key(), lambda: None) is factor is not None
 
 
+@functools.lru_cache(maxsize=None)
 def exact_green_table(d, R):
     """The ball's points and ``(I - P)^-1`` in exact rationals, by Gauss-Jordan elimination.
 
@@ -283,6 +286,14 @@ def worst_ulps(got, exact):
     )
 
 
+def plant_leak(monkeypatch):
+    """From here on the walk leaks 1e-9 of its mass per step, on fresh killed-matrix and factor memos."""
+    build = kernel._walk_operator
+    monkeypatch.setattr(kernel, "_KILLED", kernel.Memo())
+    monkeypatch.setattr(kernel, "_LU", kernel.Memo())
+    monkeypatch.setattr(kernel, "_walk_operator", lambda D: build(D) * (1.0 - 1e-9))
+
+
 # measured 9.9 and 3.0 ulps with SuperLU's symmetric-mode factor
 @pytest.mark.parametrize("d, R, ulps", [(2, 3, 16), (3, 2, 16)])
 def test_solved_table_is_the_exact_rational_inverse(d, R, ulps, monkeypatch):
@@ -291,11 +302,34 @@ def test_solved_table_is_the_exact_rational_inverse(d, R, ulps, monkeypatch):
     assert [tuple(p) for p in B.interior] == points
     assert worst_ulps(green_solve(B), exact) <= ulps
     # a walk that leaks 1e-9 of its mass per step is millions of ulps off
-    build = kernel._walk_operator
-    monkeypatch.setattr(kernel, "_KILLED", kernel.Memo())
-    monkeypatch.setattr(kernel, "_LU", kernel.Memo())
-    monkeypatch.setattr(kernel, "_walk_operator", lambda D: build(D) * (1.0 - 1e-9))
+    plant_leak(monkeypatch)
     assert worst_ulps(green_solve(B), exact) > 1e6
+
+
+def exact_harmonic_measure(d, R):
+    """The ball's outer boundary and ``H = G P(., ∂B)`` in exact rationals.
+
+    The boundary is the points at graph distance R + 1 from the origin, in
+    lexicographic order; ``H[x][z]`` sums ``G[x][y] / 2d`` over the ball's
+    points y at graph distance 1 from z.
+    """
+    points, table = exact_green_table(d, R)
+    boundary = [p for p in itertools.product(range(-R - 1, R + 2), repeat=d) if sum(map(abs, p)) == R + 1]
+    near = [[j for j, y in enumerate(points) if graph_distance(y, z) == 1] for z in boundary]
+    step = Fraction(1, 2 * d)
+    return boundary, [[step * sum(row[j] for j in js) for js in near] for row in table]
+
+
+# measured 8.6 and 3.0 ulps: the exit block's columns through the factor of the table above
+@pytest.mark.parametrize("d, R, ulps", [(2, 3, 16), (3, 2, 16)])
+def test_harmonic_measure_is_the_exact_green_table_times_the_exit_block(d, R, ulps, monkeypatch):
+    boundary, exact = exact_harmonic_measure(d, R)
+    B = make_ball((0,) * d, R)
+    assert [tuple(z) for z in B.outer_coords] == boundary
+    every = np.arange(len(boundary))
+    assert worst_ulps(harmonic_measure_matrix(B, every), exact) <= ulps
+    plant_leak(monkeypatch)
+    assert worst_ulps(harmonic_measure_matrix(B, every), exact) > 1e6
 
 
 def test_column_restricted_solve_matches_full():

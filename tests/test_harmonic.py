@@ -21,9 +21,17 @@ from harnack.harmonic import (
     laplacian,
     random_harmonic,
 )
-from harnack.kernel import SolverError, killed_matrix, killed_solve
+from harnack.kernel import SolverError, exit_coupling, killed_matrix, killed_solve
 from harnack.lattice import FiniteDomain, graph_distance, make_ball
 from harnack.rng import philox
+
+
+def exit_scatter(D, phi):
+    """``sum_z P(y, z) phi(z)`` by ``np.add.at`` over the steps out of ``D``, in neighbour order."""
+    rows, steps = np.nonzero(D.neighbor_index >= len(D))
+    out = np.zeros((len(D),) + np.shape(phi)[1:])
+    np.add.at(out, rows, 1.0 / (2 * D.dimension) * phi[D.neighbor_index[rows, steps] - len(D)])
+    return out
 
 
 def interval_domain(R):
@@ -121,7 +129,7 @@ def test_mc_route_builds_no_boundary_coupling(monkeypatch):
     def no_coupling(*args, **kwargs):
         raise AssertionError("the Monte Carlo route builds the boundary coupling")
 
-    monkeypatch.setattr(harmonic, "exit_steps", no_coupling)
+    monkeypatch.setattr(harmonic, "exit_coupling", no_coupling)
     assert dirichlet_mc(D, phi, (0, 0), samples=2_000, seed=4) == expected
     with pytest.raises(ValueError, match="align with D.outer_coords"):
         dirichlet_mc(D, phi[:-1], (0, 0), samples=2_000, seed=4)
@@ -157,6 +165,19 @@ def test_harmonic_measure_refuses_what_is_not_a_boundary_index_set():
                        ([1.0], TypeError), ([True, False], TypeError)):
         with pytest.raises(error):
             harmonic_measure_matrix(D, bad)
+
+
+@pytest.mark.parametrize("d,R", [(1, 9), (2, 6), (3, 4)])
+def test_the_exit_block_product_is_the_step_scatter_bit_for_bit(d, R):
+    # on the ball and on complements restricted from it, for a vector and a
+    # block; data spread over 16 decades, so a reordered sum would show
+    B = make_ball((0,) * d, R)
+    rng = np.random.default_rng(d)
+    domains = [B] + [B.restrict(np.setdiff1d(np.arange(len(B)), _random_subset(B, rng))) for _ in range(8)]
+    for D in domains:
+        data = rng.standard_normal((len(D.outer_coords), 7)) * 10.0 ** rng.uniform(-8, 8, (len(D.outer_coords), 7))
+        for phi in (data[:, 0], data):
+            assert np.array_equal(exit_coupling(D, phi), exit_scatter(D, phi))
 
 
 @pytest.mark.parametrize("d,R", [(1, 9), (2, 6), (3, 4)])
@@ -200,14 +221,12 @@ def test_a_block_of_boundary_data_is_one_problem_per_column():
 def test_triple_measure_gap_is_the_green_column_against_the_coupling(d, R, seed):
     # Recomputed outside the audit: the centre's Green column dotted with the
     # coupling c(y) = sum over y's exit steps z of phi(z) / 2d, against h(0).
-    from harnack.kernel import RESIDUAL_TOL, exit_steps, killed_solve
+    from harnack.kernel import RESIDUAL_TOL
 
     report = dirichlet_triple_audit(d, R, seed=seed, agree_tol=1e-8)
     B = make_ball((0,) * d, R)
     h = random_harmonic(B, seed)
-    rows_b, cols_b, w = exit_steps(B)
-    coupling = np.zeros(len(B))
-    np.add.at(coupling, rows_b, w * h.values[len(B) + cols_b])
+    coupling = exit_scatter(B, h.values[len(B) :])
     e_center = np.zeros(len(B))
     e_center[B.index_of((0,) * d)] = 1.0
     gap = abs(float(killed_solve(B, e_center) @ coupling) - h.value_at((0,) * d))
@@ -224,16 +243,12 @@ def test_ball_solves_use_the_memoized_factor(d, R, monkeypatch):
     from scipy.sparse.linalg import splu
 
     from harnack import kernel
-    from harnack.kernel import exit_steps
 
     B = make_ball((0,) * d, R)
-    rows_b, cols_b, w = exit_steps(B)
     fresh = splu((sp.identity(len(B), format="csc") - killed_matrix(B)).tocsc(), **SPD_POLICY)
     phi = np.linspace(0.0, 1.0, len(B.outer_boundary))
-    rhs = np.zeros(len(B))
-    np.add.at(rhs, rows_b, w * phi[cols_b])
-    coupling = np.zeros((len(B), len(B.outer_boundary)))
-    coupling[rows_b, cols_b] = w
+    rhs = exit_scatter(B, phi)
+    coupling = exit_scatter(B, np.identity(len(B.outer_boundary)))
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("a ball's factor is refactorized")

@@ -1,5 +1,6 @@
 """Exact n-step kernels: DP, closed forms, killed chains, the lazy walk."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -172,6 +173,25 @@ def test_killed_chain_matches_hand_dp():
     cdf = exact_exit_cdf(B, (0,), 4)
     assert 1 - cdf[2] == 0.5
     assert 1 - cdf[4] == 0.25
+
+
+@pytest.mark.parametrize("d, R, n_max", [(1, 10, 53), (2, 6, 26)])
+def test_killed_walk_is_the_exact_rational_walk_bit_for_bit(d, R, n_max):
+    # In d <= 2, p_n^B(x, y) is a multiple of (2d)^-n in [0, 1], exact in
+    # binary64 while (2d)^n <= 2^53.  The exact walk counts the paths of n
+    # steps inside the ball, neighbours taken from the graph metric.
+    points = [p for p in itertools.product(range(-R, R + 1), repeat=d) if sum(map(abs, p)) <= R]
+    paths = np.array([[graph_distance(p, q) == 1 for q in points] for p in points], dtype=np.int64)
+    B = make_ball((0,) * d, R)
+    assert [tuple(p) for p in B.interior] == points
+    starts = np.arange(len(points))
+    counts = np.zeros((len(points), walk_columns(B, starts).max() + 1), dtype=np.int64)
+    counts[starts, walk_columns(B, starts)] = 1  # an even and an odd start share a column
+    for n, block in iter_killed_vectors(B, starts, n_max):
+        assert list(map(Fraction, block.ravel().tolist())) == [
+            Fraction(c, (2 * d) ** n) for c in counts.ravel().tolist()
+        ], f"step {n}"
+        counts = paths @ counts  # below 2^53: at most (2d)^n paths end anywhere
 
 
 @pytest.mark.parametrize("d,R", [(1, 3), (2, 3), (3, 2)])
