@@ -9,16 +9,14 @@ mandatory, independent computations are provided and cross-audited:
     domain's lattice symmetries (signed coordinate permutations about its
     centre; ``g_B(gx, gy) = g_B(x, y)`` exactly), in one walk with one
     sparse product per step (each column carries an even and an odd start,
-    whose masses live on opposite parity classes: the walk is bipartite),
-    with an adaptive truncation per start: once the per-step survival ratio
-    stabilises below one, the remaining tail is bounded geometrically by
-    ``s_N * lam/(1 - lam)``.  Because the chain is bipartite, survival
-    ratios oscillate with period two; the estimator takes the max of the
-    last two consecutive ratios, which dominates both phases.  It is
-    checked on each window end's last two steps, one of each phase, and
-    iteration stops at the first window end (``_WINDOW`` steps) where every
-    walked start's bound is below ``tol``.  Every other column is gathered
-    as the exact image of its representative's.
+    whose masses live on opposite parity classes: the walk is bipartite).
+    It stops at the first window end n (every ``_WINDOW`` steps) where the
+    proven tail bound ``(r+1)^2 max_x P^x(tau > n)`` is below ``tol``: r is
+    the domain's largest l1 distance from a centre c, and
+    ``sum_{k>n} p_k^B(x, .) <= E_x[(tau - n)^+] = E_x[1{tau>n} E_{X_n} tau]
+    <= P^x(tau > n) (r+1)^2``, because ``|X_n - c|_2^2 - n`` is a martingale
+    and every exit point lies within l1 distance r + 1 of c.  Every other
+    column is gathered as the exact image of its representative's.
 
 ``solve``
     solves the defining linear system ``(I - P^B) G = I`` with
@@ -44,12 +42,10 @@ maps and the swap (``g_B`` and ``p_n^B`` are symmetric).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bounds import _DECAY_GRID, _EnvelopeFit, _paired, _shell_extremes
 from .kernel import iter_killed_vectors, killed_solve, walk_columns
@@ -92,19 +88,16 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     one ``iter_killed_vectors`` walk, one sparse product per step, even and
     odd ones paired in its columns (``walk_columns``), and each step's block
     is added to the accumulator of its step parity; each walked column holds
-    the same sums as when every start is walked.  Each start's mass is read
-    off one product with a 2 x |B| class-sum matrix, which adds its live
-    class in index order, as a full-interior column sum does.  Each
-    representative certifies its own tail (staircase columns reach their
-    drop steps at different times).  Masses are read on each
-    ``_WINDOW``-step window's last four steps only; at its end a start not
-    yet certified takes the first of the last two steps whose tail bound is
-    below ``tol``, and iteration ends at the first window end where every
-    representative is certified, so an untruncated series sums a multiple
-    of ``_WINDOW`` steps.  Every other column is then gathered as an image
-    of its representative's, ``G[:, j] = G[h x, r]`` for a map h taking j
-    to r.  Without symmetry every start is a representative.
-    ``ValueError`` unless ``tol`` is positive and finite.
+    the same sums as when every start is walked.  At each ``_WINDOW``-th
+    step n the remaining mass is at most ``P^x(tau > n) (r+1)^2`` (module
+    docstring; c is the bounding box's midpoint rounded down), and the walk
+    stops once that bound's largest value over the walked starts is below
+    ``tol``.  A start's survival is its column's sum over the rows of its
+    live parity class, so the stop does not depend on which starts share a
+    column.  Every other column is then gathered as an image of its
+    representative's, ``G[:, j] = G[h x, r]`` for a map h taking j to r.
+    Without symmetry every start is a representative.  ``ValueError``
+    unless ``tol`` is positive and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -113,33 +106,18 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
     reps = np.flatnonzero(rep == np.arange(len(B)))
     column = walk_columns(B, reps)  # the walk's column of each representative
     parity = B.coords.sum(axis=1) % 2
-    # row c adds class c's rows in ascending order, one term at a time
-    class_sums = sp.csr_matrix((np.ones(len(B)), (parity, np.arange(len(B)))), shape=(2, len(B)))
+    mid = (B.coords.min(axis=0) + B.coords.max(axis=0)) // 2
+    scale = (int(np.abs(B.coords - mid).sum(axis=1).max()) + 1) ** 2  # (r+1)^2 >= max_y E_y tau
     totals = [np.zeros((len(B), column.max() + 1)) for _ in (0, 1)]  # sums over the even and the odd steps
-    tail_bounds = np.full(len(reps), np.inf)  # per representative; finite once certified
-    masses = deque(maxlen=4)  # each start's mass on steps n - 3..n at a window end n
+    tail_bound = math.inf  # finite once the tail is certified
     for n, block in iter_killed_vectors(B, reps, SERIES_MAX_STEPS):
         totals[n % 2] += block
-        if n == 0 or -n % _WINDOW > 3:
-            continue  # step 0 is accumulated, not certified; masses are read on a window's last four steps
-        # each start's mass, on its live class: class c + n for starts of class c
-        masses.append((class_sums @ block)[(parity[reps] + n) % 2, column])
-        if n % _WINDOW:
-            continue
-        # certify the window's last two steps, n - 1 and n, on (step, start) arrays
-        history = np.array(masses)
-        s, s_prev, s_prev2 = history[2:], history[1:-1], history[:-2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(s_prev > 0, s / s_prev, 0.0)
-            rho = np.where(s_prev2 > 0, s / s_prev2, np.inf)
-            one_step = np.where(lam < 1.0, s * lam / (1.0 - lam), np.inf)
-            two_step = np.where(rho < 1.0, (s + s_prev) * rho / (1.0 - rho), np.inf)
-        tails = np.where(s > 0, np.maximum(one_step, two_step), 0.0)
-        below = (tails < tol) & np.isinf(tail_bounds)
-        first = np.argmax(below, axis=0)  # each start's first certified step
-        newly = below.any(axis=0)
-        tail_bounds[newly] = tails[first[newly], np.flatnonzero(newly)]
-        if np.isfinite(tail_bounds).all():
+        if n == 0 or n % _WINDOW:
+            continue  # step 0 is accumulated, not certified; survivals are read at window ends
+        # each class's rows hold one start per column, so their sums are the walked starts' survivals
+        bound = scale * max(block[parity == p].sum(axis=0).max() for p in (0, 1))
+        if bound < tol:
+            tail_bound = bound
             break
     table = np.zeros((len(B), len(B)))
     for p, total in enumerate(totals):  # starts of class c hold class c + p after p-parity steps
@@ -155,8 +133,8 @@ def green_table_series(B: FiniteDomain, tol: float) -> GreenTable:
         table[:, cols] = table[np.ix_(maps[h], rep[cols])]
     meta = {
         "terms": n,
-        "tail_bound": float(tail_bounds.max()),  # inf if any start is uncertified
-        "truncated": bool(np.isinf(tail_bounds).any()),
+        "tail_bound": float(tail_bound),  # inf if the series is truncated
+        "truncated": math.isinf(tail_bound),
     }
     return GreenTable(values=table, meta=meta)
 
@@ -338,7 +316,7 @@ def equivalence_audit(d: int, r_values: Sequence[int], rel_tol: float) -> AuditR
     """Cross-check the two Green routes entry-by-entry on centred balls.
 
     For each radius the direct linear solve (residual-certified) and the
-    series accumulation (per-start certified geometric tails) must agree
+    series accumulation (stopped on its proven tail bound) must agree
     within ``rel_tol`` relatively on *every* entry; the table must also be
     symmetric to the same tolerance, since the walk's one-step kernel is.
     The series stopping tolerance is self-scaled to the smallest solve entry

@@ -227,14 +227,14 @@ class FiniteDomain:
             raise ValueError(f"{int(bad[0])} is not an interior index (0 to {len(self) - 1})")
         return idx
 
-    def inner_mask(self, subset: np.ndarray | None = None) -> np.ndarray:
-        """Interior mask of the inner boundary of ``subset`` (default: the interior).
+    def inner_mask(self, subset: np.ndarray) -> np.ndarray:
+        """Interior mask of the inner boundary of ``subset``.
 
         ``subset`` holds interior indices; a point is on its inner boundary
         when it lies in the subset and one of its neighbours does not.
         """
         member = np.zeros(len(self) + len(self.outer_coords), dtype=bool)
-        member[slice(len(self)) if subset is None else self.interior_indices(subset)] = True
+        member[self.interior_indices(subset)] = True
         return member[: len(self)] & ~member[self.neighbor_index].all(axis=1)
 
     def within(self, r: int, center: Point | None = None) -> np.ndarray:

@@ -128,7 +128,7 @@ def check_domain(D, points):
     interior, outer, inner, nbr = reference_domain(points)
     assert D.interior == interior
     assert D.outer_boundary == outer
-    assert tuple(D.interior[i] for i in np.flatnonzero(D.inner_mask())) == inner
+    assert tuple(D.interior[i] for i in np.flatnonzero(D.inner_mask(np.arange(len(D))))) == inner
     assert np.array_equal(D.neighbor_index, nbr)
     assert np.array_equal(D.coords, np.array(interior, dtype=np.int64))
     P, system, green_system, exits = reference_operators(points)

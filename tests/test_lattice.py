@@ -25,7 +25,7 @@ points = lambda d: st.tuples(*([st.integers(-20, 20)] * d))  # noqa: E731
 
 def inner_boundary(D):
     """Interior points with a neighbour outside, lexicographic, from ``inner_mask``."""
-    return tuple(D.interior[i] for i in np.flatnonzero(D.inner_mask()))
+    return tuple(D.interior[i] for i in np.flatnonzero(D.inner_mask(np.arange(len(D)))))
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(points(d), points(d), points(d))))

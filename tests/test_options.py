@@ -17,8 +17,6 @@ KEPT = {  # (module.function, parameter): why it keeps a default
     ("green.green_solve", "columns"):
         "cli and equivalence_audit solve full tables, ugi_audit and comparability_ratio some columns",
     ("lattice.l1_path", "anchor"): "chain_certificate walks unanchored, build_ball_chain anchored",
-    ("lattice.FiniteDomain.inner_mask", "subset"):
-        "the domain's own inner boundary (tests), or a subset's (green, harmonic)",
     ("lattice.FiniteDomain.within", "center"): "half balls about the centre, and _random_subset's other centres",
     ("report.write_atomic", "newline"): "JSON and cache files use the default, CSV rows newline=''",
 }
