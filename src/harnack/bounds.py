@@ -24,7 +24,7 @@ from functools import cache, partial, reduce
 
 import numpy as np
 
-from .kernel import _orthant_graph, orthant_fields, walk_pmf
+from .kernel import _orthant_graph, iter_free_fields, walk_pmf
 from .lattice import Point, as_point, graph_distance, l1_path, make_ball
 from .report import AuditReport
 from .rng import philox
@@ -129,7 +129,7 @@ def lclt_error_scan(d: int, n_range: tuple[int, int]) -> AuditReport:
         raise ValueError(f"supported scan window is 2 <= n_lo <= n_hi <= {DP_WINDOW}")
     amplitude, decay = lclt_form(d)
     rows = []
-    for n, field in orthant_fields(d, hi):
+    for n, field in iter_free_fields(d, hi):
         if n < lo:
             continue
         graph = _orthant_graph(d, n)
@@ -188,12 +188,12 @@ def near_diagonal_audit(d: int, n_max: int) -> AuditReport:
     if (LAG * LAG) * n_max < 1:  # as the admissibility test below reads it
         raise ValueError("n_max must reach 1/L^2, the first admissible time")
     n1, n1_witness = 0.0, None
-    for n, field in orthant_fields(d, n_max):
+    for n, field in iter_free_fields(d, n_max):
         cand = float(field.max()) * max(n, 1) ** (d / 2.0)
         if cand > n1:
             n1, n1_witness = cand, {"n": n, "value": cand}
     n2, n2_witness = math.inf, None
-    for m, pair in _paired(orthant_fields(d, n_max + 1)):
+    for m, pair in _paired(iter_free_fields(d, n_max + 1)):
         admissible = np.maximum(np.arange(m + 1) ** 2, 1) <= (LAG * LAG) * m
         if admissible.any():
             shells = _shell_extremes(pair, _orthant_graph(d, m), lower=True)[: m + 1]
@@ -227,7 +227,7 @@ def gaussian_lower_audit(d: int, n_max: int) -> AuditReport:
     _check_window(n_max)
     grid = _DECAY_GRID
     fit = _EnvelopeFit(d, grid, lower=True)
-    for m, pair in _paired(orthant_fields(d, n_max + 1)):
+    for m, pair in _paired(iter_free_fields(d, n_max + 1)):
         fit.fold(_shell_extremes(pair, _orthant_graph(d, m), lower=True)[: m + 1], m, lambda r: m)
     amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmax())
@@ -260,7 +260,7 @@ def gaussian_upper_audit(d: int, n_max: int) -> AuditReport:
     _check_window(n_max)
     grid = np.geomspace(1.0 / 64, 0.9 * math.log(2 * d), 32)
     fit = _EnvelopeFit(d, grid, lower=False)
-    for n, field in orthant_fields(d, n_max):
+    for n, field in iter_free_fields(d, n_max):
         fit.fold(_shell_extremes(field, _orthant_graph(d, n), lower=False), max(n, 1), lambda r: n)
     amplitudes = np.exp(fit.log_amp)
     best = int(amplitudes.argmin())

@@ -9,7 +9,8 @@ bytes        meaning
 ``u32``      dimension d
 ``u32``      kind: 0 = free field, 1 = killed field, 2 = green table
 ``i64``      step count n (0 for green tables)
-kind 0       no extra header; payload is the (2n+1)^d box, row-major
+kind 0       no extra header; payload is the (2n+1)^d box, row-major:
+             the orthant ``{0..n}^d`` it is written from, mirrored
 kind 1       ``i64`` radius, d×``i64`` centre, d×``i64`` start point;
              payload is the |B|-vector over the ball's point index
 kind 2       ``i64`` radius, d×``i64`` centre; payload is the
@@ -24,7 +25,8 @@ once, for ``decode`` and every writer: a known kind, a dimension in 1..3
 count or radius, a killed step count of at most ``MAX_KILLED_STEPS``, a
 green step count of 0, a killed start inside its ball, and a payload of
 ``(2n+1)^d`` cells, or ``|B|`` / ``|B|^2`` for the header's ball; writers
-raise ``ValueError`` on anything else before a file is touched.  All
+raise ``ValueError`` on anything else before a file is touched, and the
+free writer takes the ``(n+1)^d`` orthant and nothing else.  All
 computations feeding the cache are deterministic (fixed floating-point
 operation order, single-threaded sparse solves).
 """
@@ -109,6 +111,12 @@ def _encode(kind: int, d: int, n: int, ints: tuple[int, ...], values: np.ndarray
 
 
 def encode_free(d: int, n: int, values: np.ndarray) -> bytes:
+    """A free record from the orthant ``{0..n}^d`` of ``p_n(0, .)``; its payload mirrors it to the box ``{-n..n}^d``."""
+    _shape(KIND_FREE, d, n, ())  # the header's rule first, before d and n size anything
+    if np.shape(values) != (n + 1,) * d:
+        raise ValueError(f"free field of shape {np.shape(values)} is not the {(n + 1,) * d} orthant of its header")
+    for axis in range(d):  # cells n..1 of an axis, read backwards, stand at -n..-1
+        values = np.concatenate([np.take(values, np.arange(n, 0, -1), axis=axis), values], axis=axis)
     return _encode(KIND_FREE, d, n, (), values)
 
 

@@ -17,7 +17,8 @@ commutative, and the pairs are still added in axis order, then divided by
 1.0).  Permutations of the coordinates are *not* folded: they reorder the
 per-axis sums, and in d = 3 the rounded field is not symmetric under them.
 One progression per dimension, keyed ``(d, n)``, lives in the bounded memo
-(``Memo``); the box, where a caller needs it, is unfolded exactly.
+(``Memo``).  The orthant is a free field's only shape in the package; only
+the cache's file format mirrors it out to the box (``cache.encode_free``).
 
 Killed kernels restrict the same update to a ball ``B``: mass stepping out of
 ``B`` is dropped, giving ``p_n^B(x, y) = P^x(X_n = y, n < exit time)``, stored
@@ -62,7 +63,6 @@ from .lattice import FiniteDomain, _integer_array, as_point, graph_distance
 from .report import AuditReport
 
 __all__ = [
-    "orthant_fields",
     "free_field",
     "iter_free_fields",
     "n_step",
@@ -79,6 +79,7 @@ __all__ = [
     "projection_audit",
 ]
 
+MASS_TOL = 1e-12  # the exactness gate on each step's |mass - 1|
 PROJECTION_TOL = 1e-12  # the projection gate on the max marginal deviation
 RESIDUAL_TOL = 1e-10  # every killed solve's certificate on max |u - P u - rhs|
 
@@ -241,7 +242,7 @@ def _orthant_step(arr: np.ndarray, d: int) -> np.ndarray:
     return total
 
 
-def orthant_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+def iter_free_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(n, p_n(0, .))`` over the orthant ``{0..n}^d`` for n = 0..n_max.
 
     Entry ``y`` holds ``p_n(0, y)``, and ``p_n(0, .)`` is even in every
@@ -263,27 +264,11 @@ def _orthant_graph(d: int, n: int) -> np.ndarray:
     return reduce(np.add.outer, [np.arange(n + 1)] * d)
 
 
-def _unfold(arr: np.ndarray) -> np.ndarray:
-    """The box ``{-n..n}^d`` of an orthant field, mirrored exactly (read-only)."""
-    for axis in range(arr.ndim):
-        arr = np.concatenate([np.flip(arr[(slice(None),) * axis + (slice(1, None),)], axis), arr], axis=axis)
-    return _frozen(arr)
-
-
 def free_field(d: int, n: int) -> np.ndarray:
-    """The dense box of ``p_n(0, .)`` in dimension ``d``, unfolded from the memoized orthant."""
-    for _, arr in orthant_fields(d, n):
+    """The memoized orthant ``{0..n}^d`` of ``p_n(0, .)`` in dimension ``d`` (read-only)."""
+    for _, arr in iter_free_fields(d, n):
         pass
-    return _unfold(arr)
-
-
-def iter_free_fields(d: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(n, p_n(0,.))`` over the box ``{-n..n}^d`` for n = 0..n_max (read-only).
-
-    Each box is unfolded from the memoized orthant progression (``orthant_fields``).
-    """
-    for n, arr in orthant_fields(d, n_max):
-        yield n, _unfold(arr)
+    return arr
 
 
 def n_step(x, y, n: int) -> float:
@@ -293,10 +278,7 @@ def n_step(x, y, n: int) -> float:
         raise ValueError("n must be >= 0")
     if graph_distance(x, y) > n:
         return 0.0
-    offset = tuple(abs(b - a) for a, b in zip(x, y))
-    for _, arr in orthant_fields(len(x), n):
-        pass
-    return float(arr[offset])
+    return float(free_field(len(x), n)[tuple(abs(b - a) for a, b in zip(x, y))])
 
 
 # --- killed kernels ---------------------------------------------------------
@@ -444,30 +426,32 @@ def exactness_audit(d: int, n_max: int) -> AuditReport:
 
     Checks, for every step count n <= n_max:
 
-    - total mass is 1 within 1e-12 (convex combination of point masses);
+    - the box's total mass is 1 within ``MASS_TOL`` (convex combination of
+      point masses), summed exactly: an orthant cell with k nonzero
+      coordinates stands for 2^k box cells, scaling by 2^k is exact, and
+      ``math.fsum`` rounds the sum once;
     - wrong-parity entries are *exactly* zero;
     - the return probability after two steps is *exactly* ``1/(2d)``.
     """
     if d < 1 or n_max < 2:
         raise ValueError("need d >= 1 and n_max >= 2")
-    mass_tol = 1e-12
     worst_mass = 0.0
     worst_n = 0
     parity_exact = True
     rows = []
     for n, field in iter_free_fields(d, n_max):
-        dev = abs(float(field.sum()) - 1.0)  # over the box: pairwise summation rounds by position
+        scaled = np.ldexp(field, reduce(np.add.outer, [np.minimum(np.arange(n + 1), 1)] * d))  # v * 2^k
+        dev = abs(math.fsum(scaled[scaled != 0].tolist()) - 1.0)  # zeros, the wrong-parity half, add nothing
         if dev > worst_mass:
             worst_mass, worst_n = dev, n
-        orthant = field[(slice(n, None),) * d]  # holds every value of the box
         # wrong-parity cells: graph distance from origin has opposite parity to n
-        off = orthant[(_orthant_graph(d, n) + n) % 2 == 1]
+        off = field[(_orthant_graph(d, n) + n) % 2 == 1]
         if off.size and float(np.abs(off).max()) != 0.0:
             parity_exact = False
         if n == 2:
-            two_step_exact = float(orthant[(0,) * d]) == 1.0 / (2 * d)
+            two_step_exact = float(field[(0,) * d]) == 1.0 / (2 * d)
         rows.append({"n": n, "mass_deviation": dev})
-    passed = worst_mass <= mass_tol and parity_exact and two_step_exact
+    passed = worst_mass <= MASS_TOL and parity_exact and two_step_exact
     return AuditReport(
         audit_id=f"kernel.exactness.d{d}",
         grid={"d": d, "n_max": n_max},
@@ -478,7 +462,7 @@ def exactness_audit(d: int, n_max: int) -> AuditReport:
         },
         worst={"n": worst_n, "mass_deviation": worst_mass},
         passed=passed,
-        notes=[f"mass tolerance {mass_tol:g}; parity and 2-step checks are exact"],
+        notes=[f"mass tolerance {MASS_TOL:g}; parity and 2-step checks are exact"],
         rows=rows,
     )
 
@@ -488,7 +472,7 @@ def projection_audit(n_max: int) -> AuditReport:
 
     Summing the 2-d kernel over one coordinate must reproduce the lazy 1-d
     walk (hold 1/2, move 1/4 each way) for every step count n <= n_max, to
-    ``PROJECTION_TOL``.
+    ``PROJECTION_TOL``; both laws are even, so the orthant's 0..n suffices.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -497,8 +481,8 @@ def projection_audit(n_max: int) -> AuditReport:
     rows = []
     # the lazy walk on [-n_max, n_max] has lost no mass by step n_max
     for (n, field), (_, law) in zip(iter_free_fields(2, n_max), lazy_walk(2, n_max, n_max)):
-        marginal = field.sum(axis=1)
-        dev = float(np.abs(marginal - law[n_max - n : n_max + n + 1]).max())
+        marginal = field[:, 0] + 2 * field[:, 1:].sum(axis=1)  # over the second coordinate's -n..n
+        dev = float(np.abs(marginal - law[n_max : n_max + n + 1]).max())
         if dev > worst:
             worst, worst_n = dev, n
         rows.append({"n": n, "max_marginal_deviation": dev})

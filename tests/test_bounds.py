@@ -22,9 +22,11 @@ from harnack.bounds import (
     near_diagonal_audit,
     random_chain_instance,
 )
-from harnack.kernel import _orthant_graph, iter_free_fields, iter_killed_vectors, orthant_fields, walk_pmf
+from harnack.kernel import _orthant_graph, iter_free_fields, iter_killed_vectors, walk_pmf
 from harnack.lattice import make_ball
 from harnack.rng import philox
+
+from test_kernel import box_fields
 
 
 def test_lclt_form_matches_central_value():
@@ -74,9 +76,9 @@ def test_a_free_pair_is_the_live_term_of_each_cell(d):
     # the pair is p_m over {0..m}^d, the corner that holds every shell r <= m;
     # p_m and p_{m+1} never share a nonzero cell there, so their sum is their
     # elementwise maximum bit for bit
-    fields = dict(orthant_fields(d, 21))
+    fields = dict(iter_free_fields(d, 21))
     ms = []
-    for m, pair in _paired(orthant_fields(d, 21)):
+    for m, pair in _paired(iter_free_fields(d, 21)):
         ms.append(m)
         prev = fields[m]
         now = fields[m + 1][(slice(m + 1),) * d]
@@ -128,7 +130,7 @@ def box_distances(d, n):
 def near_diagonal_n2_reference(d, n_max, L):
     """N2 and its witness by the element-wise loop over every admissible box cell."""
     n2, n2_witness, prev = math.inf, None, None
-    for n, field in iter_free_fields(d, n_max + 1):
+    for n, field in box_fields(d, n_max + 1):
         if prev is not None:
             m = n - 1
             if 1 <= m <= n_max:
@@ -148,7 +150,7 @@ def gaussian_lower_reference(d, n_max, grid):
     log_amp = np.full(grid.shape, np.inf)
     witness_n = np.zeros(grid.shape, dtype=int)
     prev = None
-    for n, field in iter_free_fields(d, n_max + 1):
+    for n, field in box_fields(d, n_max + 1):
         if prev is not None:
             m = n - 1
             if m >= 1:
@@ -169,7 +171,7 @@ def gaussian_upper_reference(d, n_max, grid):
     """Amplitudes and binding steps, evaluating every positive cell at every decay."""
     log_amp = np.full(grid.shape, -np.inf)
     witness_n = np.zeros(grid.shape, dtype=int)
-    for n, field in iter_free_fields(d, n_max):
+    for n, field in box_fields(d, n_max):
         graph = box_distances(d, n)
         t = max(n, 1)
         mask = field > 0

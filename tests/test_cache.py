@@ -19,15 +19,18 @@ from harnack.green import green_solve
 from harnack.kernel import free_field, iter_killed_vectors
 from harnack.lattice import make_ball
 
+from test_kernel import box_fields, mirrored
+
 
 def test_free_record_roundtrip(tmp_path):
+    # the orthant goes in, the full-box DP's box comes out
     cache = KernelCache(tmp_path)
-    field = free_field(2, 7)
-    path = cache.put_free(2, 7, field)
+    path = cache.put_free(2, 7, free_field(2, 7))
     assert path.name == "free-d2-n7.zdk"
     rec = decode(path.read_bytes())
     assert rec.kind == 0 and rec.dimension == 2 and rec.n == 7
-    assert np.array_equal(rec.values, field)
+    *_, (_, box) = box_fields(2, 7)
+    assert rec.values.tobytes() == box.tobytes()
 
 
 def test_killed_and_green_roundtrips(tmp_path):
@@ -47,7 +50,9 @@ def test_killed_and_green_roundtrips(tmp_path):
 def test_encode_decode_inverse():
     field = free_field(1, 5)
     rec = decode(encode_free(1, 5, field))
-    assert np.array_equal(rec.values, field)
+    *_, (_, box) = box_fields(1, 5)
+    assert rec.values.tobytes() == box.tobytes()
+    assert encode_free(1, 5, rec.values[5:]) == encode_free(1, 5, field)  # the box's orthant writes it again
     B = make_ball((0,), 2)
     *_, (_, block) = iter_killed_vectors(B, [B.index_of((0,))], 2)
     vec = block[:, 0]
@@ -145,6 +150,8 @@ def test_green_payload_must_be_the_square_table_of_its_ball(tmp_path):
 
 BAD_WRITES = {
     "free-payload-shape": (encode_free, "put_free", (1, 2, np.zeros(4))),
+    "free-payload-box": (encode_free, "put_free", (1, 2, np.zeros(5))),  # the writer takes the orthant
+    "free-payload-3d-box": (encode_free, "put_free", (3, 2, np.zeros((5, 5, 5)))),
     "free-payload-2d": (encode_free, "put_free", (1, 2, np.zeros((5, 1)))),
     "free-dimension-0": (encode_free, "put_free", (0, 2, np.zeros(()))),
     "free-dimension-65": (encode_free, "put_free", (65, 0, np.zeros(1))),
@@ -179,7 +186,7 @@ def test_every_valid_kind_round_trips_bytes_and_arrays(tmp_path):
     B = make_ball((1, -1), 2)
     *_, (_, block) = iter_killed_vectors(B, [B.index_of((2, -1))], 3)
     records = [
-        (encode_free, "put_free", (1, 2, np.zeros(5))),
+        (encode_free, "put_free", (1, 2, np.zeros(3))),
         (encode_free, "put_free", (3, 2, free_field(3, 2))),
         (encode_killed, "put_killed", ((0, 0), 2, (1, 0), 1, np.zeros(13))),
         (encode_killed, "put_killed", (B.center, 2, (2, -1), 3, block[:, 0])),
@@ -189,12 +196,13 @@ def test_every_valid_kind_round_trips_bytes_and_arrays(tmp_path):
     ]
     cache = KernelCache(tmp_path)
     for encode, put, args in records:
+        payload = mirrored(args[-1]) if encode is encode_free else args[-1]  # a free record reads back as its box
         blob = encode(*args)
         assert getattr(cache, put)(*args).read_bytes() == blob
         rec = decode(blob)
-        assert np.array_equal(rec.values, args[-1]) and rec.values.shape == np.shape(args[-1])
+        assert np.array_equal(rec.values, payload) and rec.values.shape == payload.shape
         if rec.kind == 0:
-            again = encode_free(rec.dimension, rec.n, rec.values)
+            again = encode_free(rec.dimension, rec.n, rec.values[(slice(rec.n, None),) * rec.dimension])
         elif rec.kind == 1:
             again = encode_killed(rec.center, rec.radius, rec.start, rec.n, rec.values)
         else:

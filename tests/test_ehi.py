@@ -1,5 +1,8 @@
 """Harnack constants: exact values, closed form, stability, oscillation."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from harnack.ehi import (
 )
 from harnack.harmonic import harmonic_measure_matrix, laplacian, LatticeField
 from harnack.lattice import graph_distance, make_ball
+
+from test_green import exact_green_table, exact_harmonic_measure, plant_leak
 
 
 def test_d1_constant_closed_form_small_cases():
@@ -71,6 +76,28 @@ def test_one_kernel_per_orbit_gives_every_ratio(d, R):
     w = rec.witness_boundary
     assert D.outer_boundary.index(w) == least[tuple(sorted(map(abs, w)))]
     assert rec.constant == pytest.approx(ratios.max(), rel=1e-12, abs=0.0)
+
+
+def exact_harnack_constant(d, R):
+    """The rational C(R): the largest max / min over the half ball of an exact hitting kernel ``G P(., ∂B)``."""
+    points, _ = exact_green_table(d, R)
+    boundary, H = exact_harmonic_measure(d, R)
+    half = [H[i] for i, p in enumerate(points) if sum(map(abs, p)) <= R // 2]
+    return max(max(row[z] for row in half) / min(row[z] for row in half) for z in range(len(boundary)))
+
+
+# measured 0.2, 1.5, 0.02 and 3.0 ulps
+@pytest.mark.parametrize("d, R", [(2, 2), (2, 3), (3, 2), (1, 6)])
+def test_exact_constant_is_the_rational_harnack_constant(d, R, monkeypatch):
+    exact = exact_harnack_constant(d, R)
+
+    def ulps():
+        return abs(Fraction(harnack_constant_exact(d, R).constant) - exact) / Fraction(math.ulp(float(exact)))
+
+    assert ulps() <= 16
+    # a walk that leaks 1e-9 of its mass per step is millions of ulps off
+    plant_leak(monkeypatch)
+    assert ulps() > 1e6
 
 
 def test_the_planar_witness_is_the_least_point_of_its_orbit():

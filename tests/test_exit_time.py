@@ -1,7 +1,9 @@
 """Exit-time distributions: exact DP, tail bounds, Monte Carlo replay."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from harnack.exit_time import (
 from harnack import harmonic
 from harnack.harmonic import dirichlet_mc
 from harnack.kernel import iter_killed_vectors
-from harnack.lattice import as_point, make_ball
+from harnack.lattice import as_point, graph_distance, make_ball
 from harnack.rng import philox
+
+from test_green import plant_leak
 
 
 def test_exit_cdf_matches_hand_enumeration():
@@ -45,6 +49,44 @@ def test_exit_cdf_monotone_and_off_center_start():
 def test_exit_cdf_rejects_outside_start():
     with pytest.raises(ValueError):
         exact_exit_cdf(make_ball((0,), 2), (5,), 4)
+
+
+def exact_rational_cdf(d, R, n_max):
+    """``P(tau <= n)`` from the origin of B(0, R), n = 0..n_max, by counting the paths that stay inside.
+
+    The ball's points and neighbours come from the coordinates and the
+    graph metric; after n steps ``1 - (surviving paths) / (2d)^n``.
+    """
+    points = [p for p in itertools.product(range(-R, R + 1), repeat=d) if sum(map(abs, p)) <= R]
+    near = [[j for j, q in enumerate(points) if graph_distance(p, q) == 1] for p in points]
+    counts = [int(p == (0,) * d) for p in points]
+    cdf = []
+    for n in range(n_max + 1):
+        cdf.append(1 - Fraction(sum(counts), (2 * d) ** n))
+        counts = [sum(counts[j] for j in js) for js in near]
+    return cdf
+
+
+def cdf_ulps(cdf, exact):
+    """Each ``|cdf[n] - exact[n]|`` in units of the last place of the correctly rounded exact value."""
+    return [abs(Fraction(g) - e) / Fraction(math.ulp(float(e))) for g, e in zip(cdf.tolist(), exact, strict=True)]
+
+
+# measured: bit-exact at d=1 through n = 56 and at d=2 through n = 35; at most
+# 0.5 ulp at d=2 and 0.67 ulp at d=3 beyond
+@pytest.mark.parametrize("d, R, n_max", [(1, 6, 53), (2, 3, 60), (3, 2, 40)])
+def test_exit_cdf_is_the_exact_rational_path_count(d, R, n_max, monkeypatch):
+    # In d <= 2 the survival is a multiple of (2d)^-n in [0, 1], exact in
+    # binary64 while (2d)^n <= 2^53, and so is 1 minus it; past that, and in
+    # d = 3, one ulp is pinned
+    exact = exact_rational_cdf(d, R, n_max)
+    B = make_ball((0,) * d, R)
+    ulps = cdf_ulps(exact_exit_cdf(B, (0,) * d, n_max), exact)
+    for n, u in enumerate(ulps):
+        assert u == 0 if d <= 2 and (2 * d) ** n <= 2**53 else u <= 1, (n, float(u))
+    # a walk that leaks 1e-9 of its mass per step is millions of ulps off
+    plant_leak(monkeypatch)
+    assert max(cdf_ulps(exact_exit_cdf(B, (0,) * d, n_max), exact)) > 1e6
 
 
 def test_chernoff_bound_formula():

@@ -24,7 +24,6 @@ from harnack.kernel import (
     killed_solve,
     lazy_walk,
     n_step,
-    orthant_fields,
     projection_audit,
     walk_columns,
     walk_pmf,
@@ -63,10 +62,11 @@ def test_two_step_kernel_matches_path_enumeration(d):
 def test_field_mass_and_parity(d):
     for n in (0, 1, 5, 12):
         field = free_field(d, n)
-        assert abs(field.sum() - 1.0) <= 1e-13
+        assert field.shape == (n + 1,) * d
+        assert abs(mirrored(field).sum() - 1.0) <= 1e-13
         # wrong-parity entries are exactly zero
-        grids = np.meshgrid(*([np.arange(-n, n + 1)] * d), indexing="ij")
-        dist = sum(np.abs(g) for g in grids)
+        grids = np.meshgrid(*([np.arange(n + 1)] * d), indexing="ij")
+        dist = sum(grids)
         assert not field[(dist + n) % 2 == 1].any()
 
 
@@ -91,22 +91,35 @@ def full_box_step(arr, d):
     return total
 
 
+def box_fields(d, n_max):
+    """Yield ``(n, p_n(0, .))`` over the box ``{-n..n}^d`` by the full-box DP: the box oracle of every test."""
+    box = np.ones((1,) * d)
+    yield 0, box
+    for n in range(1, n_max + 1):
+        box = full_box_step(box, d)
+        yield n, box
+
+
+def mirrored(field):
+    """The box ``{-n..n}^d`` read off an orthant field: cell y is the orthant's cell |y|."""
+    n = field.shape[0] - 1
+    return field[np.ix_(*[np.abs(np.arange(-n, n + 1))] * field.ndim)]
+
+
 @pytest.mark.parametrize("d, n_max", [(1, 100), (2, 100), (3, 65)])
 def test_folded_fields_equal_the_full_box_dp(d, n_max):
     rng = np.random.default_rng(d)
-    box = np.ones((1,) * d)
-    for n, field in iter_free_fields(d, n_max):
-        if n:
-            box = full_box_step(box, d)
-        assert field.tobytes() == box.tobytes(), n
-        assert free_field(d, n).tobytes() == box.tobytes(), n
+    for (n, field), (_, box) in zip(iter_free_fields(d, n_max), box_fields(d, n_max)):
+        assert field.shape == (n + 1,) * d
+        assert mirrored(field).tobytes() == box.tobytes(), n
+        assert free_field(d, n).tobytes() == field.tobytes(), n
         for offset in rng.integers(-n, n + 1, size=(8, d)).tolist():
             value = n_step((0,) * d, offset, n)
             assert value == box[tuple(o + n for o in offset)]
             for axis in range(d):
-                mirrored = list(offset)
-                mirrored[axis] = -mirrored[axis]
-                assert n_step((0,) * d, mirrored, n) == value
+                flipped = list(offset)
+                flipped[axis] = -flipped[axis]
+                assert n_step((0,) * d, flipped, n) == value
 
 
 def test_free_field_audits_share_one_progression(monkeypatch):
@@ -411,14 +424,16 @@ def test_lazy_distribution_mass_and_degenerate_case():
         for n in (0, 1, 7, 20):
             assert abs(walked[n].sum() - 1.0) <= 1e-13
     # d=1: hold probability zero, so the lazy walk *is* the simple walk.
-    assert np.array_equal(laws(1, 9, 9)[9], free_field(1, 9))
-    assert np.array_equal(laws(1, 12, 9)[9][3:-3], free_field(1, 9))  # the padding adds nothing
+    *_, (_, box) = box_fields(1, 9)
+    assert np.array_equal(laws(1, 9, 9)[9], box)
+    assert np.array_equal(laws(1, 12, 9)[9][3:-3], box)  # the padding adds nothing
 
 
 def test_projection_of_planar_kernel_is_lazy_walk():
     walked = laws(2, 16, 16)
+    boxes = dict(box_fields(2, 16))
     for n in (1, 2, 9, 16):
-        marginal = free_field(2, n).sum(axis=1)
+        marginal = boxes[n].sum(axis=1)
         assert np.abs(marginal - walked[n][16 - n : 16 + n + 1]).max() <= 1e-15
 
 
@@ -444,6 +459,16 @@ def test_audits_pass():
     assert projection_audit(24).passed
 
 
+def test_exactness_mass_is_the_correctly_rounded_exact_box_mass():
+    # each row's deviation is |float(sum over the box) - 1|, the sum taken in
+    # exact rationals over the full-box DP: the orthant's sum of v * 2^k, k
+    # the cell's nonzero coordinates, rounded once
+    rows = exactness_audit(3, 12).rows
+    for (n, box), row in zip(box_fields(3, 12), rows, strict=True):
+        exact = sum(map(Fraction, box.ravel().tolist()))
+        assert row == {"n": n, "mass_deviation": abs(float(exact) - 1.0)}, n
+
+
 def test_exactness_audit_rejects_tiny_ranges():
     with pytest.raises(ValueError):
         exactness_audit(2, 1)
@@ -452,8 +477,8 @@ def test_exactness_audit_rejects_tiny_ranges():
 def test_memoized_arrays_are_read_only():
     before = n_step((0, 0), (0, 1), 3)
     with pytest.raises(ValueError):
-        free_field(2, 3)[3, 4] = 99.0
-    for _, field in orthant_fields(2, 3):
+        free_field(2, 3)[3, 2] = 99.0
+    for _, field in iter_free_fields(2, 3):
         with pytest.raises(ValueError):
             field[(0,) * field.ndim] = 99.0
     assert n_step((0, 0), (0, 1), 3) == before == 0.140625

@@ -90,7 +90,7 @@ def test_threads_building_one_factor_all_get_the_first_stored(monkeypatch):
 def test_every_memoized_array_is_read_only(d, R):
     B = make_ball((0,) * d, R)
     P = kernel.killed_matrix(B)
-    arrays = [P.data, P.indices, P.indptr] + [field for _, field in kernel.orthant_fields(d, 3)]
+    arrays = [P.data, P.indices, P.indptr] + [field for _, field in kernel.iter_free_fields(d, 3)]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
