@@ -203,7 +203,7 @@ def oscillation_audit(d: int, r_values: Sequence[int], seed: int) -> AuditReport
         D, _, K = hitting_kernels(d, R)
         half = D.within(R // 2)
         mix = rng.uniform(0.0, 1.0, size=(len(D.outer_coords), MIXTURES))
-        values = np.hstack([K, dirichlet_solve(D, mix).values[: len(D)]])
+        values = np.hstack([K, dirichlet_solve(D, mix)[: len(D)]])
         osc_full = values.max(axis=0) - values.min(axis=0)
         osc_half = values[half, :].max(axis=0) - values[half, :].min(axis=0)
         keep = osc_full > 0

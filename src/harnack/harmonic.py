@@ -2,16 +2,17 @@
 
 The Laplacian here is the averaging operator minus the identity, so a
 function is harmonic exactly when it equals its neighbor average.  A field
-is a :class:`LatticeField`: a domain and its values in the domain's closure
-order (or over the interior prefix of it), so an operator on a field takes
-its domain from the field; boundary data are arrays over ``D.outer_coords``.
+is an array over ``D``'s closure index (interior, then outer boundary; a
+block of fields is one column each), and every operator takes ``D`` beside
+it; boundary data are arrays over ``D.outer_coords``.
 Boundary data enter through the walk's exit block: ``c = P(., ∂D) phi``
 (``kernel.exit_coupling``) is the data's share of each neighbour average.
 The Dirichlet problem is solved three independent ways (sparse LU, clamped
 fixed-point iteration, Monte Carlo); harmonic measure ``H_D = G_D P(., ∂D)``
 is one certified solve of the block's columns; the triple audit checks
 ``h(x) = sum_y G_D(x, y) c(y)`` on the centre's column of
-``green.green_solve``.  Every LU solve is ``kernel.killed_solve``, certified
+``green.green_solve``, and the solve's ``laplacian``, which reads
+``D.neighbor_index`` and no exit block.  Every LU solve is ``kernel.killed_solve``, certified
 by ``max |u - P u - rhs| < kernel.RESIDUAL_TOL``; on a ball it reuses the
 memoized factor and one-step matrix and assembles no matrix.
 Balayage sweeps a nonnegative harmonic h on a ball B onto the inner
@@ -51,35 +52,15 @@ class BalayageError(RuntimeError):
     """The sweep's charge leaked off the inner boundary or went negative."""
 
 
-@dataclass(frozen=True)
-class LatticeField:
-    """Real values over a domain's closure index, or over its interior prefix; a block of fields is one column each."""
+def laplacian(D: FiniteDomain, h: np.ndarray) -> np.ndarray:
+    """Neighbour average minus centre, ``(1/2d) sum_{y~x} h(y) - h(x)``, over ``D``.
 
-    domain: FiniteDomain
-    values: np.ndarray
-
-    def value_at(self, point) -> float:
-        i = self.domain.closure_index(point)
-        if not 0 <= i < len(self.values):
-            raise KeyError(point)
-        return float(self.values[i])
-
-
-def _on_closure(h: LatticeField) -> np.ndarray:
-    """``h``'s values, which must cover its domain's closure index."""
-    if len(h.values) != len(h.domain) + len(h.domain.outer_coords):
-        raise ValueError("h has no values on the outer boundary")
-    return h.values
-
-
-def laplacian(h: LatticeField) -> np.ndarray:
-    """Neighbour average minus centre, ``(1/2d) sum_{y~x} h(y) - h(x)``, over ``h.domain``.
-
-    ``h`` must be a field over its domain's closure; returns the vector over
-    the interior index.  Raises ``ValueError`` for a field over the interior only.
+    ``h`` must be a field over ``D``'s closure index; returns the vector over
+    the interior index.  Raises ``ValueError`` for any other length (an interior-only array).
     """
-    D, vals = h.domain, _on_closure(h)
-    return vals[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - vals[: len(D)]
+    if len(h) != len(D) + len(D.outer_coords):
+        raise ValueError("h must be a field over D's closure index")
+    return h[D.neighbor_index].sum(axis=1) / (2.0 * D.dimension) - h[: len(D)]
 
 
 def _boundary_data(D: FiniteDomain, phi) -> np.ndarray:
@@ -90,20 +71,20 @@ def _boundary_data(D: FiniteDomain, phi) -> np.ndarray:
     return vals
 
 
-def dirichlet_solve(D: FiniteDomain, phi) -> LatticeField:
+def dirichlet_solve(D: FiniteDomain, phi) -> np.ndarray:
     """Solve the boundary-value problem: harmonic inside, ``phi`` on ∂D.
 
     Sparse-LU path, ``kernel.killed_solve`` with the coupling ``P(., ∂D) phi``
     as right-hand side (a ball's factor is memoized); the killed one-step
     matrix is strictly substochastic on the inner boundary, so the system is
-    nonsingular.  The result carries the boundary data exactly.  Data of
+    nonsingular.  The field carries the boundary data exactly.  Data of
     shape (|∂D|, k) are k problems in one solve, one column each.
     """
     bdata = _boundary_data(D, phi)
-    return LatticeField(D, np.concatenate([killed_solve(D, exit_coupling(D, bdata)), bdata]))
+    return np.concatenate([killed_solve(D, exit_coupling(D, bdata)), bdata])
 
 
-def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
+def dirichlet_iterate(D: FiniteDomain, phi) -> np.ndarray:
     """Fixed-point path: repeat neighbor averaging with the boundary clamped.
 
     Stops when one full sweep moves no value by more than ``ITERATE_TOL``;
@@ -122,7 +103,7 @@ def dirichlet_iterate(D: FiniteDomain, phi) -> LatticeField:
             break
     else:
         raise SolverError("fixed-point iteration failed to settle")
-    return LatticeField(D, np.concatenate([interior, bdata]))
+    return np.concatenate([interior, bdata])
 
 
 def dirichlet_mc(D: FiniteDomain, phi, x, samples: int, seed: int) -> tuple[float, float]:
@@ -167,7 +148,7 @@ def harmonic_measure_matrix(D: FiniteDomain, boundary: Sequence[int] | np.ndarra
     return killed_solve(D, exit_coupling(D, columns))
 
 
-def random_harmonic(D: FiniteDomain, seed: int | Sequence[int]) -> LatticeField:
+def random_harmonic(D: FiniteDomain, seed: int | Sequence[int]) -> np.ndarray:
     """A harmonic function from seeded uniform [0,1] boundary data; a list of seeds is one column each, one solve."""
     seeds = np.atleast_1d(seed).tolist()
     data = np.column_stack([philox(s, stream=_BOUNDARY_STREAM).uniform(0.0, 1.0, len(D.outer_coords)) for s in seeds])
@@ -178,45 +159,43 @@ def random_harmonic(D: FiniteDomain, seed: int | Sequence[int]) -> LatticeField:
 class BalayageResult:
     """A nonnegative charge on the inner boundary of A that rebuilds h."""
 
-    charge: LatticeField  # f over the ball's interior index
-    sweep: LatticeField  # h_A over the ball closure
-    reconstruction: LatticeField  # G_B f over the ball's interior index
+    charge: np.ndarray  # f over the ball's interior index
+    sweep: np.ndarray  # h_A over the ball closure
+    reconstruction: np.ndarray  # G_B f over the ball's interior index
     max_reconstruction_rel_error: float
 
 
-def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
-    """Sweep a nonnegative harmonic h onto the inner boundary of A.
+def balayage(B: FiniteDomain, A: Sequence[int] | np.ndarray, h: np.ndarray) -> BalayageResult:
+    """Sweep a nonnegative harmonic h, a field over the ball B, onto the inner boundary of A.
 
-    ``A`` holds interior indices of the ball B that h is a field over.  The
-    sweep ``h_A`` agrees with h on A, vanishes on the outer boundary of B, and
-    is harmonic in between (one Dirichlet solve on B minus A, a domain
-    ``B.restrict`` cuts from B's arrays, with one ``P`` assembly).  Its negative
+    ``A`` holds interior indices of B.  The sweep ``h_A`` agrees with h on A,
+    vanishes on the outer boundary of B, and is harmonic in between (one
+    Dirichlet solve on B minus A, a domain ``B.restrict`` cuts from B's
+    arrays, with one ``P`` assembly).  Its negative
     Laplacian is the charge f: nonnegative, and supported on the inner
     boundary of A after structural-noise verification (``BalayageError`` otherwise).  The
     reconstruction ``G_B f`` is one ``kernel.killed_solve`` with the ball's
     memoized factor; its worst relative error against h on A is reported,
     and ``balayage_batch_audit`` gates it.
     """
-    B = h.domain
     in_a = np.bincount(B.interior_indices(A), minlength=len(B)) > 0
     a_idx, complement = np.flatnonzero(in_a), np.flatnonzero(~in_a)
     if not complement.size:
         raise ValueError("A must be a strict subset of the ball")
-    # Validate the input: nonnegative on the closure, harmonic inside.
-    vals = _on_closure(h)
-    if vals.min() < -NONNEGATIVE_TOL:
+    # Validate the input: over the closure, nonnegative there, harmonic inside.
+    bad = np.flatnonzero(np.abs(laplacian(B, h)) > RESIDUAL_TOL)
+    if h.min() < -NONNEGATIVE_TOL:
         raise ValueError("h must be nonnegative on the ball closure")
-    bad = np.flatnonzero(np.abs(laplacian(h)) > RESIDUAL_TOL)
     if bad.size:
         raise ValueError(f"h is not harmonic at {B.interior[bad[0]]}")
 
     # The sweep: h on A, the Dirichlet solution on B minus A, 0 outside B.
-    target = vals[a_idx]
+    target = h[a_idx]
     sweep_vals = np.zeros(len(B) + len(B.outer_coords))
     sweep_vals[a_idx] = target
     Dc = B.restrict(complement)
     outer = B.box[tuple((Dc.outer_coords - B.corner).T)]  # each step out of Dc lands in A or outside B
-    sweep_vals[complement] = dirichlet_solve(Dc, sweep_vals[outer]).values[: len(Dc)]
+    sweep_vals[complement] = dirichlet_solve(Dc, sweep_vals[outer])[: len(Dc)]
 
     # Charge: identity minus killed one-step, applied to the sweep on B.
     inside = sweep_vals[: len(B)]
@@ -235,12 +214,7 @@ def balayage(A: Sequence[int] | np.ndarray, h: LatticeField) -> BalayageResult:
     # Reconstruction: G_B f by one certified solve with the ball's factor, measured on A.
     u = killed_solve(B, f)
     rel = np.abs(u[a_idx] - target) / np.maximum(np.abs(target), 1e-300)
-    return BalayageResult(
-        charge=LatticeField(B, f),
-        sweep=LatticeField(B, sweep_vals),
-        reconstruction=LatticeField(B, u),
-        max_reconstruction_rel_error=float(rel.max()),
-    )
+    return BalayageResult(charge=f, sweep=sweep_vals, reconstruction=u, max_reconstruction_rel_error=float(rel.max()))
 
 
 def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> AuditReport:
@@ -252,25 +226,30 @@ def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> Audit
     MC value of ``MC_SAMPLES`` walks from the centre within ``Z_CAP``
     standard errors, and the solve value at the centre must equal the
     harmonic-measure average of the data, read off the centre's Green column
-    as ``sum_y G_D(0, y) c(y)``, within ``RESIDUAL_TOL``.
+    as ``sum_y G_D(0, y) c(y)``, within ``RESIDUAL_TOL``.  All three read the
+    exit block; the ``harmonic`` row does not: the solve's Laplacian, read
+    off ``D.neighbor_index``, must stay within ``RESIDUAL_TOL`` everywhere.
     """
     D = make_ball((0,) * d, R)
     solved = random_harmonic(D, seed)
-    phi = solved.values[len(D) :]
+    phi = solved[len(D) :]
     iterated = dirichlet_iterate(D, phi)
     center = (0,) * d
     mc, mc_se = dirichlet_mc(D, phi, center, MC_SAMPLES, seed)
     coupling = exit_coupling(D, phi)
     green_center = green_solve(D, [D.index_of(center)])[:, 0]  # G_D(., 0) = G_D(0, .): the walk is symmetric
-    gap = float(np.abs(solved.values - iterated.values).max())
-    z = abs(mc - solved.value_at(center)) / max(mc_se, 1e-12)
-    measure_gap = abs(float(green_center @ coupling) - solved.value_at(center))
+    h0 = float(solved[D.index_of(center)])
+    gap = float(np.abs(solved - iterated).max())
+    z = abs(mc - h0) / max(mc_se, 1e-12)
+    measure_gap = abs(float(green_center @ coupling) - h0)
+    lap = float(np.abs(laplacian(D, solved)).max())
     rows = [
         {"check": "solve_vs_iterate", "value": gap, "limit": agree_tol},
         {"check": "mc_z_score", "value": z, "limit": Z_CAP},
         {"check": "measure_average", "value": measure_gap, "limit": RESIDUAL_TOL},
+        {"check": "harmonic", "value": lap, "limit": RESIDUAL_TOL},
     ]
-    passed = gap <= agree_tol and z <= Z_CAP and measure_gap <= RESIDUAL_TOL
+    passed = gap <= agree_tol and z <= Z_CAP and measure_gap <= RESIDUAL_TOL and lap <= RESIDUAL_TOL
     return AuditReport(
         audit_id=f"dirichlet.triple.d{d}",
         grid={"d": d, "R": R, "samples": MC_SAMPLES, "seed": seed},
@@ -279,6 +258,7 @@ def dirichlet_triple_audit(d: int, R: int, seed: int, agree_tol: float) -> Audit
             "mc_z": z,
             "mc_se": mc_se,
             "measure_average_gap": measure_gap,
+            "max_laplacian": lap,
         },
         worst=max(rows, key=lambda r: r["value"] / r["limit"]),
         passed=passed,
@@ -315,16 +295,16 @@ def balayage_batch_audit(
         B = make_ball((0,) * d, R)
         rng = philox(seed, stream=(_BALAYAGE_STREAM << 32) | R)
         draws = [(int(rng.integers(1 << 31)), _random_subset(B, rng)) for _ in range(INSTANCES)]
-        harmonics = random_harmonic(B, [h_seed for h_seed, _ in draws]).values
+        harmonics = random_harmonic(B, [h_seed for h_seed, _ in draws])
         for i, (h_seed, subset) in enumerate(draws):
             try:
-                result = balayage(subset, LatticeField(B, harmonics[:, i]))
+                result = balayage(B, subset, harmonics[:, i])
             except (BalayageError, ValueError) as exc:
                 failures += 1
                 rows.append({"R": R, "instance": i, "h_seed": h_seed, "error": str(exc)})
                 continue
             err = result.max_reconstruction_rel_error
-            mc = float(result.charge.values.min())
+            mc = float(result.charge.min())
             min_charge = min(min_charge, mc)
             if err > worst_recon:
                 worst_recon = err

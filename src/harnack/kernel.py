@@ -391,12 +391,10 @@ def iter_killed_vectors(
 
 
 def _lazy_step(vec: np.ndarray, d: int) -> np.ndarray:
-    hold = (d - 1) / d
-    side = 1.0 / (2 * d)
-    out = hold * vec
-    out[1:] += side * vec[:-1]
-    out[:-1] += side * vec[1:]
-    return out
+    sides = np.zeros_like(vec)  # each cell's two neighbours, summed before scaling: the step is bit-symmetric
+    sides[1:] = vec[:-1]
+    sides[:-1] += vec[1:]
+    return (d - 1) / d * vec + 1.0 / (2 * d) * sides
 
 
 def lazy_walk(d: int, S: int, n_max: int) -> Iterator[tuple[int, np.ndarray]]:

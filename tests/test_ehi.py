@@ -16,7 +16,7 @@ from harnack.ehi import (
     small_r_bound_audit,
     stability_audit,
 )
-from harnack.harmonic import harmonic_measure_matrix, laplacian, LatticeField
+from harnack.harmonic import harmonic_measure_matrix, laplacian
 from harnack.lattice import graph_distance, make_ball
 
 from test_green import exact_green_table, exact_harmonic_measure, plant_leak
@@ -53,8 +53,8 @@ def test_hitting_kernels_are_nonnegative_harmonic_partitions():
     assert np.abs(K - M[:, reps]).max() <= 1e-15
     # each column is harmonic in the interior as a function of the start
     for k in (0, len(reps) // 2):
-        h = LatticeField(D, np.concatenate([K[:, k], np.eye(len(D.outer_boundary))[reps[k]]]))
-        assert np.abs(laplacian(h)).max() <= 1e-12
+        h = np.concatenate([K[:, k], np.eye(len(D.outer_boundary))[reps[k]]])
+        assert np.abs(laplacian(D, h)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d,R", [(2, 6), (3, 3)])

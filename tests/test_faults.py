@@ -94,7 +94,7 @@ FAULTS = {
     "the walk leaks 1e-9 per step": (
         {WALK: _leaking(1e-9)},
         dict(dim=2, r_max=8),
-        {"exit.chernoff.d2", "exit.mc.d2", "balayage.batch.d2"},
+        {"exit.chernoff.d2", "exit.mc.d2", "balayage.batch.d2", "dirichlet.triple.d2"},
     ),
     "the walk leaks 1e-3 per step": (
         {WALK: _leaking(1e-3)},
@@ -123,10 +123,10 @@ FAULTS = {
     ),
     "the walker holds with probability 1%": ({WALKER: _holding_walker(0.01)}, D1, {"exit.mc.d1"}),
     "the walker's exits are counted one step late": ({WALKER: _late_exits}, D1, {"exit.mc.d1"}),
-    # Only the balayage batch sees this: dirichlet.triple's solve, iteration
-    # and measure routes all read the exit block, and its Monte Carlo route
-    # resolves only about 1e-3.
-    "the exit block leaks 1e-9": ({EXIT_BLOCK: _leaking(1e-9)}, D1, {"balayage.batch.d1"}),
+    # dirichlet.triple's solve, iteration and measure routes all read the exit
+    # block and agree, and its Monte Carlo route resolves only about 1e-3: its
+    # harmonic row sees this, as the solve's Laplacian reads no exit block.
+    "the exit block leaks 1e-9": ({EXIT_BLOCK: _leaking(1e-9)}, D1, {"balayage.batch.d1", "dirichlet.triple.d1"}),
 }
 
 

@@ -242,21 +242,17 @@ def test_full_tables_are_solved_afresh_with_the_balls_one_factor():
     assert kernel._LU.get(B.key(), lambda: None) is factor is not None
 
 
-@functools.lru_cache(maxsize=None)
-def exact_green_table(d, R):
-    """The ball's points and ``(I - P)^-1`` in exact rationals, by Gauss-Jordan elimination.
+def exact_solve(points, rhs):
+    """``(I - P)^-1 rhs`` on ``points`` in exact rationals, by Gauss-Jordan elimination.
 
-    The points are the lattice points within graph distance R of the origin
-    in lexicographic order, and two points are neighbours when their graph
-    distance is 1.  ``I - P`` is a diagonally dominant M-matrix, so every
-    pivot in order is positive.
+    ``rhs`` has one row per point, and two points are neighbours when their
+    graph distance is 1.  ``I - P`` is a diagonally dominant M-matrix, so
+    every pivot in order is positive.
     """
-    points = [p for p in itertools.product(range(-R, R + 1), repeat=d) if sum(map(abs, p)) <= R]
-    step = Fraction(1, 2 * d)
+    step = Fraction(1, 2 * len(points[0]))
     rows = [
-        [Fraction(i == j) - step * (graph_distance(p, q) == 1) for j, q in enumerate(points)]
-        + [Fraction(i == j) for j in range(len(points))]
-        for i, p in enumerate(points)
+        [Fraction(i == j) - step * (graph_distance(p, q) == 1) for j, q in enumerate(points)] + list(r)
+        for i, (p, r) in enumerate(zip(points, rhs))
     ]
     for c, pivot_row in enumerate(rows):
         pivot_row[:] = [v / pivot_row[c] for v in pivot_row]
@@ -264,7 +260,14 @@ def exact_green_table(d, R):
             if row is not pivot_row and row[c]:
                 factor = row[c]
                 row[:] = [a - factor * b for a, b in zip(row, pivot_row)]
-    return points, [row[len(points):] for row in rows]
+    return [row[len(points):] for row in rows]
+
+
+@functools.lru_cache(maxsize=None)
+def exact_green_table(d, R):
+    """The ball's points, lattice points within graph distance R of the origin in lexicographic order, and its exact ``(I - P)^-1``."""
+    points = [p for p in itertools.product(range(-R, R + 1), repeat=d) if sum(map(abs, p)) <= R]
+    return points, exact_solve(points, [[Fraction(i == j) for j in range(len(points))] for i in range(len(points))])
 
 
 def worst_ulps(got, exact):

@@ -429,6 +429,14 @@ def test_lazy_distribution_mass_and_degenerate_case():
     assert np.array_equal(laws(1, 12, 9)[9][3:-3], box)  # the padding adds nothing
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_lazy_law_is_its_own_mirror_bit_for_bit(d):
+    # each step adds both neighbours in one order, so no law leans to one side
+    for n, law in lazy_walk(d, 64, 64):
+        assert np.array_equal(law, law[::-1]), n
+    assert laws(d, 0, 3)[3].tolist() == [pytest.approx(((d - 1) / d) ** 3)]  # one cell, no neighbours
+
+
 def test_projection_of_planar_kernel_is_lazy_walk():
     walked = laws(2, 16, 16)
     boxes = dict(box_fields(2, 16))

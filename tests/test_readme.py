@@ -45,7 +45,7 @@ def test_gate_table_matches_the_module_constants():
     text = README.read_text()
     section = text[text.index("### Audit gates"):text.index("### Cache")]
     rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \| .*? \| (\S+) \| `(\w+)\.(\w+)` \|$", section, re.M)
-    assert len(rows) == 16
+    assert len(rows) == 17
     for audit_id, value, module, name in rows:
         constant = getattr(importlib.import_module("harnack." + module), name)
         assert ast.literal_eval(value) == constant, f"{audit_id}: README {value}, {module}.{name} = {constant}"
